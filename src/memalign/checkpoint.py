@@ -1,18 +1,23 @@
 """Binary parameter checkpoints.
 
-Layout (all integers little-endian):
+Layout of format version 2 (all integers little-endian):
 
     magic          8 bytes   "MEMALNCK"
-    version        uint32
+    version        uint32    2
     section count  uint32
     section table  per entry: name length uint32, name bytes (UTF-8),
                    offset uint64, length uint64
     sections       per entry: rank uint64, dims uint64 * rank,
                    row-major float32 payload
-    checksum       uint64    FNV-1a over all prior bytes
+    checksum       8 bytes   BLAKE2b digest (digest size 8) of all prior bytes
+
+Version 1 files have the same layout with version 1 and, as the checksum,
+the uint64 FNV-1a hash of all prior bytes.  ``load_checkpoint`` reads both;
+``save_checkpoint`` writes version 2.
 """
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -21,11 +26,17 @@ import numpy as np
 from .seeding import fnv1a64
 
 MAGIC = b"MEMALNCK"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
     pass
+
+
+def _checksum(version: int, body: bytes) -> bytes:
+    if version == 1:
+        return struct.pack("<Q", fnv1a64(body))
+    return hashlib.blake2b(body, digest_size=8).digest()
 
 
 def save_checkpoint(sections: dict[str, np.ndarray], path: str | Path) -> None:
@@ -53,8 +64,7 @@ def save_checkpoint(sections: dict[str, np.ndarray], path: str | Path) -> None:
         offset += len(blob)
 
     body = MAGIC + struct.pack("<II", VERSION, len(names)) + bytes(table) + b"".join(blobs)
-    checksum = struct.pack("<Q", fnv1a64(body))
-    Path(path).write_bytes(body + checksum)
+    Path(path).write_bytes(body + _checksum(VERSION, body))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
@@ -65,13 +75,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     body, stored = data[:-8], data[-8:]
     if body[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"bad magic {body[:len(MAGIC)]!r}")
-    if struct.unpack("<Q", stored)[0] != fnv1a64(body):
-        raise CheckpointError("checksum mismatch")
     pos = len(MAGIC)
     version, count = struct.unpack_from("<II", body, pos)
     pos += 8
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if stored != _checksum(version, body):
+        raise CheckpointError("checksum mismatch")
 
     entries: list[tuple[str, int, int]] = []
     for _ in range(count):

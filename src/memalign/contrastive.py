@@ -69,14 +69,40 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def _cosine_grad_wrt_second(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """d cos(u, v) / d v; zero when either norm vanishes."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return np.zeros_like(v)
-    cos = u @ v / (nu * nv)
-    return u / (nu * nv) - cos * v / (nv * nv)
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; rows of (near) zero norm become zero rows."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms < ZERO_NORM_EPS, np.inf, norms)
+
+
+def infonce_batch(
+    anchor_units: np.ndarray,
+    h_t: np.ndarray,
+    negative_units: np.ndarray,
+    tau: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """InfoNCE for B rows at once, each a positive pair and its negatives.
+
+    ``anchor_units`` (B, d) and ``negative_units`` (B, K, d) come from the
+    frozen anchor side already passed through ``unit_rows``; ``h_t`` (B, d)
+    holds the raw target vectors.  Returns the per-row losses (B,) and
+    d loss_b / d h_t[b] (B, d).  A zero-norm vector has cosine 0 with
+    everything and gets zero gradient.
+    """
+    norms = np.linalg.norm(h_t, axis=1, keepdims=True)
+    inv_norms = 1.0 / np.where(norms < ZERO_NORM_EPS, np.inf, norms)
+    target_units = h_t * inv_norms
+    positive = np.sum(anchor_units * target_units, axis=1)
+    negative = np.matmul(negative_units, anchor_units[:, :, None])[:, :, 0]
+    logits = np.concatenate([positive[:, None], negative], axis=1) / tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    losses = np.log(total) - shifted[:, 0]
+    d_positive = (exp[:, 0] / total - 1.0) / tau
+    d_cosine = (anchor_units - positive[:, None] * target_units) * inv_norms
+    return losses, d_positive[:, None] * d_cosine
 
 
 def infonce_loss(
@@ -89,6 +115,7 @@ def infonce_loss(
 
     Returns (loss, d loss / d h_t).  Gradient flows only through the
     positive similarity: negatives come from the frozen anchor side.
+    This is the B = 1 case of ``infonce_batch``.
     """
     if tau <= 0:
         raise ContrastiveError("temperature must be positive")
@@ -97,20 +124,14 @@ def infonce_loss(
         raise ContrastiveError("negatives must be nonempty")
     h_a = np.asarray(h_a, dtype=np.float64)
     h_t = np.asarray(h_t, dtype=np.float64)
-
-    sims = np.empty(1 + negatives.shape[0])
-    sims[0] = cosine_sim(h_a, h_t)
-    for k, neg in enumerate(negatives):
-        sims[1 + k] = cosine_sim(h_a, neg)
-    logits = sims / tau
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    log_denominator = np.log(exp.sum())
-    loss = float(log_denominator - shifted[0])
-    p0 = exp[0] / exp.sum()
-    d_logit0 = p0 - 1.0
-    grad_ht = (d_logit0 / tau) * _cosine_grad_wrt_second(h_a, h_t)
-    return loss, grad_ht
+    if h_a.shape != h_t.shape or negatives.shape[1:] != h_a.shape:
+        raise ContrastiveError(
+            f"dimension mismatch: {h_a.shape}, {h_t.shape}, negatives {negatives.shape}"
+        )
+    losses, grads = infonce_batch(
+        unit_rows(h_a[None]), h_t[None], unit_rows(negatives)[None], tau
+    )
+    return float(losses[0]), grads[0]
 
 
 def sample_negatives(
@@ -122,8 +143,10 @@ def sample_negatives(
         raise ContrastiveError(
             f"cannot draw {count} negatives from a pool of {pool_size}"
         )
-    candidates = np.delete(np.arange(pool_size), exclude)
-    return rng.choice(candidates, size=count, replace=False)
+    # Draw positions in the pool with ``exclude`` removed, then map them
+    # back past it.
+    draw = rng.choice(pool_size - 1, size=count, replace=False)
+    return draw + (draw >= exclude)
 
 
 def _states_matrix(states: list[MemoryState], what: str) -> np.ndarray:
@@ -210,6 +233,7 @@ def train_alignment(
         warmup_ratio=config.warmup_ratio,
     )
     rng = component_rng(config.seed, "align-train")
+    anchor_units = unit_rows(anchor_vecs)
 
     epoch_losses: list[float] = []
     for _epoch in range(config.epochs):
@@ -219,22 +243,22 @@ def train_alignment(
             batch = perm[start : start + config.batch_size]
             x = target_raw[batch]
             h_t = align_forward(module, x)
-            d_ht = np.zeros_like(h_t)
-            batch_loss = 0.0
-            for row, j in enumerate(batch):
-                neg_idx = sample_negatives(train_n, int(j), config.negatives, rng)
-                loss, grad = infonce_loss(
-                    anchor_vecs[j], h_t[row], anchor_vecs[neg_idx], config.tau
-                )
-                if config.mse_weight > 0:
-                    diff = h_t[row] - anchor_vecs[j]
-                    loss += config.mse_weight * float(np.mean(diff * diff))
-                    grad = grad + config.mse_weight * 2.0 * diff / diff.shape[0]
-                batch_loss += loss
-                d_ht[row] = grad
+            neg_idx = np.stack(
+                [
+                    sample_negatives(train_n, int(j), config.negatives, rng)
+                    for j in batch
+                ]
+            )
+            losses, d_ht = infonce_batch(
+                anchor_units[batch], h_t, anchor_units[neg_idx], config.tau
+            )
+            if config.mse_weight > 0:
+                diff = h_t - anchor_vecs[batch]
+                losses += config.mse_weight * np.mean(diff * diff, axis=1)
+                d_ht += config.mse_weight * 2.0 * diff / diff.shape[1]
             grads = align_gradients(module, x, d_ht / len(batch))
             optimizer.step(grads)
-            epoch_loss += batch_loss
+            epoch_loss += float(losses.sum())
         epoch_losses.append(epoch_loss / train_n)
 
     if config.holdout > 0:

@@ -42,12 +42,9 @@ class QueryEmbedder:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: no exp overflows.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -194,80 +191,127 @@ def student_step(
 
 @dataclass
 class _ForwardCache:
-    tokens: list[int]
-    cond: np.ndarray
-    s0_pre: np.ndarray
-    states: np.ndarray  # (L, d_m) with states[0] = initial state
-    zs: np.ndarray
-    cs: np.ndarray
-    logits: np.ndarray  # (L-1, V)
+    """Activations of a teacher-forced pass over a padded batch of B
+    sequences, T = the longest sequence's step count, time-major."""
+
+    inputs: np.ndarray  # (T, B) input token ids, padded with BOS
+    mask: np.ndarray  # (B, T) step mask: True where a step is real
+    lengths: np.ndarray  # (B,) steps per sequence
+    cond: np.ndarray  # (B, d_q + d_s)
+    xs: np.ndarray  # (T, B, d_m) input embeddings
+    states: np.ndarray  # (T + 1, B, d_m) with states[0] = initial states
+    zs: np.ndarray  # (T, B, d_m)
+    cs: np.ndarray  # (T, B, d_m)
+    logits: np.ndarray  # (sum(lengths), V): real steps, sequence by sequence
 
 
 def sequence_logits(
-    model: RetrieverModel, tokens: list[int], q: np.ndarray, h: np.ndarray
+    model: RetrieverModel,
+    tokens: list[int] | list[list[int]],
+    q: np.ndarray,
+    h: np.ndarray,
 ) -> _ForwardCache:
-    """Teacher-forced forward pass; logits[t] predicts tokens[t + 1]."""
-    if len(tokens) < 2 or tokens[0] != BOS:
+    """Teacher-forced forward pass over one sequence or a minibatch.
+
+    ``tokens`` is one BOS-led id sequence with vectors ``q`` and ``h``, or
+    a list of B such sequences with (B, d_q) and (B, d_s) matrices; one
+    sequence is the B = 1 case.  The batch is padded to its longest
+    sequence.  Row r of ``logits`` is a real step of one sequence: the
+    rows run through sequence 0's steps, then sequence 1's, and so on,
+    and the row for step t predicts that sequence's token t + 1.
+    """
+    if len(tokens) and isinstance(tokens[0], (int, np.integer)):
+        tokens = [tokens]
+    seqs = [list(seq) for seq in tokens]
+    if not seqs or any(len(seq) < 2 or seq[0] != BOS for seq in seqs):
         raise RetrieverError("token sequence must start with BOS and be non-trivial")
-    cond = np.concatenate([np.asarray(q, float), np.asarray(h, float)])
-    s0_pre = model.cond_weight @ cond + model.cond_bias
-    steps = len(tokens) - 1
+    cond = np.concatenate(
+        [np.atleast_2d(np.asarray(q, float)), np.atleast_2d(np.asarray(h, float))],
+        axis=1,
+    )
+    if cond.shape != (len(seqs), model.d_cond):
+        raise RetrieverError(
+            f"conditioning shape {cond.shape} != {(len(seqs), model.d_cond)}"
+        )
+    lengths = np.array([len(seq) - 1 for seq in seqs])
+    batch, steps = len(seqs), int(lengths.max())
     d_m = model.d_m
-    states = np.empty((steps + 1, d_m))
-    zs = np.empty((steps, d_m))
-    cs = np.empty((steps, d_m))
-    states[0] = np.tanh(s0_pre)
-    xs = model.emb[tokens[:-1]]
+    inputs = np.full((steps, batch), BOS)
+    for b, seq in enumerate(seqs):
+        inputs[: lengths[b], b] = seq[:-1]
+    mask = np.arange(steps) < lengths[:, None]
+
+    # Input projections of every step at once; the recurrence adds U s.
+    xs = model.emb[inputs]
+    w_in = np.concatenate([model.wz, model.wc])
+    pre_in = (xs.reshape(steps * batch, d_m) @ w_in.T).reshape(steps, batch, 2 * d_m)
+    pre_in += np.concatenate([model.bz, model.bc])
+    # [uz; uc].T, laid out contiguously: a transposed view multiplies slower.
+    u_rec_t = np.concatenate([model.uz.T, model.uc.T], axis=1)
+    states = np.empty((steps + 1, batch, d_m))
+    zs = np.empty((steps, batch, d_m))
+    cs = np.empty((steps, batch, d_m))
+    states[0] = np.tanh(cond @ model.cond_weight.T + model.cond_bias)
     for t in range(steps):
         s = states[t]
-        z = _sigmoid(model.wz @ xs[t] + model.uz @ s + model.bz)
-        c = np.tanh(model.wc @ xs[t] + model.uc @ s + model.bc)
+        pre = pre_in[t] + s @ u_rec_t
+        z = _sigmoid(pre[:, :d_m])
+        c = np.tanh(pre[:, d_m:])
         states[t + 1] = (1.0 - z) * s + z * c
         zs[t] = z
         cs[t] = c
-    logits = states[1:] @ model.out_weight.T + model.out_bias
-    return _ForwardCache(list(tokens), cond, s0_pre, states, zs, cs, logits)
+    hidden = states[1:].swapaxes(0, 1)[mask]
+    logits = hidden @ model.out_weight.T + model.out_bias
+    return _ForwardCache(inputs, mask, lengths, cond, xs, states, zs, cs, logits)
 
 
 def sequence_backward(
     model: RetrieverModel, cache: _ForwardCache, d_logits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Backpropagation through time given per-step logit gradients."""
-    steps = len(cache.tokens) - 1
-    if d_logits.shape != (steps, model.vocab_size):
+    """Backpropagation through time given the gradient of every logit row.
+
+    The gradients are summed over the batch's sequences.  The loop runs
+    only the sequential state recurrence; the weight gradients are
+    matmuls over all steps afterwards.  Padded steps get zero gradient.
+    """
+    if d_logits.shape != cache.logits.shape:
         raise RetrieverError("logit gradient shape mismatch")
-    grads = {k: np.zeros_like(v) for k, v in model.parameters().items()}
-    xs = model.emb[cache.tokens[:-1]]
+    steps, batch = cache.inputs.shape
+    d_m = model.d_m
+    grads = {}
+    hidden = cache.states[1:].swapaxes(0, 1)[cache.mask]
+    grads["out_weight"] = d_logits.T @ hidden
+    grads["out_bias"] = d_logits.sum(axis=0)
+    d_hidden = np.zeros((steps, batch, d_m))
+    d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
 
-    grads["out_weight"] += d_logits.T @ cache.states[1:]
-    grads["out_bias"] += d_logits.sum(axis=0)
-
-    d_state = np.zeros(model.d_m)
+    # Local derivatives of s' = (1 - z) s + z c wrt the z and c
+    # pre-activations, for every step at once: (T, B, 2, d_m).
+    z, c, s = cache.zs, cache.cs, cache.states[:-1]
+    local = np.stack([(c - s) * z * (1.0 - z), z * (1.0 - c * c)], axis=2)
+    carry = 1.0 - z
+    u_rec = np.concatenate([model.uz, model.uc])
+    d_pre = np.empty((steps, batch, 2, d_m))
+    d_state = np.zeros((batch, d_m))
     for t in range(steps - 1, -1, -1):
-        d_s_new = d_logits[t] @ model.out_weight + d_state
-        s = cache.states[t]
-        z = cache.zs[t]
-        c = cache.cs[t]
-        d_z = d_s_new * (c - s)
-        d_c = d_s_new * z
-        d_pre_c = d_c * (1.0 - c * c)
-        d_pre_z = d_z * z * (1.0 - z)
-        x = xs[t]
-        grads["wz"] += np.outer(d_pre_z, x)
-        grads["uz"] += np.outer(d_pre_z, s)
-        grads["bz"] += d_pre_z
-        grads["wc"] += np.outer(d_pre_c, x)
-        grads["uc"] += np.outer(d_pre_c, s)
-        grads["bc"] += d_pre_c
-        d_x = d_pre_z @ model.wz + d_pre_c @ model.wc
-        grads["emb"][cache.tokens[t]] += d_x
-        d_state = (
-            d_s_new * (1.0 - z) + d_pre_z @ model.uz + d_pre_c @ model.uc
-        )
+        d_s_new = d_hidden[t] + d_state
+        np.multiply(d_s_new[:, None, :], local[t], out=d_pre[t])
+        d_state = d_s_new * carry[t] + d_pre[t].reshape(batch, 2 * d_m) @ u_rec
+
+    flat_pre = d_pre.reshape(steps * batch, 2 * d_m)
+    d_w_in = flat_pre.T @ cache.xs.reshape(steps * batch, d_m)
+    d_u = flat_pre.T @ cache.states[:-1].reshape(steps * batch, d_m)
+    d_b = flat_pre.sum(axis=0)
+    grads["wz"], grads["wc"] = d_w_in[:d_m], d_w_in[d_m:]
+    grads["uz"], grads["uc"] = d_u[:d_m], d_u[d_m:]
+    grads["bz"], grads["bc"] = d_b[:d_m], d_b[d_m:]
+    grads["emb"] = np.zeros_like(model.emb)
+    d_xs = flat_pre @ np.concatenate([model.wz, model.wc])
+    np.add.at(grads["emb"], cache.inputs.reshape(-1), d_xs)
     d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
-    grads["cond_weight"] += np.outer(d_s0_pre, cache.cond)
-    grads["cond_bias"] += d_s0_pre
-    return grads
+    grads["cond_weight"] = d_s0_pre.T @ cache.cond
+    grads["cond_bias"] = d_s0_pre.sum(axis=0)
+    return {name: grads[name] for name in model.parameters()}
 
 
 # -- distillation objective ---------------------------------------------
@@ -280,11 +324,19 @@ def teacher_distribution(
     tokens = list(gold)
     if not 0 <= step < len(tokens):
         raise RetrieverError(f"step {step} out of range for length {len(tokens)}")
+    return teacher_distributions([tokens[step]], epsilon, vocab_size)[0]
+
+
+def teacher_distributions(
+    targets: list[int] | np.ndarray, epsilon: float, vocab_size: int
+) -> np.ndarray:
+    """One label-smoothed teacher row per target token, as a (steps, V) array."""
     if not 0.0 <= epsilon < 1.0:
         raise RetrieverError("epsilon must be in [0, 1)")
-    dist = np.full(vocab_size, epsilon / vocab_size)
-    dist[tokens[step]] += 1.0 - epsilon
-    return dist
+    targets = np.asarray(targets)
+    dists = np.full((targets.shape[0], vocab_size), epsilon / vocab_size)
+    dists[np.arange(targets.shape[0]), targets] += 1.0 - epsilon
+    return dists
 
 
 @dataclass
@@ -309,11 +361,17 @@ class DistillConfig:
             raise RetrieverError("teacher epsilon must be in [0, 1)")
 
 
+def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def distill_loss(
     teacher_dists: np.ndarray,
     student_logits: np.ndarray,
     config: DistillConfig,
-    gold_tokens: list[int] | None = None,
+    gold_tokens: list[int] | np.ndarray | None = None,
+    lengths: list[int] | np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Token-level KL + CE distillation objective.
 
@@ -322,7 +380,11 @@ def distill_loss(
 
     Returns (loss, d loss / d student_logits).  The T^2 factor keeps the
     KL gradient scale independent of the temperature.  Gold tokens default
-    to the teacher argmax.
+    to the teacher argmax.  The rows are the steps of one sequence, or of
+    several laid end to end with ``lengths[i]`` steps for sequence i; the
+    loss is then the sum of the per-sequence losses, each a mean over its
+    own steps.  Log-probabilities come from log-softmax, so the loss is
+    finite for any finite logits.
     """
     teacher_dists = np.asarray(teacher_dists, dtype=np.float64)
     student_logits = np.asarray(student_logits, dtype=np.float64)
@@ -336,28 +398,36 @@ def distill_loss(
         raise RetrieverError("teacher distributions must sum to 1")
     steps = teacher_dists.shape[0]
     if gold_tokens is None:
-        gold_tokens = list(np.argmax(teacher_dists, axis=1))
+        gold_tokens = np.argmax(teacher_dists, axis=1)
     if len(gold_tokens) != steps:
         raise RetrieverError("gold token count mismatch")
+    lengths = np.array([steps]) if lengths is None else np.asarray(lengths)
+    if np.any(lengths < 1) or lengths.sum() != steps:
+        raise RetrieverError("sequence lengths must be positive and cover every step")
+    starts = np.cumsum(lengths) - lengths
+
+    def sequence_means(per_step: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(per_step, starts) / lengths
 
     temp = config.kl_temperature
-    q_t = softmax(student_logits / temp, axis=1)
-    log_q_t = np.log(q_t)
+    log_q_t = log_softmax(student_logits / temp, axis=1)
+    q_t = np.exp(log_q_t)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(teacher_dists > 0, teacher_dists * np.log(teacher_dists), 0.0)
     kl_per_step = plogp.sum(axis=1) - (teacher_dists * log_q_t).sum(axis=1)
-    kl_term = float(kl_per_step.mean()) * temp * temp
+    kl_terms = sequence_means(kl_per_step) * temp * temp
 
-    probs = softmax(student_logits, axis=1)
+    log_probs = log_softmax(student_logits, axis=1)
     gold_idx = (np.arange(steps), np.asarray(gold_tokens))
-    ce_term = float(-np.log(probs[gold_idx]).mean())
+    ce_terms = sequence_means(-log_probs[gold_idx])
 
-    loss = config.kl_weight * kl_term + config.ce_weight * ce_term
+    loss = float(np.sum(config.kl_weight * kl_terms + config.ce_weight * ce_terms))
 
-    d_logits = (config.kl_weight * temp / steps) * (q_t - teacher_dists)
-    d_ce = probs.copy()
+    row_lengths = np.repeat(lengths, lengths)[:, None]
+    d_logits = (config.kl_weight * temp / row_lengths) * (q_t - teacher_dists)
+    d_ce = np.exp(log_probs)
     d_ce[gold_idx] -= 1.0
-    d_logits += (config.ce_weight / steps) * d_ce
+    d_logits += (config.ce_weight / row_lengths) * d_ce
     return loss, d_logits
 
 
@@ -398,7 +468,6 @@ def train_retriever(
         raise RetrieverError("empty training corpus")
     started = time.perf_counter()
     sequences: list[list[int]] = []
-    queries: list[np.ndarray] = []
     for example in corpus:
         report = verify_subset(example.gold_subgraph, example.full_graph)
         if not report.accepted:
@@ -413,7 +482,8 @@ def train_retriever(
                 f"({len(seq)} > {config.max_output_tokens})"
             )
         sequences.append(seq)
-        queries.append(embedder.embed(example.query))
+    queries = np.stack([embedder.embed(example.query) for example in corpus])
+    conds = np.stack([np.asarray(example.h, float) for example in corpus])
 
     model = model_init.copy()
     params = model.parameters()
@@ -434,26 +504,16 @@ def train_retriever(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
-            batch_loss = 0.0
-            for i in batch:
-                tokens = sequences[i]
-                teacher = np.stack(
-                    [
-                        teacher_distribution(
-                            tokens, t, config.teacher_epsilon, model.vocab_size
-                        )
-                        for t in range(1, len(tokens))
-                    ]
-                )
-                cache = sequence_logits(model, tokens, queries[i], corpus[i].h)
-                loss, d_logits = distill_loss(
-                    teacher, cache.logits, config, gold_tokens=tokens[1:]
-                )
-                example_grads = sequence_backward(model, cache, d_logits)
-                for k in grads:
-                    grads[k] += example_grads[k]
-                batch_loss += loss
+            batch_tokens = [sequences[i] for i in batch]
+            cache = sequence_logits(model, batch_tokens, queries[batch], conds[batch])
+            targets = np.concatenate([tokens[1:] for tokens in batch_tokens])
+            teacher = teacher_distributions(
+                targets, config.teacher_epsilon, model.vocab_size
+            )
+            batch_loss, d_logits = distill_loss(
+                teacher, cache.logits, config, gold_tokens=targets, lengths=cache.lengths
+            )
+            grads = sequence_backward(model, cache, d_logits)
             for k in grads:
                 grads[k] /= len(batch)
             optimizer.step(grads)

@@ -1,13 +1,18 @@
 """Binary checkpoint format: round trips and corruption detection."""
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from memalign.checkpoint import (
     CheckpointError,
     MAGIC,
+    VERSION,
     load_checkpoint,
     save_checkpoint,
 )
+from memalign.seeding import fnv1a64
 
 
 def random_sections(seed=0):
@@ -86,3 +91,60 @@ def test_truncated_file(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"MEMALNCK"
+
+
+def version1_bytes(sections: dict[str, np.ndarray]) -> bytes:
+    """A format-1 file as the version-1 writer laid it out: FNV-1a trailer."""
+    blobs = []
+    for arr in sections.values():
+        arr = np.asarray(arr, dtype="<f4")
+        blobs.append(
+            struct.pack("<Q", arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+            + arr.tobytes()
+        )
+    names = [name.encode("utf-8") for name in sections]
+    offset = len(MAGIC) + 8 + sum(4 + len(n) + 16 for n in names)
+    table = b""
+    for name, blob in zip(names, blobs):
+        table += struct.pack("<I", len(name)) + name + struct.pack("<QQ", offset, len(blob))
+        offset += len(blob)
+    body = MAGIC + struct.pack("<II", 1, len(names)) + table + b"".join(blobs)
+    return body + struct.pack("<Q", fnv1a64(body))
+
+
+def test_version_1_files_still_load(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    sections = random_sections(1)
+    path.write_bytes(version1_bytes(sections))
+    loaded = load_checkpoint(path)
+    assert set(loaded) == set(sections)
+    for name, arr in sections.items():
+        np.testing.assert_array_equal(loaded[name], arr)
+    corrupted = bytearray(path.read_bytes())
+    corrupted[-12] ^= 0x01
+    path.write_bytes(bytes(corrupted))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+
+
+def test_writes_version_2_with_blake2b_trailer(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(random_sections(), path)
+    data = path.read_bytes()
+    assert VERSION == 2
+    assert struct.unpack_from("<I", data, len(MAGIC))[0] == 2
+    assert data[-8:] == hashlib.blake2b(data[:-8], digest_size=8).digest()
+    # Same payload as a version-1 file: only the version and trailer differ.
+    v1 = version1_bytes(random_sections())
+    assert data[12:-8] == v1[12:-8]
+
+
+def test_unknown_version_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint({"w": np.zeros(2, dtype=np.float32)}, path)
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 3)
+    body = bytes(data[:-8])
+    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
+        load_checkpoint(path)

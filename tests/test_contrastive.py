@@ -7,10 +7,12 @@ from memalign.contrastive import (
     ContrastiveError,
     cosine_alignment_gap,
     cosine_sim,
+    infonce_batch,
     infonce_loss,
     sample_negatives,
     topk_match_accuracy,
     train_alignment,
+    unit_rows,
 )
 from memalign.unified import MemoryState, align_forward, init_alignment_module
 from util import central_difference, relative_error
@@ -95,6 +97,43 @@ def test_sample_negatives_excludes_and_is_distinct():
 def test_sample_negatives_rejects_oversized_draw():
     with pytest.raises(ContrastiveError):
         sample_negatives(5, 0, 5, np.random.default_rng(0))
+
+
+def test_sample_negatives_draws_as_the_delete_form_did():
+    # The former draw: choice over the pool with ``exclude`` deleted.
+    for pool_size in (2, 3, 10, 57):
+        for exclude in sorted({0, 1, pool_size // 2, pool_size - 1}):
+            for count in sorted({1, (pool_size - 1) // 2 or 1, pool_size - 1}):
+                for seed in range(4):
+                    expected = np.random.default_rng(seed).choice(
+                        np.delete(np.arange(pool_size), exclude), size=count, replace=False
+                    )
+                    drawn = sample_negatives(
+                        pool_size, exclude, count, np.random.default_rng(seed)
+                    )
+                    np.testing.assert_array_equal(drawn, expected)
+
+
+def test_infonce_batch_matches_single_rows():
+    rng = np.random.default_rng(4)
+    b, k, d = 5, 6, 4
+    h_a = rng.standard_normal((b, d))
+    h_t = rng.standard_normal((b, d))
+    negs = rng.standard_normal((b, k, d))
+    h_a[1] = 0.0  # zero-norm anchor
+    h_t[2] = 0.0  # zero-norm target
+    negs[3, 0] = 0.0  # zero-norm negative
+    losses, grads = infonce_batch(unit_rows(h_a), h_t, unit_rows(negs), tau=0.3)
+    for row in range(b):
+        loss, grad = infonce_loss(h_a[row], h_t[row], negs[row], tau=0.3)
+        assert losses[row] == pytest.approx(loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grads[row], grad, rtol=1e-12, atol=1e-12)
+    # A zero-norm vector has cosine 0 with everything and no gradient.
+    assert losses[2] == pytest.approx(
+        np.log1p(np.sum(np.exp(unit_rows(negs[2]) @ unit_rows(h_a[2]) / 0.3))), rel=1e-12
+    )
+    np.testing.assert_array_equal(grads[1], 0.0)
+    np.testing.assert_array_equal(grads[2], 0.0)
 
 
 def test_topk_and_gap_on_identical_sets():

@@ -1,4 +1,6 @@
 """Retriever model, distillation objective, and BPTT gradients."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from memalign.retriever import (
     softmax,
     student_step,
     teacher_distribution,
+    teacher_distributions,
     train_retriever,
 )
 from memalign.vocab import BOS, EOS, build_vocabulary
@@ -141,6 +144,110 @@ def test_sequence_backward_matches_finite_differences():
 
         numeric = central_difference(loss_at, getattr(model, name).copy())
         assert relative_error(grads[name], numeric) < 1e-6, name
+
+
+def _padded_batch(rng, vocab_size, d_q, d_s, lengths=(3, 7, 5)):
+    """Sequences of unequal length, so the batch has padded steps."""
+    seqs = [
+        [BOS] + [int(t) for t in rng.integers(1, vocab_size, size=n)]
+        for n in lengths
+    ]
+    q = rng.standard_normal((len(seqs), d_q))
+    h = rng.standard_normal((len(seqs), d_s))
+    return seqs, q, h
+
+
+def test_batched_logits_match_single_sequences():
+    model = small_model()
+    rng = np.random.default_rng(4)
+    seqs, q, h = _padded_batch(rng, 14, 3, 2)
+    cache = sequence_logits(model, seqs, q, h)
+    rows = np.cumsum([0] + [len(s) - 1 for s in seqs])
+    assert cache.logits.shape == (rows[-1], 14)
+    for b, seq in enumerate(seqs):
+        single = sequence_logits(model, seq, q[b], h[b])
+        np.testing.assert_allclose(
+            cache.logits[rows[b] : rows[b + 1]], single.logits, rtol=1e-12, atol=1e-12
+        )
+
+
+def test_sequence_backward_on_padded_batch_matches_finite_differences():
+    model = small_model(vocab_size=12, d_m=4)
+    rng = np.random.default_rng(5)
+    seqs, q, h = _padded_batch(rng, 12, 3, 2)
+    cache = sequence_logits(model, seqs, q, h)
+    d_logits = rng.standard_normal(cache.logits.shape)
+    grads = sequence_backward(model, cache, d_logits)
+
+    for name in grads:
+        def loss_at(value, name=name):
+            probe = model.copy()
+            setattr(probe, name, value)
+            return float(np.sum(sequence_logits(probe, seqs, q, h).logits * d_logits))
+
+        numeric = central_difference(loss_at, getattr(model, name).copy())
+        assert relative_error(grads[name], numeric) < 1e-6, name
+
+
+def test_batched_gradients_equal_sum_of_single_sequence_gradients():
+    model = small_model()
+    rng = np.random.default_rng(6)
+    seqs, q, h = _padded_batch(rng, 14, 3, 2, lengths=(2, 9, 4, 6))
+    cache = sequence_logits(model, seqs, q, h)
+    d_logits = rng.standard_normal(cache.logits.shape)
+    grads = sequence_backward(model, cache, d_logits)
+    rows = np.cumsum([0] + [len(s) - 1 for s in seqs])
+    summed = {k: np.zeros_like(v) for k, v in model.parameters().items()}
+    for b, seq in enumerate(seqs):
+        single = sequence_logits(model, seq, q[b], h[b])
+        for k, g in sequence_backward(model, single, d_logits[rows[b] : rows[b + 1]]).items():
+            summed[k] += g
+    for k in summed:
+        np.testing.assert_allclose(grads[k], summed[k], rtol=1e-12, atol=1e-12, err_msg=k)
+
+
+def test_teacher_distributions_stack_single_rows():
+    tokens = [BOS, 10, 11, 10, EOS]
+    stacked = teacher_distributions(tokens[1:], 0.05, 14)
+    rows = [teacher_distribution(tokens, t, 0.05, 14) for t in range(1, len(tokens))]
+    np.testing.assert_array_equal(stacked, np.stack(rows))
+    with pytest.raises(RetrieverError):
+        teacher_distributions([1], 1.0, 14)
+
+
+def test_distill_loss_over_sequences_sums_per_sequence_losses():
+    rng = np.random.default_rng(7)
+    config = DistillConfig()
+    lengths = [2, 5, 3]
+    teacher = softmax(rng.standard_normal((sum(lengths), 6)), axis=1)
+    logits = rng.standard_normal((sum(lengths), 6))
+    gold = rng.integers(0, 6, size=sum(lengths))
+    loss, grad = distill_loss(teacher, logits, config, gold_tokens=gold, lengths=lengths)
+    start, total = 0, 0.0
+    for n in lengths:
+        part = slice(start, start + n)
+        part_loss, part_grad = distill_loss(
+            teacher[part], logits[part], config, gold_tokens=gold[part]
+        )
+        np.testing.assert_allclose(grad[part], part_grad, rtol=1e-12, atol=1e-15)
+        total += part_loss
+        start += n
+    assert loss == pytest.approx(total, rel=1e-12)
+    with pytest.raises(RetrieverError):
+        distill_loss(teacher, logits, config, gold_tokens=gold, lengths=[2, 5])
+
+
+def test_distill_loss_finite_for_large_logit_gaps():
+    # log(softmax(.)) underflows to log(0) here; log-softmax does not.
+    config = DistillConfig()
+    teacher = teacher_distributions([0, 2], 0.05, 3)
+    logits = np.array([[0.0, 1000.0, -1000.0], [-1000.0, 0.0, 1000.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = distill_loss(teacher, logits, config, gold_tokens=[0, 2])
+    assert np.isfinite(loss)
+    assert loss > 100.0
+    assert np.all(np.isfinite(grad))
 
 
 def _tiny_corpus():
