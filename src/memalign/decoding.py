@@ -7,8 +7,6 @@ delinearizes into a verified evidence subgraph by construction.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .graphs import EvidenceSubgraph, MemoryGraph
@@ -17,14 +15,11 @@ from .tokenization import (
     GraphTokenSequence,
     delinearize,
     edge_line_tokens,
-    linearize,
     node_line_tokens,
 )
 from .vocab import (
     BOS,
     EOS,
-    TOK_ARROW,
-    TOK_COLON,
     TOK_CONFIDENCE,
     TOK_EDGES,
     TOK_EOL,
@@ -38,168 +33,175 @@ class DecodeError(RuntimeError):
     pass
 
 
+# Phases with exactly one legal token: (that token, the phase it leads to).
+_FIXED_PHASES = {
+    "header": (TOK_HEADER, "nodes-marker"),
+    "nodes-marker": (TOK_NODES, "nodes-eol"),
+    "nodes-eol": (TOK_EOL, "node-line-start"),
+    "edges-eol": (TOK_EOL, "edge-line-start"),
+    "confidence-eol": (TOK_EOL, "confidence-value"),
+    "confidence-value-eol": (TOK_EOL, "eos"),
+    "eos": (EOS, "eos"),
+}
+
+
 class ConstraintEngine:
     """Tracks the grammar state and the set of legal next tokens for one
-    decode against a fixed full graph."""
+    decode against a fixed full graph.
+
+    The full graph is indexed once: node lines by their id token, and edge
+    line indices grouped by source token in edge order.  The nodes not yet
+    emitted are an ordered dict.  The emitted node set is final once
+    ``<EDGES>`` is taken, so the open edges (both endpoints emitted) are
+    grouped by source then, and a completed edge line leaves its source's
+    list.  Only a line-start step lists the pending nodes or the open
+    sources; every other step costs time in the edge lines that share the
+    current line's prefix, not in the size of the graph.
+    """
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
         self.vocab = vocab
         # Token lines exclude the trailing EOL; it is handled by position.
         self.node_lines: dict[int, list[int]] = {}
+        self.edge_lines: list[list[int]] = []
+        self.edges_by_source: dict[int, list[int]] = {}
+        # BOS, header, <NODES>, EOL, <EDGES>, EOL and EOS, plus each line
+        # with its EOL: the length of the full graph's linearization.
+        serialized = 7
         for node in full_graph.nodes:
-            toks = node_line_tokens(node, vocab)[:-1]
-            self.node_lines[toks[0]] = toks
-        self.edge_lines: list[list[int]] = [
-            edge_line_tokens(edge, vocab)[:-1] for edge in full_graph.edges
-        ]
-        self.confidence_ids = self._confidence_token_ids(vocab)
+            toks = node_line_tokens(node, vocab)
+            serialized += len(toks)
+            self.node_lines[toks[0]] = toks[:-1]
+        for i, edge in enumerate(full_graph.edges):
+            toks = edge_line_tokens(edge, vocab)
+            serialized += len(toks)
+            self.edge_lines.append(toks[:-1])
+            self.edges_by_source.setdefault(toks[0], []).append(i)
+        # Token budget sufficient to emit the whole full graph as evidence:
+        # +4 covers the confidence section, +8 is slack.
+        self.default_max_len = serialized + 4 + 8
+        self.confidence_ids = vocab.confidence_ids
 
         self.phase = "header"
-        self.emitted_nodes: set[int] = set()
-        self.used_edges: set[int] = set()
+        self.pending_nodes: dict[int, None] = dict.fromkeys(self.node_lines)
+        self.open_by_source: dict[int, list[int]] = {}
         self.line: list[int] = []
         self.edge_candidates: list[int] = []
         self.done = False
 
-    @staticmethod
-    def _confidence_token_ids(vocab: Vocabulary) -> list[int]:
-        ids = []
-        for i, word in enumerate(vocab.words):
-            try:
-                value = float(word)
-            except ValueError:
-                continue
-            if math.isfinite(value) and 0.0 <= value <= 1.0:
-                ids.append(len(vocab) - len(vocab.words) + i)
-        return ids
-
-    def _open_edges(self) -> list[int]:
-        """Indices of unused full-graph edges whose endpoints are emitted."""
-        open_idx = []
-        for i, line in enumerate(self.edge_lines):
-            if i in self.used_edges:
-                continue
-            source, target = line[0], line[2]
-            if source in self.emitted_nodes and target in self.emitted_nodes:
-                open_idx.append(i)
-        return open_idx
-
     def allowed_tokens(self) -> list[int]:
+        """The legal next tokens, in ascending id order."""
         phase = self.phase
-        if phase == "header":
-            return [TOK_HEADER]
-        if phase == "nodes-marker":
-            return [TOK_NODES]
-        if phase == "nodes-eol":
-            return [TOK_EOL]
-        if phase == "node-line-start":
-            allowed = [
-                tok for tok in self.node_lines if tok not in self.emitted_nodes
-            ]
-            allowed.append(TOK_EDGES)
-            return allowed
+        if phase == "edge-line":
+            pos = len(self.line)
+            lines = self.edge_lines
+            return sorted(
+                {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in self.edge_candidates}
+            )
         if phase == "node-line":
             template = self.node_lines[self.line[0]]
             pos = len(self.line)
-            return [template[pos]] if pos < len(template) else [TOK_EOL]
-        if phase == "edges-eol":
-            return [TOK_EOL]
+            return [template[pos] if pos < len(template) else TOK_EOL]
+        if phase in _FIXED_PHASES:
+            return [_FIXED_PHASES[phase][0]]
+        if phase == "node-line-start":
+            return sorted((*self.pending_nodes, TOK_EDGES))
         if phase == "edge-line-start":
-            sources = {self.edge_lines[i][0] for i in self._open_edges()}
-            return sorted(sources) + [TOK_CONFIDENCE]
-        if phase == "edge-line":
-            pos = len(self.line)
-            allowed: set[int] = set()
-            for i in self.edge_candidates:
-                template = self.edge_lines[i]
-                if pos < len(template):
-                    allowed.add(template[pos])
-                else:
-                    allowed.add(TOK_EOL)
-            return sorted(allowed)
-        if phase == "confidence-eol":
-            return [TOK_EOL]
+            return sorted((*self.open_by_source, TOK_CONFIDENCE))
         if phase == "confidence-value":
             return list(self.confidence_ids)
-        if phase == "confidence-value-eol":
-            return [TOK_EOL]
-        if phase == "eos":
-            return [EOS]
         raise DecodeError(f"no legal continuation from phase {phase!r}")
 
+    def _reject(self, token: int) -> None:
+        raise DecodeError(
+            f"token {self.vocab.token(token)!r} not legal in phase {self.phase!r}"
+        )
+
     def advance(self, token: int) -> None:
-        if token not in self.allowed_tokens():
-            raise DecodeError(
-                f"token {self.vocab.token(token)!r} not legal in phase {self.phase!r}"
-            )
+        """Consume ``token``; raises :class:`DecodeError`, leaving the state
+        unchanged, when it is not legal."""
         phase = self.phase
-        if phase == "header":
-            self.phase = "nodes-marker"
-        elif phase == "nodes-marker":
-            self.phase = "nodes-eol"
-        elif phase == "nodes-eol":
-            self.phase = "node-line-start"
-        elif phase == "node-line-start":
-            if token == TOK_EDGES:
-                self.phase = "edges-eol"
-            else:
-                self.line = [token]
-                self.phase = "node-line"
+        if phase == "edge-line":
+            self._advance_edge_line(token)
         elif phase == "node-line":
+            template = self.node_lines[self.line[0]]
+            pos = len(self.line)
+            if token != (template[pos] if pos < len(template) else TOK_EOL):
+                self._reject(token)
             if token == TOK_EOL:
-                self.emitted_nodes.add(self.line[0])
+                del self.pending_nodes[self.line[0]]
                 self.line = []
                 self.phase = "node-line-start"
             else:
                 self.line.append(token)
-        elif phase == "edges-eol":
-            self.phase = "edge-line-start"
+        elif phase in _FIXED_PHASES:
+            expected, next_phase = _FIXED_PHASES[phase]
+            if token != expected:
+                self._reject(token)
+            self.phase = next_phase
+            if phase == "eos":
+                self.done = True
+        elif phase == "node-line-start":
+            if token == TOK_EDGES:
+                self._open_edges()
+                self.phase = "edges-eol"
+            elif token in self.pending_nodes:
+                self.line = [token]
+                self.phase = "node-line"
+            else:
+                self._reject(token)
         elif phase == "edge-line-start":
             if token == TOK_CONFIDENCE:
                 self.phase = "confidence-eol"
-            else:
+            elif token in self.open_by_source:
                 self.line = [token]
-                self.edge_candidates = [
-                    i for i in self._open_edges() if self.edge_lines[i][0] == token
-                ]
+                self.edge_candidates = self.open_by_source[token]
                 self.phase = "edge-line"
-        elif phase == "edge-line":
-            if token == TOK_EOL:
-                completed = [
-                    i
-                    for i in self.edge_candidates
-                    if len(self.edge_lines[i]) == len(self.line)
-                ]
-                self.used_edges.add(completed[0])
-                self.line = []
-                self.edge_candidates = []
-                self.phase = "edge-line-start"
             else:
-                self.line.append(token)
-                self.edge_candidates = [
-                    i
-                    for i in self.edge_candidates
-                    if len(self.edge_lines[i]) > len(self.line) - 1
-                    and self.edge_lines[i][len(self.line) - 1] == token
-                ]
-        elif phase == "confidence-eol":
-            self.phase = "confidence-value"
+                self._reject(token)
         elif phase == "confidence-value":
+            if token not in self.confidence_ids:
+                self._reject(token)
             self.phase = "confidence-value-eol"
-        elif phase == "confidence-value-eol":
-            self.phase = "eos"
-        elif phase == "eos":
-            self.done = True
         else:
             raise DecodeError(f"cannot advance from phase {phase!r}")
 
+    def _open_edges(self) -> None:
+        """Group the edges whose endpoints were both emitted by source."""
+        pending = self.pending_nodes
+        for source, edges in self.edges_by_source.items():
+            if source in pending:
+                continue
+            open_idx = [i for i in edges if self.edge_lines[i][2] not in pending]
+            if open_idx:
+                self.open_by_source[source] = open_idx
 
-def default_max_len(full_graph: MemoryGraph, vocab: Vocabulary) -> int:
-    """Token budget sufficient to emit the whole full graph as evidence.
-
-    The +4 covers the confidence section; the +8 is slack.
-    """
-    return len(linearize(full_graph, vocab)) + 4 + 8
+    def _advance_edge_line(self, token: int) -> None:
+        pos = len(self.line)
+        lines = self.edge_lines
+        if token == TOK_EOL:
+            # Duplicate edge lines resolve to the first unused index.
+            completed = next(
+                (i for i in self.edge_candidates if len(lines[i]) == pos), None
+            )
+            if completed is None:
+                self._reject(token)
+            source = self.line[0]
+            unused = self.open_by_source[source]
+            unused.remove(completed)
+            if not unused:
+                del self.open_by_source[source]
+            self.line = []
+            self.edge_candidates = []
+            self.phase = "edge-line-start"
+            return
+        matches = [
+            i for i in self.edge_candidates if pos < len(lines[i]) and lines[i][pos] == token
+        ]
+        if not matches:
+            self._reject(token)
+        self.line.append(token)
+        self.edge_candidates = matches
 
 
 def generate_subgraph(
@@ -214,11 +216,12 @@ def generate_subgraph(
 
     The output always passes subset verification against ``full_graph``.
     Raises :class:`DecodeError` when the grammar dead-ends or ``max_len``
-    is exhausted before EOS.
+    is exhausted before EOS.  ``max_len`` defaults to a budget that fits
+    the whole full graph.
     """
-    if max_len is None:
-        max_len = default_max_len(full_graph, vocab)
     engine = ConstraintEngine(full_graph, vocab)
+    if max_len is None:
+        max_len = engine.default_max_len
     if not engine.confidence_ids:
         raise DecodeError("vocabulary has no confidence value token")
     state = model.init_state(q, h)
@@ -232,10 +235,16 @@ def generate_subgraph(
         allowed = engine.allowed_tokens()
         if not allowed:
             raise DecodeError(f"grammar dead end in phase {engine.phase!r}")
-        logits, state = model.cell(tokens[-1], state)
-        masked = np.full(model.vocab_size, -np.inf)
-        masked[allowed] = logits[allowed]
-        token = int(np.argmax(masked))
+        if len(allowed) == 1:
+            # A forced step: the state still consumes the previous token,
+            # but the one legal token needs no logits.
+            state = model.step(tokens[-1], state)
+            token = allowed[0]
+        else:
+            logits, state = model.cell(tokens[-1], state)
+            # ``allowed`` ascends, so ties go to the lowest id, as in an
+            # argmax over the whole vocabulary with illegal tokens masked.
+            token = allowed[int(np.argmax(logits[allowed]))]
         engine.advance(token)
         tokens.append(token)
     return delinearize(GraphTokenSequence(tuple(tokens)), vocab)

@@ -90,12 +90,6 @@ class MemoryGraph:
                     f"invalid relation on edge {edge.source} -> {edge.target}",
                 )
 
-    def node_by_id(self, node_id: str) -> Node | None:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        return None
-
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)

@@ -79,9 +79,9 @@ def token_f1(pair: AnswerPair) -> float:
 
 
 def rouge1(pair: AnswerPair) -> float:
-    """Unigram recall-precision F-measure with clipped multiset overlap."""
-    pred_tokens = _tokens(pair.prediction)
-    return max(_overlap_f1(pred_tokens, _tokens(g)) for g in pair.gold)
+    """Unigram recall-precision F-measure with clipped multiset overlap,
+    which on normalized tokens is exactly :func:`token_f1`."""
+    return token_f1(pair)
 
 
 def mem_length(records: list[MemoryRecord]) -> float:

@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 
+# Elements of a parameter updated at a time: the step's temporaries stay in
+# cache, and no parameter-sized temporary is allocated.
+UPDATE_CHUNK = 1 << 14
+
 
 def lr_at_step(
     step: int, total_steps: int, base_lr: float, warmup_ratio: float
@@ -26,8 +30,10 @@ def lr_at_step(
 class AdamW:
     """Decoupled weight decay Adam over a dict of named numpy parameters.
 
-    Parameters are updated in place; iteration order is the sorted
-    parameter name, so updates are deterministic.
+    Parameters are updated in place, ``UPDATE_CHUNK`` elements at a time
+    through two fixed buffer rows, with the elementwise operations of the
+    textbook update in its order; iteration order is the sorted parameter
+    name, so updates are deterministic.
     """
 
     def __init__(
@@ -48,8 +54,12 @@ class AdamW:
         self.total_steps = total_steps
         self.warmup_ratio = warmup_ratio
         self.t = 0
+        for name, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous")
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._buffers = np.empty((2, UPDATE_CHUNK))
 
     def current_lr(self) -> float:
         return lr_at_step(self.t, self.total_steps, self.base_lr, self.warmup_ratio)
@@ -59,14 +69,34 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        b1, b2 = self.beta1, self.beta2
         for name in sorted(self.params):
-            p = self.params[name]
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p -= lr * (update + self.weight_decay * p)
+            # Flat views: the updates below write through to the parameter
+            # and its moments, which are C-contiguous.
+            flat_p = self.params[name].reshape(-1)
+            flat_g = grads[name].reshape(-1)
+            flat_m = self.m[name].reshape(-1)
+            flat_v = self.v[name].reshape(-1)
+            for start in range(0, flat_p.size, UPDATE_CHUNK):
+                chunk = slice(start, start + UPDATE_CHUNK)
+                p, g, m, v = flat_p[chunk], flat_g[chunk], flat_m[chunk], flat_v[chunk]
+                update, tmp = self._buffers[:, : p.size]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+                m *= b1
+                np.multiply(1.0 - b1, g, out=tmp)
+                m += tmp
+                v *= b2
+                np.square(g, out=tmp)
+                tmp *= 1.0 - b2
+                v += tmp
+                # update = (m / bc1) / (sqrt(v / bc2) + eps)
+                np.divide(v, bc2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += self.eps
+                np.divide(m, bc1, out=update)
+                update /= tmp
+                # p -= lr (update + wd p)
+                np.multiply(self.weight_decay, p, out=tmp)
+                update += tmp
+                update *= lr
+                p -= update

@@ -136,16 +136,23 @@ class RetrieverModel:
             )
         return np.tanh(self.cond_weight @ cond + self.cond_bias)
 
-    def cell(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One recurrence step on an input token; returns (logits, new state)."""
+    def step(self, token: int, state: np.ndarray) -> np.ndarray:
+        """One recurrence step on an input token; returns the new state."""
         if not 0 <= token < self.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
         x = self.emb[token]
         z = _sigmoid(self.wz @ x + self.uz @ state + self.bz)
         c = np.tanh(self.wc @ x + self.uc @ state + self.bc)
-        new_state = (1.0 - z) * state + z * c
-        logits = self.out_weight @ new_state + self.out_bias
-        return logits, new_state
+        return (1.0 - z) * state + z * c
+
+    def logits(self, state: np.ndarray) -> np.ndarray:
+        """The output projection: next-token logits of a state."""
+        return self.out_weight @ state + self.out_bias
+
+    def cell(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One recurrence step on an input token; returns (logits, new state)."""
+        new_state = self.step(token, state)
+        return self.logits(new_state), new_state
 
 
 def init_retriever(

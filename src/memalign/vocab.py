@@ -6,7 +6,9 @@ surface words of node ids, descriptions, relations, and confidence values.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -38,6 +40,14 @@ RESERVED_TOKENS: tuple[str, ...] = (
 
 class VocabularyError(ValueError):
     pass
+
+
+def _is_confidence(word: str) -> bool:
+    try:
+        value = float(word)
+    except ValueError:
+        return False
+    return math.isfinite(value) and 0.0 <= value <= 1.0
 
 
 @dataclass
@@ -83,6 +93,16 @@ class Vocabulary:
         if idx >= len(self.words):
             raise VocabularyError(f"unknown token id {token_id}")
         return self.words[idx]
+
+    @functools.cached_property
+    def confidence_ids(self) -> tuple[int, ...]:
+        """Ids of the words that read as a confidence value (a finite number
+        in [0, 1]), ascending."""
+        return tuple(
+            len(RESERVED_TOKENS) + i
+            for i, word in enumerate(self.words)
+            if _is_confidence(word)
+        )
 
     def save(self, path: str | Path) -> None:
         """Write the token table as JSON lines (one {token, id} per line)."""

@@ -4,10 +4,16 @@ import pytest
 
 from memalign.decoding import ConstraintEngine, DecodeError, generate_subgraph
 from memalign.graphs import MemoryGraph, Node, emit_evidence, verify_subset
-from memalign.retriever import init_retriever
-from memalign.tokenization import graph_surface_words, linearize_evidence
+from memalign.retriever import RetrieverModel, init_retriever
+from memalign.tokenization import graph_surface_words, linearize, linearize_evidence
 from memalign.vocab import EOS, TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
-from util import random_graph, random_subgraph
+from util import ScanEngine, random_graph, random_subgraph
+
+PHASES = (
+    "header", "nodes-marker", "nodes-eol", "node-line-start", "node-line", "edges-eol",
+    "edge-line-start", "edge-line", "confidence-eol", "confidence-value",
+    "confidence-value-eol", "eos",
+)
 
 
 def vocab_with_confidence(graph, values=("0.9", "0.5")):
@@ -108,3 +114,73 @@ def test_decoded_tokens_end_with_eos():
     # The final advance consumed EOS.
     assert engine.phase == "eos"
     assert engine.allowed_tokens() == [EOS]
+
+
+def with_duplicate_edges(full):
+    return MemoryGraph(full.nodes, full.edges + full.edges[::2])
+
+
+def test_indexed_engine_matches_scan_oracle():
+    """Random legal walks: the indexed engine allows exactly the oracle's
+    tokens, in ascending order, at every step, and rejects sampled illegal
+    tokens in every phase without changing its state."""
+    rng = np.random.default_rng(4)
+    rejected_in = set()
+    for trial in range(80):
+        full = random_graph(rng, max_nodes=7, max_extra_edges=14)
+        if trial % 2:
+            full = with_duplicate_edges(full)
+        vocab = vocab_with_confidence(full)
+        engine = ConstraintEngine(full, vocab)
+        oracle = ScanEngine(full, vocab)
+        while not engine.done:
+            allowed = engine.allowed_tokens()
+            expected = oracle.allowed()
+            assert set(allowed) == expected
+            assert allowed == sorted(allowed)
+            illegal = [t for t in range(len(vocab)) if t not in expected]
+            for token in rng.choice(illegal, size=min(3, len(illegal)), replace=False):
+                with pytest.raises(DecodeError):
+                    engine.advance(int(token))
+                assert engine.allowed_tokens() == allowed
+                rejected_in.add(engine.phase)
+            # Mostly keep emitting lines, so that edges open and get used.
+            lines = [t for t in allowed if t not in (TOK_EDGES, TOK_CONFIDENCE)]
+            token = int(rng.choice(lines if lines and rng.random() < 0.85 else allowed))
+            engine.advance(token)
+            oracle.advance(token)
+    assert rejected_in == set(PHASES)
+
+
+def test_default_max_len_is_full_linearization_plus_twelve():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        full = random_graph(rng, max_extra_edges=10)
+        if trial % 2:
+            full = with_duplicate_edges(full)
+        vocab = vocab_with_confidence(full)
+        engine = ConstraintEngine(full, vocab)
+        assert engine.default_max_len == len(linearize(full, vocab)) + 12
+
+
+def test_forced_steps_skip_the_output_projection(monkeypatch):
+    """Logits are computed only on steps with more than one legal token."""
+    rng = np.random.default_rng(6)
+    full = with_duplicate_edges(random_graph(rng, min_nodes=5, max_extra_edges=10))
+    vocab = vocab_with_confidence(full)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=1)
+    projections = []
+    original = RetrieverModel.logits
+
+    def counted(self, state):
+        projections.append(state)
+        return original(self, state)
+
+    monkeypatch.setattr(RetrieverModel, "logits", counted)
+    sub = generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
+    engine = ConstraintEngine(full, vocab)
+    choices = 0
+    for token in list(linearize_evidence(sub, vocab))[1:]:
+        choices += len(engine.allowed_tokens()) > 1
+        engine.advance(token)
+    assert 0 < len(projections) == choices

@@ -79,3 +79,45 @@ def test_adamw_update_is_deterministic():
     b = run()
     for key in a:
         np.testing.assert_array_equal(a[key], b[key])
+
+
+def _reference_adamw_step(opt, params, grads):
+    """The allocating form of one AdamW step, as it read before the update
+    moved into preallocated buffers."""
+    lr = opt.current_lr()
+    t = opt.t + 1
+    bc1 = 1.0 - opt.beta1**t
+    bc2 = 1.0 - opt.beta2**t
+    for name in sorted(params):
+        p, g, m, v = params[name], grads[name], opt.m[name], opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        p -= lr * (update + opt.weight_decay * p)
+
+
+def test_adamw_in_place_step_is_bitwise_reference():
+    rng = np.random.default_rng(1)
+    # "big" spans two update chunks, the second one partial.
+    shapes = {"w": (64, 16), "b": (16,), "big": (300, 70), "s": ()}
+    fast = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+    ref = {k: v.copy() for k, v in fast.items()}
+    kwargs = dict(lr=0.01, weight_decay=0.05, total_steps=30, warmup_ratio=0.2)
+    opt = AdamW(fast, **kwargs)
+    ref_opt = AdamW(ref, **kwargs)
+    for _ in range(30):
+        grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        _reference_adamw_step(ref_opt, ref, grads)
+        ref_opt.t += 1
+        opt.step(grads)
+        for key in fast:
+            np.testing.assert_array_equal(fast[key], ref[key])
+            np.testing.assert_array_equal(opt.m[key], ref_opt.m[key])
+            np.testing.assert_array_equal(opt.v[key], ref_opt.v[key])
+
+
+def test_adamw_rejects_non_contiguous_parameters():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        AdamW({"w": np.ones((3, 4)).T})

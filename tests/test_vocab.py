@@ -84,3 +84,9 @@ def test_load_rejects_missing_mode_record(tmp_path):
     path.write_text('{"token": "<bos>", "id": 0}\n')
     with pytest.raises(VocabularyError):
         Vocabulary.load(path)
+
+
+def test_confidence_ids_are_the_unit_interval_numbers():
+    vocab = build_vocabulary(["N1", "0.5", "amber", "1.0", "1.5", "-0.1", "nan", "inf", "0"])
+    assert vocab.confidence_ids == tuple(vocab.id_of(w) for w in ("0.5", "1.0", "0"))
+    assert vocab.confidence_ids is vocab.confidence_ids  # computed once

@@ -1,9 +1,23 @@
-"""Shared test helpers: random graph generation and finite differences."""
+"""Shared test helpers: random graph generation, a scan-based reference
+constraint engine and finite differences."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
+from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
 from memalign.graphs import Edge, EvidenceSubgraph, MemoryGraph, Node
+from memalign.tokenization import edge_line_tokens, node_line_tokens
+from memalign.vocab import (
+    EOS,
+    TOK_CONFIDENCE,
+    TOK_EDGES,
+    TOK_EOL,
+    TOK_HEADER,
+    TOK_NODES,
+    Vocabulary,
+)
 
 WORDS = (
     "alpha", "bravo", "cedar", "delta", "ember", "frost", "gale", "haven",
@@ -41,6 +55,24 @@ def random_graph(
                 )
             )
     return MemoryGraph(nodes, tuple(edges))
+
+
+def memory_graph(rng: np.random.Generator, n_nodes: int, n_edges: int) -> MemoryGraph:
+    """A long-memory-shaped graph over the corpus word pools: ``n_edges``
+    distinct directed node pairs in sorted order."""
+    nodes = tuple(
+        Node(f"N{i + 1}", f"{rng.choice(ADJECTIVES)} {rng.choice(NOUNS)}")
+        for i in range(n_nodes)
+    )
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < n_edges:
+        a, b = (int(x) for x in rng.integers(n_nodes, size=2))
+        if a != b:
+            pairs.add((a, b))
+    edges = tuple(
+        Edge(f"N{a + 1}", f"N{b + 1}", str(rng.choice(RELATIONS))) for a, b in sorted(pairs)
+    )
+    return MemoryGraph(nodes, edges)
 
 
 def random_subgraph(
@@ -116,6 +148,105 @@ def mutate_subgraph(
         EvidenceSubgraph(MemoryGraph(g.nodes, edges), sub.confidence),
         "relation-mismatch",
     )
+
+
+def _is_confidence_word(word: str) -> bool:
+    try:
+        value = float(word)
+    except ValueError:
+        return False
+    return math.isfinite(value) and 0.0 <= value <= 1.0
+
+
+class ScanEngine:
+    """Reference constraint engine: recomputes every legal token set by
+    scanning all node and edge lines of the full graph.
+
+    ``allowed()`` gives the legal next tokens as a set; ``advance(token)``
+    assumes a legal token.
+    """
+
+    # Phases whose only legal token is fixed, and the phase each leads to.
+    FIXED = {
+        "header": (TOK_HEADER, "nodes-marker"),
+        "nodes-marker": (TOK_NODES, "nodes-eol"),
+        "nodes-eol": (TOK_EOL, "node-line-start"),
+        "edges-eol": (TOK_EOL, "edge-line-start"),
+        "confidence-eol": (TOK_EOL, "confidence-value"),
+        "confidence-value-eol": (TOK_EOL, "eos"),
+        "eos": (EOS, "eos"),
+    }
+
+    def __init__(self, full: MemoryGraph, vocab: Vocabulary):
+        self.node_lines = [node_line_tokens(n, vocab)[:-1] for n in full.nodes]
+        self.edge_lines = [edge_line_tokens(e, vocab)[:-1] for e in full.edges]
+        self.confidence_ids = {
+            vocab.id_of(word) for word in vocab.words if _is_confidence_word(word)
+        }
+        self.phase = "header"
+        self.emitted: set[int] = set()
+        self.used: set[int] = set()
+        self.line: list[int] = []
+
+    def _open_edges(self) -> list[int]:
+        return [
+            i
+            for i, line in enumerate(self.edge_lines)
+            if i not in self.used and line[0] in self.emitted and line[2] in self.emitted
+        ]
+
+    def _edge_matches(self) -> list[int]:
+        """Open edges whose tokens start with the current line."""
+        n = len(self.line)
+        return [i for i in self._open_edges() if self.edge_lines[i][:n] == self.line]
+
+    def allowed(self) -> set[int]:
+        if self.phase in self.FIXED:
+            return {self.FIXED[self.phase][0]}
+        if self.phase == "node-line-start":
+            return {line[0] for line in self.node_lines if line[0] not in self.emitted} | {
+                TOK_EDGES
+            }
+        if self.phase == "node-line":
+            template = next(t for t in self.node_lines if t[0] == self.line[0])
+            return {template[len(self.line)] if len(self.line) < len(template) else TOK_EOL}
+        if self.phase == "edge-line-start":
+            return {self.edge_lines[i][0] for i in self._open_edges()} | {TOK_CONFIDENCE}
+        if self.phase == "edge-line":
+            n = len(self.line)
+            return {
+                self.edge_lines[i][n] if n < len(self.edge_lines[i]) else TOK_EOL
+                for i in self._edge_matches()
+            }
+        return set(self.confidence_ids)  # confidence-value
+
+    def advance(self, token: int) -> None:
+        phase = self.phase
+        if phase in self.FIXED:
+            self.phase = self.FIXED[phase][1]
+        elif phase == "node-line-start":
+            self.line = [token]
+            self.phase = "edges-eol" if token == TOK_EDGES else "node-line"
+        elif phase == "node-line":
+            if token == TOK_EOL:
+                self.emitted.add(self.line[0])
+                self.phase = "node-line-start"
+            else:
+                self.line.append(token)
+        elif phase == "edge-line-start":
+            self.line = [token]
+            self.phase = "confidence-eol" if token == TOK_CONFIDENCE else "edge-line"
+        elif phase == "edge-line":
+            if token == TOK_EOL:
+                n = len(self.line)
+                self.used.add(
+                    next(i for i in self._edge_matches() if len(self.edge_lines[i]) == n)
+                )
+                self.phase = "edge-line-start"
+            else:
+                self.line.append(token)
+        else:  # confidence-value
+            self.phase = "confidence-value-eol"
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
