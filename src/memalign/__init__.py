@@ -29,8 +29,8 @@ from .corpus import (
     save_corpus,
     visible_gold,
 )
-from .decoding import ConstraintEngine, DecodeError, generate_subgraph
-from .fusion import FusedMemory, FusionError, fuse_max, fuse_states, retrieve_fused
+from .decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
+from .fusion import FusedMemory, FusionError, fuse_max, fuse_states
 from .graphs import (
     Edge,
     EvidenceSubgraph,

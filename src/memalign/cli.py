@@ -25,14 +25,14 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .decoding import generate_subgraph
-from .fusion import retrieve_fused
+from .fusion import fuse_states
 from .graphs import emit_evidence, parse_evidence, parse_full_graph, verify_subset
 from .pipeline import (
     ANCHOR_PARADIGM,
     Runtime,
     anchor_vector,
     build_runtime,
+    decode_instances,
     evaluate_retrieval,
     module_from_sections,
     module_sections,
@@ -265,22 +265,19 @@ def _cmd_retrieve(args) -> int:
     model, vocab = _load_retriever(ckpt_dir)
     module = _load_module(runtime, ckpt_dir, args.paradigm)
     instances = load_corpus(args.corpus, d_c=cfg.d_c)
-    rows = []
+    vectors = []
     for instance in instances:
         mask = (
             None
             if args.side is None
             else coverage_mask(args.side, args.coverage_level, instance.segment_count)
         )
-        h = _conditioning(runtime, instance, args.paradigm, module, mask)
-        sub = generate_subgraph(
-            model,
-            instance.full_graph(),
-            runtime.embedder.embed(instance.query),
-            h,
-            vocab,
-        )
-        rows.append({"id": instance.id, "evidence": emit_evidence(sub)})
+        vectors.append(_conditioning(runtime, instance, args.paradigm, module, mask))
+    subgraphs = decode_instances(runtime, model, vocab, instances, vectors)
+    rows = [
+        {"id": instance.id, "evidence": emit_evidence(sub)}
+        for instance, sub in zip(instances, subgraphs)
+    ]
     args.out.mkdir(parents=True, exist_ok=True)
     _write_retrieved(args.out / "retrieved.jsonl", rows)
     print(f"retrieved evidence for {len(rows)} instances")
@@ -297,7 +294,7 @@ def _cmd_fuse_retrieve(args) -> int:
         raise UsageError("fuse-retrieve needs at least two --paradigm flags")
     modules = {p: _load_module(runtime, ckpt_dir, p) for p in paradigms}
     instances = load_corpus(args.corpus, d_c=cfg.d_c)
-    rows = []
+    vectors = []
     for instance in instances:
         content = instance_content(instance, paradigms[:2])
         states = [
@@ -310,15 +307,12 @@ def _cmd_fuse_retrieve(args) -> int:
             )
             for side, paradigm in enumerate(paradigms)
         ]
-        sub = retrieve_fused(
-            states,
-            modules,
-            model,
-            instance.full_graph(),
-            runtime.embedder.embed(instance.query),
-            vocab,
-        )
-        rows.append({"id": instance.id, "evidence": emit_evidence(sub)})
+        vectors.append(fuse_states(states, modules).values)
+    subgraphs = decode_instances(runtime, model, vocab, instances, vectors)
+    rows = [
+        {"id": instance.id, "evidence": emit_evidence(sub)}
+        for instance, sub in zip(instances, subgraphs)
+    ]
     args.out.mkdir(parents=True, exist_ok=True)
     _write_retrieved(args.out / "fused_retrieved.jsonl", rows)
     print(f"fused retrieval over {paradigms} for {len(rows)} instances")

@@ -7,10 +7,12 @@ delinearizes into a verified evidence subgraph by construction.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .graphs import EvidenceSubgraph, MemoryGraph
-from .retriever import RetrieverModel
+from .retriever import RetrieverError, RetrieverModel
 from .tokenization import (
     GraphTokenSequence,
     delinearize,
@@ -31,6 +33,12 @@ from .vocab import (
 
 class DecodeError(RuntimeError):
     pass
+
+
+# The most requests decode_many keeps in flight: enough rows to spread each
+# step's NumPy calls thin, few enough to keep the step's temporaries small.
+# On the serve corpus (d_m = 128), 32 to 64 rows decode fastest.
+DECODE_WINDOW = 64
 
 
 # Phases with exactly one legal token: (that token, the phase it leads to).
@@ -204,6 +212,138 @@ class ConstraintEngine:
         self.edge_candidates = matches
 
 
+def decode_many(
+    model: RetrieverModel,
+    vocab: Vocabulary,
+    requests: Iterable[tuple[MemoryGraph, np.ndarray, np.ndarray]],
+    max_len: int | None = None,
+) -> list[EvidenceSubgraph]:
+    """Greedy constrained decoding of ``(full_graph, q, h)`` requests in
+    lock step.
+
+    Every request has its own :class:`ConstraintEngine`; each step runs
+    the recurrence once over the rows still decoding, and the output
+    projection once over the rows with more than one legal token.  A row
+    leaves the batch when it reaches EOS, and the next request joins as
+    soon as fewer than :data:`DECODE_WINDOW` rows are decoding, so memory
+    stays bounded however many requests there are; ``requests`` is
+    consumed in order.  Each output equals what a decode of its request
+    alone gives, bit for bit, and always passes subset verification
+    against its full graph.
+
+    A request that cannot be decoded (a grammar dead end, ``max_len``
+    exhausted before EOS, a malformed request) raises what a loop over
+    the requests in input order would raise first; the requests after it
+    are not decoded.  ``max_len`` defaults, per request, to a budget that
+    fits the whole full graph.
+    """
+    pending = iter(requests)
+    exhausted = False
+    tokens: list[list[int]] = []  # per request taken, in input order
+    error: Exception | None = None
+    limit: int | None = None  # the first failing request, once one fails
+    # The requests decoding, in input order, as [index, engine, tokens,
+    # budget, next token], and their states, one row each.
+    rows: list[list] = []
+    state = np.empty((0, model.d_m))
+    # Input projections by token, computed on first use within the call.
+    projections = np.empty((model.vocab_size, 2 * model.d_m))
+    projected: set[int] = set()
+
+    while True:
+        joined = []
+        while not exhausted and limit is None and len(rows) < DECODE_WINDOW:
+            request = next(pending, None)
+            if request is None:
+                exhausted = True
+                break
+            i = len(tokens)
+            # A sequential loop raises here only after decoding every
+            # request before this one, so the error waits for those rows.
+            try:
+                full_graph, q, h = request
+                engine = ConstraintEngine(full_graph, vocab)
+                if not engine.confidence_ids:
+                    raise DecodeError("vocabulary has no confidence value token")
+                joined.append(model.init_state(q, h))
+            except (ValueError, TypeError, DecodeError) as exc:
+                error, limit = exc, i
+                break
+            tokens.append([BOS])
+            budget = engine.default_max_len if max_len is None else max_len
+            rows.append([i, engine, tokens[i], budget, None])
+        if joined:
+            state = np.vstack((state, joined))
+        if not rows:
+            break
+
+        # Each row takes its next token, then makes the checks a sequential
+        # decode makes before its next step.  A failing row drops itself
+        # and every row after it.
+        kept, legal, inputs, choices = [], [], [], []
+        for k, row in enumerate(rows):
+            i, engine, row_tokens, budget, token = row
+            if token is not None:
+                engine.advance(token)
+                row_tokens.append(token)
+                if engine.done:
+                    continue
+            try:
+                if len(row_tokens) >= budget:
+                    raise DecodeError(
+                        f"max_len {budget} exhausted without EOS "
+                        f"(phase {engine.phase!r})"
+                    )
+                allowed = engine.allowed_tokens()
+                if not allowed:
+                    raise DecodeError(f"grammar dead end in phase {engine.phase!r}")
+                last = row_tokens[-1]
+                if last not in projected:
+                    projections[last] = model.input_projection(last)
+                    projected.add(last)
+            except (DecodeError, RetrieverError) as exc:
+                error, limit = exc, i
+                break
+            if len(allowed) == 1:
+                row[4] = allowed[0]
+            else:
+                row[4] = None
+                choices.append(len(kept))
+            kept.append(k)
+            legal.append(allowed)
+            inputs.append(last)
+        if len(kept) < len(rows):
+            rows = [rows[k] for k in kept]
+            state = state[kept]
+            if not rows:
+                continue
+
+        # Every row's state consumes its previous token; only the choice
+        # rows (more than one legal token) need logits.
+        first = inputs[0]
+        state = model.transition(
+            projections[first : first + 1] if len(rows) == 1 else projections[inputs], state
+        )
+        if choices:
+            # One row takes a plain matvec, which is faster than a stack of one.
+            if len(choices) == 1:
+                logits = [model.logits(state[choices[0]])]
+            else:
+                logits = model.logits(state[choices])
+            for row_logits, k in zip(logits, choices):
+                # ``allowed`` ascends, so ties go to the lowest id, as in an
+                # argmax over the whole vocabulary with illegal tokens masked.
+                allowed = legal[k]
+                rows[k][4] = allowed[row_logits[allowed].argmax()]
+
+    subgraphs = [
+        delinearize(GraphTokenSequence(tuple(seq)), vocab) for seq in tokens[:limit]
+    ]
+    if error is not None:
+        raise error
+    return subgraphs
+
+
 def generate_subgraph(
     model: RetrieverModel,
     full_graph: MemoryGraph,
@@ -212,39 +352,12 @@ def generate_subgraph(
     vocab: Vocabulary,
     max_len: int | None = None,
 ) -> EvidenceSubgraph:
-    """Greedy constrained decoding of an evidence subgraph.
+    """Greedy constrained decoding of one evidence subgraph: the one-request
+    case of :func:`decode_many`.
 
     The output always passes subset verification against ``full_graph``.
     Raises :class:`DecodeError` when the grammar dead-ends or ``max_len``
     is exhausted before EOS.  ``max_len`` defaults to a budget that fits
     the whole full graph.
     """
-    engine = ConstraintEngine(full_graph, vocab)
-    if max_len is None:
-        max_len = engine.default_max_len
-    if not engine.confidence_ids:
-        raise DecodeError("vocabulary has no confidence value token")
-    state = model.init_state(q, h)
-    tokens = [BOS]
-    while not engine.done:
-        if len(tokens) >= max_len:
-            raise DecodeError(
-                f"max_len {max_len} exhausted without EOS "
-                f"(phase {engine.phase!r})"
-            )
-        allowed = engine.allowed_tokens()
-        if not allowed:
-            raise DecodeError(f"grammar dead end in phase {engine.phase!r}")
-        if len(allowed) == 1:
-            # A forced step: the state still consumes the previous token,
-            # but the one legal token needs no logits.
-            state = model.step(tokens[-1], state)
-            token = allowed[0]
-        else:
-            logits, state = model.cell(tokens[-1], state)
-            # ``allowed`` ascends, so ties go to the lowest id, as in an
-            # argmax over the whole vocabulary with illegal tokens masked.
-            token = allowed[int(np.argmax(logits[allowed]))]
-        engine.advance(token)
-        tokens.append(token)
-    return delinearize(GraphTokenSequence(tuple(tokens)), vocab)
+    return decode_many(model, vocab, [(full_graph, q, h)], max_len)[0]

@@ -1,16 +1,13 @@
 """Plug-and-play fusion of heterogeneous memories in the unified space:
-elementwise max pooling over aligned vectors, then fused retrieval."""
+elementwise max pooling over aligned vectors.  Fused retrieval decodes
+with ``fuse_states(...).values`` as the conditioning vector."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decoding import generate_subgraph
-from .graphs import EvidenceSubgraph, MemoryGraph
-from .retriever import RetrieverModel
 from .unified import AlignmentModule, MemoryState, align_forward
-from .vocab import Vocabulary
 
 
 class FusionError(ValueError):
@@ -64,16 +61,3 @@ def fuse_states(
         provenance.append((state.paradigm, state.digest()))
     return fuse_max(vectors, provenance)
 
-
-def retrieve_fused(
-    states: list[MemoryState],
-    modules: dict[str, AlignmentModule],
-    retriever: RetrieverModel,
-    full_graph: MemoryGraph,
-    q: np.ndarray,
-    vocab: Vocabulary,
-    max_len: int | None = None,
-) -> EvidenceSubgraph:
-    """Fused retrieval: align, max-pool, then constrained generation."""
-    fused = fuse_states(states, modules)
-    return generate_subgraph(retriever, full_graph, q, fused.values, vocab, max_len)

@@ -2,7 +2,7 @@
 evaluation, and checkpoint packing for modules and retriever models."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -16,9 +16,9 @@ from .corpus import (
     instance_content,
     visible_gold,
 )
-from .decoding import generate_subgraph
-from .fusion import fuse_states, retrieve_fused
-from .graphs import emit_evidence
+from .decoding import decode_many
+from .fusion import fuse_states
+from .graphs import EvidenceSubgraph, emit_evidence
 from .metrics import (
     AnswerPair,
     MemoryRecord,
@@ -274,6 +274,25 @@ def train_alignment_pipeline(
 # -- evaluation ----------------------------------------------------------
 
 
+def decode_instances(
+    runtime: Runtime,
+    model: RetrieverModel,
+    vocab: Vocabulary,
+    instances: list[CorpusInstance],
+    vectors: list[np.ndarray],
+) -> list[EvidenceSubgraph]:
+    """Decode every instance's evidence from its full graph, conditioned on
+    its query and the matching unified vector, decoded in lock step."""
+    return decode_many(
+        model,
+        vocab,
+        (
+            (instance.full_graph(), runtime.embedder.embed(instance.query), h)
+            for instance, h in zip(instances, vectors)
+        ),
+    )
+
+
 def evaluate_retrieval(
     runtime: Runtime,
     model: RetrieverModel,
@@ -290,19 +309,15 @@ def evaluate_retrieval(
     """
     if h_for_instance is None:
         h_for_instance = lambda instance: anchor_vector(runtime, instance)
+    subgraphs = decode_instances(
+        runtime, model, vocab, instances, [h_for_instance(i) for i in instances]
+    )
     records = []
     em_scores = []
     f1_scores = []
     rouge_scores = []
     exact_graph = 0
-    for instance in instances:
-        sub = generate_subgraph(
-            model,
-            instance.full_graph(),
-            runtime.embedder.embed(instance.query),
-            h_for_instance(instance),
-            vocab,
-        )
+    for instance, sub in zip(instances, subgraphs):
         text = emit_evidence(sub) if sub.confidence is not None else ""
         records.append(MemoryRecord(text, instance.gold_answer, True))
         pair = AnswerPair(text, (instance.gold_answer,))
@@ -329,17 +344,29 @@ def reconstruction_rate(
     examples: list[RetrieverExample],
 ) -> float:
     """Fraction of examples whose constrained decode equals the gold."""
-    hits = 0
-    for example in examples:
-        sub = generate_subgraph(
-            model,
-            example.full_graph,
-            runtime.embedder.embed(example.query),
-            example.h,
-            vocab,
-        )
-        hits += int(sub == example.gold_subgraph)
+    subgraphs = decode_many(
+        model,
+        vocab,
+        (
+            (example.full_graph, runtime.embedder.embed(example.query), example.h)
+            for example in examples
+        ),
+    )
+    hits = sum(
+        int(sub == example.gold_subgraph) for sub, example in zip(subgraphs, examples)
+    )
     return hits / len(examples)
+
+
+def _utilization(
+    instances: list[CorpusInstance], subgraphs: list[EvidenceSubgraph]
+) -> float:
+    return memory_utilization(
+        [
+            MemoryRecord(emit_evidence(sub), instance.gold_answer, True)
+            for instance, sub in zip(instances, subgraphs)
+        ]
+    )
 
 
 def fused_utilization(
@@ -352,7 +379,7 @@ def fused_utilization(
 ) -> float:
     """Memory utilization of two-paradigm fused retrieval at a coverage level."""
     modules = {p: runtime.target_modules[p] for p in paradigms}
-    records = []
+    vectors = []
     for instance in instances:
         content = instance_content(instance, paradigms)
         states = [
@@ -363,18 +390,10 @@ def fused_utilization(
             )
             for side in (0, 1)
         ]
-        sub = retrieve_fused(
-            states,
-            modules,
-            model,
-            instance.full_graph(),
-            runtime.embedder.embed(instance.query),
-            vocab,
-        )
-        records.append(
-            MemoryRecord(emit_evidence(sub), instance.gold_answer, True)
-        )
-    return memory_utilization(records)
+        vectors.append(fuse_states(states, modules).values)
+    return _utilization(
+        instances, decode_instances(runtime, model, vocab, instances, vectors)
+    )
 
 
 def single_paradigm_utilization(
@@ -388,25 +407,20 @@ def single_paradigm_utilization(
 ) -> float:
     """Utilization when only one paradigm's covered segments are available."""
     module = runtime.target_modules[paradigm]
-    records = []
-    for instance in instances:
-        content = instance_content(instance)
-        state = runtime.registry.encode_state(
-            paradigm,
-            content,
-            coverage_mask(side, coverage, instance.segment_count),
+    vectors = [
+        align_forward(
+            module,
+            runtime.registry.encode_state(
+                paradigm,
+                instance_content(instance),
+                coverage_mask(side, coverage, instance.segment_count),
+            ),
         )
-        sub = generate_subgraph(
-            model,
-            instance.full_graph(),
-            runtime.embedder.embed(instance.query),
-            align_forward(module, state),
-            vocab,
-        )
-        records.append(
-            MemoryRecord(emit_evidence(sub), instance.gold_answer, True)
-        )
-    return memory_utilization(records)
+        for instance in instances
+    ]
+    return _utilization(
+        instances, decode_instances(runtime, model, vocab, instances, vectors)
+    )
 
 
 # -- checkpoint packing --------------------------------------------------
@@ -438,20 +452,8 @@ def retriever_sections(model: RetrieverModel, prefix: str = "retriever") -> dict
 def retriever_from_sections(
     sections: dict[str, np.ndarray], prefix: str = "retriever"
 ) -> RetrieverModel:
-    names = RetrieverModel(
-        **{
-            k: np.zeros((1, 1)) if k not in ("cond_bias", "bz", "bc", "out_bias") else np.zeros(1)
-            for k in (
-                "emb", "cond_weight", "cond_bias", "wz", "uz", "bz",
-                "wc", "uc", "bc", "out_weight", "out_bias",
-            )
-        }
-    ).parameters().keys()
     try:
-        params = {
-            name: np.asarray(sections[f"{prefix}/{name}"], dtype=np.float64)
-            for name in names
-        }
+        params = {f.name: sections[f"{prefix}/{f.name}"] for f in fields(RetrieverModel)}
     except KeyError as exc:
         raise CheckpointError(f"missing checkpoint section {exc}") from exc
     return RetrieverModel(**params)

@@ -53,6 +53,17 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
+# Gate array -> (fused array, half): wz is the first d_m rows of w_in.
+_GATE_VIEWS = {
+    "wz": ("w_in", 0),
+    "wc": ("w_in", 1),
+    "uz": ("u_rec", 0),
+    "uc": ("u_rec", 1),
+    "bz": ("b_in", 0),
+    "bc": ("b_in", 1),
+}
+
+
 @dataclass
 class RetrieverModel:
     """Single-layer gated recurrence decoder over the graph vocabulary.
@@ -64,6 +75,10 @@ class RetrieverModel:
         c = tanh(Wc x + Uc s + bc)
         s' = (1 - z) * s + z * c
         logits = Wo s' + bo
+
+    The gate parameters live in three fused arrays, ``w_in`` = [Wz; Wc],
+    ``u_rec`` = [Uz; Uc] and ``b_in`` = [bz; bc]; ``wz`` … ``bc`` are row
+    views of them, and assigning one writes into its fused array.
     """
 
     emb: np.ndarray  # V x d_m token embeddings
@@ -80,7 +95,10 @@ class RetrieverModel:
 
     def __post_init__(self):
         for name, value in self.parameters().items():
-            setattr(self, name, np.asarray(value, dtype=np.float64))
+            # The gate arrays become float64 as they are fused below, so
+            # no float64 copy of them outlives construction.
+            dtype = None if name in _GATE_VIEWS else np.float64
+            setattr(self, name, np.asarray(value, dtype=dtype))
         v, d_m = self.emb.shape
         if self.out_weight.shape != (v, d_m) or self.out_bias.shape != (v,):
             raise RetrieverError("inconsistent output head shapes")
@@ -92,6 +110,31 @@ class RetrieverModel:
                 raise RetrieverError("inconsistent bias shapes")
         if self.cond_weight.shape[0] != d_m:
             raise RetrieverError("inconsistent conditioning projection shape")
+        # The gate parameters are stored fused as [wz; wc], [uz; uc] and
+        # [bz; bc]; the six named arrays become row views of them, so
+        # parameters(), checkpoints and in-place optimizer updates see one
+        # storage.  Decoding multiplies by (2, d_m, d_m) views, one matvec
+        # per gate.
+        self.w_in = np.concatenate([self.wz, self.wc], dtype=np.float64)
+        self.u_rec = np.concatenate([self.uz, self.uc], dtype=np.float64)
+        self.b_in = np.concatenate([self.bz, self.bc], dtype=np.float64)
+        for name, (fused, half) in _GATE_VIEWS.items():
+            view = getattr(self, fused)[half * d_m : (half + 1) * d_m]
+            object.__setattr__(self, name, view)
+        self._w_gates = self.w_in.reshape(2, d_m, d_m)
+        self._u_gates = self.u_rec.reshape(2, d_m, d_m)
+
+    def __setattr__(self, name, value):
+        # Once the fused arrays exist, assigning a gate array writes its
+        # values into them instead of rebinding the name.
+        if name in _GATE_VIEWS and "b_in" in self.__dict__:
+            view = getattr(self, name)
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != view.shape:
+                raise RetrieverError(f"{name} must have shape {view.shape}")
+            view[...] = value
+        else:
+            object.__setattr__(self, name, value)
 
     @property
     def vocab_size(self) -> int:
@@ -124,7 +167,10 @@ class RetrieverModel:
         return sum(p.size for p in self.parameters().values())
 
     def copy(self) -> "RetrieverModel":
-        return RetrieverModel(**{k: v.copy() for k, v in self.parameters().items()})
+        # Fusing copies the gate arrays, so they are passed as they are.
+        return RetrieverModel(
+            **{k: v if k in _GATE_VIEWS else v.copy() for k, v in self.parameters().items()}
+        )
 
     # -- forward passes -------------------------------------------------
 
@@ -136,18 +182,37 @@ class RetrieverModel:
             )
         return np.tanh(self.cond_weight @ cond + self.cond_bias)
 
-    def step(self, token: int, state: np.ndarray) -> np.ndarray:
-        """One recurrence step on an input token; returns the new state."""
+    # Decoding runs every matvec as one BLAS gemv per row and per gate,
+    # as np.matmul does over a stack: a gemm over the rows, or one gemv
+    # over [wz; wc], rounds differently, so batching would change outputs.
+
+    def input_projection(self, token: int) -> np.ndarray:
+        """[Wz x; Wc x] for the embedding x of one input token."""
         if not 0 <= token < self.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
-        x = self.emb[token]
-        z = _sigmoid(self.wz @ x + self.uz @ state + self.bz)
-        c = np.tanh(self.wc @ x + self.uc @ state + self.bc)
-        return (1.0 - z) * state + z * c
+        return np.matmul(self._w_gates, self.emb[token]).reshape(-1)
 
-    def logits(self, state: np.ndarray) -> np.ndarray:
-        """The output projection: next-token logits of a state."""
-        return self.out_weight @ state + self.out_bias
+    def transition(self, x_proj: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """One recurrence step of each row of a (B, d_m) state batch, given
+        the rows' input projections (B, 2 d_m)."""
+        d_m = states.shape[1]
+        pre = np.matmul(self._u_gates, states[:, None, :, None]).reshape(x_proj.shape)
+        pre += x_proj  # U s + W x is W x + U s: addition commutes exactly
+        pre += self.b_in
+        z = _sigmoid(pre[:, :d_m])
+        c = np.tanh(pre[:, d_m:])
+        return (1.0 - z) * states + z * c
+
+    def step(self, token: int, state: np.ndarray) -> np.ndarray:
+        """One recurrence step on an input token; returns the new state."""
+        return self.transition(self.input_projection(token)[None], state[None])[0]
+
+    def logits(self, states: np.ndarray) -> np.ndarray:
+        """The output projection: next-token logits of a state (d_m,) or
+        of each row of a batch (B, d_m)."""
+        if states.ndim == 1:
+            return self.out_weight @ states + self.out_bias
+        return np.matmul(self.out_weight, states[:, :, None])[:, :, 0] + self.out_bias
 
     def cell(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One recurrence step on an input token; returns (logits, new state)."""
@@ -250,11 +315,11 @@ def sequence_logits(
 
     # Input projections of every step at once; the recurrence adds U s.
     xs = model.emb[inputs]
-    w_in = np.concatenate([model.wz, model.wc])
-    pre_in = (xs.reshape(steps * batch, d_m) @ w_in.T).reshape(steps, batch, 2 * d_m)
-    pre_in += np.concatenate([model.bz, model.bc])
-    # [uz; uc].T, laid out contiguously: a transposed view multiplies slower.
-    u_rec_t = np.concatenate([model.uz.T, model.uc.T], axis=1)
+    pre_in = (xs.reshape(steps * batch, d_m) @ model.w_in.T).reshape(steps, batch, 2 * d_m)
+    pre_in += model.b_in
+    # [uz; uc].T, laid out contiguously: a transposed view multiplies slower
+    # and rounds differently.
+    u_rec_t = np.ascontiguousarray(model.u_rec.T)
     states = np.empty((steps + 1, batch, d_m))
     zs = np.empty((steps, batch, d_m))
     cs = np.empty((steps, batch, d_m))
@@ -297,7 +362,7 @@ def sequence_backward(
     z, c, s = cache.zs, cache.cs, cache.states[:-1]
     local = np.stack([(c - s) * z * (1.0 - z), z * (1.0 - c * c)], axis=2)
     carry = 1.0 - z
-    u_rec = np.concatenate([model.uz, model.uc])
+    u_rec = model.u_rec
     d_pre = np.empty((steps, batch, 2, d_m))
     d_state = np.zeros((batch, d_m))
     for t in range(steps - 1, -1, -1):
@@ -313,7 +378,7 @@ def sequence_backward(
     grads["uz"], grads["uc"] = d_u[:d_m], d_u[d_m:]
     grads["bz"], grads["bc"] = d_b[:d_m], d_b[d_m:]
     grads["emb"] = np.zeros_like(model.emb)
-    d_xs = flat_pre @ np.concatenate([model.wz, model.wc])
+    d_xs = flat_pre @ model.w_in
     np.add.at(grads["emb"], cache.inputs.reshape(-1), d_xs)
     d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
     grads["cond_weight"] = d_s0_pre.T @ cache.cond

@@ -3,8 +3,11 @@
 ``data/reference_small.json`` holds the outputs of the criterion-10 CLI run
 recorded before the training loops were batched.  Refactors of the
 training arithmetic may move losses in their last bits, never more than
-the fixture's stated tolerances.
+the fixture's stated tolerances.  ``data/reference_retrieve.json`` holds
+the sha256 of the same run's retrieval outputs, recorded before decoding
+was batched; they must stay byte for byte.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,7 +15,9 @@ import pytest
 
 from memalign.cli import main
 
-REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_small.json").read_text())
+DATA = Path(__file__).parent / "data"
+REFERENCE = json.loads((DATA / "reference_small.json").read_text())
+RETRIEVE_REFERENCE = json.loads((DATA / "reference_retrieve.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +31,18 @@ def run(tmp_path_factory):
         ["gen-data", "--n", str(REFERENCE["gen_data_n"])],
         ["train-retriever", "--corpus", str(corpus)],
         ["train-align", "--paradigm", "explicit-sim", "--corpus", str(corpus)],
+        ["train-align", "--paradigm", "latent-sim", "--corpus", str(corpus)],
         ["retrieve", "--corpus", str(corpus)],
+        ["fuse-retrieve", "--corpus", str(corpus), "--coverage-level", "0.5"],
         ["eval", "--corpus", str(corpus)],
     )
     for argv in stages:
         assert main(argv + common) == 0
+    assert main([
+        "retrieve", "--corpus", str(corpus), "--paradigm", "explicit-sim",
+        "--side", "0", "--coverage-level", "0.5", "--config", str(cfg),
+        "--checkpoints", str(out), "--out", str(out / "single"),
+    ]) == 0
     return out
 
 
@@ -61,3 +73,11 @@ def test_alignment_matches_reference(run):
 
 def test_eval_report_matches_reference(run):
     assert _report(run, "eval_report.json") == REFERENCE["eval"]
+
+
+def test_retrieval_outputs_match_reference(run):
+    digests = {
+        name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+        for name in RETRIEVE_REFERENCE["digests"]
+    }
+    assert digests == RETRIEVE_REFERENCE["digests"]

@@ -1,5 +1,5 @@
 """Shared test helpers: random graph generation, a scan-based reference
-constraint engine and finite differences."""
+constraint engine, a one-request reference decoder and finite differences."""
 from __future__ import annotations
 
 import math
@@ -7,9 +7,17 @@ import math
 import numpy as np
 
 from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
+from memalign.decoding import ConstraintEngine, DecodeError
 from memalign.graphs import Edge, EvidenceSubgraph, MemoryGraph, Node
-from memalign.tokenization import edge_line_tokens, node_line_tokens
+from memalign.retriever import RetrieverModel, _sigmoid
+from memalign.tokenization import (
+    GraphTokenSequence,
+    delinearize,
+    edge_line_tokens,
+    node_line_tokens,
+)
 from memalign.vocab import (
+    BOS,
     EOS,
     TOK_CONFIDENCE,
     TOK_EDGES,
@@ -247,6 +255,42 @@ class ScanEngine:
                 self.line.append(token)
         else:  # confidence-value
             self.phase = "confidence-value-eol"
+
+
+def sequential_decode(
+    model: RetrieverModel,
+    full: MemoryGraph,
+    q: np.ndarray,
+    h: np.ndarray,
+    vocab: Vocabulary,
+    max_len: int | None = None,
+) -> EvidenceSubgraph:
+    """Reference greedy decode of one request: the recurrence written out
+    gate by gate with one matvec per weight, logits on every step and an
+    argmax over the whole vocabulary with illegal tokens masked."""
+    engine = ConstraintEngine(full, vocab)
+    max_len = engine.default_max_len if max_len is None else max_len
+    if not vocab.confidence_ids:
+        raise DecodeError("vocabulary has no confidence value token")
+    state = np.tanh(model.cond_weight @ np.concatenate([q, h]) + model.cond_bias)
+    tokens = [BOS]
+    while not engine.done:
+        if len(tokens) >= max_len:
+            raise DecodeError(
+                f"max_len {max_len} exhausted without EOS (phase {engine.phase!r})"
+            )
+        allowed = engine.allowed_tokens()
+        x = model.emb[tokens[-1]]
+        z = _sigmoid(model.wz @ x + model.uz @ state + model.bz)
+        c = np.tanh(model.wc @ x + model.uc @ state + model.bc)
+        state = (1.0 - z) * state + z * c
+        logits = model.out_weight @ state + model.out_bias
+        masked = np.full(logits.shape, -np.inf)
+        masked[allowed] = logits[allowed]
+        token = int(np.argmax(masked))
+        engine.advance(token)
+        tokens.append(token)
+    return delinearize(GraphTokenSequence(tuple(tokens)), vocab)
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
