@@ -9,7 +9,14 @@ import numpy as np
 
 from .optim import AdamW
 from .seeding import component_rng
-from .unified import AlignmentModule, MemoryState, align_forward, align_gradients
+from .unified import (
+    AlignmentModule,
+    MemoryState,
+    align_forward,
+    align_hidden,
+    align_output,
+    hidden_gradients,
+)
 
 ZERO_NORM_EPS = 1e-12
 
@@ -242,7 +249,9 @@ def train_alignment(
         for start in range(0, train_n, config.batch_size):
             batch = perm[start : start + config.batch_size]
             x = target_raw[batch]
-            h_t = align_forward(module, x)
+            # Layer 1 runs once; the gradient step reuses its activations.
+            hidden = align_hidden(module, x)
+            h_t = align_output(module, hidden)
             neg_idx = np.stack(
                 [
                     sample_negatives(train_n, int(j), config.negatives, rng)
@@ -256,7 +265,7 @@ def train_alignment(
                 diff = h_t - anchor_vecs[batch]
                 losses += config.mse_weight * np.mean(diff * diff, axis=1)
                 d_ht += config.mse_weight * 2.0 * diff / diff.shape[1]
-            grads = align_gradients(module, x, d_ht / len(batch))
+            grads = hidden_gradients(module, x, hidden, d_ht / len(batch))
             optimizer.step(grads)
             epoch_loss += float(losses.sum())
         epoch_losses.append(epoch_loss / train_n)

@@ -2,8 +2,12 @@
 
 At every step a dynamic mask permits only tokens that (a) keep the stream
 inside the linearization grammar and (b) replay node/edge lines that
-exist verbatim in the full memory graph, so every decoded sequence
-delinearizes into a verified evidence subgraph by construction.
+exist verbatim in the full memory graph.  The constraint engine records
+the full graph's own node or edge as each line completes, and the chosen
+confidence value, so the evidence subgraph is assembled from that record
+instead of re-parsed from the tokens: it verifies by construction, also
+for descriptions and relations with irregular whitespace or words that
+share a structural token's spelling.
 """
 from __future__ import annotations
 
@@ -11,14 +15,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .graphs import EvidenceSubgraph, MemoryGraph
+from .graphs import Edge, EvidenceSubgraph, GraphFormatError, MemoryGraph, Node
 from .retriever import RetrieverError, RetrieverModel
-from .tokenization import (
-    GraphTokenSequence,
-    delinearize,
-    edge_line_tokens,
-    node_line_tokens,
-)
+from .tokenization import edge_line_tokens, node_line_tokens
 from .vocab import (
     BOS,
     EOS,
@@ -65,14 +64,22 @@ class ConstraintEngine:
     list.  Only a line-start step lists the pending nodes or the open
     sources; every other step costs time in the edge lines that share the
     current line's prefix, not in the size of the graph.
+
+    A line ends by its length, not by the first EOL token, so a word
+    spelled like a structural token is replayed as part of its line.  The
+    engine records the full graph's own node or edge as each line
+    completes, and the confidence value taken; :meth:`evidence` assembles
+    the subgraph from that record.
     """
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
         self.vocab = vocab
         # Token lines exclude the trailing EOL; it is handled by position.
         self.node_lines: dict[int, list[int]] = {}
+        self.node_of: dict[int, Node] = {}
         self.edge_lines: list[list[int]] = []
         self.edges_by_source: dict[int, list[int]] = {}
+        self.full_edges = full_graph.edges
         # BOS, header, <NODES>, EOL, <EDGES>, EOL and EOS, plus each line
         # with its EOL: the length of the full graph's linearization.
         serialized = 7
@@ -80,6 +87,7 @@ class ConstraintEngine:
             toks = node_line_tokens(node, vocab)
             serialized += len(toks)
             self.node_lines[toks[0]] = toks[:-1]
+            self.node_of[toks[0]] = node
         for i, edge in enumerate(full_graph.edges):
             toks = edge_line_tokens(edge, vocab)
             serialized += len(toks)
@@ -96,6 +104,11 @@ class ConstraintEngine:
         self.line: list[int] = []
         self.edge_candidates: list[int] = []
         self.done = False
+        # The record: completed lines' nodes and edges, in order, and the
+        # confidence value once taken.
+        self.evidence_nodes: list[Node] = []
+        self.evidence_edges: list[Edge] = []
+        self.confidence: float | None = None
 
     def allowed_tokens(self) -> list[int]:
         """The legal next tokens, in ascending id order."""
@@ -134,14 +147,18 @@ class ConstraintEngine:
         elif phase == "node-line":
             template = self.node_lines[self.line[0]]
             pos = len(self.line)
-            if token != (template[pos] if pos < len(template) else TOK_EOL):
-                self._reject(token)
-            if token == TOK_EOL:
-                del self.pending_nodes[self.line[0]]
+            if pos < len(template):
+                if token != template[pos]:
+                    self._reject(token)
+                self.line.append(token)
+            else:
+                if token != TOK_EOL:
+                    self._reject(token)
+                node_token = self.line[0]
+                del self.pending_nodes[node_token]
+                self.evidence_nodes.append(self.node_of[node_token])
                 self.line = []
                 self.phase = "node-line-start"
-            else:
-                self.line.append(token)
         elif phase in _FIXED_PHASES:
             expected, next_phase = _FIXED_PHASES[phase]
             if token != expected:
@@ -170,6 +187,7 @@ class ConstraintEngine:
         elif phase == "confidence-value":
             if token not in self.confidence_ids:
                 self._reject(token)
+            self.confidence = float(self.vocab.token(token))
             self.phase = "confidence-value-eol"
         else:
             raise DecodeError(f"cannot advance from phase {phase!r}")
@@ -188,21 +206,22 @@ class ConstraintEngine:
         pos = len(self.line)
         lines = self.edge_lines
         if token == TOK_EOL:
-            # Duplicate edge lines resolve to the first unused index.
+            # Duplicate edge lines resolve to the first unused index.  With
+            # no line of this length, an EOL word continues a longer line.
             completed = next(
                 (i for i in self.edge_candidates if len(lines[i]) == pos), None
             )
-            if completed is None:
-                self._reject(token)
-            source = self.line[0]
-            unused = self.open_by_source[source]
-            unused.remove(completed)
-            if not unused:
-                del self.open_by_source[source]
-            self.line = []
-            self.edge_candidates = []
-            self.phase = "edge-line-start"
-            return
+            if completed is not None:
+                source = self.line[0]
+                unused = self.open_by_source[source]
+                unused.remove(completed)
+                if not unused:
+                    del self.open_by_source[source]
+                self.evidence_edges.append(self.full_edges[completed])
+                self.line = []
+                self.edge_candidates = []
+                self.phase = "edge-line-start"
+                return
         matches = [
             i for i in self.edge_candidates if pos < len(lines[i]) and lines[i][pos] == token
         ]
@@ -210,6 +229,17 @@ class ConstraintEngine:
             self._reject(token)
         self.line.append(token)
         self.edge_candidates = matches
+
+    def evidence(self) -> EvidenceSubgraph:
+        """The evidence subgraph of the lines completed so far and the
+        confidence value taken.  Raises :class:`DecodeError` when they do
+        not form a graph, as when node ids collide on UNK in an open
+        vocabulary."""
+        try:
+            graph = MemoryGraph(tuple(self.evidence_nodes), tuple(self.evidence_edges))
+            return EvidenceSubgraph(graph, self.confidence)
+        except GraphFormatError as exc:
+            raise DecodeError(f"decoded lines do not form a graph: {exc}") from exc
 
 
 def decode_many(
@@ -223,27 +253,31 @@ def decode_many(
 
     Every request has its own :class:`ConstraintEngine`; each step runs
     the recurrence once over the rows still decoding, and the output
-    projection once over the rows with more than one legal token.  A row
-    leaves the batch when it reaches EOS, and the next request joins as
-    soon as fewer than :data:`DECODE_WINDOW` rows are decoding, so memory
-    stays bounded however many requests there are; ``requests`` is
-    consumed in order.  Each output equals what a decode of its request
-    alone gives, bit for bit, and always passes subset verification
-    against its full graph.
+    projection once over the rows with more than one legal token.  Once a
+    row takes its confidence value, only EOL and EOS can follow and no
+    logits read the states after it, so the row ends there when
+    ``max_len`` admits both tokens: its evidence subgraph is assembled from
+    its engine's record and the row leaves the batch with its engine.  The
+    next request joins as soon as fewer than :data:`DECODE_WINDOW` rows are
+    decoding, so memory stays bounded however many requests there are;
+    ``requests`` is consumed in order.  Each output equals what a decode
+    of its request alone gives, bit for bit, and always passes subset
+    verification against its full graph.
 
     A request that cannot be decoded (a grammar dead end, ``max_len``
-    exhausted before EOS, a malformed request) raises what a loop over
-    the requests in input order would raise first; the requests after it
-    are not decoded.  ``max_len`` defaults, per request, to a budget that
-    fits the whole full graph.
+    exhausted before EOS, a malformed request, decoded lines that form no
+    graph) raises what a loop over the requests in input order would raise
+    first; the requests after it are not decoded.  ``max_len`` defaults,
+    per request, to a budget that fits the whole full graph.
     """
     pending = iter(requests)
     exhausted = False
-    tokens: list[list[int]] = []  # per request taken, in input order
+    subgraphs: list[EvidenceSubgraph | None] = []  # per request taken, in input order
     error: Exception | None = None
     limit: int | None = None  # the first failing request, once one fails
-    # The requests decoding, in input order, as [index, engine, tokens,
-    # budget, next token], and their states, one row each.
+    # The requests decoding, in input order, as [index, engine, budget,
+    # tokens taken (BOS included), last token], and their states, one row
+    # each.  The last token is the next step's input.
     rows: list[list] = []
     state = np.empty((0, model.d_m))
     # Input projections by token, computed on first use within the call.
@@ -257,7 +291,7 @@ def decode_many(
             if request is None:
                 exhausted = True
                 break
-            i = len(tokens)
+            i = len(subgraphs)
             # A sequential loop raises here only after decoding every
             # request before this one, so the error waits for those rows.
             try:
@@ -269,27 +303,27 @@ def decode_many(
             except (ValueError, TypeError, DecodeError) as exc:
                 error, limit = exc, i
                 break
-            tokens.append([BOS])
+            subgraphs.append(None)
             budget = engine.default_max_len if max_len is None else max_len
-            rows.append([i, engine, tokens[i], budget, None])
+            rows.append([i, engine, budget, 1, BOS])
         if joined:
             state = np.vstack((state, joined))
         if not rows:
             break
 
-        # Each row takes its next token, then makes the checks a sequential
-        # decode makes before its next step.  A failing row drops itself
-        # and every row after it.
+        # Each row makes the checks a sequential decode makes before its
+        # next step.  A failing row drops itself and every row after it.
         kept, legal, inputs, choices = [], [], [], []
         for k, row in enumerate(rows):
-            i, engine, row_tokens, budget, token = row
-            if token is not None:
-                engine.advance(token)
-                row_tokens.append(token)
-                if engine.done:
-                    continue
+            i, engine, budget, length, last = row
             try:
-                if len(row_tokens) >= budget:
+                if engine.confidence is not None and length + 2 <= budget:
+                    # EOL and EOS follow: the row is done, and its engine
+                    # is released before the next request joins.
+                    subgraphs[i] = engine.evidence()
+                    row[1] = engine = None
+                    continue
+                if length >= budget:
                     raise DecodeError(
                         f"max_len {budget} exhausted without EOS "
                         f"(phase {engine.phase!r})"
@@ -297,17 +331,13 @@ def decode_many(
                 allowed = engine.allowed_tokens()
                 if not allowed:
                     raise DecodeError(f"grammar dead end in phase {engine.phase!r}")
-                last = row_tokens[-1]
                 if last not in projected:
                     projections[last] = model.input_projection(last)
                     projected.add(last)
             except (DecodeError, RetrieverError) as exc:
                 error, limit = exc, i
                 break
-            if len(allowed) == 1:
-                row[4] = allowed[0]
-            else:
-                row[4] = None
+            if len(allowed) > 1:
                 choices.append(len(kept))
             kept.append(k)
             legal.append(allowed)
@@ -318,12 +348,13 @@ def decode_many(
             if not rows:
                 continue
 
-        # Every row's state consumes its previous token; only the choice
-        # rows (more than one legal token) need logits.
+        # Every row's state consumes its last token; only the choice rows
+        # (more than one legal token) need logits.
         first = inputs[0]
         state = model.transition(
             projections[first : first + 1] if len(rows) == 1 else projections[inputs], state
         )
+        taken = [allowed[0] for allowed in legal]
         if choices:
             # One row takes a plain matvec, which is faster than a stack of one.
             if len(choices) == 1:
@@ -334,11 +365,12 @@ def decode_many(
                 # ``allowed`` ascends, so ties go to the lowest id, as in an
                 # argmax over the whole vocabulary with illegal tokens masked.
                 allowed = legal[k]
-                rows[k][4] = allowed[row_logits[allowed].argmax()]
+                taken[k] = allowed[row_logits[allowed].argmax()]
+        for row, token in zip(rows, taken):
+            row[1].advance(token)
+            row[3] += 1
+            row[4] = token
 
-    subgraphs = [
-        delinearize(GraphTokenSequence(tuple(seq)), vocab) for seq in tokens[:limit]
-    ]
     if error is not None:
         raise error
     return subgraphs

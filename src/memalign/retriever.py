@@ -23,18 +23,32 @@ class RetrieverError(ValueError):
 class QueryEmbedder:
     """Seeded feature-hashing bag-of-words embedder, L2-normalized."""
 
+    # Words whose (slot, sign) is memoized; the memo starts over when full.
+    MEMO_WORDS = 4096
+
     def __init__(self, d_q: int = 64, seed: int = 0):
         if d_q < 2:
             raise RetrieverError("query embedding dimension must be >= 2")
         self.d_q = d_q
         self.seed = seed
+        self._slots: dict[str, tuple[int, float]] = {}
+
+    def _slot(self, word: str) -> tuple[int, float]:
+        """The coordinate a word hashes to and the sign it adds there."""
+        slot = self._slots.get(word)
+        if slot is None:
+            h = fnv1a64(word.encode("utf-8")) ^ self.seed
+            slot = (h % self.d_q, 1.0 if (h >> 32) & 1 else -1.0)
+            if len(self._slots) >= self.MEMO_WORDS:
+                self._slots.clear()
+            self._slots[word] = slot
+        return slot
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.d_q)
-        for token in text.lower().split():
-            h = fnv1a64(token.encode("utf-8")) ^ self.seed
-            sign = 1.0 if (h >> 32) & 1 else -1.0
-            vec[h % self.d_q] += sign
+        for word in text.lower().split():
+            index, sign = self._slot(word)
+            vec[index] += sign
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -42,9 +56,16 @@ class QueryEmbedder:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: no exp overflows.
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    # e^min(x, 0) / (1 + e^-|x|): 1 / (1 + e^-x) for x >= 0 and
+    # e^x / (1 + e^x) below, so no exp overflows.
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num /= den
+    return num
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -195,13 +216,22 @@ class RetrieverModel:
     def transition(self, x_proj: np.ndarray, states: np.ndarray) -> np.ndarray:
         """One recurrence step of each row of a (B, d_m) state batch, given
         the rows' input projections (B, 2 d_m)."""
-        d_m = states.shape[1]
-        pre = np.matmul(self._u_gates, states[:, None, :, None]).reshape(x_proj.shape)
+        batch, d_m = states.shape
+        if batch == 1:
+            # The same gemv per gate, without the overhead of a stack.
+            pre = np.matmul(self._u_gates, states[0]).reshape(x_proj.shape)
+        else:
+            pre = np.matmul(self._u_gates, states[:, None, :, None]).reshape(x_proj.shape)
         pre += x_proj  # U s + W x is W x + U s: addition commutes exactly
         pre += self.b_in
         z = _sigmoid(pre[:, :d_m])
-        c = np.tanh(pre[:, d_m:])
-        return (1.0 - z) * states + z * c
+        c = np.tanh(pre[:, d_m:], out=pre[:, d_m:])
+        # (1 - z) * s + z * c, in place.
+        c *= z
+        np.subtract(1.0, z, out=z)
+        z *= states
+        z += c
+        return z
 
     def step(self, token: int, state: np.ndarray) -> np.ndarray:
         """One recurrence step on an input token; returns the new state."""
@@ -242,23 +272,6 @@ def init_retriever(
         out_weight=uniform((vocab_size, d_m), d_m),
         out_bias=np.zeros(vocab_size),
     )
-
-
-def student_step(
-    model: RetrieverModel, prefix: list[int], q: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the recurrence over a BOS-prefixed token sequence.
-
-    Returns the next-token logits after consuming the prefix and the
-    resulting recurrent state.
-    """
-    if not prefix or prefix[0] != BOS:
-        raise RetrieverError("prefix must begin with BOS")
-    state = model.init_state(q, h)
-    logits = None
-    for token in prefix:
-        logits, state = model.cell(token, state)
-    return logits, state
 
 
 @dataclass
@@ -327,11 +340,13 @@ def sequence_logits(
     for t in range(steps):
         s = states[t]
         pre = pre_in[t] + s @ u_rec_t
-        z = _sigmoid(pre[:, :d_m])
-        c = np.tanh(pre[:, d_m:])
-        states[t + 1] = (1.0 - z) * s + z * c
-        zs[t] = z
-        cs[t] = c
+        zs[t] = z = _sigmoid(pre[:, :d_m])
+        c = np.tanh(pre[:, d_m:], out=cs[t])
+        # (1 - z) * s + z * c, written into states[t + 1].
+        new = states[t + 1]
+        np.subtract(1.0, z, out=new)
+        new *= s
+        new += z * c
     hidden = states[1:].swapaxes(0, 1)[mask]
     logits = hidden @ model.out_weight.T + model.out_bias
     return _ForwardCache(inputs, mask, lengths, cond, xs, states, zs, cs, logits)
@@ -377,9 +392,14 @@ def sequence_backward(
     grads["wz"], grads["wc"] = d_w_in[:d_m], d_w_in[d_m:]
     grads["uz"], grads["uc"] = d_u[:d_m], d_u[d_m:]
     grads["bz"], grads["bc"] = d_b[:d_m], d_b[d_m:]
-    grads["emb"] = np.zeros_like(model.emb)
+    # Each step's input gradient summed into its token's row: one bincount
+    # over (token, column) bins makes np.add.at's additions in its order.
     d_xs = flat_pre @ model.w_in
-    np.add.at(grads["emb"], cache.inputs.reshape(-1), d_xs)
+    vocab_size = model.vocab_size
+    bins = (cache.inputs.reshape(-1, 1) * d_m + np.arange(d_m)).reshape(-1)
+    grads["emb"] = np.bincount(
+        bins, weights=d_xs.reshape(-1), minlength=vocab_size * d_m
+    ).reshape(vocab_size, d_m)
     d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
     grads["cond_weight"] = d_s0_pre.T @ cache.cond
     grads["cond_bias"] = d_s0_pre.sum(axis=0)

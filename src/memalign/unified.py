@@ -8,6 +8,7 @@ alignment is learnable at desk scale.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -28,14 +29,12 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
     raise UnifiedSpaceError(f"unknown activation {name!r}")
 
 
-def activation_derivative(name: str, pre: np.ndarray) -> np.ndarray:
-    """Elementwise derivative evaluated at the pre-activation values."""
-    if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
-    if name == "identity":
-        return np.ones_like(pre)
-    raise UnifiedSpaceError(f"unknown activation {name!r}")
+@functools.lru_cache(maxsize=64)
+def segment_blocks(dim: int, n_seg: int) -> tuple[slice, ...]:
+    """The coordinate range of each of ``n_seg`` segments of a ``dim``-vector:
+    the blocks of ``np.array_split(np.arange(dim), n_seg)``."""
+    bounds = np.cumsum([0] + [len(b) for b in np.array_split(np.arange(dim), n_seg)])
+    return tuple(slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class ParadigmRegistry:
             for idx in segment_mask:
                 if not 0 <= idx < n_seg:
                     raise UnifiedSpaceError(f"segment index {idx} out of range")
-            blocks = np.array_split(np.arange(vec.shape[0]), n_seg)
+            blocks = segment_blocks(vec.shape[0], n_seg)
             masked = np.zeros_like(vec)
             for idx in segment_mask:
                 masked[blocks[idx]] = vec[blocks[idx]]
@@ -228,11 +227,37 @@ def _as_input(module: AlignmentModule, state) -> np.ndarray:
     return raw
 
 
+def align_hidden(module: AlignmentModule, x: np.ndarray) -> np.ndarray:
+    """Layer 1 and its activation on input rows ``x``."""
+    return apply_activation(module.activation, x @ module.layer1_weight.T + module.layer1_bias)
+
+
+def align_output(module: AlignmentModule, hidden: np.ndarray) -> np.ndarray:
+    """Layer 2 on hidden activations: the unified-space vectors."""
+    return hidden @ module.layer2_weight.T + module.layer2_bias
+
+
 def align_forward(module: AlignmentModule, state) -> np.ndarray:
     """Project a memory state into the unified memory space."""
-    x = _as_input(module, state)
-    hidden = apply_activation(module.activation, x @ module.layer1_weight.T + module.layer1_bias)
-    return hidden @ module.layer2_weight.T + module.layer2_bias
+    return align_output(module, align_hidden(module, _as_input(module, state)))
+
+
+def hidden_gradients(
+    module: AlignmentModule, x: np.ndarray, hidden: np.ndarray, up: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Parameter gradients on input rows ``x`` (B, d_in) whose hidden
+    activations ``align_hidden`` gave, given d(loss)/d(output) = ``up``
+    (B, d_out), summed over the rows."""
+    d_pre1 = up @ module.layer2_weight
+    if module.activation == "tanh":
+        # tanh' at the pre-activation is 1 - tanh^2, from the activations.
+        d_pre1 *= 1.0 - hidden * hidden
+    return {
+        "layer1_weight": d_pre1.T @ x,
+        "layer1_bias": d_pre1.sum(axis=0),
+        "layer2_weight": up.T @ hidden,
+        "layer2_bias": up.sum(axis=0),
+    }
 
 
 def align_gradients(module: AlignmentModule, state, upstream: np.ndarray) -> dict[str, np.ndarray]:
@@ -245,13 +270,4 @@ def align_gradients(module: AlignmentModule, state, upstream: np.ndarray) -> dic
     up = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     if up.shape != (x.shape[0], module.d_out):
         raise UnifiedSpaceError("upstream gradient shape mismatch")
-    pre1 = x @ module.layer1_weight.T + module.layer1_bias
-    hidden = apply_activation(module.activation, pre1)
-    d_hidden = up @ module.layer2_weight
-    d_pre1 = d_hidden * activation_derivative(module.activation, pre1)
-    return {
-        "layer1_weight": d_pre1.T @ x,
-        "layer1_bias": d_pre1.sum(axis=0),
-        "layer2_weight": up.T @ hidden,
-        "layer2_bias": up.sum(axis=0),
-    }
+    return hidden_gradients(module, x, align_hidden(module, x), up)

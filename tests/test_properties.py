@@ -16,7 +16,7 @@ from memalign.graphs import (
 from memalign.retriever import init_retriever
 from memalign.decoding import generate_subgraph
 from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
-from memalign.vocab import build_vocabulary
+from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
 from util import WORDS, RELATION_WORDS, mutate_subgraph
 
 word = st.sampled_from(WORDS)
@@ -103,3 +103,53 @@ def test_constrained_decode_always_verifies(full, seed):
         model, full, rng.standard_normal(4), rng.standard_normal(3), vocab
     )
     assert verify_subset(sub, full).accepted
+
+
+# Words that read as structure, and separators a parsed line keeps inside
+# a description or relation.
+IRREGULAR_WORDS = (
+    *WORDS[:4], "->", ":", "<eol>", "<bos>", "<eos>", "<unk>", "[CONFIDENCE]", "<EDGES>",
+)
+SEPARATORS = (" ", "  ", "\t", " \t ", "   ")
+
+
+@st.composite
+def irregular_text(draw):
+    words = draw(st.lists(st.sampled_from(IRREGULAR_WORDS), min_size=1, max_size=4))
+    text = words[0]
+    for w in words[1:]:
+        text += draw(st.sampled_from(SEPARATORS)) + w
+    return text
+
+
+@st.composite
+def irregular_graphs(draw):
+    n = draw(st.integers(1, 5))
+    nodes = tuple(Node(f"N{i+1}", draw(irregular_text())) for i in range(n))
+    edges = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 5))):
+            i, j = draw(
+                st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda t: t[0] != t[1])
+            )
+            edges.append(Edge(f"N{i}", f"N{j}", draw(irregular_text())))
+    return MemoryGraph(nodes, tuple(edges))
+
+
+@given(irregular_graphs(), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_decode_verifies_with_irregular_whitespace_and_reserved_words(full, seed, greedy):
+    assert parse_full_graph(emit(full)) == full  # the parser accepts it
+    vocab = build_vocabulary([*graph_surface_words(full), "0.75", "0.25"])
+    model = init_retriever(len(vocab), 8, 4, 3, seed=seed)
+    if greedy:  # against closing a section: every line gets decoded
+        model.out_bias[[TOK_EDGES, TOK_CONFIDENCE]] = -1e3
+    rng = np.random.default_rng(seed)
+    sub = generate_subgraph(
+        model, full, rng.standard_normal(4), rng.standard_normal(3), vocab
+    )
+    assert verify_subset(sub, full).accepted
+    assert parse_evidence(emit_evidence(sub)) == sub
+    if greedy:
+        assert len(sub.graph.nodes) == len(full.nodes)
+        assert len(sub.graph.edges) == len(full.edges)

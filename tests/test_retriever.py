@@ -19,11 +19,11 @@ from memalign.retriever import (
     sequence_backward,
     sequence_logits,
     softmax,
-    student_step,
     teacher_distribution,
     teacher_distributions,
     train_retriever,
 )
+from memalign.seeding import fnv1a64
 from memalign.vocab import BOS, EOS, build_vocabulary
 from util import central_difference, relative_error
 
@@ -54,15 +54,15 @@ def test_model_shape_validation():
         RetrieverModel(**{**model.parameters(), "out_bias": np.zeros(3)})
 
 
-def test_student_step_requires_bos():
+def test_sequence_logits_requires_bos():
     model = small_model()
     q = np.zeros(3)
     h = np.zeros(2)
-    with pytest.raises(RetrieverError):
-        student_step(model, [5], q, h)
-    logits, state = student_step(model, [BOS, 10], q, h)
-    assert logits.shape == (14,)
-    assert state.shape == (6,)
+    with pytest.raises(RetrieverError, match="BOS"):
+        sequence_logits(model, [5, 10], q, h)
+    cache = sequence_logits(model, [BOS, 10], q, h)
+    assert cache.logits.shape == (1, 14)
+    assert cache.states.shape == (2, 1, 6)
 
 
 def test_sequence_logits_match_stepwise_cells():
@@ -367,14 +367,16 @@ def test_checkpoint_bytes_match_separately_stored_arrays(tmp_path):
 
 
 def test_stacked_recurrence_equals_per_gate_matvecs():
-    """Rows of a batch step equal the gate-by-gate formula bit for bit, at
-    widths where one gemv over [Uz; Uc] would round differently."""
+    """Rows of a batch step, and one-row batches, equal the gate-by-gate
+    formula bit for bit, at widths where one gemv over [Uz; Uc] would round
+    differently."""
     rng = np.random.default_rng(7)
-    for d_m in (6, 8, 13, 64):
+    for d_m in (6, 8, 13, 64, 128):
         model = init_retriever(30, d_m, 3, 2, seed=d_m)
         states = rng.standard_normal((5, d_m))
         tokens = [int(t) for t in rng.integers(0, 30, size=5)]
         x_proj = np.stack([model.input_projection(t) for t in tokens])
+        before = states.copy()
         batch = model.transition(x_proj, states)
         logits = model.logits(batch)
         for row, (token, s) in enumerate(zip(tokens, states)):
@@ -385,3 +387,85 @@ def test_stacked_recurrence_equals_per_gate_matvecs():
             assert np.array_equal(batch[row], expected), d_m
             assert np.array_equal(logits[row], model.out_weight @ expected + model.out_bias)
             assert np.array_equal(model.step(token, s), expected)
+            one_row = model.transition(x_proj[row : row + 1], states[row : row + 1])
+            assert one_row.shape == (1, d_m)
+            assert np.array_equal(one_row[0], expected), d_m
+        assert np.array_equal(states, before)  # the step leaves its input alone
+
+
+def _where_sigmoid(x):
+    """The np.where form of the numerically stable sigmoid."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+def test_sigmoid_equals_where_formula_bitwise():
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, tiny / 2**20, -tiny / 2**20,
+        5e-324, -5e-324, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308, 36.0, -36.0,
+    ])
+    rng = np.random.default_rng(21)
+    for x in (special, rng.standard_normal(1000) * 10, rng.standard_normal((7, 13))):
+        with np.errstate(all="ignore"):
+            expected = _where_sigmoid(x)
+        got = _sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        numbers = ~np.isnan(expected)  # a NaN's sign bit carries nothing
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
+
+
+def test_embedding_gradient_equals_scattered_sum_bitwise():
+    """The bincount form of the embedding gradient adds each step's input
+    gradient into its token's row in np.add.at's order."""
+    model = small_model(vocab_size=14, d_m=6)
+    rng = np.random.default_rng(22)
+    seqs, q, h = _padded_batch(rng, 5, 3, 2, lengths=(9, 4, 12))  # tokens repeat
+    cache = sequence_logits(model, seqs, q, h)
+    d_logits = rng.standard_normal(cache.logits.shape)
+    grads = sequence_backward(model, cache, d_logits)
+
+    # The local derivatives and the backward recurrence, written out.
+    steps, batch = cache.inputs.shape
+    d_m = model.d_m
+    d_hidden = np.zeros((steps, batch, d_m))
+    d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
+    z, c, s = cache.zs, cache.cs, cache.states[:-1]
+    local = np.stack([(c - s) * z * (1.0 - z), z * (1.0 - c * c)], axis=2)
+    d_pre = np.empty((steps, batch, 2, d_m))
+    d_state = np.zeros((batch, d_m))
+    for t in range(steps - 1, -1, -1):
+        d_s_new = d_hidden[t] + d_state
+        np.multiply(d_s_new[:, None, :], local[t], out=d_pre[t])
+        d_state = d_s_new * (1.0 - z[t]) + d_pre[t].reshape(batch, 2 * d_m) @ model.u_rec
+    expected = np.zeros_like(model.emb)
+    d_xs = d_pre.reshape(steps * batch, 2 * d_m) @ model.w_in
+    np.add.at(expected, cache.inputs.reshape(-1), d_xs)
+    assert np.array_equal(grads["emb"], expected)
+
+
+def test_query_embedder_memo_equals_hashing_every_word():
+    text = "Which chain of links joins the amber harbor to the chain"
+    for d_q, seed in ((16, 3), (64, 0), (7, 2**40 + 5)):
+        embedder = QueryEmbedder(d_q, seed)
+        vec = np.zeros(d_q)
+        for word in text.lower().split():
+            hashed = fnv1a64(word.encode("utf-8")) ^ seed
+            vec[hashed % d_q] += 1.0 if (hashed >> 32) & 1 else -1.0
+        expected = vec / np.linalg.norm(vec)
+        for _ in range(2):  # hashed, then memoized
+            assert np.array_equal(embedder.embed(text), expected)
+
+
+def test_query_embedder_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(QueryEmbedder, "MEMO_WORDS", 4)
+    embedder = QueryEmbedder(16, seed=1)
+    fresh = QueryEmbedder(16, seed=1)
+    texts = [f"w{i} w{i + 1} w{i + 2}" for i in range(10)]
+    for text in texts:
+        embedder.embed(text)
+        assert len(embedder._slots) <= 4
+    monkeypatch.setattr(QueryEmbedder, "MEMO_WORDS", 4096)
+    for text in texts:
+        assert np.array_equal(embedder.embed(text), fresh.embed(text))

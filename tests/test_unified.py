@@ -10,7 +10,11 @@ from memalign.unified import (
     UnifiedSpaceError,
     align_forward,
     align_gradients,
+    align_hidden,
+    align_output,
+    hidden_gradients,
     init_alignment_module,
+    segment_blocks,
 )
 from util import central_difference, relative_error
 
@@ -137,3 +141,52 @@ def test_align_gradients_batch_sums():
 def test_memory_state_rejects_nonfinite():
     with pytest.raises(UnifiedSpaceError):
         MemoryState("p", np.array([np.nan]))
+
+
+def test_masked_encode_equals_array_split_blocks():
+    reg = ParadigmRegistry(23)
+    reg.register_paradigm("p", 8, encoder_seed=3)
+    for segments in (1, 4, 5, 23, 30):
+        content = make_content(d_c=23, seed=segments, segments=segments)
+        blocks = np.array_split(np.arange(23), segments)
+        assert [list(range(23))[b] for b in segment_blocks(23, segments)] == [
+            list(b) for b in blocks
+        ]
+        for mask in (set(), {0}, set(range(0, segments, 2)), set(range(segments))):
+            vec = content.content_vector
+            masked = np.zeros_like(vec)
+            for idx in mask:
+                masked[blocks[idx]] = vec[blocks[idx]]
+            expected = np.tanh(reg.get("p").weight @ masked)
+            state = reg.encode_state("p", content, mask)
+            assert np.array_equal(state.raw, expected)
+        with pytest.raises(UnifiedSpaceError, match="out of range"):
+            reg.encode_state("p", content, {segments})
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+def test_gradients_from_hidden_equal_recomputed_formula(activation):
+    """Training hands layer 1's activations to the gradient step; the
+    result equals the formula that recomputes them, bit for bit."""
+    module = init_alignment_module(5, 4, 3, seed=1, activation=activation)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((6, 5))
+    up = rng.standard_normal((6, 3))
+    hidden = align_hidden(module, x)
+    assert np.array_equal(align_output(module, hidden), align_forward(module, x))
+    pre1 = x @ module.layer1_weight.T + module.layer1_bias
+    if activation == "tanh":
+        t = np.tanh(pre1)
+        d_pre1 = (up @ module.layer2_weight) * (1.0 - t * t)
+    else:
+        d_pre1 = (up @ module.layer2_weight) * np.ones_like(pre1)
+    expected = {
+        "layer1_weight": d_pre1.T @ x,
+        "layer1_bias": d_pre1.sum(axis=0),
+        "layer2_weight": up.T @ np.tanh(pre1) if activation == "tanh" else up.T @ pre1,
+        "layer2_bias": up.sum(axis=0),
+    }
+    for grads in (hidden_gradients(module, x, hidden, up), align_gradients(module, x, up)):
+        assert grads.keys() == expected.keys()
+        for name, value in expected.items():
+            assert np.array_equal(grads[name], value), name
