@@ -13,24 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import EngineConfig, default_config_text, load_config
-from .corpus import (
-    corpus_vocabulary,
-    coverage_mask,
-    generate_synthetic_corpus,
-    instance_content,
-    load_corpus,
-    save_corpus,
-)
-from .fusion import fuse_states
+from .corpus import generate_synthetic_corpus, load_corpus, save_corpus
 from .graphs import emit_evidence, parse_evidence, parse_full_graph, verify_subset
 from .pipeline import (
     ANCHOR_PARADIGM,
-    Runtime,
-    anchor_vector,
+    View,
     build_runtime,
     decode_instances,
     evaluate_retrieval,
@@ -41,7 +30,6 @@ from .pipeline import (
     train_alignment_pipeline,
     train_retriever_pipeline,
 )
-from .unified import align_forward
 from .vocab import Vocabulary
 
 REPORT_KEYS = ("em", "f1", "rouge1", "mem_length", "unique_ratio", "utilization", "n")
@@ -152,24 +140,36 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _load_retriever(checkpoint_dir: Path):
-    model = retriever_from_sections(load_checkpoint(checkpoint_dir / "retriever.ckpt"))
-    vocab = Vocabulary.load(checkpoint_dir / "vocab.jsonl")
-    return model, vocab
+def _load_serving(args, views: list[View]):
+    """The runtime holding the alignment modules of ``views``, the trained
+    retriever with its vocabulary, and the corpus."""
+    cfg = _engine_config(args)
+    runtime = build_runtime(cfg)
+    ckpt_dir = args.checkpoints or args.out
+    model = retriever_from_sections(load_checkpoint(ckpt_dir / "retriever.ckpt"))
+    vocab = Vocabulary.load(ckpt_dir / "vocab.jsonl")
+    for paradigm in dict.fromkeys(view.paradigm for view in views):
+        if paradigm != ANCHOR_PARADIGM:
+            runtime.target_modules[paradigm] = module_from_sections(
+                load_checkpoint(ckpt_dir / f"align_{paradigm}.ckpt"), "align"
+            )
+    return runtime, model, vocab, load_corpus(args.corpus, d_c=cfg.d_c)
 
 
-def _load_module(runtime: Runtime, checkpoint_dir: Path, paradigm: str):
-    if paradigm == ANCHOR_PARADIGM:
-        return runtime.anchor_module
-    sections = load_checkpoint(checkpoint_dir / f"align_{paradigm}.ckpt")
-    return module_from_sections(sections, "align")
-
-
-def _write_retrieved(path: Path, rows: list[dict]) -> None:
-    path.write_text(
-        "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+def _retrieve(args, views: list[View], name: str) -> int:
+    """Decode every corpus instance conditioned on ``views`` into ``name``."""
+    runtime, model, vocab, instances = _load_serving(args, views)
+    subgraphs = decode_instances(runtime, model, vocab, instances, views)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / name).write_text(
+        "".join(
+            json.dumps({"id": instance.id, "evidence": emit_evidence(sub)}, sort_keys=True)
+            + "\n"
+            for instance, sub in zip(instances, subgraphs)
+        ),
         encoding="utf-8",
     )
+    return len(instances)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -251,80 +251,26 @@ def _cmd_train_align(args) -> int:
     return 0
 
 
-def _conditioning(runtime: Runtime, instance, paradigm: str, module, mask):
-    if paradigm == ANCHOR_PARADIGM:
-        return anchor_vector(runtime, instance, mask)
-    state = runtime.registry.encode_state(paradigm, instance_content(instance), mask)
-    return align_forward(module, state)
-
-
 def _cmd_retrieve(args) -> int:
-    cfg = _engine_config(args)
-    runtime = build_runtime(cfg)
-    ckpt_dir = args.checkpoints or args.out
-    model, vocab = _load_retriever(ckpt_dir)
-    module = _load_module(runtime, ckpt_dir, args.paradigm)
-    instances = load_corpus(args.corpus, d_c=cfg.d_c)
-    vectors = []
-    for instance in instances:
-        mask = (
-            None
-            if args.side is None
-            else coverage_mask(args.side, args.coverage_level, instance.segment_count)
-        )
-        vectors.append(_conditioning(runtime, instance, args.paradigm, module, mask))
-    subgraphs = decode_instances(runtime, model, vocab, instances, vectors)
-    rows = [
-        {"id": instance.id, "evidence": emit_evidence(sub)}
-        for instance, sub in zip(instances, subgraphs)
-    ]
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_retrieved(args.out / "retrieved.jsonl", rows)
-    print(f"retrieved evidence for {len(rows)} instances")
+    view = View(args.paradigm, args.side, args.coverage_level)
+    count = _retrieve(args, [view], "retrieved.jsonl")
+    print(f"retrieved evidence for {count} instances")
     return 0
 
 
 def _cmd_fuse_retrieve(args) -> int:
-    cfg = _engine_config(args)
-    runtime = build_runtime(cfg)
-    ckpt_dir = args.checkpoints or args.out
-    model, vocab = _load_retriever(ckpt_dir)
     paradigms = tuple(args.paradigm or ("explicit-sim", "latent-sim"))
     if len(paradigms) < 2:
         raise UsageError("fuse-retrieve needs at least two --paradigm flags")
-    modules = {p: _load_module(runtime, ckpt_dir, p) for p in paradigms}
-    instances = load_corpus(args.corpus, d_c=cfg.d_c)
-    vectors = []
-    for instance in instances:
-        content = instance_content(instance, paradigms[:2])
-        states = [
-            runtime.registry.encode_state(
-                paradigm,
-                content,
-                coverage_mask(
-                    side % 2, args.coverage_level, instance.segment_count
-                ),
-            )
-            for side, paradigm in enumerate(paradigms)
-        ]
-        vectors.append(fuse_states(states, modules).values)
-    subgraphs = decode_instances(runtime, model, vocab, instances, vectors)
-    rows = [
-        {"id": instance.id, "evidence": emit_evidence(sub)}
-        for instance, sub in zip(instances, subgraphs)
-    ]
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_retrieved(args.out / "fused_retrieved.jsonl", rows)
-    print(f"fused retrieval over {paradigms} for {len(rows)} instances")
+    # Paradigms alternate between the two segment sides.
+    views = [View(p, side % 2, args.coverage_level) for side, p in enumerate(paradigms)]
+    count = _retrieve(args, views, "fused_retrieved.jsonl")
+    print(f"fused retrieval over {paradigms} for {count} instances")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    cfg = _engine_config(args)
-    runtime = build_runtime(cfg)
-    ckpt_dir = args.checkpoints or args.out
-    model, vocab = _load_retriever(ckpt_dir)
-    instances = load_corpus(args.corpus, d_c=cfg.d_c)
+    runtime, model, vocab, instances = _load_serving(args, [])
     full = evaluate_retrieval(runtime, model, vocab, instances)
     report = {key: full[key] for key in REPORT_KEYS}
     args.out.mkdir(parents=True, exist_ok=True)

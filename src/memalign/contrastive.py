@@ -11,7 +11,6 @@ from .optim import AdamW
 from .seeding import component_rng
 from .unified import (
     AlignmentModule,
-    MemoryState,
     align_forward,
     align_hidden,
     align_output,
@@ -156,40 +155,24 @@ def sample_negatives(
     return draw + (draw >= exclude)
 
 
-def _states_matrix(states: list[MemoryState], what: str) -> np.ndarray:
-    if not states:
-        raise ContrastiveError(f"{what} state list is empty")
-    paradigm = states[0].paradigm
-    for state in states:
-        if state.paradigm != paradigm:
-            raise ContrastiveError(
-                f"mixed paradigms in {what} states: "
-                f"{state.paradigm!r} vs {paradigm!r}"
-            )
-    return np.stack([s.raw for s in states])
+def _cosines(anchor_vecs: np.ndarray, target_vecs: np.ndarray) -> np.ndarray:
+    """Cosine of each target row (rows) with each anchor row (columns)."""
+    a, t = (
+        x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), ZERO_NORM_EPS)
+        for x in (anchor_vecs, target_vecs)
+    )
+    return t @ a.T
 
 
 def topk_match_accuracy(anchor_vecs: np.ndarray, target_vecs: np.ndarray) -> float:
     """Top-1 accuracy of nearest-anchor (cosine) matching of target vectors."""
-    a = anchor_vecs / np.maximum(
-        np.linalg.norm(anchor_vecs, axis=1, keepdims=True), ZERO_NORM_EPS
-    )
-    t = target_vecs / np.maximum(
-        np.linalg.norm(target_vecs, axis=1, keepdims=True), ZERO_NORM_EPS
-    )
-    sims = t @ a.T
-    return float(np.mean(np.argmax(sims, axis=1) == np.arange(t.shape[0])))
+    sims = _cosines(anchor_vecs, target_vecs)
+    return float(np.mean(np.argmax(sims, axis=1) == np.arange(sims.shape[0])))
 
 
 def cosine_alignment_gap(anchor_vecs: np.ndarray, target_vecs: np.ndarray) -> float:
     """Mean same-instance cosine minus mean different-instance cosine."""
-    a = anchor_vecs / np.maximum(
-        np.linalg.norm(anchor_vecs, axis=1, keepdims=True), ZERO_NORM_EPS
-    )
-    t = target_vecs / np.maximum(
-        np.linalg.norm(target_vecs, axis=1, keepdims=True), ZERO_NORM_EPS
-    )
-    sims = t @ a.T
+    sims = _cosines(anchor_vecs, target_vecs)
     n = sims.shape[0]
     same = float(np.trace(sims) / n)
     different = float((sims.sum() - np.trace(sims)) / (n * (n - 1)))
@@ -199,27 +182,26 @@ def cosine_alignment_gap(anchor_vecs: np.ndarray, target_vecs: np.ndarray) -> fl
 def train_alignment(
     anchor: AlignmentModule,
     target_init: AlignmentModule,
-    anchor_states: list[MemoryState],
-    target_states: list[MemoryState],
+    anchor_raw: np.ndarray,
+    target_raw: np.ndarray,
     config: AlignConfig,
 ) -> tuple[AlignmentModule, AlignTrainReport]:
     """Contrastive alignment of a target module against a frozen anchor.
 
-    ``anchor_states[i]`` and ``target_states[i]`` must be paradigm views
-    of the same instance.  The anchor module is never written; its digest
-    is recorded before and after training.
+    ``anchor_raw[i]`` and ``target_raw[i]`` are the anchored and target
+    paradigm states of the same instance, one row each.  The anchor
+    module is never written; its digest is recorded before and after
+    training.
     """
-    if len(anchor_states) != len(target_states):
+    if len(anchor_raw) != len(target_raw):
         raise ContrastiveError(
-            f"state list length mismatch: {len(anchor_states)} anchored vs "
-            f"{len(target_states)} target"
+            f"state count mismatch: {len(anchor_raw)} anchored vs "
+            f"{len(target_raw)} target"
         )
-    if len(anchor_states) != config.n_demos:
+    if len(anchor_raw) != config.n_demos:
         raise ContrastiveError(
-            f"expected {config.n_demos} demonstrations, got {len(anchor_states)}"
+            f"expected {config.n_demos} demonstrations, got {len(anchor_raw)}"
         )
-    anchor_raw = _states_matrix(anchor_states, "anchored")
-    target_raw = _states_matrix(target_states, "target")
 
     started = time.perf_counter()
     digest_before = anchor.digest()

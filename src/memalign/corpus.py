@@ -120,7 +120,8 @@ def save_corpus(instances: list[CorpusInstance], path: str | Path) -> None:
 def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     """Load and fully validate a JSONL corpus.
 
-    Every instance must parse, have unique ids, and pass subset
+    Every instance must parse, have unique ids, a finite content vector
+    of ``d_c`` entries, at least one segment, and pass subset
     verification; no invalid instance ever reaches training.
     """
     text = Path(path).read_text(encoding="utf-8")
@@ -145,14 +146,27 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         content = record.get("content_vector")
         if content is None:
             content = _default_content_vector(instance_id, d_c)
+        try:
+            content = tuple(map(float, content))
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"line {lineno}: content_vector is not a list of numbers") from exc
+        if len(content) != d_c:
+            raise CorpusError(
+                f"line {lineno}: content_vector has {len(content)} entries, expected {d_c}"
+            )
+        if not all(map(math.isfinite, content)):
+            raise CorpusError(f"line {lineno}: content_vector has a non-finite entry")
+        segments = record["segment_count"]
+        if not isinstance(segments, int) or segments < 1:
+            raise CorpusError(f"line {lineno}: segment_count {segments!r} is not a positive integer")
         instance = CorpusInstance(
             id=instance_id,
             query=record["query"],
             gold_answer=record["gold_answer"],
             full_graph_text=record["full_graph_text"],
             gold_subgraph_text=record["gold_subgraph_text"],
-            content_vector=tuple(float(x) for x in content),
-            segment_count=int(record["segment_count"]),
+            content_vector=content,
+            segment_count=segments,
         )
         try:
             full = instance.full_graph()

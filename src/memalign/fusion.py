@@ -1,6 +1,6 @@
 """Plug-and-play fusion of heterogeneous memories in the unified space:
-elementwise max pooling over aligned vectors.  Fused retrieval decodes
-with ``fuse_states(...).values`` as the conditioning vector."""
+elementwise max pooling over aligned vectors, with each state's
+provenance.  Retrieval pools its views through ``pipeline.condition``."""
 from __future__ import annotations
 
 from dataclasses import dataclass

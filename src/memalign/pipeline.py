@@ -2,7 +2,9 @@
 evaluation, and checkpoint packing for modules and retriever models."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,11 +15,9 @@ from .corpus import (
     CorpusInstance,
     corpus_vocabulary,
     coverage_mask,
-    instance_content,
     visible_gold,
 )
-from .decoding import decode_many
-from .fusion import fuse_states
+from .decoding import DECODE_WINDOW, decode_many
 from .graphs import EvidenceSubgraph, emit_evidence
 from .metrics import (
     AnswerPair,
@@ -40,10 +40,10 @@ from .retriever import (
 from .seeding import subseed
 from .unified import (
     AlignmentModule,
-    MemoryState,
     ParadigmRegistry,
     align_forward,
     init_alignment_module,
+    mask_segments,
 )
 from .vocab import Vocabulary
 
@@ -77,17 +77,89 @@ def build_runtime(config: EngineConfig) -> Runtime:
     return Runtime(config, registry, embedder, anchor_module)
 
 
-def anchor_state(
-    runtime: Runtime, instance: CorpusInstance, mask: set[int] | None = None
-) -> MemoryState:
-    content = instance_content(instance)
-    return runtime.registry.encode_state(ANCHOR_PARADIGM, content, mask)
+class View(NamedTuple):
+    """One paradigm's view of an instance: the segments ``coverage_mask``
+    gives ``side`` at ``coverage``, or every segment when ``side`` is None."""
+
+    paradigm: str
+    side: int | None = None
+    coverage: float = 1.0
+
+    def mask(self, segment_count: int) -> set[int] | None:
+        if self.side is None:
+            return None
+        return coverage_mask(self.side, self.coverage, segment_count)
 
 
-def anchor_vector(
-    runtime: Runtime, instance: CorpusInstance, mask: set[int] | None = None
+def encode(runtime: Runtime, instances: list[CorpusInstance], view: View) -> np.ndarray:
+    """The paradigm states (N, d_t) of ``view``, each instance masked by its
+    own segment count."""
+    rows = np.array([instance.content_vector for instance in instances], dtype=np.float64)
+    if view.side is not None:
+        rows = np.stack(
+            [
+                mask_segments(row, instance.segment_count, view.mask(instance.segment_count))
+                for row, instance in zip(rows, instances)
+            ]
+        )
+    return runtime.registry.encode_rows(view.paradigm, rows)
+
+
+def condition(
+    runtime: Runtime, instances: list[CorpusInstance], views: Sequence[View]
 ) -> np.ndarray:
-    return align_forward(runtime.anchor_module, anchor_state(runtime, instance, mask))
+    """Conditioning vectors (N, d_s): every view aligned into the unified
+    space by its paradigm's module and max-pooled across the views.
+
+    Each state goes through ``align_forward`` as a one-row stack, one gemv
+    per row with the bits of a one-state call, ``DECODE_WINDOW`` instances
+    at a time so the hidden activations stay small.
+    """
+    out = np.empty((len(instances), runtime.config.d_s))
+    for start in range(0, len(instances), DECODE_WINDOW):
+        block = instances[start : start + DECODE_WINDOW]
+        aligned = [
+            align_forward(
+                runtime.anchor_module
+                if view.paradigm == ANCHOR_PARADIGM
+                else runtime.target_modules[view.paradigm],
+                encode(runtime, block, view)[:, None, :],
+            )[:, 0]
+            for view in views
+        ]
+        out[start : start + len(block)] = np.max(aligned, axis=0)
+    return out
+
+
+def prepare_examples(
+    runtime: Runtime,
+    instances: list[CorpusInstance],
+    view_sets: list[tuple[str, tuple[View, ...]]],
+) -> list[RetrieverExample]:
+    """One supervision pair per instance and ``(suffix, views)`` set, instance
+    by instance: conditioned on the pooled views, labeled with the gold
+    chain restricted to the segments they show, and identified by the
+    instance id plus the suffix."""
+    vectors = [condition(runtime, instances, views) for _, views in view_sets]
+    examples: list[RetrieverExample] = []
+    for row, instance in enumerate(instances):
+        full_graph = instance.full_graph()
+        for (suffix, views), h in zip(view_sets, vectors):
+            masks = [view.mask(instance.segment_count) for view in views]
+            examples.append(
+                RetrieverExample(
+                    id=instance.id + suffix,
+                    query=instance.query,
+                    full_graph=full_graph,
+                    gold_subgraph=(
+                        instance.gold_subgraph()
+                        if None in masks
+                        else visible_gold(instance, set().union(*masks))
+                    ),
+                    h=h[row],
+                )
+            )
+    return examples
 
 
 def prepare_retriever_examples(
@@ -103,35 +175,15 @@ def prepare_retriever_examples(
     the unified space) labeled with the visible part of the gold chain,
     which is what makes partial and fused memories in-distribution.
     """
-    examples: list[RetrieverExample] = []
-    for instance in instances:
-        full_graph = instance.full_graph()
-        examples.append(
-            RetrieverExample(
-                id=instance.id,
-                query=instance.query,
-                full_graph=full_graph,
-                gold_subgraph=instance.gold_subgraph(),
-                h=anchor_vector(runtime, instance),
-            )
-        )
-        for level in coverage_levels:
-            mask0 = coverage_mask(0, level, instance.segment_count)
-            mask1 = coverage_mask(1, level, instance.segment_count)
-            h = np.maximum(
-                anchor_vector(runtime, instance, mask0),
-                anchor_vector(runtime, instance, mask1),
-            )
-            examples.append(
-                RetrieverExample(
-                    id=f"{instance.id}#cov{level:g}",
-                    query=instance.query,
-                    full_graph=full_graph,
-                    gold_subgraph=visible_gold(instance, mask0 | mask1),
-                    h=h,
-                )
-            )
-    return examples
+    return prepare_examples(
+        runtime,
+        instances,
+        [("", (View(ANCHOR_PARADIGM),))]
+        + [
+            (f"#cov{level:g}", tuple(View(ANCHOR_PARADIGM, side, level) for side in (0, 1)))
+            for level in coverage_levels
+        ],
+    )
 
 
 def prepare_fused_examples(
@@ -139,55 +191,20 @@ def prepare_fused_examples(
     instances: list[CorpusInstance],
     paradigms: tuple[str, str],
     coverage_levels: tuple[float, ...],
-    include_single: bool = True,
 ) -> list[RetrieverExample]:
     """Supervision pairs conditioned on fused target-paradigm vectors.
 
     Requires trained alignment modules for both paradigms.  For each
     coverage level the two paradigm sides are masked to that level,
     aligned, max-pooled, and labeled with the visible part of the gold
-    chain; optional single-side variants cover one-paradigm retrieval.
+    chain; single-side variants cover one-paradigm retrieval.
     """
-    modules = {p: runtime.target_modules[p] for p in paradigms}
-    examples: list[RetrieverExample] = []
-    for instance in instances:
-        full_graph = instance.full_graph()
-        content = instance_content(instance, paradigms)
-        for level in coverage_levels:
-            masks = [
-                coverage_mask(side, level, instance.segment_count)
-                for side in (0, 1)
-            ]
-            states = [
-                runtime.registry.encode_state(paradigms[side], content, masks[side])
-                for side in (0, 1)
-            ]
-            fused = fuse_states(states, modules)
-            examples.append(
-                RetrieverExample(
-                    id=f"{instance.id}#fused{level:g}",
-                    query=instance.query,
-                    full_graph=full_graph,
-                    gold_subgraph=visible_gold(instance, masks[0] | masks[1]),
-                    h=fused.values,
-                )
-            )
-        if include_single:
-            for side in (0, 1):
-                mask = coverage_mask(side, 1.0, instance.segment_count)
-                state = runtime.registry.encode_state(
-                    paradigms[side], content, mask
-                )
-                examples.append(
-                    RetrieverExample(
-                        id=f"{instance.id}#side{side}",
-                        query=instance.query,
-                        full_graph=full_graph,
-                        gold_subgraph=visible_gold(instance, mask),
-                        h=align_forward(modules[paradigms[side]], state),
-                    )
-                )
-    return examples
+    view_sets = [
+        (f"#fused{level:g}", tuple(View(p, side, level) for side, p in enumerate(paradigms)))
+        for level in coverage_levels
+    ]
+    singles = [(f"#side{side}", (View(p, side),)) for side, p in enumerate(paradigms)]
+    return prepare_examples(runtime, instances, view_sets + singles)
 
 
 def train_retriever_pipeline(
@@ -215,18 +232,6 @@ def train_retriever_pipeline(
     return trained, vocab, report
 
 
-def paradigm_states(
-    runtime: Runtime,
-    paradigm: str,
-    instances: list[CorpusInstance],
-    mask: set[int] | None = None,
-) -> list[MemoryState]:
-    return [
-        runtime.registry.encode_state(paradigm, instance_content(i), mask)
-        for i in instances
-    ]
-
-
 def train_alignment_pipeline(
     runtime: Runtime,
     paradigm: str,
@@ -240,32 +245,19 @@ def train_alignment_pipeline(
     demonstration pool so that partial-context states are also aligned.
     """
     config = align_config or runtime.config.align
-    masks: list[set[int] | None] = [None]
-    for level in coverage_levels:
-        for side in (0, 1):
-            masks.append(coverage_mask(side, level, instances[0].segment_count))
-    anchor_states = []
-    target_states = []
-    for mask in masks:
-        anchor_states.extend(
-            anchor_state(runtime, instance, mask) for instance in instances
-        )
-        target_states.extend(paradigm_states(runtime, paradigm, instances, mask))
-
-    d_t = runtime.registry.get(paradigm).d_t
+    masks = [(None, 1.0)] + [(side, level) for level in coverage_levels for side in (0, 1)]
+    anchor_raw, target_raw = (
+        np.concatenate([encode(runtime, instances, View(p, *mask)) for mask in masks])
+        for p in (ANCHOR_PARADIGM, paradigm)
+    )
     target_init = init_alignment_module(
-        d_t,
+        target_raw.shape[1],
         runtime.config.d_h,
         runtime.config.d_s,
         subseed(config.seed, f"align-init:{paradigm}"),
     )
-    if config.n_demos != len(anchor_states):
-        raise ValueError(
-            f"alignment config expects {config.n_demos} demonstrations, "
-            f"got {len(anchor_states)} (instances x masks)"
-        )
     trained, report = train_alignment(
-        runtime.anchor_module, target_init, anchor_states, target_states, config
+        runtime.anchor_module, target_init, anchor_raw, target_raw, config
     )
     runtime.target_modules[paradigm] = trained
     return trained, report
@@ -279,16 +271,16 @@ def decode_instances(
     model: RetrieverModel,
     vocab: Vocabulary,
     instances: list[CorpusInstance],
-    vectors: list[np.ndarray],
+    views: Sequence[View],
 ) -> list[EvidenceSubgraph]:
     """Decode every instance's evidence from its full graph, conditioned on
-    its query and the matching unified vector, decoded in lock step."""
+    its query and its pooled ``views``, decoded in lock step."""
     return decode_many(
         model,
         vocab,
         (
             (instance.full_graph(), runtime.embedder.embed(instance.query), h)
-            for instance, h in zip(instances, vectors)
+            for instance, h in zip(instances, condition(runtime, instances, views))
         ),
     )
 
@@ -298,20 +290,16 @@ def evaluate_retrieval(
     model: RetrieverModel,
     vocab: Vocabulary,
     instances: list[CorpusInstance],
-    h_for_instance=None,
+    views: Sequence[View] = (View(ANCHOR_PARADIGM),),
 ) -> dict:
-    """Decode every instance and report QA + memory-efficiency metrics.
+    """Decode every instance conditioned on ``views`` and report QA +
+    memory-efficiency metrics.
 
     The retrieved evidence text is scored directly against the gold
-    answer (the containment oracle stands in for an agent model).
-    ``h_for_instance`` maps an instance to its conditioning vector and
-    defaults to the full-context anchored vector.
+    answer (the containment oracle stands in for an agent model).  The
+    default view is the full-context anchored one.
     """
-    if h_for_instance is None:
-        h_for_instance = lambda instance: anchor_vector(runtime, instance)
-    subgraphs = decode_instances(
-        runtime, model, vocab, instances, [h_for_instance(i) for i in instances]
-    )
+    subgraphs = decode_instances(runtime, model, vocab, instances, views)
     records = []
     em_scores = []
     f1_scores = []
@@ -356,71 +344,6 @@ def reconstruction_rate(
         int(sub == example.gold_subgraph) for sub, example in zip(subgraphs, examples)
     )
     return hits / len(examples)
-
-
-def _utilization(
-    instances: list[CorpusInstance], subgraphs: list[EvidenceSubgraph]
-) -> float:
-    return memory_utilization(
-        [
-            MemoryRecord(emit_evidence(sub), instance.gold_answer, True)
-            for instance, sub in zip(instances, subgraphs)
-        ]
-    )
-
-
-def fused_utilization(
-    runtime: Runtime,
-    model: RetrieverModel,
-    vocab: Vocabulary,
-    instances: list[CorpusInstance],
-    paradigms: tuple[str, str],
-    coverage: float,
-) -> float:
-    """Memory utilization of two-paradigm fused retrieval at a coverage level."""
-    modules = {p: runtime.target_modules[p] for p in paradigms}
-    vectors = []
-    for instance in instances:
-        content = instance_content(instance, paradigms)
-        states = [
-            runtime.registry.encode_state(
-                paradigms[side],
-                content,
-                coverage_mask(side, coverage, instance.segment_count),
-            )
-            for side in (0, 1)
-        ]
-        vectors.append(fuse_states(states, modules).values)
-    return _utilization(
-        instances, decode_instances(runtime, model, vocab, instances, vectors)
-    )
-
-
-def single_paradigm_utilization(
-    runtime: Runtime,
-    model: RetrieverModel,
-    vocab: Vocabulary,
-    instances: list[CorpusInstance],
-    paradigm: str,
-    side: int,
-    coverage: float = 1.0,
-) -> float:
-    """Utilization when only one paradigm's covered segments are available."""
-    module = runtime.target_modules[paradigm]
-    vectors = [
-        align_forward(
-            module,
-            runtime.registry.encode_state(
-                paradigm,
-                instance_content(instance),
-                coverage_mask(side, coverage, instance.segment_count),
-            ),
-        )
-        for instance in instances
-    ]
-    return _utilization(
-        instances, decode_instances(runtime, model, vocab, instances, vectors)
-    )
 
 
 # -- checkpoint packing --------------------------------------------------

@@ -22,8 +22,9 @@ class UnifiedSpaceError(ValueError):
 
 
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
+    """The activation of ``x``, written over ``x``: callers pass a temporary."""
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=x)
     if name == "identity":
         return x
     raise UnifiedSpaceError(f"unknown activation {name!r}")
@@ -35,6 +36,18 @@ def segment_blocks(dim: int, n_seg: int) -> tuple[slice, ...]:
     the blocks of ``np.array_split(np.arange(dim), n_seg)``."""
     bounds = np.cumsum([0] + [len(b) for b in np.array_split(np.arange(dim), n_seg)])
     return tuple(slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:]))
+
+
+def mask_segments(vec: np.ndarray, segment_count: int, segment_mask: set[int]) -> np.ndarray:
+    """A copy of ``vec`` with the coordinates of every segment outside
+    ``segment_mask`` zeroed."""
+    blocks = segment_blocks(vec.shape[0], segment_count)
+    masked = np.zeros_like(vec)
+    for idx in segment_mask:
+        if not 0 <= idx < segment_count:
+            raise UnifiedSpaceError(f"segment index {idx} out of range")
+        masked[blocks[idx]] = vec[blocks[idx]]
+    return masked
 
 
 @dataclass(frozen=True)
@@ -124,20 +137,20 @@ class ParadigmRegistry:
         ``segment_mask`` selects visible segments; coordinates of hidden
         segment blocks are zeroed, simulating partial-context memories.
         """
-        paradigm = self.get(name)
         vec = content.content_vector
         if segment_mask is not None:
-            n_seg = content.segment_count
-            for idx in segment_mask:
-                if not 0 <= idx < n_seg:
-                    raise UnifiedSpaceError(f"segment index {idx} out of range")
-            blocks = segment_blocks(vec.shape[0], n_seg)
-            masked = np.zeros_like(vec)
-            for idx in segment_mask:
-                masked[blocks[idx]] = vec[blocks[idx]]
-            vec = masked
-        raw = apply_activation(paradigm.activation, paradigm.weight @ vec)
-        return MemoryState(name, raw)
+            vec = mask_segments(vec, content.segment_count, segment_mask)
+        return MemoryState(name, self.encode_rows(name, vec[None])[0])
+
+    def encode_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Encode content rows (N, d_c) into paradigm states (N, d_t).
+
+        ``weight @ rows[:, :, None]`` is one gemv per row, rounded as a
+        one-row product is; an ``(N, d_c) @ weight.T`` gemm would round
+        differently.
+        """
+        paradigm = self.get(name)
+        return apply_activation(paradigm.activation, paradigm.weight @ rows[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -228,8 +241,10 @@ def _as_input(module: AlignmentModule, state) -> np.ndarray:
 
 
 def align_hidden(module: AlignmentModule, x: np.ndarray) -> np.ndarray:
-    """Layer 1 and its activation on input rows ``x``."""
-    return apply_activation(module.activation, x @ module.layer1_weight.T + module.layer1_bias)
+    """Layer 1 and its activation on input rows ``x``, in one buffer."""
+    hidden = x @ module.layer1_weight.T
+    hidden += module.layer1_bias
+    return apply_activation(module.activation, hidden)
 
 
 def align_output(module: AlignmentModule, hidden: np.ndarray) -> np.ndarray:

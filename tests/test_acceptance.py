@@ -32,12 +32,12 @@ from memalign.metrics import (
     unique_ratio,
 )
 from memalign.pipeline import (
+    View,
     build_runtime,
-    fused_utilization,
+    evaluate_retrieval,
     prepare_fused_examples,
     prepare_retriever_examples,
     reconstruction_rate,
-    single_paradigm_utilization,
     train_alignment_pipeline,
     train_retriever_pipeline,
 )
@@ -299,14 +299,20 @@ def test_criterion_8_fusion_monotonicity():
     )
 
     utilizations = [
-        fused_utilization(runtime, model, vocab, instances, paradigms, level)
+        evaluate_retrieval(
+            runtime,
+            model,
+            vocab,
+            instances,
+            [View(paradigm, side, level) for side, paradigm in enumerate(paradigms)],
+        )["utilization"]
         for level in levels
     ]
     assert utilizations[0] <= utilizations[1] <= utilizations[2]
     best_single = max(
-        single_paradigm_utilization(
-            runtime, model, vocab, instances, paradigm, side
-        )
+        evaluate_retrieval(
+            runtime, model, vocab, instances, [View(paradigm, side)]
+        )["utilization"]
         for side, paradigm in enumerate(paradigms)
     )
     assert utilizations[2] >= best_single

@@ -14,7 +14,7 @@ from memalign.contrastive import (
     train_alignment,
     unit_rows,
 )
-from memalign.unified import MemoryState, align_forward, init_alignment_module
+from memalign.unified import align_forward, init_alignment_module
 from util import central_difference, relative_error
 
 
@@ -146,9 +146,7 @@ def _toy_problem(n=64, d_t=6, d_s=4, seed=0):
     rng = np.random.default_rng(seed)
     raws = rng.standard_normal((n, d_t))
     anchor = init_alignment_module(d_t, d_s, d_s, seed=seed + 1)
-    a_states = [MemoryState("a", r) for r in raws]
-    t_states = [MemoryState("t", r) for r in raws]  # same raw space
-    return anchor, a_states, t_states
+    return anchor, raws, raws.copy()  # same raw space
 
 
 def test_train_alignment_freezes_anchor_and_learns():

@@ -125,6 +125,29 @@ def test_load_rejects_subset_violations(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("content_vector", 0.5, "content_vector is not a list of numbers"),
+        ("content_vector", [0.5] * 63, "content_vector has 63 entries, expected 64"),
+        ("content_vector", [0.5] * 63 + [float("nan")], "content_vector has a non-finite entry"),
+        ("content_vector", [float("inf")] + [0.5] * 63, "content_vector has a non-finite entry"),
+        ("segment_count", 0, "segment_count 0 is not a positive integer"),
+        ("segment_count", None, "segment_count None is not a positive integer"),
+        ("segment_count", 2.5, r"segment_count 2\.5 is not a positive integer"),
+    ],
+)
+def test_load_rejects_unusable_records(tmp_path, field, value, message):
+    good = generate_synthetic_corpus(1, 1)[0].to_json()
+    record = json.loads(good)
+    record["id"] = "other"
+    record[field] = value
+    path = tmp_path / "c.jsonl"
+    path.write_text(good + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(CorpusError, match=f"line 2: {message}"):
+        load_corpus(path, d_c=64)
+
+
 def test_missing_content_vector_is_generated(tmp_path):
     inst = generate_synthetic_corpus(1, 1)[0]
     record = json.loads(inst.to_json())

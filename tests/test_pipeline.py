@@ -4,18 +4,30 @@ import dataclasses
 import numpy as np
 import pytest
 
+from memalign import pipeline
 from memalign.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from memalign.config import EngineConfig
-from memalign.corpus import corpus_vocabulary, generate_synthetic_corpus
+from memalign.contrastive import AlignConfig
+from memalign.corpus import (
+    corpus_vocabulary,
+    coverage_mask,
+    generate_synthetic_corpus,
+    instance_content,
+)
+from memalign.decoding import DECODE_WINDOW
+from memalign.fusion import fuse_states
 from memalign.pipeline import (
-    anchor_vector,
+    ANCHOR_PARADIGM,
+    View,
     build_runtime,
+    condition,
     evaluate_retrieval,
     module_from_sections,
     module_sections,
     prepare_retriever_examples,
     retriever_from_sections,
     retriever_sections,
+    train_alignment_pipeline,
 )
 from memalign.retriever import init_retriever
 from memalign.unified import align_forward, init_alignment_module
@@ -48,10 +60,60 @@ def test_runtime_requires_anchor_paradigm():
 
 
 def test_anchor_vector_is_deterministic(runtime, corpus):
-    v1 = anchor_vector(runtime, corpus[0])
-    v2 = anchor_vector(runtime, corpus[0])
+    v1 = condition(runtime, corpus[:1], [View(ANCHOR_PARADIGM)])[0]
+    v2 = condition(runtime, corpus[:1], [View(ANCHOR_PARADIGM)])[0]
     np.testing.assert_array_equal(v1, v2)
     assert v1.shape == (runtime.config.d_s,)
+
+
+def test_condition_blocks_equal_one_instance_fusion():
+    runtime = build_runtime(EngineConfig(d_h=32))
+    for seed, paradigm in enumerate(("explicit-sim", "latent-sim")):
+        d_t = runtime.registry.get(paradigm).d_t
+        runtime.target_modules[paradigm] = init_alignment_module(d_t, 32, 64, seed)
+    corpus = generate_synthetic_corpus(2 * DECODE_WINDOW + 5, 21)
+    views = [View("explicit-sim", 0, 0.5), View("latent-sim", 1, 0.5)]
+    batch = condition(runtime, corpus, views)
+    for row, instance in zip(batch, corpus):
+        states = [
+            runtime.registry.encode_state(
+                v.paradigm, instance_content(instance), v.mask(instance.segment_count)
+            )
+            for v in views
+        ]
+        assert row.tobytes() == fuse_states(states, runtime.target_modules).values.tobytes()
+
+
+@pytest.mark.parametrize("segment_counts", [(4, 8), (8, 4)])
+def test_alignment_masks_follow_each_instance(monkeypatch, segment_counts):
+    # Each instance's states are masked by its own segment count, in
+    # either order of a mixed corpus.
+    runtime = build_runtime(EngineConfig(d_h=16))
+    corpus = [
+        instance
+        for count in segment_counts
+        for instance in generate_synthetic_corpus(3, count, segment_count=count)
+    ]
+    captured = {}
+    train = pipeline.train_alignment
+
+    def spy(anchor, init, anchor_raw, target_raw, config):
+        captured.update(anchor_raw=anchor_raw, target_raw=target_raw)
+        return train(anchor, init, anchor_raw, target_raw, config)
+
+    monkeypatch.setattr(pipeline, "train_alignment", spy)
+    levels = (0.25, 0.5)
+    config = AlignConfig(n_demos=30, negatives=2, batch_size=4, epochs=1, holdout=0)
+    train_alignment_pipeline(runtime, "explicit-sim", corpus, config, levels)
+    sides = [(None, None)] + [(side, level) for level in levels for side in (0, 1)]
+    rows = [(side, level, instance) for side, level in sides for instance in corpus]
+    for key, paradigm in (("anchor_raw", ANCHOR_PARADIGM), ("target_raw", "explicit-sim")):
+        assert len(captured[key]) == len(rows)
+        for got, (side, level, instance) in zip(captured[key], rows):
+            n = instance.segment_count
+            mask = None if side is None else coverage_mask(side, level, n)
+            expected = runtime.registry.encode_state(paradigm, instance_content(instance), mask)
+            assert got.tobytes() == expected.raw.tobytes()
 
 
 def test_prepare_examples_full_and_coverage(runtime, corpus):
