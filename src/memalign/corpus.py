@@ -12,6 +12,7 @@ retrieval learnable.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -73,10 +74,20 @@ class CorpusInstance:
     content_vector: tuple[float, ...]
     segment_count: int
 
+    # Each graph text is parsed on first use and kept with the instance.
+
     def full_graph(self) -> MemoryGraph:
-        return parse_full_graph(self.full_graph_text)
+        return self._full_graph
 
     def gold_subgraph(self) -> EvidenceSubgraph:
+        return self._gold_subgraph
+
+    @functools.cached_property
+    def _full_graph(self) -> MemoryGraph:
+        return parse_full_graph(self.full_graph_text)
+
+    @functools.cached_property
+    def _gold_subgraph(self) -> EvidenceSubgraph:
         return parse_evidence(self.gold_subgraph_text)
 
     def to_json(self) -> str:
@@ -168,9 +179,11 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
             content_vector=content,
             segment_count=segments,
         )
+        # Validated from parses that are not kept: a corpus loaded in full
+        # does not hold every parsed graph until first use.
         try:
-            full = instance.full_graph()
-            sub = instance.gold_subgraph()
+            full = parse_full_graph(instance.full_graph_text)
+            sub = parse_evidence(instance.gold_subgraph_text)
         except GraphFormatError as exc:
             raise CorpusError(
                 f"instance {instance_id!r}: invalid graph text ({exc})"

@@ -52,18 +52,93 @@ _FIXED_PHASES = {
 }
 
 
+# The most full-graph lines (node lines plus edge lines) whose indexes one
+# vocabulary keeps.  A cached line costs about 410 B, its graph included
+# (tracemalloc), so the cache holds at most about 410 KiB: some 90 graphs
+# of the serve corpus (11.5 lines each), or one long-memory graph of up to
+# about 225 nodes (1,012 lines).  Holding the whole 2,294-line serve corpus
+# instead raised that workload's peak RSS by about 1.5 MB more, and its
+# repeats of a graph come back to back, so they hit either way.
+INDEX_CACHE_LINES = 1024
+
+
+class GraphIndex:
+    """The part of a decode that depends only on the full graph and the
+    vocabulary, built once and shared by every decode of that graph.
+
+    Node lines are keyed by their id token, edge line indices grouped by
+    source token in edge order; token lines exclude the trailing EOL,
+    which the engine handles by position.  ``lines`` counts the graph's
+    node and edge lines, the measure the index cache is bounded by.
+    ``graph`` is the graph the index was built from.  Nothing in an index
+    changes after it is built.
+    """
+
+    def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
+        self.node_lines: dict[int, tuple[int, ...]] = {}
+        self.node_of: dict[int, Node] = {}
+        edge_lines: list[tuple[int, ...]] = []
+        edges_by_source: dict[int, list[int]] = {}
+        # BOS, header, <NODES>, EOL, <EDGES>, EOL and EOS, plus each line
+        # with its EOL: the length of the full graph's linearization.
+        serialized = 7
+        for node in full_graph.nodes:
+            toks = node_line_tokens(node, vocab)
+            serialized += len(toks)
+            toks.pop()
+            self.node_lines[toks[0]] = tuple(toks)
+            self.node_of[toks[0]] = node
+        for i, edge in enumerate(full_graph.edges):
+            toks = edge_line_tokens(edge, vocab)
+            serialized += len(toks)
+            toks.pop()
+            edge_lines.append(tuple(toks))
+            edges_by_source.setdefault(toks[0], []).append(i)
+        self.edge_lines = tuple(edge_lines)
+        self.edges_by_source = {s: tuple(edges) for s, edges in edges_by_source.items()}
+        self.graph = full_graph
+        self.lines = len(full_graph.nodes) + len(full_graph.edges)
+        # Token budget sufficient to emit the whole full graph as evidence:
+        # +4 covers the confidence section, +8 is slack.
+        self.default_max_len = serialized + 4 + 8
+
+    @classmethod
+    def of(cls, full_graph: MemoryGraph, vocab: Vocabulary) -> "GraphIndex":
+        """The index of ``full_graph`` under ``vocab``, from the vocabulary's
+        cache when an equal graph was indexed there before.
+
+        The cache is keyed by the graph's value, so separately parsed
+        copies of one graph share an index, and it dies with the
+        vocabulary.  It holds at most :data:`INDEX_CACHE_LINES` lines and
+        evicts the least recently used index first; a graph larger than
+        that bound is indexed but not kept.
+        """
+        cache = vocab.graph_indexes
+        # A dict keeps insertion order: re-inserting on every use keeps it
+        # least recently used first.  The key stays the graph the index was
+        # built from, so an equal copy is not kept alive beside it.
+        index = cache.pop(full_graph, None)
+        if index is None:
+            index = cls(full_graph, vocab)
+            if index.lines > INDEX_CACHE_LINES:
+                return index
+            vocab.graph_index_lines += index.lines
+            while vocab.graph_index_lines > INDEX_CACHE_LINES:
+                vocab.graph_index_lines -= cache.pop(next(iter(cache))).lines
+        cache[index.graph] = index
+        return index
+
+
 class ConstraintEngine:
     """Tracks the grammar state and the set of legal next tokens for one
-    decode against a fixed full graph.
+    decode against a fixed full graph, whose :class:`GraphIndex` it reads.
 
-    The full graph is indexed once: node lines by their id token, and edge
-    line indices grouped by source token in edge order.  The nodes not yet
-    emitted are an ordered dict.  The emitted node set is final once
-    ``<EDGES>`` is taken, so the open edges (both endpoints emitted) are
-    grouped by source then, and a completed edge line leaves its source's
-    list.  Only a line-start step lists the pending nodes or the open
-    sources; every other step costs time in the edge lines that share the
-    current line's prefix, not in the size of the graph.
+    The nodes not yet emitted are an ordered dict.  The emitted node set
+    is final once ``<EDGES>`` is taken, so the open edges (both endpoints
+    emitted) are grouped by source then, and a completed edge line leaves
+    its source's list.  Only a line-start step lists the pending nodes or
+    the open sources; every other step costs time in the edge lines that
+    share the current line's prefix, not in the size of the graph.
 
     A line ends by its length, not by the first EOL token, so a word
     spelled like a structural token is replayed as part of its line.  The
@@ -74,32 +149,10 @@ class ConstraintEngine:
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
         self.vocab = vocab
-        # Token lines exclude the trailing EOL; it is handled by position.
-        self.node_lines: dict[int, list[int]] = {}
-        self.node_of: dict[int, Node] = {}
-        self.edge_lines: list[list[int]] = []
-        self.edges_by_source: dict[int, list[int]] = {}
-        self.full_edges = full_graph.edges
-        # BOS, header, <NODES>, EOL, <EDGES>, EOL and EOS, plus each line
-        # with its EOL: the length of the full graph's linearization.
-        serialized = 7
-        for node in full_graph.nodes:
-            toks = node_line_tokens(node, vocab)
-            serialized += len(toks)
-            self.node_lines[toks[0]] = toks[:-1]
-            self.node_of[toks[0]] = node
-        for i, edge in enumerate(full_graph.edges):
-            toks = edge_line_tokens(edge, vocab)
-            serialized += len(toks)
-            self.edge_lines.append(toks[:-1])
-            self.edges_by_source.setdefault(toks[0], []).append(i)
-        # Token budget sufficient to emit the whole full graph as evidence:
-        # +4 covers the confidence section, +8 is slack.
-        self.default_max_len = serialized + 4 + 8
-        self.confidence_ids = vocab.confidence_ids
-
+        self.index = index = GraphIndex.of(full_graph, vocab)
+        self.default_max_len = index.default_max_len
         self.phase = "header"
-        self.pending_nodes: dict[int, None] = dict.fromkeys(self.node_lines)
+        self.pending_nodes: dict[int, None] = dict.fromkeys(index.node_lines)
         self.open_by_source: dict[int, list[int]] = {}
         self.line: list[int] = []
         self.edge_candidates: list[int] = []
@@ -115,12 +168,12 @@ class ConstraintEngine:
         phase = self.phase
         if phase == "edge-line":
             pos = len(self.line)
-            lines = self.edge_lines
+            lines = self.index.edge_lines
             return sorted(
                 {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in self.edge_candidates}
             )
         if phase == "node-line":
-            template = self.node_lines[self.line[0]]
+            template = self.index.node_lines[self.line[0]]
             pos = len(self.line)
             return [template[pos] if pos < len(template) else TOK_EOL]
         if phase in _FIXED_PHASES:
@@ -130,7 +183,7 @@ class ConstraintEngine:
         if phase == "edge-line-start":
             return sorted((*self.open_by_source, TOK_CONFIDENCE))
         if phase == "confidence-value":
-            return list(self.confidence_ids)
+            return list(self.vocab.confidence_ids)
         raise DecodeError(f"no legal continuation from phase {phase!r}")
 
     def _reject(self, token: int) -> None:
@@ -145,7 +198,7 @@ class ConstraintEngine:
         if phase == "edge-line":
             self._advance_edge_line(token)
         elif phase == "node-line":
-            template = self.node_lines[self.line[0]]
+            template = self.index.node_lines[self.line[0]]
             pos = len(self.line)
             if pos < len(template):
                 if token != template[pos]:
@@ -156,7 +209,7 @@ class ConstraintEngine:
                     self._reject(token)
                 node_token = self.line[0]
                 del self.pending_nodes[node_token]
-                self.evidence_nodes.append(self.node_of[node_token])
+                self.evidence_nodes.append(self.index.node_of[node_token])
                 self.line = []
                 self.phase = "node-line-start"
         elif phase in _FIXED_PHASES:
@@ -185,7 +238,7 @@ class ConstraintEngine:
             else:
                 self._reject(token)
         elif phase == "confidence-value":
-            if token not in self.confidence_ids:
+            if token not in self.vocab.confidence_ids:
                 self._reject(token)
             self.confidence = float(self.vocab.token(token))
             self.phase = "confidence-value-eol"
@@ -195,16 +248,17 @@ class ConstraintEngine:
     def _open_edges(self) -> None:
         """Group the edges whose endpoints were both emitted by source."""
         pending = self.pending_nodes
-        for source, edges in self.edges_by_source.items():
+        lines = self.index.edge_lines
+        for source, edges in self.index.edges_by_source.items():
             if source in pending:
                 continue
-            open_idx = [i for i in edges if self.edge_lines[i][2] not in pending]
+            open_idx = [i for i in edges if lines[i][2] not in pending]
             if open_idx:
                 self.open_by_source[source] = open_idx
 
     def _advance_edge_line(self, token: int) -> None:
         pos = len(self.line)
-        lines = self.edge_lines
+        lines = self.index.edge_lines
         if token == TOK_EOL:
             # Duplicate edge lines resolve to the first unused index.  With
             # no line of this length, an EOL word continues a longer line.
@@ -217,7 +271,7 @@ class ConstraintEngine:
                 unused.remove(completed)
                 if not unused:
                     del self.open_by_source[source]
-                self.evidence_edges.append(self.full_edges[completed])
+                self.evidence_edges.append(self.index.graph.edges[completed])
                 self.line = []
                 self.edge_candidates = []
                 self.phase = "edge-line-start"
@@ -251,18 +305,20 @@ def decode_many(
     """Greedy constrained decoding of ``(full_graph, q, h)`` requests in
     lock step.
 
-    Every request has its own :class:`ConstraintEngine`; each step runs
-    the recurrence once over the rows still decoding, and the output
-    projection once over the rows with more than one legal token.  Once a
-    row takes its confidence value, only EOL and EOS can follow and no
-    logits read the states after it, so the row ends there when
-    ``max_len`` admits both tokens: its evidence subgraph is assembled from
-    its engine's record and the row leaves the batch with its engine.  The
-    next request joins as soon as fewer than :data:`DECODE_WINDOW` rows are
-    decoding, so memory stays bounded however many requests there are;
-    ``requests`` is consumed in order.  Each output equals what a decode
-    of its request alone gives, bit for bit, and always passes subset
-    verification against its full graph.
+    Every request has its own :class:`ConstraintEngine` over its graph's
+    shared :class:`GraphIndex`, and every row reads its input projections
+    from the model's projection table, so neither is rebuilt per call.
+    Each step runs the recurrence once over the rows still decoding, and
+    the output projection once over the rows with more than one legal
+    token.  Once a row takes its confidence value, only EOL and EOS can
+    follow and no logits read the states after it, so the row ends there
+    when ``max_len`` admits both tokens: its evidence subgraph is assembled
+    from its engine's record and the row leaves the batch with its engine.
+    The next request joins as soon as fewer than :data:`DECODE_WINDOW`
+    rows are decoding, so memory stays bounded however many requests
+    there are; ``requests`` is consumed in order.  Each output equals what
+    a decode of its request alone gives, bit for bit, and always passes
+    subset verification against its full graph.
 
     A request that cannot be decoded (a grammar dead end, ``max_len``
     exhausted before EOS, a malformed request, decoded lines that form no
@@ -280,9 +336,9 @@ def decode_many(
     # each.  The last token is the next step's input.
     rows: list[list] = []
     state = np.empty((0, model.d_m))
-    # Input projections by token, computed on first use within the call.
-    projections = np.empty((model.vocab_size, 2 * model.d_m))
-    projected: set[int] = set()
+    # The model's input projections by token, kept across calls: a token
+    # fed back is projected once per model, not once per call.
+    projections, projected = model.projection_table()
 
     while True:
         joined = []
@@ -297,7 +353,7 @@ def decode_many(
             try:
                 full_graph, q, h = request
                 engine = ConstraintEngine(full_graph, vocab)
-                if not engine.confidence_ids:
+                if not vocab.confidence_ids:
                     raise DecodeError("vocabulary has no confidence value token")
                 joined.append(model.init_state(q, h))
             except (ValueError, TypeError, DecodeError) as exc:

@@ -156,6 +156,7 @@ class RetrieverModel:
             view[...] = value
         else:
             object.__setattr__(self, name, value)
+        self.drop_projections()
 
     @property
     def vocab_size(self) -> int:
@@ -212,6 +213,27 @@ class RetrieverModel:
         if not 0 <= token < self.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
         return np.matmul(self._w_gates, self.emb[token]).reshape(-1)
+
+    # The projection table: a (V, 2 d_m) array whose row t, once filled,
+    # is input_projection(t), and the set of filled rows.  It is kept
+    # across decodes; assigning any attribute drops it, and so must a
+    # caller that changes emb or the gate arrays in place (train_retriever
+    # does after each optimizer step).  copy() and checkpoint loading
+    # start without one, and it is never serialized.
+
+    def projection_table(self) -> tuple[np.ndarray, set[int]]:
+        """The projection table ``(rows, filled)``: ``rows[t]`` is
+        ``input_projection(t)`` for every ``t`` in ``filled``.  A reader
+        fills a missing row, and adds its token to ``filled``, first."""
+        table = self.__dict__.get("_projection_table")
+        if table is None:
+            table = (np.empty((self.vocab_size, 2 * self.d_m)), set())
+            self.__dict__["_projection_table"] = table
+        return table
+
+    def drop_projections(self) -> None:
+        """Forget every input projection computed so far."""
+        self.__dict__["_projection_table"] = None
 
     def transition(self, x_proj: np.ndarray, states: np.ndarray) -> np.ndarray:
         """One recurrence step of each row of a (B, d_m) state batch, given
@@ -609,6 +631,7 @@ def train_retriever(
             for k in grads:
                 grads[k] /= len(batch)
             optimizer.step(grads)
+            model.drop_projections()
             epoch_loss += batch_loss
         report.epoch_losses.append(epoch_loss / n)
 

@@ -61,6 +61,12 @@ class Vocabulary:
     words: tuple[str, ...] = ()
     mode: str = "closed"
     _ids: dict[str, int] = field(init=False, repr=False)
+    # Decode state compiled per memory graph against this vocabulary: the
+    # decoding.GraphIndex of each graph keyed by graph value, least
+    # recently used first, and the node and edge lines they index.
+    # Decoding fills and bounds them.
+    graph_indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    graph_index_lines: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("open", "closed"):

@@ -1,9 +1,12 @@
 """Synthetic corpus generation and JSONL ingestion."""
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from memalign import corpus
+from memalign.config import EngineConfig
 from memalign.corpus import (
     CorpusError,
     chain_segment,
@@ -17,6 +20,7 @@ from memalign.corpus import (
     visible_gold,
 )
 from memalign.graphs import verify_subset
+from memalign.pipeline import build_runtime, prepare_retriever_examples
 
 
 def test_generation_is_deterministic():
@@ -203,3 +207,31 @@ def test_corpus_vocabulary_closed_and_covers_gold():
     assert vocab.mode == "closed"
     assert len(vocab) <= 200
     assert "0.9" in vocab
+
+
+def test_training_preparation_parses_each_graph_once(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(6, 8), path)
+    instances = load_corpus(path)
+    # Loading validates every graph but keeps no parse.
+    assert not any("_full_graph" in vars(i) or "_gold_subgraph" in vars(i) for i in instances)
+    parsed = Counter()
+
+    def counting(parse):
+        def wrapper(text):
+            parsed[text] += 1
+            return parse(text)
+
+        return wrapper
+
+    monkeypatch.setattr(corpus, "parse_full_graph", counting(corpus.parse_full_graph))
+    monkeypatch.setattr(corpus, "parse_evidence", counting(corpus.parse_evidence))
+    corpus_vocabulary(instances)
+    examples = prepare_retriever_examples(
+        build_runtime(EngineConfig()), instances, coverage_levels=(0.5, 1.0)
+    )
+    texts = [t for i in instances for t in (i.full_graph_text, i.gold_subgraph_text)]
+    assert parsed == Counter(texts) and max(parsed.values()) == 1
+    # Every example of an instance holds the instance's one parse.
+    by_id = {i.id: i for i in instances}
+    assert all(e.full_graph is by_id[e.id.split("#")[0]].full_graph() for e in examples)

@@ -7,21 +7,32 @@ import numpy as np
 import pytest
 
 from memalign import decoding
+from memalign.checkpoint import load_checkpoint, save_checkpoint
 from memalign.decoding import DecodeError, decode_many, generate_subgraph
 from memalign.graphs import (
     Edge,
     MemoryGraph,
     Node,
+    emit,
     emit_evidence,
     parse_evidence,
     parse_full_graph,
     verify_subset,
 )
-from memalign.retriever import RetrieverError, RetrieverModel, init_retriever
+from memalign.pipeline import retriever_from_sections, retriever_sections
+from memalign.retriever import (
+    DistillConfig,
+    QueryEmbedder,
+    RetrieverError,
+    RetrieverExample,
+    RetrieverModel,
+    init_retriever,
+    train_retriever,
+)
 from memalign.tokenization import graph_surface_words, linearize_evidence
 from memalign.vocab import build_vocabulary
 from test_reference_decode import REFERENCE, long_cases, small_cases
-from util import random_graph, sequential_decode
+from util import random_graph, random_subgraph, sequential_decode
 
 CONFIDENCES = ("0.5", "0.9", "1.0")
 
@@ -335,3 +346,143 @@ def test_lines_forming_no_graph_fail_like_a_sequential_loop():
         assert str(batched.value) == str(raised.value)
     with pytest.raises(RetrieverError, match="conditioning dimension"):
         decode_many(model, vocab, [good, malformed, bad])
+
+
+# -- state kept across calls: the projection table and the graph indexes --
+
+
+def test_input_projections_are_computed_once_per_model(monkeypatch):
+    rng = np.random.default_rng(18)
+    graphs, vocab = mixed_batch(rng, count=10)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=9)
+    requests = requests_for(graphs, rng)
+    projected = []
+    original = RetrieverModel.input_projection
+
+    def counted(self, token):
+        projected.append(token)
+        return original(self, token)
+
+    monkeypatch.setattr(RetrieverModel, "input_projection", counted)
+    first = [generate_subgraph(model, *request, vocab) for request in requests]
+    assert projected and len(projected) == len(set(projected))
+    count = len(projected)
+    # Every token fed back is projected already: repeats project nothing.
+    for _ in range(2):
+        assert [generate_subgraph(model, *request, vocab) for request in requests] == first
+        assert decode_many(model, vocab, requests) == first
+    assert len(projected) == count
+
+
+def test_assigning_a_parameter_drops_the_projection_table():
+    rng = np.random.default_rng(19)
+    graphs, vocab = mixed_batch(rng, count=12)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=10)
+    requests = requests_for(graphs, rng)
+    before = decode_many(model, vocab, requests)  # fills the table
+    for name in ("emb", "wz", "out_weight"):
+        value = getattr(model, name)
+        setattr(model, name, value + rng.standard_normal(value.shape))
+        after = decode_many(model, vocab, requests)
+        assert after != before, name  # the new value changes what decodes
+        assert after == decode_many(model.copy(), vocab, requests), name
+        before = after
+
+
+def test_trained_model_decodes_like_its_checkpoint(tmp_path):
+    rng = np.random.default_rng(20)
+    graphs, vocab = mixed_batch(rng, count=8)
+    embedder = QueryEmbedder(4, 0)
+    examples = [
+        RetrieverExample(
+            f"e{i}", f"query {i}", full, random_subgraph(full, rng), rng.standard_normal(3)
+        )
+        for i, full in enumerate(graphs)
+    ]
+    model_init = init_retriever(len(vocab), 8, 4, 3, seed=11)
+    requests = [(e.full_graph, embedder.embed(e.query), e.h) for e in examples]
+    decode_many(model_init, vocab, requests)  # fills the initial model's table
+    config = DistillConfig(epochs=2, learning_rate=5e-3, batch_size=3)
+    trained, _ = train_retriever(model_init, examples, vocab, embedder, config)
+    save_checkpoint(retriever_sections(trained), tmp_path / "retriever.ckpt")
+    reloaded = retriever_from_sections(load_checkpoint(tmp_path / "retriever.ckpt"))
+    decoded = decode_many(trained, vocab, requests)
+    assert decoded != decode_many(model_init, vocab, requests)
+    assert decoded == decode_many(reloaded, vocab, requests)
+
+
+def test_equal_graphs_share_one_index(monkeypatch):
+    rng = np.random.default_rng(21)
+    full = random_graph(rng, min_nodes=5, max_extra_edges=10)
+    vocab = build_vocabulary([*graph_surface_words(full), *CONFIDENCES])
+    model = init_retriever(len(vocab), 8, 4, 3, seed=12)
+    built = []
+    original = decoding.GraphIndex.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(decoding.GraphIndex, "__init__", counted)
+    text = emit(full, "full")
+    copies = [parse_full_graph(text) for _ in range(3)]
+    assert all(copy == full and copy is not full for copy in copies)
+    q, h = rng.standard_normal(4), rng.standard_normal(3)
+    expected = generate_subgraph(model, full, q, h, vocab)
+    assert decode_many(model, vocab, [(g, q, h) for g in copies]) == [expected] * 3
+    assert len(built) == 1 and list(vocab.graph_indexes.values()) == built
+    # The index is the vocabulary's: an equal vocabulary starts its own.
+    other = build_vocabulary(vocab.words)
+    assert generate_subgraph(model, copies[0], q, h, other) == expected
+    assert len(built) == 2 and list(other.graph_indexes.values()) == built[1:]
+
+
+def chain_graph(nodes: int, first: int = 1) -> MemoryGraph:
+    """A path over ``nodes`` nodes: 2 * nodes - 1 lines."""
+    ids = [f"N{first + i}" for i in range(nodes)]
+    return MemoryGraph(
+        tuple(Node(n, "amber gate") for n in ids),
+        tuple(Edge(a, b, "feeds") for a, b in zip(ids, ids[1:])),
+    )
+
+
+def test_index_cache_is_bounded_by_lines_and_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(decoding, "INDEX_CACHE_LINES", 20)
+    graphs = {name: chain_graph(n, first) for name, n, first in (
+        ("a", 4, 1), ("b", 4, 11), ("c", 5, 21), ("huge", 11, 31))}
+    words = [w for g in graphs.values() for w in graph_surface_words(g)]
+    vocab = build_vocabulary([*words, *CONFIDENCES])
+    cache = vocab.graph_indexes
+
+    def held(vocab):
+        lines = sum(index.lines for index in vocab.graph_indexes.values())
+        assert lines == vocab.graph_index_lines <= decoding.INDEX_CACHE_LINES
+        return lines
+
+    def use(name):
+        engine = decoding.ConstraintEngine(graphs[name], vocab)
+        held(vocab)
+        return engine.index
+
+    a = use("a")  # 7 lines
+    use("b")  # 7 lines
+    assert use("a") is a  # b is now the least recently used
+    use("c")  # 9 lines: 23 > 20, so b goes
+    assert list(cache) == [graphs["a"], graphs["c"]]
+    # A graph over the bound is indexed but never cached.
+    assert use("huge").lines == 21 and use("huge") is not use("huge")
+    assert list(cache) == [graphs["a"], graphs["c"]]
+    assert use("a") is a and list(cache) == [graphs["c"], graphs["a"]]
+    assert held(vocab) == 16
+    # Many small graphs cycle through without the bound ever being exceeded.
+    rng = np.random.default_rng(22)
+    many = [random_graph(rng, max_nodes=9, max_extra_edges=10) for _ in range(60)]
+    vocab = build_vocabulary(
+        [*sorted({w for g in many for w in graph_surface_words(g)}), *CONFIDENCES]
+    )
+    cache = vocab.graph_indexes
+    model = init_retriever(len(vocab), 8, 4, 3, seed=13)
+    for full in many:
+        generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
+        held(vocab)
+        assert next(reversed(cache)) == full  # the latest graph is the most recent

@@ -123,7 +123,8 @@ def with_duplicate_edges(full):
 def test_indexed_engine_matches_scan_oracle():
     """Random legal walks: the indexed engine allows exactly the oracle's
     tokens, in ascending order, at every step, and rejects sampled illegal
-    tokens in every phase without changing its state."""
+    tokens in every phase without changing its state.  Each graph is
+    walked twice, the second time from the cached index."""
     rng = np.random.default_rng(4)
     rejected_in = set()
     for trial in range(80):
@@ -131,24 +132,29 @@ def test_indexed_engine_matches_scan_oracle():
         if trial % 2:
             full = with_duplicate_edges(full)
         vocab = vocab_with_confidence(full)
-        engine = ConstraintEngine(full, vocab)
-        oracle = ScanEngine(full, vocab)
-        while not engine.done:
-            allowed = engine.allowed_tokens()
-            expected = oracle.allowed()
-            assert set(allowed) == expected
-            assert allowed == sorted(allowed)
-            illegal = [t for t in range(len(vocab)) if t not in expected]
-            for token in rng.choice(illegal, size=min(3, len(illegal)), replace=False):
-                with pytest.raises(DecodeError):
-                    engine.advance(int(token))
-                assert engine.allowed_tokens() == allowed
-                rejected_in.add(engine.phase)
-            # Mostly keep emitting lines, so that edges open and get used.
-            lines = [t for t in allowed if t not in (TOK_EDGES, TOK_CONFIDENCE)]
-            token = int(rng.choice(lines if lines and rng.random() < 0.85 else allowed))
-            engine.advance(token)
-            oracle.advance(token)
+        # The second walk reads the index the first one built and cached.
+        indexes = []
+        for _walk in range(2):
+            engine = ConstraintEngine(full, vocab)
+            oracle = ScanEngine(full, vocab)
+            indexes.append(engine.index)
+            while not engine.done:
+                allowed = engine.allowed_tokens()
+                expected = oracle.allowed()
+                assert set(allowed) == expected
+                assert allowed == sorted(allowed)
+                illegal = [t for t in range(len(vocab)) if t not in expected]
+                for token in rng.choice(illegal, size=min(3, len(illegal)), replace=False):
+                    with pytest.raises(DecodeError):
+                        engine.advance(int(token))
+                    assert engine.allowed_tokens() == allowed
+                    rejected_in.add(engine.phase)
+                # Mostly keep emitting lines, so that edges open and get used.
+                lines = [t for t in allowed if t not in (TOK_EDGES, TOK_CONFIDENCE)]
+                token = int(rng.choice(lines if lines and rng.random() < 0.85 else allowed))
+                engine.advance(token)
+                oracle.advance(token)
+        assert indexes[1] is indexes[0]
     assert rejected_in == set(PHASES)
 
 

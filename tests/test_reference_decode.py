@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from memalign import EngineConfig
+from memalign import EngineConfig, decoding
 from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
 from memalign.decoding import generate_subgraph
-from memalign.graphs import MemoryGraph, emit_evidence
+from memalign.graphs import MemoryGraph, emit, emit_evidence, parse_full_graph
 from memalign.retriever import init_retriever
 from memalign.tokenization import graph_surface_words
 from memalign.vocab import build_vocabulary
@@ -69,3 +69,23 @@ def decode_digests() -> dict[str, str]:
 
 def test_decoded_evidence_matches_reference():
     assert decode_digests() == REFERENCE["digests"]
+
+
+def test_warm_decodes_match_reference():
+    """Every case decoded cold and then again through the same model and
+    vocabulary, from a separately parsed copy of its graph: the second
+    decode reads the projection table and the graph index the first one
+    filled, and gives the same document."""
+    rng = np.random.default_rng(REFERENCE["seed"])
+    for cases in (small_cases, long_cases):
+        for name, full, vocab, model, q, h in cases(rng):
+            copy = parse_full_graph(emit(full, "full"))
+            assert copy == full
+            for graph in (full, copy):
+                sub = generate_subgraph(model, graph, q, h, vocab)
+                digest = hashlib.sha256(emit_evidence(sub).encode("utf-8")).hexdigest()
+                assert digest == REFERENCE["digests"][name], name
+            # Graphs over the cache's bound are indexed anew for each decode.
+            cached = vocab.graph_indexes.get(full)
+            fits = len(full.nodes) + len(full.edges) <= decoding.INDEX_CACHE_LINES
+            assert (cached is not None and cached.graph is full) == fits
