@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (
+    EVIDENCE_HEADER,
+    FULL_HEADER,
     Edge,
     EvidenceSubgraph,
     GraphFormatError,
@@ -30,7 +32,8 @@ from .graphs import (
     emit_evidence,
     parse_evidence,
     parse_full_graph,
-    verify_subset,
+    scan,
+    subset_violations,
 )
 from .seeding import component_rng, fnv1a64
 from .tokenization import graph_surface_words
@@ -113,6 +116,9 @@ REQUIRED_FIELDS = (
     "gold_subgraph_text",
     "segment_count",
 )
+STRING_FIELDS = REQUIRED_FIELDS[:-1]
+# The types json.loads gives a number (a JSON true is a bool, not a number).
+JSON_NUMBERS = frozenset((int, float))
 
 
 def _default_content_vector(instance_id: str, d_c: int) -> tuple[float, ...]:
@@ -131,9 +137,11 @@ def save_corpus(instances: list[CorpusInstance], path: str | Path) -> None:
 def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     """Load and fully validate a JSONL corpus.
 
-    Every instance must parse, have unique ids, a finite content vector
-    of ``d_c`` entries, at least one segment, and pass subset
-    verification; no invalid instance ever reaches training.
+    Every instance must have string text fields, unique ids, a finite
+    content vector of ``d_c`` entries, at least one segment, and graph texts
+    that scan and pass subset verification; no invalid instance ever reaches
+    training.  Validation builds no graph objects: each instance parses its
+    graphs on first use.
     """
     text = Path(path).read_text(encoding="utf-8")
     instances: list[CorpusInstance] = []
@@ -150,6 +158,9 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         for fieldname in REQUIRED_FIELDS:
             if fieldname not in record:
                 raise CorpusError(f"line {lineno}: missing field {fieldname}")
+        for fieldname in STRING_FIELDS:
+            if not isinstance(record[fieldname], str):
+                raise CorpusError(f"line {lineno}: {fieldname} is not a string")
         instance_id = record["id"]
         if instance_id in seen_ids:
             raise CorpusError(f"line {lineno}: duplicate id {instance_id!r}")
@@ -157,10 +168,9 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         content = record.get("content_vector")
         if content is None:
             content = _default_content_vector(instance_id, d_c)
-        try:
-            content = tuple(map(float, content))
-        except (TypeError, ValueError) as exc:
-            raise CorpusError(f"line {lineno}: content_vector is not a list of numbers") from exc
+        elif not isinstance(content, list) or not set(map(type, content)) <= JSON_NUMBERS:
+            raise CorpusError(f"line {lineno}: content_vector is not a list of numbers")
+        content = tuple(map(float, content))
         if len(content) != d_c:
             raise CorpusError(
                 f"line {lineno}: content_vector has {len(content)} entries, expected {d_c}"
@@ -168,7 +178,7 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         if not all(map(math.isfinite, content)):
             raise CorpusError(f"line {lineno}: content_vector has a non-finite entry")
         segments = record["segment_count"]
-        if not isinstance(segments, int) or segments < 1:
+        if type(segments) is not int or segments < 1:  # a JSON true is no count
             raise CorpusError(f"line {lineno}: segment_count {segments!r} is not a positive integer")
         instance = CorpusInstance(
             id=instance_id,
@@ -179,18 +189,16 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
             content_vector=content,
             segment_count=segments,
         )
-        # Validated from parses that are not kept: a corpus loaded in full
-        # does not hold every parsed graph until first use.
         try:
-            full = parse_full_graph(instance.full_graph_text)
-            sub = parse_evidence(instance.gold_subgraph_text)
+            full_nodes, full_edges, _ = scan(instance.full_graph_text, FULL_HEADER)
+            sub_nodes, sub_edges, _ = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
         except GraphFormatError as exc:
             raise CorpusError(
                 f"instance {instance_id!r}: invalid graph text ({exc})"
             ) from exc
-        report = verify_subset(sub, full)
-        if not report.accepted:
-            kinds = ", ".join(v.kind for v in report.violations)
+        violations = subset_violations(sub_nodes.items(), sub_edges, full_nodes, full_edges)
+        if violations:
+            kinds = ", ".join(v.kind for v in violations)
             raise CorpusError(
                 f"instance {instance_id!r}: gold subgraph fails subset "
                 f"verification ({kinds})"

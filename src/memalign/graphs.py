@@ -10,16 +10,25 @@ Two bit-exact text formats are supported:
                                   [CONFIDENCE]
                                   0.85
 
-Node lines split on the FIRST ``: `` after the id; descriptions may
-themselves contain colons.  Edge lines split on `` -> `` and then the
-first ``: `` after the target.  Each input line is trimmed; blank lines
-are ignored.
+Each input line is trimmed and blank lines are ignored.  Every other line
+is a fixed marker or value, or matches one of two patterns in full:
+
+    node line:  (N[1-9][0-9]*): (.+)
+    edge line:  (N[1-9][0-9]*) -> (N[1-9][0-9]*): (.+)
+
+An id holds no ``:``, space or ``->``, so a description or relation is
+everything after the first ``: `` that follows the id (or the target) and
+may itself contain ``: `` or `` -> ``.  ``scan`` reads a document with these
+patterns without building graph objects; the parsers build them from its
+result.
 """
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
+from itertools import starmap
 
 FULL_HEADER = "[FULL_GRAPH]"
 EVIDENCE_HEADER = "[EVIDENCE_SUBGRAPH]"
@@ -27,7 +36,10 @@ NODES_MARKER = "<NODES>"
 EDGES_MARKER = "<EDGES>"
 CONFIDENCE_MARKER = "[CONFIDENCE]"
 
-_NODE_ID_RE = re.compile(r"^N[1-9][0-9]*$")
+_NODE_ID = r"N[1-9][0-9]*"
+_NODE_ID_RE = re.compile(_NODE_ID)
+_NODE_LINE = re.compile(rf"({_NODE_ID}): (.+)")
+_EDGE_LINE = re.compile(rf"({_NODE_ID}) -> ({_NODE_ID}): (.+)")
 
 
 class GraphFormatError(ValueError):
@@ -41,7 +53,7 @@ class GraphFormatError(ValueError):
 
 
 def is_node_id(value: str) -> bool:
-    return bool(_NODE_ID_RE.match(value))
+    return _NODE_ID_RE.fullmatch(value) is not None
 
 
 @dataclass(frozen=True)
@@ -127,147 +139,134 @@ class VerificationReport:
         return not self.violations
 
 
-def _iter_content_lines(text: str):
-    """Yield (1-based line number, trimmed line), skipping blanks."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
+def _error(text: str, k: int, kind: str, message: str) -> GraphFormatError:
+    """The error for the ``k``-th trimmed non-blank line of ``text``, with its
+    1-based line number (1 for a document with no such line)."""
+    lineno = 1
+    for n, raw in enumerate(text.split("\n"), start=1):
+        if raw.strip():
+            if k == 0:
+                lineno = n
+                break
+            k -= 1
+    return GraphFormatError(kind, message, lineno)
 
 
-def _parse_node_line(line: str, lineno: int) -> Node:
+def _node_line_error(line: str, nodes: dict[str, str], evidence: bool) -> tuple[str, str]:
+    """(kind, message) for a node-section line the node pattern rejected, or
+    whose id is already declared."""
+    if line == NODES_MARKER or (evidence and line == CONFIDENCE_MARKER):
+        return "missing-section", f"expected {EDGES_MARKER} before {line}"
     if ": " not in line:
-        raise GraphFormatError(
-            "malformed-node", f"node line missing ': ' delimiter: {line!r}", lineno
-        )
+        return "malformed-node", f"node line missing ': ' delimiter: {line!r}"
     node_id, description = line.split(": ", 1)
     if not is_node_id(node_id):
-        raise GraphFormatError(
-            "malformed-node", f"invalid node id {node_id!r}", lineno
-        )
-    if not description:
-        raise GraphFormatError("malformed-node", "empty node description", lineno)
-    return Node(node_id, description)
+        return "malformed-node", f"invalid node id {node_id!r}"
+    if node_id in nodes:
+        return "duplicate-node", f"duplicate node id {node_id}"
+    return "malformed-node", "empty node description"  # not left by trimming
 
 
-def _parse_edge_line(line: str, lineno: int) -> Edge:
+def _edge_line_error(line: str, nodes: dict[str, str]) -> tuple[str, str]:
+    """(kind, message) for an edge-section line the edge pattern rejected, or
+    whose endpoints are not all declared."""
     if " -> " not in line:
-        raise GraphFormatError(
-            "malformed-edge", f"edge line missing ' -> ' delimiter: {line!r}", lineno
-        )
+        return "malformed-edge", f"edge line missing ' -> ' delimiter: {line!r}"
     source, rest = line.split(" -> ", 1)
     if ": " not in rest:
-        raise GraphFormatError(
-            "malformed-edge", f"edge line missing ': ' delimiter: {line!r}", lineno
-        )
+        return "malformed-edge", f"edge line missing ': ' delimiter: {line!r}"
     target, relation = rest.split(": ", 1)
     if not is_node_id(source) or not is_node_id(target):
-        raise GraphFormatError(
-            "malformed-edge", f"invalid edge endpoint in {line!r}", lineno
-        )
-    if not relation:
-        raise GraphFormatError("malformed-edge", "empty edge relation", lineno)
-    return Edge(source, target, relation)
+        return "malformed-edge", f"invalid edge endpoint in {line!r}"
+    for endpoint in (source, target):
+        if endpoint not in nodes:
+            return "undeclared-node", f"edge references undeclared node {endpoint}"
+    return "malformed-edge", "empty edge relation"  # not left by trimming
 
 
-def _parse_body(lines: list[tuple[int, str]], header: str, stop_markers: tuple[str, ...]):
-    """Parse header + <NODES> + <EDGES> sections from trimmed lines.
+def scan(
+    text: str, header: str
+) -> tuple[dict[str, str], list[tuple[str, str, str]], float | None]:
+    """Validate a document of either format without building graph objects.
 
-    Returns (nodes, edges, remaining lines after a stop marker or exhaustion).
+    ``header`` is ``FULL_HEADER`` or ``EVIDENCE_HEADER``.  Returns the nodes
+    as an insertion-ordered ``{id: description}``, the edges as
+    ``(source, target, relation)`` triples, and the confidence (None for a
+    full graph).  Raises ``GraphFormatError`` naming the first offending line.
     """
-    if not lines or lines[0][1] != header:
-        lineno = lines[0][0] if lines else 1
-        raise GraphFormatError("missing-header", f"expected {header} header", lineno)
-    rest = lines[1:]
-    if not rest or rest[0][1] != NODES_MARKER:
-        lineno = rest[0][0] if rest else lines[0][0]
-        raise GraphFormatError(
-            "missing-section", f"expected {NODES_MARKER} section marker", lineno
-        )
-    rest = rest[1:]
+    evidence = header == EVIDENCE_HEADER
+    lines = [line for raw in text.split("\n") if (line := raw.strip())]
 
-    nodes: list[Node] = []
-    seen_ids: set[str] = set()
-    i = 0
-    while i < len(rest) and rest[i][1] != EDGES_MARKER:
-        lineno, line = rest[i]
-        if line in stop_markers or line == NODES_MARKER:
-            raise GraphFormatError(
-                "missing-section", f"expected {EDGES_MARKER} before {line}", lineno
-            )
-        node = _parse_node_line(line, lineno)
-        if node.id in seen_ids:
-            raise GraphFormatError(
-                "duplicate-node", f"duplicate node id {node.id}", lineno
-            )
-        seen_ids.add(node.id)
-        nodes.append(node)
-        i += 1
-    if i == len(rest):
-        raise GraphFormatError(
-            "missing-section",
+    if not lines or lines[0] != header:
+        raise _error(text, 0, "missing-header", f"expected {header} header")
+    if len(lines) < 2 or lines[1] != NODES_MARKER:
+        raise _error(
+            text, min(1, len(lines) - 1), "missing-section",
+            f"expected {NODES_MARKER} section marker",
+        )
+    try:
+        edges_at = lines.index(EDGES_MARKER, 2)
+    except ValueError:
+        edges_at = len(lines)
+    nodes: dict[str, str] = {}
+    for k in range(2, edges_at):
+        match = _NODE_LINE.fullmatch(lines[k])
+        if match is None or match[1] in nodes:
+            raise _error(text, k, *_node_line_error(lines[k], nodes, evidence))
+        nodes[match[1]] = match[2]
+    if edges_at == len(lines):  # at the last node line, or the header if there is none
+        raise _error(
+            text, edges_at - 1 if edges_at > 2 else 0, "missing-section",
             f"expected {EDGES_MARKER} section marker",
-            rest[-1][0] if rest else lines[0][0],
         )
-    i += 1  # skip <EDGES>
 
-    edges: list[Edge] = []
-    while i < len(rest) and rest[i][1] not in stop_markers:
-        lineno, line = rest[i]
-        edge = _parse_edge_line(line, lineno)
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in seen_ids:
-                raise GraphFormatError(
-                    "undeclared-node",
-                    f"edge references undeclared node {endpoint}",
-                    lineno,
-                )
-        edges.append(edge)
-        i += 1
-    return nodes, edges, rest[i:]
+    try:
+        end = lines.index(CONFIDENCE_MARKER, edges_at + 1) if evidence else len(lines)
+    except ValueError:
+        end = len(lines)
+    edges: list[tuple[str, str, str]] = []
+    for k in range(edges_at + 1, end):
+        match = _EDGE_LINE.fullmatch(lines[k])
+        if match is None or match[1] not in nodes or match[2] not in nodes:
+            raise _error(text, k, *_edge_line_error(lines[k], nodes))
+        edges.append(match.groups())
+    if not evidence:
+        return nodes, edges, None
+
+    if end == len(lines):
+        raise _error(text, end - 1, "missing-confidence", f"expected {CONFIDENCE_MARKER} section")
+    if end + 2 != len(lines):
+        raise _error(
+            text, end, "malformed-confidence", "expected exactly one confidence value line"
+        )
+    value_text = lines[-1]
+    try:
+        confidence = float(value_text)
+    except ValueError:
+        raise _error(
+            text, end + 1, "malformed-confidence", f"non-numeric confidence {value_text!r}"
+        ) from None
+    if not math.isfinite(confidence) or not 0.0 <= confidence <= 1.0:
+        raise _error(
+            text, end + 1, "confidence-range", f"confidence {value_text} outside [0, 1]"
+        )
+    return nodes, edges, confidence
+
+
+def _build(nodes: dict[str, str], edges: list[tuple[str, str, str]]) -> MemoryGraph:
+    return MemoryGraph(tuple(map(Node, nodes, nodes.values())), tuple(starmap(Edge, edges)))
 
 
 def parse_full_graph(text: str) -> MemoryGraph:
     """Parse a [FULL_GRAPH] document."""
-    lines = list(_iter_content_lines(text))
-    nodes, edges, trailing = _parse_body(lines, FULL_HEADER, stop_markers=())
-    if trailing:
-        raise GraphFormatError(
-            "trailing-content", f"unexpected content {trailing[0][1]!r}", trailing[0][0]
-        )
-    return MemoryGraph(tuple(nodes), tuple(edges))
+    nodes, edges, _ = scan(text, FULL_HEADER)
+    return _build(nodes, edges)
 
 
 def parse_evidence(text: str) -> EvidenceSubgraph:
     """Parse an [EVIDENCE_SUBGRAPH] document, including its [CONFIDENCE] section."""
-    lines = list(_iter_content_lines(text))
-    nodes, edges, trailing = _parse_body(
-        lines, EVIDENCE_HEADER, stop_markers=(CONFIDENCE_MARKER,)
-    )
-    if not trailing or trailing[0][1] != CONFIDENCE_MARKER:
-        lineno = lines[-1][0] if lines else 1
-        raise GraphFormatError(
-            "missing-confidence", f"expected {CONFIDENCE_MARKER} section", lineno
-        )
-    value_lines = trailing[1:]
-    if len(value_lines) != 1:
-        lineno = trailing[0][0]
-        raise GraphFormatError(
-            "malformed-confidence", "expected exactly one confidence value line", lineno
-        )
-    lineno, value_text = value_lines[0]
-    try:
-        confidence = float(value_text)
-    except ValueError:
-        raise GraphFormatError(
-            "malformed-confidence", f"non-numeric confidence {value_text!r}", lineno
-        ) from None
-    if not math.isfinite(confidence) or not 0.0 <= confidence <= 1.0:
-        raise GraphFormatError(
-            "confidence-range", f"confidence {value_text} outside [0, 1]", lineno
-        )
-    graph = MemoryGraph(tuple(nodes), tuple(edges))
-    return EvidenceSubgraph(graph, confidence)
+    nodes, edges, confidence = scan(text, EVIDENCE_HEADER)
+    return EvidenceSubgraph(_build(nodes, edges), confidence)
 
 
 def format_confidence(confidence: float) -> str:
@@ -306,6 +305,45 @@ def emit_evidence(sub: EvidenceSubgraph) -> str:
     return emit(sub.graph, "evidence", sub.confidence)
 
 
+def subset_violations(
+    sub_nodes: Iterable[tuple[str, str]],
+    sub_edges: Collection[tuple[str, str, str]],
+    full_nodes: dict[str, str],
+    full_edges: Iterable[tuple[str, str, str]],
+) -> list[Violation]:
+    """Every way the evidence nodes and edges fail to be a subset of a full graph.
+
+    Nodes are ``(id, description)`` pairs, edges ``(source, target,
+    relation)`` triples; ``full_nodes`` maps id to description and
+    ``full_edges`` must only join nodes in it.  Node violations come first,
+    each list in evidence order.
+    """
+    violations: list[Violation] = []
+    for node_id, description in sub_nodes:
+        known = full_nodes.get(node_id)
+        if known is None:
+            violations.append(Violation("unknown-node", f"{node_id}: {description}"))
+        elif known != description:
+            violations.append(Violation("description-mismatch", f"{node_id}: {description}"))
+    if not sub_edges:
+        return violations
+    full_triples = set(full_edges)
+    full_pairs = None
+    for edge in sub_edges:
+        if edge in full_triples:
+            continue
+        source, target, relation = edge
+        text = f"{source} -> {target}: {relation}"
+        if source not in full_nodes or target not in full_nodes:
+            violations.append(Violation("dangling-endpoint", text))
+            continue
+        if full_pairs is None:
+            full_pairs = {(s, t) for s, t, _ in full_triples}
+        kind = "relation-mismatch" if (source, target) in full_pairs else "unknown-edge"
+        violations.append(Violation(kind, text))
+    return violations
+
+
 def verify_subset(sub: EvidenceSubgraph, full: MemoryGraph) -> VerificationReport:
     """Check that ``sub`` is an exact node/edge subset of ``full``.
 
@@ -313,24 +351,11 @@ def verify_subset(sub: EvidenceSubgraph, full: MemoryGraph) -> VerificationRepor
     relation).  Comparison is exact string equality on the parsed
     (per-line trimmed) fields.  Violations are reported data, not errors.
     """
-    full_nodes = {n.id: n.description for n in full.nodes}
-    full_pairs: dict[tuple[str, str], set[str]] = {}
-    for e in full.edges:
-        full_pairs.setdefault((e.source, e.target), set()).add(e.relation)
-
-    violations: list[Violation] = []
-    for node in sub.graph.nodes:
-        text = f"{node.id}: {node.description}"
-        if node.id not in full_nodes:
-            violations.append(Violation("unknown-node", text))
-        elif full_nodes[node.id] != node.description:
-            violations.append(Violation("description-mismatch", text))
-    for edge in sub.graph.edges:
-        text = f"{edge.source} -> {edge.target}: {edge.relation}"
-        if edge.source not in full_nodes or edge.target not in full_nodes:
-            violations.append(Violation("dangling-endpoint", text))
-        elif (edge.source, edge.target) not in full_pairs:
-            violations.append(Violation("unknown-edge", text))
-        elif edge.relation not in full_pairs[(edge.source, edge.target)]:
-            violations.append(Violation("relation-mismatch", text))
-    return VerificationReport(tuple(violations))
+    return VerificationReport(
+        subset_violations(
+            [(n.id, n.description) for n in sub.graph.nodes],
+            [(e.source, e.target, e.relation) for e in sub.graph.edges],
+            {n.id: n.description for n in full.nodes},
+            ((e.source, e.target, e.relation) for e in full.edges),
+        )
+    )

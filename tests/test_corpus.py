@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memalign import corpus
+from memalign.cli import main
 from memalign.config import EngineConfig
 from memalign.corpus import (
     CorpusError,
@@ -19,8 +20,9 @@ from memalign.corpus import (
     save_corpus,
     visible_gold,
 )
-from memalign.graphs import verify_subset
+from memalign.graphs import GraphFormatError, MemoryGraph, verify_subset
 from memalign.pipeline import build_runtime, prepare_retriever_examples
+from util import reference_parse_evidence, reference_parse_full_graph, reference_verify_subset
 
 
 def test_generation_is_deterministic():
@@ -139,6 +141,18 @@ def test_load_rejects_subset_violations(tmp_path):
         ("segment_count", 0, "segment_count 0 is not a positive integer"),
         ("segment_count", None, "segment_count None is not a positive integer"),
         ("segment_count", 2.5, r"segment_count 2\.5 is not a positive integer"),
+        ("id", ["x"], "id is not a string"),
+        ("query", 7, "query is not a string"),
+        ("gold_answer", None, "gold_answer is not a string"),
+        ("full_graph_text", 5, "full_graph_text is not a string"),
+        ("gold_subgraph_text", None, "gold_subgraph_text is not a string"),
+        ("segment_count", True, "segment_count True is not a positive integer"),
+        pytest.param(
+            "content_vector", "5" * 64, "content_vector is not a list of numbers",
+            id="content_vector-digit-string",
+        ),
+        ("content_vector", ["0.5"] * 64, "content_vector is not a list of numbers"),
+        ("content_vector", [True] * 64, "content_vector is not a list of numbers"),
     ],
 )
 def test_load_rejects_unusable_records(tmp_path, field, value, message):
@@ -150,6 +164,69 @@ def test_load_rejects_unusable_records(tmp_path, field, value, message):
     path.write_text(good + "\n" + json.dumps(record) + "\n")
     with pytest.raises(CorpusError, match=f"line 2: {message}"):
         load_corpus(path, d_c=64)
+
+
+def test_wrongly_typed_corpus_is_a_validation_error(tmp_path):
+    record = json.loads(generate_synthetic_corpus(1, 1)[0].to_json())
+    record["full_graph_text"] = 5
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    assert main(["train-retriever", "--corpus", str(path), "--out", str(tmp_path)]) == 1
+
+
+def _reference_graph_error(record: dict) -> str | None:
+    """What validating the record's graph texts with the reference parser and
+    subset check reports, as a CorpusError message (None: the texts pass)."""
+    try:
+        full = reference_parse_full_graph(record["full_graph_text"])
+        sub = reference_parse_evidence(record["gold_subgraph_text"])
+    except GraphFormatError as exc:
+        return f"instance {record['id']!r}: invalid graph text ({exc})"
+    report = reference_verify_subset(sub, full)
+    if report.accepted:
+        return None
+    kinds = ", ".join(v.kind for v in report.violations)
+    return f"instance {record['id']!r}: gold subgraph fails subset verification ({kinds})"
+
+
+GOOD = generate_synthetic_corpus(1, 1, chain_range=(3, 3), extra_edges_range=(2, 2))[0]
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("full_graph_text", lambda t: ""),
+        ("full_graph_text", lambda t: t.replace("<EDGES>", "<NODES>")),
+        ("full_graph_text", lambda t: t.replace("N2:", "N1:", 1)),
+        ("full_graph_text", lambda t: t + "N1 -> N99: feeds\n"),
+        ("full_graph_text", lambda t: t.replace(" -> ", " -> N1 -> ", 1)),
+        ("full_graph_text", lambda t: t.replace("\n", "\r\n")),
+        ("full_graph_text", lambda t: t.replace("\n", "\n\n \t\n")),
+        ("gold_subgraph_text", lambda t: t.replace("[EVIDENCE_SUBGRAPH]", "[FULL_GRAPH]")),
+        ("gold_subgraph_text", lambda t: t.replace("[CONFIDENCE]\n0.9", "")),
+        ("gold_subgraph_text", lambda t: t.replace("0.9", "1.5")),
+        ("gold_subgraph_text", lambda t: t.replace("0.9", "0.9\n0.9")),
+        ("gold_subgraph_text", lambda t: t.replace("<EDGES>", "N99: ghost\n<EDGES>")),
+        ("gold_subgraph_text", lambda t: t.replace("N1: ", "N1: tampered ", 1)),
+        ("gold_subgraph_text", lambda t: t.replace("N1 -> N2: ", "N1 -> N2: tampered ", 1)),
+        ("gold_subgraph_text", lambda t: t.replace("N1 -> N2", "N2 -> N1", 1)),
+        ("gold_subgraph_text", lambda t: t.replace(
+            "<EDGES>", "N99: ghost\n<EDGES>\nN1 -> N99: feeds\nN3 -> N1: feeds")),
+        ("gold_subgraph_text", lambda t: t.replace("\n", "\r\n")),
+    ],
+)
+def test_load_reports_graph_errors_like_the_reference_parser(tmp_path, field, edit):
+    record = json.loads(GOOD.to_json())
+    record[field] = edit(record[field])
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    expected = _reference_graph_error(record)
+    if expected is None:
+        assert load_corpus(path)[0].full_graph_text == record["full_graph_text"]
+        return
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path)
+    assert str(err.value) == expected
 
 
 def test_missing_content_vector_is_generated(tmp_path):
@@ -235,3 +312,27 @@ def test_training_preparation_parses_each_graph_once(tmp_path, monkeypatch):
     # Every example of an instance holds the instance's one parse.
     by_id = {i.id: i for i in instances}
     assert all(e.full_graph is by_id[e.id.split("#")[0]].full_graph() for e in examples)
+
+
+def test_graph_objects_are_built_once_on_first_use(tmp_path, monkeypatch):
+    instances = generate_synthetic_corpus(6, 8)
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(instances, path)
+    expected = Counter(g for i in instances for g in (i.full_graph(), i.gold_subgraph().graph))
+    built = []
+    post_init = MemoryGraph.__post_init__
+
+    def counting(graph):
+        post_init(graph)
+        built.append(graph)
+
+    monkeypatch.setattr(MemoryGraph, "__post_init__", counting)
+    load_corpus(path)
+    assert built == []
+    config = tmp_path / "engine.cfg"
+    config.write_text("[engine]\nd_h = 64\n\n[distillation]\nEpochs = 1\n")
+    assert main([
+        "train-retriever", "--corpus", str(path), "--config", str(config),
+        "--out", str(tmp_path / "run"),
+    ]) == 0
+    assert Counter(built) == expected

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from memalign.graphs import (
+    EVIDENCE_HEADER,
     Edge,
     EvidenceSubgraph,
     GraphFormatError,
@@ -15,7 +16,12 @@ from memalign.graphs import (
     parse_full_graph,
     verify_subset,
 )
-from util import random_graph, random_subgraph
+from util import (
+    random_graph,
+    random_subgraph,
+    reference_parse_evidence,
+    reference_parse_full_graph,
+)
 
 FULL_DOC = (
     "[FULL_GRAPH]\n"
@@ -85,6 +91,9 @@ def test_confidence_not_clamped_in_constructor():
         EvidenceSubgraph(g, 1.0000001)
 
 
+FULL_3 = "[FULL_GRAPH]\n<NODES>\nN1: x\nN2: y\nN3: z\n<EDGES>\n"
+
+
 @pytest.mark.parametrize(
     "doc,kind",
     [
@@ -97,12 +106,74 @@ def test_confidence_not_clamped_in_constructor():
         ("[FULL_GRAPH]\n<NODES>\nN1: x\n<EDGES>\nN1 -> N2: r\n", "undeclared-node"),
         ("[FULL_GRAPH]\n<NODES>\nN1: x\n<EDGES>\nN1 N1: r\n", "malformed-edge"),
         ("[FULL_GRAPH]\n<NODES>\nN1: x\n<EDGES>\nN1 -> N1 r\n", "malformed-edge"),
+        # Lines where matching the line patterns in full and splitting on the
+        # first delimiter could disagree; None marks a document both accept.
+        (FULL_3 + "N1 -> N2 -> N3: r\n", "malformed-edge"),
+        (FULL_3 + "N1 -> N2:: r\n", "malformed-edge"),
+        (FULL_3 + "N1 ->N2: r\n", "malformed-edge"),
+        (FULL_3 + "N1  -> N2: r\n", "malformed-edge"),
+        (FULL_3 + "N1 -> N2 : r\n", "malformed-edge"),
+        (FULL_3 + "N1 -> N2: \n", "malformed-edge"),
+        (FULL_3 + "N1 -> N2:\tr\n", "malformed-edge"),
+        (FULL_3 + "N1 -> N4: r\n", "undeclared-node"),
+        (FULL_3 + "N1 -> N2: r -> N3: s\n", None),
+        (FULL_3 + "N1 -> N2: a: b: c\n", None),
+        (FULL_3 + "N1 -> N2: r\nN1 -> N2: r\n", None),
+        (FULL_3 + "<EDGES>\n", "malformed-edge"),
+        (FULL_3 + "[CONFIDENCE]\n0.5\n", "malformed-edge"),
+        ("[FULL_GRAPH]\n<NODES>\nN1: \n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1:\tx\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1:: x\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1 : x\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN01: x\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nn1: x\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1x: x\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1 -> N2: x\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1: a: b\nN2: c -> d\n<EDGES>\n", None),
+        ("[FULL_GRAPH]\n<NODES>\nN1: x\n[CONFIDENCE]\n<EDGES>\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\nN1: x\n<NODES>\n<EDGES>\n", "missing-section"),
+        ("[FULL_GRAPH]\r\n<NODES>\r\nN1: x\r\n<EDGES>\r\n", None),
+        ("[FULL_GRAPH]\r\n<NODES>\r\nN1 x\r\n<EDGES>\r\n", "malformed-node"),
+        ("[FULL_GRAPH]\n<NODES>\n\n \t\nN1 x\n", "malformed-node"),
+        ("\n \n", "missing-header"),
+        ("[FULL_GRAPH]\n", "missing-section"),
+        ("[FULL_GRAPH]\n<NODES>\n", "missing-section"),
+        ("[EVIDENCE_SUBGRAPH]\n<NODES>\nN1: x\n[CONFIDENCE]\n<EDGES>\n", "missing-section"),
+        ("[EVIDENCE_SUBGRAPH]\n<NODES>\nN1: x\n<NODES>\n<EDGES>\n", "missing-section"),
+        ("[EVIDENCE_SUBGRAPH]\n<NODES>\n<EDGES>\n[CONFIDENCE]\n", "malformed-confidence"),
+        ("[EVIDENCE_SUBGRAPH]\n<NODES>\n<EDGES>\n[CONFIDENCE]\n0.5\n0.5\n", "malformed-confidence"),
+        (
+            "[EVIDENCE_SUBGRAPH]\n<NODES>\n<EDGES>\n[CONFIDENCE]\n[CONFIDENCE]\n0.5\n",
+            "malformed-confidence",
+        ),
+        ("[EVIDENCE_SUBGRAPH]\r\n<NODES>\r\n<EDGES>\r\n[CONFIDENCE]\r\n0.5\r\n", None),
     ],
 )
 def test_malformed_documents(doc, kind):
+    parse, reference = (
+        (parse_evidence, reference_parse_evidence)
+        if doc.startswith(EVIDENCE_HEADER)
+        else (parse_full_graph, reference_parse_full_graph)
+    )
+    if kind is None:
+        assert parse(doc) == reference(doc)
+        return
     with pytest.raises(GraphFormatError) as err:
-        parse_full_graph(doc)
+        parse(doc)
     assert err.value.kind == kind
+    with pytest.raises(GraphFormatError) as expected:
+        reference(doc)
+    assert (err.value.kind, err.value.line, str(err.value)) == (
+        expected.value.kind, expected.value.line, str(expected.value)
+    )
+
+
+def test_graph_rejects_node_id_with_trailing_newline():
+    # An id must match the node pattern in full: "N1\n" would emit a node
+    # line that parses as a different document.
+    with pytest.raises(GraphFormatError) as err:
+        MemoryGraph((Node("N1\n", "x"),), ())
+    assert err.value.kind == "bad-node-id"
 
 
 def test_error_reports_line_number():

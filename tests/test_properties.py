@@ -3,21 +3,33 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from memalign.graphs import (
+    EVIDENCE_HEADER,
+    FULL_HEADER,
     Edge,
     EvidenceSubgraph,
+    GraphFormatError,
     MemoryGraph,
     Node,
     emit,
     emit_evidence,
     parse_evidence,
     parse_full_graph,
+    scan,
+    subset_violations,
     verify_subset,
 )
 from memalign.retriever import init_retriever
 from memalign.decoding import generate_subgraph
 from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
 from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
-from util import WORDS, RELATION_WORDS, mutate_subgraph
+from util import (
+    WORDS,
+    RELATION_WORDS,
+    mutate_subgraph,
+    reference_parse_evidence,
+    reference_parse_full_graph,
+    reference_verify_subset,
+)
 
 word = st.sampled_from(WORDS)
 phrase = st.lists(word, min_size=1, max_size=3).map(" ".join)
@@ -153,3 +165,103 @@ def test_decode_verifies_with_irregular_whitespace_and_reserved_words(full, seed
     if greedy:
         assert len(sub.graph.nodes) == len(full.nodes)
         assert len(sub.graph.edges) == len(full.edges)
+
+
+# -- the scanning parser against the reference parser ------------------------
+
+MARKERS = ("[FULL_GRAPH]", "[EVIDENCE_SUBGRAPH]", "<NODES>", "<EDGES>", "[CONFIDENCE]")
+BLANKS = ("", " ", "\t", " \t ", "\r", "\x0b")
+COLONS = (":", ":: ", ": : ", ":\t", " : ", ": ", ":  ")
+ARROWS = ("->", " ->", "-> ", " -> -> ", "  -> ", " => ", " -> ")
+IDS = ("N0", "N01", "n1", "N1x", "N", "N1:", "N1 ", "N2", "N9")
+CONFIDENCES = ("0.5", "1", "0", "1.0000001", "-0.1", "nan", "inf", "two", "0.5 0.5", "1e-3", "1_0")
+OTHER_LINES = ("N1: x: y", "N1 -> N2: r -> s", "N2 -> N1: r", "N1 -> N9: r", "N9 -> N1: r")
+MUTATIONS = ("blank", "pad", "crlf", "duplicate", "delete", "cut", "colon", "arrow", "id",
+             "marker", "second-confidence", "line")
+
+
+@st.composite
+def mutated_documents(draw):
+    """The document of a random graph, in either format, after a few line
+    mutations and possibly a truncation."""
+    graph = draw(graphs())
+    mode = draw(st.sampled_from(("full", "evidence")))
+    confidence = draw(st.integers(0, 100)) / 100.0 if mode == "evidence" else None
+    lines = emit(graph, mode, confidence).split("\n")
+    if mode == "evidence" and draw(st.booleans()):
+        lines[-2] = draw(st.sampled_from(CONFIDENCES))  # the value line
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        mutation = draw(st.sampled_from(MUTATIONS))
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if mutation == "blank":
+            lines.insert(i, draw(st.sampled_from(BLANKS)))
+        elif mutation == "pad":
+            lines[i] = draw(st.sampled_from(BLANKS)) + line + draw(st.sampled_from(BLANKS))
+        elif mutation == "crlf":
+            lines = [raw + "\r" for raw in lines]
+        elif mutation == "duplicate":
+            lines.insert(i, line)
+        elif mutation == "delete":
+            del lines[i]
+        elif mutation == "cut":
+            del lines[i:]
+        elif mutation == "colon":
+            lines[i] = line.replace(": ", draw(st.sampled_from(COLONS)), draw(st.integers(1, 2)))
+        elif mutation == "arrow":
+            lines[i] = line.replace(" -> ", draw(st.sampled_from(ARROWS)), 1)
+        elif mutation == "id":
+            lines[i] = line.replace(f"N{draw(st.integers(1, 3))}", draw(st.sampled_from(IDS)), 1)
+        elif mutation == "marker":
+            lines.insert(i, draw(st.sampled_from(MARKERS)))
+        elif mutation == "second-confidence":
+            lines.insert(i, draw(st.sampled_from(CONFIDENCES)))
+        else:  # a node or edge line of another document
+            lines.insert(i, draw(st.sampled_from(OTHER_LINES)))
+    text = "\n".join(lines)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return exc.kind, exc.line, str(exc)
+
+
+@given(mutated_documents())
+@settings(max_examples=500, deadline=None)
+def test_parsers_agree_with_reference_parser(text):
+    assert _outcome(parse_full_graph, text) == _outcome(reference_parse_full_graph, text)
+    assert _outcome(parse_evidence, text) == _outcome(reference_parse_evidence, text)
+
+
+@st.composite
+def mutated_subset_pairs(draw):
+    """A full graph and evidence that is a subset of it or mutated away from
+    one, or drawn independently."""
+    full, sub = draw(subset_pairs())
+    if draw(st.booleans()):
+        return full, EvidenceSubgraph(draw(graphs()), sub.confidence)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        if sub.graph.nodes:
+            sub, _ = mutate_subgraph(sub, full, rng)
+    return full, sub
+
+
+@given(mutated_subset_pairs())
+@settings(max_examples=300, deadline=None)
+def test_subset_check_agrees_with_reference(pair):
+    full, sub = pair
+    expected = reference_verify_subset(sub, full)
+    assert verify_subset(sub, full) == expected
+    # The corpus loader's path: the same check over scanned documents.
+    full_nodes, full_edges, _ = scan(emit(full), FULL_HEADER)
+    sub_nodes, sub_edges, _ = scan(emit_evidence(sub), EVIDENCE_HEADER)
+    violations = subset_violations(sub_nodes.items(), sub_edges, full_nodes, full_edges)
+    assert tuple(violations) == expected.violations

@@ -1,14 +1,29 @@
 """Shared test helpers: random graph generation, a scan-based reference
-constraint engine, a one-request reference decoder and finite differences."""
+constraint engine, a one-request reference decoder, finite differences and
+the reference graph parser and subset check."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
 from memalign.decoding import ConstraintEngine, DecodeError
-from memalign.graphs import Edge, EvidenceSubgraph, MemoryGraph, Node
+from memalign.graphs import (
+    CONFIDENCE_MARKER,
+    EDGES_MARKER,
+    EVIDENCE_HEADER,
+    FULL_HEADER,
+    NODES_MARKER,
+    Edge,
+    EvidenceSubgraph,
+    GraphFormatError,
+    MemoryGraph,
+    Node,
+    VerificationReport,
+    Violation,
+)
 from memalign.retriever import RetrieverModel, _sigmoid
 from memalign.tokenization import (
     GraphTokenSequence,
@@ -316,3 +331,187 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     if den == 0.0:
         return 0.0
     return float(num / den)
+
+
+# -- reference graph parser ------------------------------------------------
+# The line-splitting parser and subset check that memalign.graphs replaced with
+# one compiled scan, kept verbatim as the oracle the scanner is tested against.
+
+_REFERENCE_NODE_ID_RE = re.compile(r"^N[1-9][0-9]*$")
+
+
+def _reference_is_node_id(value: str) -> bool:
+    return bool(_REFERENCE_NODE_ID_RE.match(value))
+
+
+def _iter_content_lines(text: str):
+    """Yield (1-based line number, trimmed line), skipping blanks."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_node_line(line: str, lineno: int) -> Node:
+    if ": " not in line:
+        raise GraphFormatError(
+            "malformed-node", f"node line missing ': ' delimiter: {line!r}", lineno
+        )
+    node_id, description = line.split(": ", 1)
+    if not _reference_is_node_id(node_id):
+        raise GraphFormatError(
+            "malformed-node", f"invalid node id {node_id!r}", lineno
+        )
+    if not description:
+        raise GraphFormatError("malformed-node", "empty node description", lineno)
+    return Node(node_id, description)
+
+
+def _parse_edge_line(line: str, lineno: int) -> Edge:
+    if " -> " not in line:
+        raise GraphFormatError(
+            "malformed-edge", f"edge line missing ' -> ' delimiter: {line!r}", lineno
+        )
+    source, rest = line.split(" -> ", 1)
+    if ": " not in rest:
+        raise GraphFormatError(
+            "malformed-edge", f"edge line missing ': ' delimiter: {line!r}", lineno
+        )
+    target, relation = rest.split(": ", 1)
+    if not _reference_is_node_id(source) or not _reference_is_node_id(target):
+        raise GraphFormatError(
+            "malformed-edge", f"invalid edge endpoint in {line!r}", lineno
+        )
+    if not relation:
+        raise GraphFormatError("malformed-edge", "empty edge relation", lineno)
+    return Edge(source, target, relation)
+
+
+def _parse_body(lines: list[tuple[int, str]], header: str, stop_markers: tuple[str, ...]):
+    """Parse header + <NODES> + <EDGES> sections from trimmed lines.
+
+    Returns (nodes, edges, remaining lines after a stop marker or exhaustion).
+    """
+    if not lines or lines[0][1] != header:
+        lineno = lines[0][0] if lines else 1
+        raise GraphFormatError("missing-header", f"expected {header} header", lineno)
+    rest = lines[1:]
+    if not rest or rest[0][1] != NODES_MARKER:
+        lineno = rest[0][0] if rest else lines[0][0]
+        raise GraphFormatError(
+            "missing-section", f"expected {NODES_MARKER} section marker", lineno
+        )
+    rest = rest[1:]
+
+    nodes: list[Node] = []
+    seen_ids: set[str] = set()
+    i = 0
+    while i < len(rest) and rest[i][1] != EDGES_MARKER:
+        lineno, line = rest[i]
+        if line in stop_markers or line == NODES_MARKER:
+            raise GraphFormatError(
+                "missing-section", f"expected {EDGES_MARKER} before {line}", lineno
+            )
+        node = _parse_node_line(line, lineno)
+        if node.id in seen_ids:
+            raise GraphFormatError(
+                "duplicate-node", f"duplicate node id {node.id}", lineno
+            )
+        seen_ids.add(node.id)
+        nodes.append(node)
+        i += 1
+    if i == len(rest):
+        raise GraphFormatError(
+            "missing-section",
+            f"expected {EDGES_MARKER} section marker",
+            rest[-1][0] if rest else lines[0][0],
+        )
+    i += 1  # skip <EDGES>
+
+    edges: list[Edge] = []
+    while i < len(rest) and rest[i][1] not in stop_markers:
+        lineno, line = rest[i]
+        edge = _parse_edge_line(line, lineno)
+        for endpoint in (edge.source, edge.target):
+            if endpoint not in seen_ids:
+                raise GraphFormatError(
+                    "undeclared-node",
+                    f"edge references undeclared node {endpoint}",
+                    lineno,
+                )
+        edges.append(edge)
+        i += 1
+    return nodes, edges, rest[i:]
+
+
+def reference_parse_full_graph(text: str) -> MemoryGraph:
+    """Parse a [FULL_GRAPH] document."""
+    lines = list(_iter_content_lines(text))
+    nodes, edges, trailing = _parse_body(lines, FULL_HEADER, stop_markers=())
+    if trailing:
+        raise GraphFormatError(
+            "trailing-content", f"unexpected content {trailing[0][1]!r}", trailing[0][0]
+        )
+    return MemoryGraph(tuple(nodes), tuple(edges))
+
+
+def reference_parse_evidence(text: str) -> EvidenceSubgraph:
+    """Parse an [EVIDENCE_SUBGRAPH] document, including its [CONFIDENCE] section."""
+    lines = list(_iter_content_lines(text))
+    nodes, edges, trailing = _parse_body(
+        lines, EVIDENCE_HEADER, stop_markers=(CONFIDENCE_MARKER,)
+    )
+    if not trailing or trailing[0][1] != CONFIDENCE_MARKER:
+        lineno = lines[-1][0] if lines else 1
+        raise GraphFormatError(
+            "missing-confidence", f"expected {CONFIDENCE_MARKER} section", lineno
+        )
+    value_lines = trailing[1:]
+    if len(value_lines) != 1:
+        lineno = trailing[0][0]
+        raise GraphFormatError(
+            "malformed-confidence", "expected exactly one confidence value line", lineno
+        )
+    lineno, value_text = value_lines[0]
+    try:
+        confidence = float(value_text)
+    except ValueError:
+        raise GraphFormatError(
+            "malformed-confidence", f"non-numeric confidence {value_text!r}", lineno
+        ) from None
+    if not math.isfinite(confidence) or not 0.0 <= confidence <= 1.0:
+        raise GraphFormatError(
+            "confidence-range", f"confidence {value_text} outside [0, 1]", lineno
+        )
+    graph = MemoryGraph(tuple(nodes), tuple(edges))
+    return EvidenceSubgraph(graph, confidence)
+
+
+def reference_verify_subset(sub: EvidenceSubgraph, full: MemoryGraph) -> VerificationReport:
+    """Check that ``sub`` is an exact node/edge subset of ``full``.
+
+    Nodes must match on id and description; edges on (source, target,
+    relation).  Comparison is exact string equality on the parsed
+    (per-line trimmed) fields.  Violations are reported data, not errors.
+    """
+    full_nodes = {n.id: n.description for n in full.nodes}
+    full_pairs: dict[tuple[str, str], set[str]] = {}
+    for e in full.edges:
+        full_pairs.setdefault((e.source, e.target), set()).add(e.relation)
+
+    violations: list[Violation] = []
+    for node in sub.graph.nodes:
+        text = f"{node.id}: {node.description}"
+        if node.id not in full_nodes:
+            violations.append(Violation("unknown-node", text))
+        elif full_nodes[node.id] != node.description:
+            violations.append(Violation("description-mismatch", text))
+    for edge in sub.graph.edges:
+        text = f"{edge.source} -> {edge.target}: {edge.relation}"
+        if edge.source not in full_nodes or edge.target not in full_nodes:
+            violations.append(Violation("dangling-endpoint", text))
+        elif (edge.source, edge.target) not in full_pairs:
+            violations.append(Violation("unknown-edge", text))
+        elif edge.relation not in full_pairs[(edge.source, edge.target)]:
+            violations.append(Violation("relation-mismatch", text))
+    return VerificationReport(tuple(violations))
