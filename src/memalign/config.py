@@ -71,7 +71,6 @@ _DISTILL_KEYS = {
     "Learning rate": ("learning_rate", float),
     "Weight decay": ("weight_decay", float),
     "Warmup": ("warmup_ratio", float),
-    "Max input length": ("max_input_tokens", int),
     "Max output length": ("max_output_tokens", int),
     "KL weight": ("kl_weight", float),
     "KL temperature": ("kl_temperature", float),

@@ -146,7 +146,9 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     text = Path(path).read_text(encoding="utf-8")
     instances: list[CorpusInstance] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw, and
+    # str.splitlines() would break lines at them.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -231,14 +233,16 @@ def coverage_mask(side: int, fraction: float, segment_count: int) -> set[int]:
     """Visible segments for one paradigm side at a coverage fraction.
 
     Side 0 covers the first half of the segments, side 1 the second; a
-    fraction selects the leading slots of that half.
+    fraction in [0, 1] selects the leading slots of that half.
     """
     if side not in (0, 1):
         raise CorpusError("side must be 0 or 1")
+    if not 0.0 <= fraction <= 1.0:
+        raise CorpusError(f"coverage fraction {fraction} outside [0, 1]")
     half = segment_count // 2
     visible = math.ceil(fraction * half)
     start = side * half
-    return set(range(start, start + min(visible, half)))
+    return set(range(start, start + visible))
 
 
 def visible_gold(

@@ -102,10 +102,6 @@ class MemoryGraph:
                     f"invalid relation on edge {edge.source} -> {edge.target}",
                 )
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
 
 @dataclass(frozen=True)
 class EvidenceSubgraph:

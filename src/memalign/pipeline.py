@@ -3,7 +3,7 @@ evaluation, and checkpoint packing for modules and retriever models."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -368,15 +368,36 @@ def module_from_sections(
         raise CheckpointError(f"missing checkpoint section {exc}") from exc
 
 
+# A retriever checkpoint stores each gate's parameters as its own section,
+# in this order; the model keeps them stacked as [z gate; c gate].
+_GATE_SECTIONS = (
+    ("w_in", ("wz", "wc")),
+    ("u_rec", ("uz", "uc")),
+    ("b_in", ("bz", "bc")),
+)
+_RETRIEVER_SECTIONS = (
+    "emb", "cond_weight", "cond_bias", "wz", "uz", "bz", "wc", "uc", "bc",
+    "out_weight", "out_bias",
+)
+
+
 def retriever_sections(model: RetrieverModel, prefix: str = "retriever") -> dict[str, np.ndarray]:
-    return {f"{prefix}/{k}": v for k, v in model.parameters().items()}
+    params = model.parameters()
+    for stacked, halves in _GATE_SECTIONS:
+        params.update(zip(halves, np.split(params.pop(stacked), 2)))
+    return {f"{prefix}/{name}": params[name] for name in _RETRIEVER_SECTIONS}
 
 
 def retriever_from_sections(
     sections: dict[str, np.ndarray], prefix: str = "retriever"
 ) -> RetrieverModel:
     try:
-        params = {f.name: sections[f"{prefix}/{f.name}"] for f in fields(RetrieverModel)}
+        params = {name: sections[f"{prefix}/{name}"] for name in _RETRIEVER_SECTIONS}
     except KeyError as exc:
         raise CheckpointError(f"missing checkpoint section {exc}") from exc
+    for stacked, halves in _GATE_SECTIONS:
+        z, c = (params.pop(half) for half in halves)
+        if z.shape != c.shape:
+            raise CheckpointError(f"sections {halves[0]!r} and {halves[1]!r} differ in shape")
+        params[stacked] = np.concatenate([z, c])
     return RetrieverModel(**params)

@@ -74,17 +74,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
-# Gate array -> (fused array, half): wz is the first d_m rows of w_in.
-_GATE_VIEWS = {
-    "wz": ("w_in", 0),
-    "wc": ("w_in", 1),
-    "uz": ("u_rec", 0),
-    "uc": ("u_rec", 1),
-    "bz": ("b_in", 0),
-    "bc": ("b_in", 1),
-}
-
-
 @dataclass
 class RetrieverModel:
     """Single-layer gated recurrence decoder over the graph vocabulary.
@@ -97,65 +86,38 @@ class RetrieverModel:
         s' = (1 - z) * s + z * c
         logits = Wo s' + bo
 
-    The gate parameters live in three fused arrays, ``w_in`` = [Wz; Wc],
-    ``u_rec`` = [Uz; Uc] and ``b_in`` = [bz; bc]; ``wz`` … ``bc`` are row
-    views of them, and assigning one writes into its fused array.
+    The gate parameters are stored stacked, ``w_in`` = [Wz; Wc],
+    ``u_rec`` = [Uz; Uc] and ``b_in`` = [bz; bc]; the first d_m rows of
+    each belong to the update gate z, the last d_m to the candidate c.
     """
 
     emb: np.ndarray  # V x d_m token embeddings
     cond_weight: np.ndarray  # d_m x (d_q + d_s)
     cond_bias: np.ndarray
-    wz: np.ndarray
-    uz: np.ndarray
-    bz: np.ndarray
-    wc: np.ndarray
-    uc: np.ndarray
-    bc: np.ndarray
+    w_in: np.ndarray  # 2 d_m x d_m
+    u_rec: np.ndarray  # 2 d_m x d_m
+    b_in: np.ndarray  # 2 d_m
     out_weight: np.ndarray  # V x d_m
     out_bias: np.ndarray
 
     def __post_init__(self):
+        # C order, so that the (2, d_m, d_m) gate reshapes are views and
+        # AdamW can update every parameter in place.
         for name, value in self.parameters().items():
-            # The gate arrays become float64 as they are fused below, so
-            # no float64 copy of them outlives construction.
-            dtype = None if name in _GATE_VIEWS else np.float64
-            setattr(self, name, np.asarray(value, dtype=dtype))
+            setattr(self, name, np.ascontiguousarray(value, dtype=np.float64))
         v, d_m = self.emb.shape
         if self.out_weight.shape != (v, d_m) or self.out_bias.shape != (v,):
             raise RetrieverError("inconsistent output head shapes")
-        for w in (self.wz, self.uz, self.wc, self.uc):
-            if w.shape != (d_m, d_m):
+        for w in (self.w_in, self.u_rec):
+            if w.shape != (2 * d_m, d_m):
                 raise RetrieverError("inconsistent recurrence shapes")
-        for b in (self.bz, self.bc, self.cond_bias):
-            if b.shape != (d_m,):
-                raise RetrieverError("inconsistent bias shapes")
+        if self.b_in.shape != (2 * d_m,) or self.cond_bias.shape != (d_m,):
+            raise RetrieverError("inconsistent bias shapes")
         if self.cond_weight.shape[0] != d_m:
             raise RetrieverError("inconsistent conditioning projection shape")
-        # The gate parameters are stored fused as [wz; wc], [uz; uc] and
-        # [bz; bc]; the six named arrays become row views of them, so
-        # parameters(), checkpoints and in-place optimizer updates see one
-        # storage.  Decoding multiplies by (2, d_m, d_m) views, one matvec
-        # per gate.
-        self.w_in = np.concatenate([self.wz, self.wc], dtype=np.float64)
-        self.u_rec = np.concatenate([self.uz, self.uc], dtype=np.float64)
-        self.b_in = np.concatenate([self.bz, self.bc], dtype=np.float64)
-        for name, (fused, half) in _GATE_VIEWS.items():
-            view = getattr(self, fused)[half * d_m : (half + 1) * d_m]
-            object.__setattr__(self, name, view)
-        self._w_gates = self.w_in.reshape(2, d_m, d_m)
-        self._u_gates = self.u_rec.reshape(2, d_m, d_m)
 
     def __setattr__(self, name, value):
-        # Once the fused arrays exist, assigning a gate array writes its
-        # values into them instead of rebinding the name.
-        if name in _GATE_VIEWS and "b_in" in self.__dict__:
-            view = getattr(self, name)
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != view.shape:
-                raise RetrieverError(f"{name} must have shape {view.shape}")
-            view[...] = value
-        else:
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, name, value)
         self.drop_projections()
 
     @property
@@ -175,12 +137,9 @@ class RetrieverModel:
             "emb": self.emb,
             "cond_weight": self.cond_weight,
             "cond_bias": self.cond_bias,
-            "wz": self.wz,
-            "uz": self.uz,
-            "bz": self.bz,
-            "wc": self.wc,
-            "uc": self.uc,
-            "bc": self.bc,
+            "w_in": self.w_in,
+            "u_rec": self.u_rec,
+            "b_in": self.b_in,
             "out_weight": self.out_weight,
             "out_bias": self.out_bias,
         }
@@ -189,10 +148,7 @@ class RetrieverModel:
         return sum(p.size for p in self.parameters().values())
 
     def copy(self) -> "RetrieverModel":
-        # Fusing copies the gate arrays, so they are passed as they are.
-        return RetrieverModel(
-            **{k: v if k in _GATE_VIEWS else v.copy() for k, v in self.parameters().items()}
-        )
+        return RetrieverModel(**{k: v.copy() for k, v in self.parameters().items()})
 
     # -- forward passes -------------------------------------------------
 
@@ -206,18 +162,19 @@ class RetrieverModel:
 
     # Decoding runs every matvec as one BLAS gemv per row and per gate,
     # as np.matmul does over a stack: a gemm over the rows, or one gemv
-    # over [wz; wc], rounds differently, so batching would change outputs.
+    # over [Wz; Wc], rounds differently, so batching would change outputs.
 
     def input_projection(self, token: int) -> np.ndarray:
         """[Wz x; Wc x] for the embedding x of one input token."""
         if not 0 <= token < self.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
-        return np.matmul(self._w_gates, self.emb[token]).reshape(-1)
+        gates = self.w_in.reshape(2, self.d_m, self.d_m)
+        return np.matmul(gates, self.emb[token]).reshape(-1)
 
     # The projection table: a (V, 2 d_m) array whose row t, once filled,
     # is input_projection(t), and the set of filled rows.  It is kept
     # across decodes; assigning any attribute drops it, and so must a
-    # caller that changes emb or the gate arrays in place (train_retriever
+    # caller that changes emb or w_in in place (train_retriever
     # does after each optimizer step).  copy() and checkpoint loading
     # start without one, and it is never serialized.
 
@@ -239,11 +196,12 @@ class RetrieverModel:
         """One recurrence step of each row of a (B, d_m) state batch, given
         the rows' input projections (B, 2 d_m)."""
         batch, d_m = states.shape
+        gates = self.u_rec.reshape(2, d_m, d_m)
         if batch == 1:
             # The same gemv per gate, without the overhead of a stack.
-            pre = np.matmul(self._u_gates, states[0]).reshape(x_proj.shape)
+            pre = np.matmul(gates, states[0]).reshape(x_proj.shape)
         else:
-            pre = np.matmul(self._u_gates, states[:, None, :, None]).reshape(x_proj.shape)
+            pre = np.matmul(gates, states[:, None, :, None]).reshape(x_proj.shape)
         pre += x_proj  # U s + W x is W x + U s: addition commutes exactly
         pre += self.b_in
         z = _sigmoid(pre[:, :d_m])
@@ -281,16 +239,18 @@ def init_retriever(
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
+    emb = uniform((vocab_size, d_m), d_m)
+    cond_weight = uniform((d_m, d_q + d_s), d_q + d_s)
+    # The gate matrices are drawn in the order wz, uz, wc, uc, which fixes
+    # the weights each seed gives.
+    wz, uz, wc, uc = (uniform((d_m, d_m), d_m) for _ in range(4))
     return RetrieverModel(
-        emb=uniform((vocab_size, d_m), d_m),
-        cond_weight=uniform((d_m, d_q + d_s), d_q + d_s),
+        emb=emb,
+        cond_weight=cond_weight,
         cond_bias=np.zeros(d_m),
-        wz=uniform((d_m, d_m), d_m),
-        uz=uniform((d_m, d_m), d_m),
-        bz=np.zeros(d_m),
-        wc=uniform((d_m, d_m), d_m),
-        uc=uniform((d_m, d_m), d_m),
-        bc=np.zeros(d_m),
+        w_in=np.concatenate([wz, wc]),
+        u_rec=np.concatenate([uz, uc]),
+        b_in=np.zeros(2 * d_m),
         out_weight=uniform((vocab_size, d_m), d_m),
         out_bias=np.zeros(vocab_size),
     )
@@ -408,12 +368,9 @@ def sequence_backward(
         d_state = d_s_new * carry[t] + d_pre[t].reshape(batch, 2 * d_m) @ u_rec
 
     flat_pre = d_pre.reshape(steps * batch, 2 * d_m)
-    d_w_in = flat_pre.T @ cache.xs.reshape(steps * batch, d_m)
-    d_u = flat_pre.T @ cache.states[:-1].reshape(steps * batch, d_m)
-    d_b = flat_pre.sum(axis=0)
-    grads["wz"], grads["wc"] = d_w_in[:d_m], d_w_in[d_m:]
-    grads["uz"], grads["uc"] = d_u[:d_m], d_u[d_m:]
-    grads["bz"], grads["bc"] = d_b[:d_m], d_b[d_m:]
+    grads["w_in"] = flat_pre.T @ cache.xs.reshape(steps * batch, d_m)
+    grads["u_rec"] = flat_pre.T @ cache.states[:-1].reshape(steps * batch, d_m)
+    grads["b_in"] = flat_pre.sum(axis=0)
     # Each step's input gradient summed into its token's row: one bincount
     # over (token, column) bins makes np.add.at's additions in its order.
     d_xs = flat_pre @ model.w_in
@@ -464,7 +421,6 @@ class DistillConfig:
     weight_decay: float = 0.01
     warmup_ratio: float = 0.05
     batch_size: int = 4
-    max_input_tokens: int = 4096
     max_output_tokens: int = 512
     seed: int = 42
 

@@ -132,3 +132,38 @@ def test_train_align_rejects_anchor(tmp_path):
         "--out", str(tmp_path),
     ])
     assert code == 1
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """Checkpoints of a one-epoch run over six instances, for the serving
+    stages."""
+    out = tmp_path_factory.mktemp("served")
+    cfg = out / "engine.cfg"
+    cfg.write_text(
+        "[alignment]\nBatch size = 4\nEpochs = 1\nNegative sample size = 2\nHoldout = 0\n\n"
+        "[distillation]\nEpochs = 1\nPer-device batch size = 6\n"
+    )
+    corpus = out / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(6, 42), corpus)
+    common = ["--corpus", str(corpus), "--config", str(cfg), "--out", str(out)]
+    assert main(["train-retriever", *common]) == 0
+    for paradigm in ("explicit-sim", "latent-sim"):
+        assert main(["train-align", "--paradigm", paradigm, *common]) == 0
+    return ["--corpus", str(corpus), "--config", str(cfg), "--checkpoints", str(out)]
+
+
+@pytest.mark.parametrize("level", ["-0.5", "1.5", "nan"])
+def test_coverage_level_outside_unit_interval_is_rejected(served, tmp_path, capsys, level):
+    stages = {
+        "retrieved.jsonl": ["retrieve", "--paradigm", "explicit-sim", "--side", "0"],
+        "fused_retrieved.jsonl": ["fuse-retrieve"],
+    }
+    for name, stage in stages.items():
+        argv = [*stage, *served, "--out", str(tmp_path)]
+        assert main([*argv, "--coverage-level", "0.5"]) == 0
+        (tmp_path / name).unlink()
+        capsys.readouterr()
+        assert main([*argv, "--coverage-level", level]) == 1
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()

@@ -83,6 +83,7 @@ def test_paradigm_section(tmp_path):
     "body,match",
     [
         ("[engine]\nbogus = 1\n", "unknown configuration key"),
+        ("[distillation]\nMax input length = 4096\n", "unknown configuration key"),
         ("[mystery]\nx = 1\n", "unknown configuration section"),
         ("[engine]\nseed = seven\n", "invalid value"),
         ("[paradigms]\np = 16\n", "expects"),

@@ -1,4 +1,5 @@
 """Synthetic corpus generation and JSONL ingestion."""
+import dataclasses
 import json
 from collections import Counter
 
@@ -107,6 +108,29 @@ def test_load_reports_line_numbers(tmp_path):
         load_corpus(path)
     good = generate_synthetic_corpus(1, 1)[0].to_json()
     path.write_text(good + "\nnot json\n")
+    with pytest.raises(CorpusError, match="line 2: malformed JSON"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_load_keeps_unicode_line_separators_inside_strings(tmp_path, separator):
+    instances = [
+        dataclasses.replace(inst, query=f"where{separator}is the harbor")
+        for inst in generate_synthetic_corpus(3, 5)
+    ]
+    path = tmp_path / "c.jsonl"
+    lines = [json.dumps(json.loads(inst.to_json()), ensure_ascii=False) for inst in instances]
+    assert all(separator in line for line in lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_corpus(path) == instances
+
+
+def test_load_reads_crlf_files(tmp_path):
+    instances = generate_synthetic_corpus(3, 6)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(corpus_to_jsonl(instances).replace("\n", "\r\n").encode("utf-8"))
+    assert load_corpus(path) == instances
+    path.write_bytes(b"\r\n".join([instances[0].to_json().encode(), b"not json", b""]))
     with pytest.raises(CorpusError, match="line 2: malformed JSON"):
         load_corpus(path)
 
@@ -255,6 +279,10 @@ def test_coverage_mask_fractions():
     assert coverage_mask(1, 0.5, 8) == {4, 5}
     with pytest.raises(CorpusError):
         coverage_mask(2, 0.5, 8)
+    assert coverage_mask(1, 0.0, 8) == set()
+    for fraction in (-0.5, -1e-12, 1.0 + 1e-12, 1.5, float("nan"), float("inf")):
+        with pytest.raises(CorpusError, match="outside \\[0, 1\\]"):
+            coverage_mask(0, fraction, 8)
 
 
 def test_visible_gold_restricts_chain():

@@ -380,7 +380,7 @@ def test_assigning_a_parameter_drops_the_projection_table():
     model = init_retriever(len(vocab), 8, 4, 3, seed=10)
     requests = requests_for(graphs, rng)
     before = decode_many(model, vocab, requests)  # fills the table
-    for name in ("emb", "wz", "out_weight"):
+    for name in ("emb", "w_in", "u_rec", "out_weight"):
         value = getattr(model, name)
         setattr(model, name, value + rng.standard_normal(value.shape))
         after = decode_many(model, vocab, requests)

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from memalign.checkpoint import save_checkpoint
+from memalign.checkpoint import CheckpointError, save_checkpoint
 from memalign.graphs import parse_evidence, parse_full_graph
-from memalign.pipeline import retriever_sections
+from memalign.pipeline import retriever_from_sections, retriever_sections
 from memalign.retriever import (
     DistillConfig,
     QueryEmbedder,
@@ -25,7 +25,7 @@ from memalign.retriever import (
 )
 from memalign.seeding import fnv1a64
 from memalign.vocab import BOS, EOS, build_vocabulary
-from util import central_difference, relative_error
+from util import central_difference, gate_parameters, relative_error
 
 
 def small_model(vocab_size=14, d_m=6, d_q=3, d_s=2, seed=0):
@@ -304,66 +304,24 @@ def test_distill_config_validation():
         DistillConfig(teacher_epsilon=1.0)
 
 
-GATE_VIEWS = {
-    "wz": ("w_in", 0), "wc": ("w_in", 1),
-    "uz": ("u_rec", 0), "uc": ("u_rec", 1),
-    "bz": ("b_in", 0), "bc": ("b_in", 1),
-}
-
-
-def assert_gates_alias_fused(model):
-    d_m = model.d_m
-    params = model.parameters()
-    for name, (fused, half) in GATE_VIEWS.items():
-        storage = getattr(model, fused)
-        assert storage.flags["C_CONTIGUOUS"] and storage.shape[0] == 2 * d_m
-        view = params[name]
-        assert view.base is storage and np.shares_memory(view, storage), name
-        np.testing.assert_array_equal(view, storage[half * d_m : (half + 1) * d_m])
-
-
-def test_gate_arrays_alias_fused_storage_after_training():
-    corpus, vocab = _tiny_corpus()
-    model = init_retriever(len(vocab), 8, 16, 2, seed=0)
-    config = DistillConfig(epochs=3, learning_rate=5e-3, batch_size=1)
-    trained, _ = train_retriever(model, corpus, vocab, QueryEmbedder(16, 0), config)
-    assert_gates_alias_fused(trained)
-    assert not np.array_equal(trained.w_in, model.w_in)  # training moved them
-
-
-def test_copy_owns_its_fused_storage():
-    model = small_model()
-    clone = model.copy()
-    assert_gates_alias_fused(clone)
-    for fused in ("w_in", "u_rec", "b_in"):
-        assert not np.shares_memory(getattr(clone, fused), getattr(model, fused))
-    clone.wz[0, 0] += 1.0
-    assert clone.w_in[0, 0] == model.w_in[0, 0] + 1.0
-
-
-def test_assigning_a_gate_array_writes_into_fused_storage():
-    model = small_model()
-    value = np.arange(36.0).reshape(6, 6)
-    model.uc = value
-    value[0, 0] = -1.0  # the model keeps its own copy
-    assert_gates_alias_fused(model)
-    np.testing.assert_array_equal(model.u_rec[6:], np.arange(36.0).reshape(6, 6))
-    with pytest.raises(RetrieverError, match="shape"):
-        model.bz = np.zeros(5)
-
-
 def test_checkpoint_bytes_match_separately_stored_arrays(tmp_path):
     model = small_model()
-    separate = {k: np.array(v) for k, v in model.parameters().items()}
-    save_checkpoint(retriever_sections(model), tmp_path / "fused.ckpt")
-    save_checkpoint(
-        {f"retriever/{k}": v for k, v in separate.items()}, tmp_path / "separate.ckpt"
-    )
-    rebuilt = RetrieverModel(**separate)
+    wz, wc, uz, uc, bz, bc = gate_parameters(model)
+    separate = {
+        "emb": model.emb, "cond_weight": model.cond_weight, "cond_bias": model.cond_bias,
+        "wz": wz, "uz": uz, "bz": bz, "wc": wc, "uc": uc, "bc": bc,
+        "out_weight": model.out_weight, "out_bias": model.out_bias,
+    }
+    sections = {f"retriever/{k}": np.array(v) for k, v in separate.items()}
+    save_checkpoint(retriever_sections(model), tmp_path / "stacked.ckpt")
+    save_checkpoint(sections, tmp_path / "separate.ckpt")
+    rebuilt = retriever_from_sections(sections)
     save_checkpoint(retriever_sections(rebuilt), tmp_path / "rebuilt.ckpt")
-    fused = (tmp_path / "fused.ckpt").read_bytes()
-    assert fused == (tmp_path / "separate.ckpt").read_bytes()
-    assert fused == (tmp_path / "rebuilt.ckpt").read_bytes()
+    stacked = (tmp_path / "stacked.ckpt").read_bytes()
+    assert stacked == (tmp_path / "separate.ckpt").read_bytes()
+    assert stacked == (tmp_path / "rebuilt.ckpt").read_bytes()
+    with pytest.raises(CheckpointError, match="'wz' and 'wc' differ in shape"):
+        retriever_from_sections({**sections, "retriever/wz": np.zeros((5, 6))})
 
 
 def test_stacked_recurrence_equals_per_gate_matvecs():
@@ -376,13 +334,14 @@ def test_stacked_recurrence_equals_per_gate_matvecs():
         states = rng.standard_normal((5, d_m))
         tokens = [int(t) for t in rng.integers(0, 30, size=5)]
         x_proj = np.stack([model.input_projection(t) for t in tokens])
+        wz, wc, uz, uc, bz, bc = gate_parameters(model)
         before = states.copy()
         batch = model.transition(x_proj, states)
         logits = model.logits(batch)
         for row, (token, s) in enumerate(zip(tokens, states)):
             x = model.emb[token]
-            z = _sigmoid(model.wz @ x + model.uz @ s + model.bz)
-            c = np.tanh(model.wc @ x + model.uc @ s + model.bc)
+            z = _sigmoid(wz @ x + uz @ s + bz)
+            c = np.tanh(wc @ x + uc @ s + bc)
             expected = (1.0 - z) * s + z * c
             assert np.array_equal(batch[row], expected), d_m
             assert np.array_equal(logits[row], model.out_weight @ expected + model.out_bias)

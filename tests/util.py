@@ -272,6 +272,16 @@ class ScanEngine:
             self.phase = "confidence-value-eol"
 
 
+def gate_parameters(model: RetrieverModel) -> tuple[np.ndarray, ...]:
+    """(Wz, Wc, Uz, Uc, bz, bc): the row halves of the stacked gate arrays."""
+    d_m = model.d_m
+    return tuple(
+        stacked[half * d_m : (half + 1) * d_m]
+        for stacked in (model.w_in, model.u_rec, model.b_in)
+        for half in (0, 1)
+    )
+
+
 def sequential_decode(
     model: RetrieverModel,
     full: MemoryGraph,
@@ -288,6 +298,7 @@ def sequential_decode(
     if not vocab.confidence_ids:
         raise DecodeError("vocabulary has no confidence value token")
     state = np.tanh(model.cond_weight @ np.concatenate([q, h]) + model.cond_bias)
+    wz, wc, uz, uc, bz, bc = gate_parameters(model)
     tokens = [BOS]
     while not engine.done:
         if len(tokens) >= max_len:
@@ -296,8 +307,8 @@ def sequential_decode(
             )
         allowed = engine.allowed_tokens()
         x = model.emb[tokens[-1]]
-        z = _sigmoid(model.wz @ x + model.uz @ state + model.bz)
-        c = np.tanh(model.wc @ x + model.uc @ state + model.bc)
+        z = _sigmoid(wz @ x + uz @ state + bz)
+        c = np.tanh(wc @ x + uc @ state + bc)
         state = (1.0 - z) * state + z * c
         logits = model.out_weight @ state + model.out_bias
         masked = np.full(logits.shape, -np.inf)
