@@ -72,9 +72,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 8 + 8:
         raise CheckpointError("truncated checkpoint file")
-    body, stored = data[:-8], data[-8:]
-    if body[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"bad magic {body[:len(MAGIC)]!r}")
+    if data[: len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"bad magic {data[:len(MAGIC)]!r}")
+    # Slices of the memoryview share the file's buffer: payloads copy once.
+    body, stored = memoryview(data)[:-8], data[-8:]
     pos = len(MAGIC)
     version, count = struct.unpack_from("<II", body, pos)
     pos += 8
@@ -89,7 +90,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             raise CheckpointError("truncated section table")
         (name_len,) = struct.unpack_from("<I", body, pos)
         pos += 4
-        name = body[pos : pos + name_len].decode("utf-8")
+        name = str(body[pos : pos + name_len], "utf-8")
         pos += name_len
         offset, length = struct.unpack_from("<QQ", body, pos)
         pos += 16

@@ -16,6 +16,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import EngineConfig, default_config_text, load_config
 from .corpus import generate_synthetic_corpus, load_corpus, save_corpus
+from .decoding import DecodeError
 from .graphs import emit_evidence, parse_evidence, parse_full_graph, verify_subset
 from .pipeline import (
     ANCHOR_PARADIGM,
@@ -91,7 +92,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoints", type=Path, help="defaults to --out")
     p.add_argument("--paradigm", default=ANCHOR_PARADIGM)
     p.add_argument("--side", type=int, choices=(0, 1))
-    p.add_argument("--coverage-level", type=float, default=1.0)
+    p.add_argument("--coverage-level", type=float, help="needs --side; default 1.0")
 
     p = sub.add_parser(
         "fuse-retrieve", parents=[common], help="max-pool fused retrieval"
@@ -252,7 +253,10 @@ def _cmd_train_align(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    view = View(args.paradigm, args.side, args.coverage_level)
+    level = args.coverage_level
+    if level is not None and args.side is None:
+        raise UsageError("--coverage-level needs --side")
+    view = View(args.paradigm, args.side, 1.0 if level is None else level)
     count = _retrieve(args, [view], "retrieved.jsonl")
     print(f"retrieved evidence for {count} instances")
     return 0
@@ -324,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

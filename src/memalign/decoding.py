@@ -308,17 +308,21 @@ def decode_many(
     Every request has its own :class:`ConstraintEngine` over its graph's
     shared :class:`GraphIndex`, and every row reads its input projections
     from the model's projection table, so neither is rebuilt per call.
-    Each step runs the recurrence once over the rows still decoding, and
-    the output projection once over the rows with more than one legal
-    token.  Once a row takes its confidence value, only EOL and EOS can
-    follow and no logits read the states after it, so the row ends there
-    when ``max_len`` admits both tokens: its evidence subgraph is assembled
-    from its engine's record and the row leaves the batch with its engine.
+    The rows run the cell training runs: requests that join together get
+    their initial states from one ``init_states`` call, and each step runs
+    ``transition`` once over the rows still decoding and ``logits`` once
+    over the rows with more than one legal token.  Once a row takes its
+    confidence value, only EOL and EOS can follow and no logits read the
+    states after it, so the row ends there when ``max_len`` admits both
+    tokens: its evidence subgraph is assembled from its engine's record
+    and the row leaves the batch with its engine.
     The next request joins as soon as fewer than :data:`DECODE_WINDOW`
     rows are decoding, so memory stays bounded however many requests
-    there are; ``requests`` is consumed in order.  Each output equals what
-    a decode of its request alone gives, bit for bit, and always passes
-    subset verification against its full graph.
+    there are; ``requests`` is consumed in order.  A batch row and a lone
+    decode (one row, which NumPy hands to gemv) may round a state's last
+    bits differently, so they take the same tokens unless two legal
+    tokens' logits tie within that rounding.  Every output passes subset
+    verification against its full graph.
 
     A request that cannot be decoded (a grammar dead end, ``max_len``
     exhausted before EOS, a malformed request, decoded lines that form no
@@ -341,7 +345,7 @@ def decode_many(
     projections, projected = model.projection_table()
 
     while True:
-        joined = []
+        joined = []  # the joining rows' conditioning rows
         while not exhausted and limit is None and len(rows) < DECODE_WINDOW:
             request = next(pending, None)
             if request is None:
@@ -355,7 +359,7 @@ def decode_many(
                 engine = ConstraintEngine(full_graph, vocab)
                 if not vocab.confidence_ids:
                     raise DecodeError("vocabulary has no confidence value token")
-                joined.append(model.init_state(q, h))
+                joined.append(model.conditioning(q, h))
             except (ValueError, TypeError, DecodeError) as exc:
                 error, limit = exc, i
                 break
@@ -363,7 +367,7 @@ def decode_many(
             budget = engine.default_max_len if max_len is None else max_len
             rows.append([i, engine, budget, 1, BOS])
         if joined:
-            state = np.vstack((state, joined))
+            state = np.vstack((state, model.init_states(np.stack(joined))))
         if not rows:
             break
 
@@ -406,18 +410,10 @@ def decode_many(
 
         # Every row's state consumes its last token; only the choice rows
         # (more than one legal token) need logits.
-        first = inputs[0]
-        state = model.transition(
-            projections[first : first + 1] if len(rows) == 1 else projections[inputs], state
-        )
+        state = model.transition(projections[inputs], state)
         taken = [allowed[0] for allowed in legal]
         if choices:
-            # One row takes a plain matvec, which is faster than a stack of one.
-            if len(choices) == 1:
-                logits = [model.logits(state[choices[0]])]
-            else:
-                logits = model.logits(state[choices])
-            for row_logits, k in zip(logits, choices):
+            for row_logits, k in zip(model.logits(state[choices]), choices):
                 # ``allowed`` ascends, so ties go to the lowest id, as in an
                 # argmax over the whole vocabulary with illegal tokens masked.
                 allowed = legal[k]

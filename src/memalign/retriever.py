@@ -55,10 +55,10 @@ class QueryEmbedder:
         return vec
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # e^min(x, 0) / (1 + e^-|x|): 1 / (1 + e^-x) for x >= 0 and
     # e^x / (1 + e^x) below, so no exp overflows.
-    num = np.minimum(x, 0.0)
+    num = np.minimum(x, 0.0, out=out)
     np.exp(num, out=num)
     den = np.abs(x)
     np.negative(den, out=den)
@@ -101,8 +101,7 @@ class RetrieverModel:
     out_bias: np.ndarray
 
     def __post_init__(self):
-        # C order, so that the (2, d_m, d_m) gate reshapes are views and
-        # AdamW can update every parameter in place.
+        # C order, so that AdamW can update every parameter in place.
         for name, value in self.parameters().items():
             setattr(self, name, np.ascontiguousarray(value, dtype=np.float64))
         v, d_m = self.emb.shape
@@ -150,33 +149,37 @@ class RetrieverModel:
     def copy(self) -> "RetrieverModel":
         return RetrieverModel(**{k: v.copy() for k, v in self.parameters().items()})
 
-    # -- forward passes -------------------------------------------------
+    # -- the cell, run by training and decoding: each call is one gemm over
+    # a batch of rows (NumPy hands a one-row batch to gemv).
+
+    def conditioning(self, q: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The conditioning row concat(q, h) of one request."""
+        cond = np.concatenate([np.asarray(q, float), np.asarray(h, float)])
+        if cond.shape != (self.d_cond,):
+            raise RetrieverError(f"conditioning dimension {cond.shape[0]} != {self.d_cond}")
+        return cond
+
+    def init_states(self, conds: np.ndarray) -> np.ndarray:
+        """The initial states (B, d_m) of conditioning rows (B, d_q + d_s)."""
+        return np.tanh(conds @ self.cond_weight.T + self.cond_bias)
 
     def init_state(self, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-        cond = np.concatenate([np.asarray(q, float), np.asarray(h, float)])
-        if cond.shape[0] != self.d_cond:
-            raise RetrieverError(
-                f"conditioning dimension {cond.shape[0]} != {self.d_cond}"
-            )
-        return np.tanh(self.cond_weight @ cond + self.cond_bias)
-
-    # Decoding runs every matvec as one BLAS gemv per row and per gate,
-    # as np.matmul does over a stack: a gemm over the rows, or one gemv
-    # over [Wz; Wc], rounds differently, so batching would change outputs.
+        """The initial state (d_m,) of one request: a one-row init_states."""
+        return self.init_states(self.conditioning(q, h)[None])[0]
 
     def input_projection(self, token: int) -> np.ndarray:
-        """[Wz x; Wc x] for the embedding x of one input token."""
+        """W x + b = [Wz x + bz; Wc x + bc] for the embedding x of one input
+        token."""
         if not 0 <= token < self.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
-        gates = self.w_in.reshape(2, self.d_m, self.d_m)
-        return np.matmul(gates, self.emb[token]).reshape(-1)
+        return self.w_in @ self.emb[token] + self.b_in
 
-    # The projection table: a (V, 2 d_m) array whose row t, once filled,
-    # is input_projection(t), and the set of filled rows.  It is kept
-    # across decodes; assigning any attribute drops it, and so must a
-    # caller that changes emb or w_in in place (train_retriever
-    # does after each optimizer step).  copy() and checkpoint loading
-    # start without one, and it is never serialized.
+    # The projection table (row t, once filled, is input_projection(t))
+    # and the recurrence weight are kept across decodes.  Assigning any
+    # attribute drops them, as does sequence_logits, and so must a caller
+    # that changes emb, w_in, b_in or u_rec in place before it decodes
+    # (train_retriever does after each optimizer step).  copy() and
+    # checkpoint loading start without them; they are never serialized.
 
     def projection_table(self) -> tuple[np.ndarray, set[int]]:
         """The projection table ``(rows, filled)``: ``rows[t]`` is
@@ -188,41 +191,45 @@ class RetrieverModel:
             self.__dict__["_projection_table"] = table
         return table
 
-    def drop_projections(self) -> None:
-        """Forget every input projection computed so far."""
-        self.__dict__["_projection_table"] = None
+    def recurrence_weight(self) -> np.ndarray:
+        """[Uz; Uc].T (d_m, 2 d_m), laid out contiguously: a transposed view
+        multiplies slower and rounds differently."""
+        u_t = self.__dict__.get("_recurrence_weight")
+        if u_t is None:
+            u_t = self.__dict__["_recurrence_weight"] = np.ascontiguousarray(self.u_rec.T)
+        return u_t
 
-    def transition(self, x_proj: np.ndarray, states: np.ndarray) -> np.ndarray:
+    def drop_projections(self) -> None:
+        """Forget the projection table and the recurrence weight."""
+        self.__dict__["_projection_table"] = self.__dict__["_recurrence_weight"] = None
+
+    def transition(
+        self, x_proj: np.ndarray, states: np.ndarray, z=None, c=None, out=None
+    ) -> np.ndarray:
         """One recurrence step of each row of a (B, d_m) state batch, given
-        the rows' input projections (B, 2 d_m)."""
-        batch, d_m = states.shape
-        gates = self.u_rec.reshape(2, d_m, d_m)
-        if batch == 1:
-            # The same gemv per gate, without the overhead of a stack.
-            pre = np.matmul(gates, states[0]).reshape(x_proj.shape)
-        else:
-            pre = np.matmul(gates, states[:, None, :, None]).reshape(x_proj.shape)
-        pre += x_proj  # U s + W x is W x + U s: addition commutes exactly
-        pre += self.b_in
-        z = _sigmoid(pre[:, :d_m])
-        c = np.tanh(pre[:, d_m:], out=pre[:, d_m:])
-        # (1 - z) * s + z * c, in place.
-        c *= z
-        np.subtract(1.0, z, out=z)
-        z *= states
-        z += c
-        return z
+        the rows' input projections (B, 2 d_m); returns the new states.
+        The gates z and c and the new states are written into ``z``, ``c``
+        and ``out`` when those are given."""
+        d_m = states.shape[1]
+        pre = states @ self.recurrence_weight()
+        pre += x_proj  # U s + (W x + b), as W x + b + U s: addition commutes
+        gate, cand = pre[:, :d_m], pre[:, d_m:]
+        z = _sigmoid(gate, out=z)
+        c = np.tanh(cand, out=cand if c is None else c)
+        # (1 - z) * s + z * c, with z * c in the spent gate pre-activations.
+        new = np.subtract(1.0, z, out=out)
+        new *= states
+        new += np.multiply(z, c, out=gate)
+        return new
 
     def step(self, token: int, state: np.ndarray) -> np.ndarray:
         """One recurrence step on an input token; returns the new state."""
         return self.transition(self.input_projection(token)[None], state[None])[0]
 
     def logits(self, states: np.ndarray) -> np.ndarray:
-        """The output projection: next-token logits of a state (d_m,) or
-        of each row of a batch (B, d_m)."""
-        if states.ndim == 1:
-            return self.out_weight @ states + self.out_bias
-        return np.matmul(self.out_weight, states[:, :, None])[:, :, 0] + self.out_bias
+        """The output projection: next-token logits of each row of a batch
+        (B, d_m), or of one state (d_m,)."""
+        return states @ self.out_weight.T + self.out_bias
 
     def cell(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One recurrence step on an input token; returns (logits, new state)."""
@@ -308,29 +315,20 @@ def sequence_logits(
         inputs[: lengths[b], b] = seq[:-1]
     mask = np.arange(steps) < lengths[:, None]
 
-    # Input projections of every step at once; the recurrence adds U s.
+    # The pass reads the parameters as they are now, also after an edit in
+    # place, so the recurrence weight cached from older values goes.
+    model.drop_projections()
+    # W x + b of every step at once, as one gemm; the cell adds U s.
     xs = model.emb[inputs]
     pre_in = (xs.reshape(steps * batch, d_m) @ model.w_in.T).reshape(steps, batch, 2 * d_m)
     pre_in += model.b_in
-    # [uz; uc].T, laid out contiguously: a transposed view multiplies slower
-    # and rounds differently.
-    u_rec_t = np.ascontiguousarray(model.u_rec.T)
     states = np.empty((steps + 1, batch, d_m))
     zs = np.empty((steps, batch, d_m))
     cs = np.empty((steps, batch, d_m))
-    states[0] = np.tanh(cond @ model.cond_weight.T + model.cond_bias)
+    states[0] = model.init_states(cond)
     for t in range(steps):
-        s = states[t]
-        pre = pre_in[t] + s @ u_rec_t
-        zs[t] = z = _sigmoid(pre[:, :d_m])
-        c = np.tanh(pre[:, d_m:], out=cs[t])
-        # (1 - z) * s + z * c, written into states[t + 1].
-        new = states[t + 1]
-        np.subtract(1.0, z, out=new)
-        new *= s
-        new += z * c
-    hidden = states[1:].swapaxes(0, 1)[mask]
-    logits = hidden @ model.out_weight.T + model.out_bias
+        model.transition(pre_in[t], states[t], zs[t], cs[t], out=states[t + 1])
+    logits = model.logits(states[1:].swapaxes(0, 1)[mask])
     return _ForwardCache(inputs, mask, lengths, cond, xs, states, zs, cs, logits)
 
 

@@ -148,3 +148,15 @@ def test_unknown_version_rejected(tmp_path):
     path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
         load_checkpoint(path)
+
+
+def test_loaded_arrays_own_their_memory(tmp_path):
+    """Each payload is copied out of the file's buffer: no returned array is
+    a view that keeps the whole file alive."""
+    v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+    v1.write_bytes(version1_bytes(random_sections()))
+    save_checkpoint(random_sections(), v2)
+    for path in (v1, v2):
+        for name, arr in load_checkpoint(path).items():
+            assert arr.flags.owndata and arr.base is None, (path.name, name)
+            assert arr.flags.writeable and arr.flags.c_contiguous, (path.name, name)

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, artifacts, and a small end-to-end run."""
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,39 @@ def test_coverage_level_outside_unit_interval_is_rejected(served, tmp_path, caps
         assert main([*argv, "--coverage-level", level]) == 1
         assert "outside [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("level", ["-3", "0.5"])
+def test_coverage_level_without_side_is_refused(served, tmp_path, capsys, level):
+    argv = ["retrieve", *served, "--out", str(tmp_path)]
+    assert main([*argv, "--coverage-level", level]) == 1
+    assert "--coverage-level needs --side" in capsys.readouterr().err
+    assert not (tmp_path / "retrieved.jsonl").exists()
+    assert main(argv) == 0  # without the flag the anchor view sees every segment
+    assert len((tmp_path / "retrieved.jsonl").read_text().splitlines()) == 6
+
+
+def test_decode_error_is_a_validation_error(served, tmp_path, capsys):
+    # A vocabulary whose confidence words were renamed, ids still contiguous.
+    checkpoints = Path(served[served.index("--checkpoints") + 1])
+    for name in ("retriever.ckpt", "align_explicit-sim.ckpt", "align_latent-sim.ckpt"):
+        shutil.copy(checkpoints / name, tmp_path / name)
+    lines = (checkpoints / "vocab.jsonl").read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    renamed = 0
+    for entry in entries[1:]:
+        try:
+            float(entry["token"])
+        except ValueError:
+            continue
+        entry["token"] = f"conf-{entry['token']}"
+        renamed += 1
+    assert renamed
+    (tmp_path / "vocab.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+    argv = [*served, "--out", str(tmp_path)]
+    argv[argv.index("--checkpoints") + 1] = str(tmp_path)
+    capsys.readouterr()
+    assert main(["retrieve", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: vocabulary has no confidence value token\n"
+    assert not (tmp_path / "retrieved.jsonl").exists()

@@ -72,9 +72,14 @@ def first_error(decode, requests):
     return None
 
 
-# d_m = 13 is not a multiple of the BLAS kernel's row block, so a single
-# gemv over [Uz; Uc] would round differently from the per-gate matvecs.
-@pytest.mark.parametrize("d_m, window", [(8, 64), (13, 64), (8, 1), (13, 4)])
+# The batch runs each step as one gemm over its rows, and a lone decode as
+# one gemv, which may round the last bits differently: the outputs must
+# still match at widths below, between and at multiples of the BLAS
+# kernels' blocks (5, 13, 31 and 128), and with windows of one row.
+@pytest.mark.parametrize(
+    "d_m, window",
+    [(5, 64), (8, 64), (13, 64), (31, 64), (128, 64), (8, 1), (13, 4), (128, 4)],
+)
 def test_mixed_batch_equals_reference_decodes(d_m, window, monkeypatch):
     monkeypatch.setattr(decoding, "DECODE_WINDOW", window)
     rng = np.random.default_rng(11)
@@ -387,6 +392,26 @@ def test_assigning_a_parameter_drops_the_projection_table():
         assert after != before, name  # the new value changes what decodes
         assert after == decode_many(model.copy(), vocab, requests), name
         before = after
+
+
+def test_in_place_recurrence_update_reaches_the_next_decode_once_dropped():
+    rng = np.random.default_rng(23)
+    graphs, vocab = mixed_batch(rng, count=12)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=14)
+    requests = requests_for(graphs, rng)
+    before = decode_many(model, vocab, requests)  # caches [Uz; Uc].T
+    cached = model.recurrence_weight()
+    u_rec = model.u_rec
+    u_rec += rng.standard_normal(u_rec.shape)  # in place, as AdamW updates
+    # Until dropped, the cached transpose still holds the old weights.
+    assert model.recurrence_weight() is cached
+    assert decode_many(model, vocab, requests) == before
+    model.drop_projections()
+    assert np.array_equal(model.recurrence_weight(), model.u_rec.T)
+    after = decode_many(model, vocab, requests)
+    assert after != before
+    assert after == decode_many(model.copy(), vocab, requests)
+    assert after == [sequential_decode(model, *r, vocab) for r in requests]
 
 
 def test_trained_model_decodes_like_its_checkpoint(tmp_path):

@@ -324,32 +324,64 @@ def test_checkpoint_bytes_match_separately_stored_arrays(tmp_path):
         retriever_from_sections({**sections, "retriever/wz": np.zeros((5, 6))})
 
 
-def test_stacked_recurrence_equals_per_gate_matvecs():
-    """Rows of a batch step, and one-row batches, equal the gate-by-gate
-    formula bit for bit, at widths where one gemv over [Uz; Uc] would round
-    differently."""
+def test_cell_rows_match_gate_by_gate_formula():
+    """Rows of a batch step, and one-row batches, match the gate-by-gate
+    formula to rtol 1e-12: the cell is one gemm over the rows, which rounds
+    differently from one gemv per row and per gate."""
     rng = np.random.default_rng(7)
     for d_m in (6, 8, 13, 64, 128):
         model = init_retriever(30, d_m, 3, 2, seed=d_m)
         states = rng.standard_normal((5, d_m))
+        conds = rng.standard_normal((5, 5))
         tokens = [int(t) for t in rng.integers(0, 30, size=5)]
         x_proj = np.stack([model.input_projection(t) for t in tokens])
         wz, wc, uz, uc, bz, bc = gate_parameters(model)
         before = states.copy()
         batch = model.transition(x_proj, states)
         logits = model.logits(batch)
+        initial = model.init_states(conds)
         for row, (token, s) in enumerate(zip(tokens, states)):
             x = model.emb[token]
             z = _sigmoid(wz @ x + uz @ s + bz)
             c = np.tanh(wc @ x + uc @ s + bc)
             expected = (1.0 - z) * s + z * c
-            assert np.array_equal(batch[row], expected), d_m
-            assert np.array_equal(logits[row], model.out_weight @ expected + model.out_bias)
-            assert np.array_equal(model.step(token, s), expected)
+            close = {"rtol": 1e-12, "atol": 1e-15, "err_msg": str(d_m)}
+            np.testing.assert_allclose(batch[row], expected, **close)
+            np.testing.assert_allclose(
+                logits[row], model.out_weight @ expected + model.out_bias, **close
+            )
+            np.testing.assert_allclose(model.step(token, s), expected, **close)
             one_row = model.transition(x_proj[row : row + 1], states[row : row + 1])
             assert one_row.shape == (1, d_m)
-            assert np.array_equal(one_row[0], expected), d_m
+            np.testing.assert_allclose(one_row[0], expected, **close)
+            np.testing.assert_allclose(
+                initial[row],
+                np.tanh(model.cond_weight @ conds[row] + model.cond_bias),
+                **close,
+            )
         assert np.array_equal(states, before)  # the step leaves its input alone
+
+
+def test_sequence_logits_steps_the_cell_bit_for_bit():
+    """The teacher-forced pass is init_states, then transition at every
+    step over the padded batch, then logits over the real steps' states."""
+    rng = np.random.default_rng(8)
+    for d_m in (5, 13, 64, 128):
+        model = small_model(vocab_size=30, d_m=d_m)
+        seqs, q, h = _padded_batch(rng, 30, 3, 2, lengths=(3, 9, 1, 6, 12))
+        cache = sequence_logits(model, seqs, q, h)
+        steps, batch = cache.inputs.shape
+        flat = cache.xs.reshape(steps * batch, d_m)
+        x_proj = (flat @ model.w_in.T).reshape(steps, batch, 2 * d_m) + model.b_in
+        state = model.init_states(cache.cond)
+        assert np.array_equal(cache.states[0], state)
+        z, c = np.empty((batch, d_m)), np.empty((batch, d_m))
+        for t in range(steps):
+            state = model.transition(x_proj[t], state, z, c)
+            assert np.array_equal(cache.states[t + 1], state), (d_m, t)
+            assert np.array_equal(cache.zs[t], z) and np.array_equal(cache.cs[t], c)
+        hidden = cache.states[1:].swapaxes(0, 1)[cache.mask]
+        assert np.array_equal(cache.logits, model.logits(hidden))
 
 
 def _where_sigmoid(x):
