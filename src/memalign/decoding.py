@@ -51,14 +51,20 @@ _FIXED_PHASES = {
     "eos": (EOS, "eos"),
 }
 
+# Phases whose legal set is the engine's mask: the token that closes the
+# section, legal at every line start.
+_LINE_STARTS = {"node-line-start": TOK_EDGES, "edge-line-start": TOK_CONFIDENCE}
+
 
 # The most full-graph lines (node lines plus edge lines) whose indexes one
-# vocabulary keeps.  A cached line costs about 410 B, its graph included
-# (tracemalloc), so the cache holds at most about 410 KiB: some 90 graphs
-# of the serve corpus (11.5 lines each), or one long-memory graph of up to
-# about 225 nodes (1,012 lines).  Holding the whole 2,294-line serve corpus
-# instead raised that workload's peak RSS by about 1.5 MB more, and its
-# repeats of a graph come back to back, so they hit either way.
+# vocabulary keeps.  A cached line costs about 460 B on the serve corpus,
+# its graph and its index's start mask (one byte per vocabulary token)
+# included (tracemalloc), so the cache holds at most about 460 KiB: some
+# 90 graphs of the serve corpus (11.5 lines each), or one long-memory
+# graph of up to about 225 nodes (1,012 lines, about 395 B each).  Holding
+# the whole 2,294-line serve corpus instead raised that workload's peak
+# RSS by about 1.5 MB more, and its repeats of a graph come back to back,
+# so they hit either way.
 INDEX_CACHE_LINES = 1024
 
 
@@ -68,10 +74,13 @@ class GraphIndex:
 
     Node lines are keyed by their id token, edge line indices grouped by
     source token in edge order; token lines exclude the trailing EOL,
-    which the engine handles by position.  ``lines`` counts the graph's
-    node and edge lines, the measure the index cache is bounded by.
-    ``graph`` is the graph the index was built from.  Nothing in an index
-    changes after it is built.
+    which the engine handles by position.  ``start_mask`` is the legal
+    set at the first node-line start as a read-only boolean vocabulary
+    mask, the node id tokens and ``<EDGES>``, and ``start_count`` its
+    number of legal tokens; each engine starts from a copy.  ``lines``
+    counts the graph's node and edge lines, the measure the index cache
+    is bounded by.  ``graph`` is the graph the index was built from.
+    Nothing in an index changes after it is built.
     """
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
@@ -96,6 +105,11 @@ class GraphIndex:
             edges_by_source.setdefault(toks[0], []).append(i)
         self.edge_lines = tuple(edge_lines)
         self.edges_by_source = {s: tuple(edges) for s, edges in edges_by_source.items()}
+        mask = np.zeros(len(vocab), dtype=bool)
+        mask[[*self.node_lines, TOK_EDGES]] = True
+        mask.flags.writeable = False
+        self.start_mask = mask
+        self.start_count = len(self.node_lines) + 1
         self.graph = full_graph
         self.lines = len(full_graph.nodes) + len(full_graph.edges)
         # Token budget sufficient to emit the whole full graph as evidence:
@@ -133,12 +147,22 @@ class ConstraintEngine:
     """Tracks the grammar state and the set of legal next tokens for one
     decode against a fixed full graph, whose :class:`GraphIndex` it reads.
 
-    The nodes not yet emitted are an ordered dict.  The emitted node set
-    is final once ``<EDGES>`` is taken, so the open edges (both endpoints
-    emitted) are grouped by source then, and a completed edge line leaves
-    its source's list.  Only a line-start step lists the pending nodes or
-    the open sources; every other step costs time in the edge lines that
-    share the current line's prefix, not in the size of the graph.
+    The legal set at a line start is one boolean vocabulary mask,
+    ``mask``, with ``count`` legal tokens.  Before ``<EDGES>`` it holds
+    the nodes not yet emitted and ``<EDGES>``: a copy of the index's start
+    mask, whose node entry clears as the node's line completes.  The
+    emitted node set is final once ``<EDGES>`` is taken, so the open
+    edges (both endpoints emitted) are grouped by source then, and the
+    mask becomes the sources with an open edge and ``[CONFIDENCE]``; a
+    completed edge line leaves its source's list, and the source's entry
+    clears with its last open edge.  Every step other than a line start
+    costs time in the edge lines that share the current line's prefix,
+    not in the size of the graph.
+
+    A decode step asks :meth:`forced` for the one legal token and, when
+    there are several, :meth:`choose` for the legal token with the
+    highest logit; neither builds the legal set at a line start.
+    :meth:`allowed_tokens` lists the legal set.
 
     A line ends by its length, not by the first EOL token, so a word
     spelled like a structural token is replayed as part of its line.  The
@@ -152,7 +176,8 @@ class ConstraintEngine:
         self.index = index = GraphIndex.of(full_graph, vocab)
         self.default_max_len = index.default_max_len
         self.phase = "header"
-        self.pending_nodes: dict[int, None] = dict.fromkeys(index.node_lines)
+        self.mask = index.start_mask.copy()
+        self.count = index.start_count
         self.open_by_source: dict[int, list[int]] = {}
         self.line: list[int] = []
         self.edge_candidates: list[int] = []
@@ -178,18 +203,75 @@ class ConstraintEngine:
             return [template[pos] if pos < len(template) else TOK_EOL]
         if phase in _FIXED_PHASES:
             return [_FIXED_PHASES[phase][0]]
-        if phase == "node-line-start":
-            return sorted((*self.pending_nodes, TOK_EDGES))
-        if phase == "edge-line-start":
-            return sorted((*self.open_by_source, TOK_CONFIDENCE))
+        if phase in _LINE_STARTS:
+            return np.flatnonzero(self.mask).tolist()
         if phase == "confidence-value":
             return list(self.vocab.confidence_ids)
         raise DecodeError(f"no legal continuation from phase {phase!r}")
 
+    def forced(self) -> int | None:
+        """The one legal next token, or ``None`` when there are several.
+        Raises :class:`DecodeError` when there is none."""
+        phase = self.phase
+        if phase == "node-line":
+            template = self.index.node_lines[self.line[0]]
+            pos = len(self.line)
+            return template[pos] if pos < len(template) else TOK_EOL
+        if phase == "edge-line":
+            pos = len(self.line)
+            lines = self.index.edge_lines
+            token = None
+            for i in self.edge_candidates:
+                line = lines[i]
+                next_token = line[pos] if pos < len(line) else TOK_EOL
+                if token is None:
+                    token = next_token
+                elif next_token != token:
+                    return None
+        elif phase in _FIXED_PHASES:
+            return _FIXED_PHASES[phase][0]
+        elif phase in _LINE_STARTS:
+            # The section's closing token is always legal: it is forced
+            # when nothing else is.
+            return _LINE_STARTS[phase] if self.count == 1 else None
+        elif phase == "confidence-value":
+            ids = self.vocab.confidence_ids
+            if len(ids) > 1:
+                return None
+            token = ids[0] if ids else None
+        else:
+            raise DecodeError(f"no legal continuation from phase {phase!r}")
+        if token is None:
+            raise DecodeError(f"grammar dead end in phase {phase!r}")
+        return token
+
+    def choose(self, row_logits: np.ndarray) -> int:
+        """The legal next token with the highest of ``row_logits`` (one
+        logit per vocabulary token), ties to the lowest id: the token
+        ``allowed[row_logits[allowed].argmax()]`` picks from ``allowed =
+        allowed_tokens()``."""
+        if self.phase in _LINE_STARTS:
+            mask = self.mask
+            token = int(np.where(mask, row_logits, -np.inf).argmax())
+            # Only when every legal logit is -inf can the argmax land on
+            # an illegal token; the lowest legal id is then the pick.
+            return token if mask[token] else int(mask.argmax())
+        allowed = self.allowed_tokens()
+        if not allowed:
+            raise DecodeError(f"grammar dead end in phase {self.phase!r}")
+        return allowed[int(row_logits.take(allowed).argmax())]
+
     def _reject(self, token: int) -> None:
-        raise DecodeError(
-            f"token {self.vocab.token(token)!r} not legal in phase {self.phase!r}"
-        )
+        if 0 <= token < len(self.mask):
+            raise DecodeError(
+                f"token {self.vocab.token(token)!r} not legal in phase {self.phase!r}"
+            )
+        raise DecodeError(f"token id {token} not legal in phase {self.phase!r}")
+
+    def _starts_line(self, token: int) -> bool:
+        """Whether ``token`` is in the line-start mask; an id outside the
+        vocabulary, which an index would wrap or overrun, is not."""
+        return 0 <= token < len(self.mask) and bool(self.mask[token])
 
     def advance(self, token: int) -> None:
         """Consume ``token``; raises :class:`DecodeError`, leaving the state
@@ -208,7 +290,8 @@ class ConstraintEngine:
                 if token != TOK_EOL:
                     self._reject(token)
                 node_token = self.line[0]
-                del self.pending_nodes[node_token]
+                self.mask[node_token] = False
+                self.count -= 1
                 self.evidence_nodes.append(self.index.node_of[node_token])
                 self.line = []
                 self.phase = "node-line-start"
@@ -223,7 +306,7 @@ class ConstraintEngine:
             if token == TOK_EDGES:
                 self._open_edges()
                 self.phase = "edges-eol"
-            elif token in self.pending_nodes:
+            elif self._starts_line(token):
                 self.line = [token]
                 self.phase = "node-line"
             else:
@@ -231,7 +314,7 @@ class ConstraintEngine:
         elif phase == "edge-line-start":
             if token == TOK_CONFIDENCE:
                 self.phase = "confidence-eol"
-            elif token in self.open_by_source:
+            elif self._starts_line(token):
                 self.line = [token]
                 self.edge_candidates = self.open_by_source[token]
                 self.phase = "edge-line"
@@ -246,15 +329,20 @@ class ConstraintEngine:
             raise DecodeError(f"cannot advance from phase {phase!r}")
 
     def _open_edges(self) -> None:
-        """Group the edges whose endpoints were both emitted by source."""
-        pending = self.pending_nodes
+        """Group the edges whose endpoints were both emitted by source, and
+        turn the mask from the nodes not emitted into the sources with an
+        open edge."""
+        mask = self.mask
         lines = self.index.edge_lines
         for source, edges in self.index.edges_by_source.items():
-            if source in pending:
+            if mask[source]:
                 continue
-            open_idx = [i for i in edges if lines[i][2] not in pending]
+            open_idx = [i for i in edges if not mask[lines[i][2]]]
             if open_idx:
                 self.open_by_source[source] = open_idx
+        mask[:] = False
+        mask[[*self.open_by_source, TOK_CONFIDENCE]] = True
+        self.count = len(self.open_by_source) + 1
 
     def _advance_edge_line(self, token: int) -> None:
         pos = len(self.line)
@@ -270,7 +358,8 @@ class ConstraintEngine:
                 unused = self.open_by_source[source]
                 unused.remove(completed)
                 if not unused:
-                    del self.open_by_source[source]
+                    self.mask[source] = False
+                    self.count -= 1
                 self.evidence_edges.append(self.index.graph.edges[completed])
                 self.line = []
                 self.edge_candidates = []
@@ -311,7 +400,12 @@ def decode_many(
     The rows run the cell training runs: requests that join together get
     their initial states from one ``init_states`` call, and each step runs
     ``transition`` once over the rows still decoding and ``logits`` once
-    over the rows with more than one legal token.  Once a row takes its
+    over the rows with more than one legal token.  Each step asks every
+    row's engine for its :meth:`~ConstraintEngine.forced` token; the rows
+    without one take their engine's :meth:`~ConstraintEngine.choose` of
+    their logits.  Input projections and states are gathered by
+    ``ndarray.take``, and when every row chooses, ``logits`` reads the
+    states themselves.  Once a row takes its
     confidence value, only EOL and EOS can follow and no logits read the
     states after it, so the row ends there when ``max_len`` admits both
     tokens: its evidence subgraph is assembled from its engine's record
@@ -328,8 +422,15 @@ def decode_many(
     exhausted before EOS, a malformed request, decoded lines that form no
     graph) raises what a loop over the requests in input order would raise
     first; the requests after it are not decoded.  ``max_len`` defaults,
-    per request, to a budget that fits the whole full graph.
+    per request, to a budget that fits the whole full graph.  A model
+    whose vocabulary size is not ``len(vocab)`` raises
+    :class:`DecodeError` before any request is taken.
     """
+    if model.vocab_size != len(vocab):
+        raise DecodeError(
+            f"retriever has {model.vocab_size} token rows but the vocabulary "
+            f"has {len(vocab)} tokens"
+        )
     pending = iter(requests)
     exhausted = False
     subgraphs: list[EvidenceSubgraph | None] = []  # per request taken, in input order
@@ -373,7 +474,7 @@ def decode_many(
 
         # Each row makes the checks a sequential decode makes before its
         # next step.  A failing row drops itself and every row after it.
-        kept, legal, inputs, choices = [], [], [], []
+        kept, taken, inputs, choices = [], [], [], []
         for k, row in enumerate(rows):
             i, engine, budget, length, last = row
             try:
@@ -388,36 +489,31 @@ def decode_many(
                         f"max_len {budget} exhausted without EOS "
                         f"(phase {engine.phase!r})"
                     )
-                allowed = engine.allowed_tokens()
-                if not allowed:
-                    raise DecodeError(f"grammar dead end in phase {engine.phase!r}")
+                token = engine.forced()
                 if last not in projected:
                     projections[last] = model.input_projection(last)
                     projected.add(last)
             except (DecodeError, RetrieverError) as exc:
                 error, limit = exc, i
                 break
-            if len(allowed) > 1:
+            if token is None:
                 choices.append(len(kept))
             kept.append(k)
-            legal.append(allowed)
+            taken.append(token)
             inputs.append(last)
         if len(kept) < len(rows):
             rows = [rows[k] for k in kept]
-            state = state[kept]
+            state = state.take(kept, axis=0)
             if not rows:
                 continue
 
         # Every row's state consumes its last token; only the choice rows
         # (more than one legal token) need logits.
-        state = model.transition(projections[inputs], state)
-        taken = [allowed[0] for allowed in legal]
+        state = model.transition(projections.take(inputs, axis=0), state)
         if choices:
-            for row_logits, k in zip(model.logits(state[choices]), choices):
-                # ``allowed`` ascends, so ties go to the lowest id, as in an
-                # argmax over the whole vocabulary with illegal tokens masked.
-                allowed = legal[k]
-                taken[k] = allowed[row_logits[allowed].argmax()]
+            chosen = state if len(choices) == len(rows) else state.take(choices, axis=0)
+            for row_logits, k in zip(model.logits(chosen), choices):
+                taken[k] = rows[k][1].choose(row_logits)
         for row, token in zip(rows, taken):
             row[1].advance(token)
             row[3] += 1

@@ -163,10 +163,6 @@ class RetrieverModel:
         """The initial states (B, d_m) of conditioning rows (B, d_q + d_s)."""
         return np.tanh(conds @ self.cond_weight.T + self.cond_bias)
 
-    def init_state(self, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """The initial state (d_m,) of one request: a one-row init_states."""
-        return self.init_states(self.conditioning(q, h)[None])[0]
-
     def input_projection(self, token: int) -> np.ndarray:
         """W x + b = [Wz x + bz; Wc x + bc] for the embedding x of one input
         token."""
@@ -222,19 +218,16 @@ class RetrieverModel:
         new += np.multiply(z, c, out=gate)
         return new
 
-    def step(self, token: int, state: np.ndarray) -> np.ndarray:
-        """One recurrence step on an input token; returns the new state."""
-        return self.transition(self.input_projection(token)[None], state[None])[0]
-
     def logits(self, states: np.ndarray) -> np.ndarray:
         """The output projection: next-token logits of each row of a batch
         (B, d_m), or of one state (d_m,)."""
         return states @ self.out_weight.T + self.out_bias
 
     def cell(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One recurrence step on an input token; returns (logits, new state)."""
-        new_state = self.step(token, state)
-        return self.logits(new_state), new_state
+        """One recurrence step of one state (d_m,) on an input token, as a
+        one-row ``transition`` and ``logits``; returns (logits, new state)."""
+        new_state = self.transition(self.input_projection(token)[None], state[None])
+        return self.logits(new_state)[0], new_state[0]
 
 
 def init_retriever(

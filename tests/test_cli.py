@@ -205,3 +205,23 @@ def test_decode_error_is_a_validation_error(served, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: vocabulary has no confidence value token\n"
     assert not (tmp_path / "retrieved.jsonl").exists()
+
+
+def test_retriever_and_vocabulary_of_different_sizes_are_refused(served, tmp_path, capsys):
+    # The served vocabulary with one more word than the retriever has rows.
+    checkpoints = Path(served[served.index("--checkpoints") + 1])
+    for name in ("retriever.ckpt", "align_explicit-sim.ckpt", "align_latent-sim.ckpt"):
+        shutil.copy(checkpoints / name, tmp_path / name)
+    lines = (checkpoints / "vocab.jsonl").read_text().splitlines()
+    size = len(lines) - 1  # the first line is the mode record
+    lines.append(json.dumps({"token": "extra-word", "id": size}))
+    (tmp_path / "vocab.jsonl").write_text("\n".join(lines) + "\n")
+    argv = [*served, "--out", str(tmp_path)]
+    argv[argv.index("--checkpoints") + 1] = str(tmp_path)
+    capsys.readouterr()
+    assert main(["retrieve", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: retriever has {size} token rows but the vocabulary has {size + 1} tokens\n"
+    )
+    assert not (tmp_path / "retrieved.jsonl").exists()

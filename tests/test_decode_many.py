@@ -206,6 +206,27 @@ def test_batch_requires_confidence_token():
         decode_many(model, vocab, requests)
 
 
+@pytest.mark.parametrize("model_size", [15, 23])
+def test_retriever_and_vocabulary_of_different_sizes_are_refused(model_size):
+    """A retriever with fewer or more token rows than the vocabulary has
+    tokens is refused before any request is taken."""
+    full = MemoryGraph((Node("N1", "amber"), Node("N2", "calm")), (Edge("N1", "N2", "feeds"),))
+    vocab = build_vocabulary([*graph_surface_words(full), "0.5", "0.9", "1.0"])
+    assert len(vocab) == 18
+    model = init_retriever(model_size, 8, 4, 3, seed=0)
+    taken = []
+
+    def stream():
+        taken.append(full)
+        yield full, np.zeros(4), np.zeros(3)
+
+    with pytest.raises(
+        DecodeError, match=f"retriever has {model_size} token rows but the vocabulary has 18"
+    ):
+        decode_many(model, vocab, stream())
+    assert not taken
+
+
 def test_empty_batch():
     vocab = build_vocabulary(["N1", "0.5"])
     assert decode_many(init_retriever(len(vocab), 8, 4, 3, seed=0), vocab, []) == []

@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 
 from memalign.decoding import ConstraintEngine, DecodeError, generate_subgraph
-from memalign.graphs import MemoryGraph, Node, emit_evidence, verify_subset
+from memalign.graphs import (
+    Edge,
+    EvidenceSubgraph,
+    MemoryGraph,
+    Node,
+    emit_evidence,
+    verify_subset,
+)
 from memalign.retriever import RetrieverModel, init_retriever
 from memalign.tokenization import graph_surface_words, linearize, linearize_evidence
 from memalign.vocab import EOS, TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
@@ -190,3 +197,55 @@ def test_forced_steps_skip_the_output_projection(monkeypatch):
         choices += len(engine.allowed_tokens()) > 1
         engine.advance(token)
     assert 0 < len(projections) == choices
+
+
+def test_decode_lists_the_legal_set_only_at_choices_inside_a_line(monkeypatch):
+    """A decode calls allowed_tokens() on no forced step and on no line-start
+    choice: only where an edge line or the confidence value branches."""
+    rng = np.random.default_rng(6)
+    full = with_duplicate_edges(random_graph(rng, min_nodes=5, max_extra_edges=10))
+    vocab = vocab_with_confidence(full)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=1)
+    listed = []
+    original = ConstraintEngine.allowed_tokens
+
+    def counted(self):
+        allowed = original(self)
+        listed.append((self.phase, len(allowed)))
+        return allowed
+
+    monkeypatch.setattr(ConstraintEngine, "allowed_tokens", counted)
+    sub = generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
+    monkeypatch.undo()
+    engine = ConstraintEngine(full, vocab)
+    line_start_choices = inner_choices = 0
+    for token in list(linearize_evidence(sub, vocab))[1:]:
+        if len(engine.allowed_tokens()) > 1:
+            if engine.phase in ("node-line-start", "edge-line-start"):
+                line_start_choices += 1
+            else:
+                inner_choices += 1
+        engine.advance(token)
+    assert line_start_choices > 0
+    assert len(listed) == inner_choices > 0
+    assert all(phase in ("edge-line", "confidence-value") and width > 1 for phase, width in listed)
+
+
+def test_ids_outside_the_vocabulary_are_rejected_in_every_phase():
+    """Negative and too-large ids raise DecodeError and leave the state
+    unchanged; -1 would wrap to N1, the last id, which is legal at both
+    line starts."""
+    full = MemoryGraph((Node("N2", "calm"), Node("N1", "amber")), (Edge("N1", "N2", "feeds"),))
+    vocab = build_vocabulary(["calm", "amber", "feeds", "0.5", "N2", "N1"])
+    assert vocab.id_of("N1") == len(vocab) - 1
+    engine = ConstraintEngine(full, vocab)
+    phases = set()
+    for token in list(linearize_evidence(EvidenceSubgraph(full, 0.5), vocab))[1:]:
+        allowed = engine.allowed_tokens()
+        for bad in (-1, -len(vocab), len(vocab)):
+            with pytest.raises(DecodeError, match=f"token id {bad} not legal"):
+                engine.advance(bad)
+            assert engine.allowed_tokens() == allowed
+        phases.add(engine.phase)
+        engine.advance(token)
+    assert phases == set(PHASES)

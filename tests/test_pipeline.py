@@ -163,7 +163,9 @@ def test_retriever_checkpoint_round_trip(tmp_path):
     q = np.zeros(4)
     h = np.zeros(3)
     np.testing.assert_allclose(
-        loaded.init_state(q, h), model.init_state(q, h), atol=1e-6
+        loaded.init_states(loaded.conditioning(q, h)[None]),
+        model.init_states(model.conditioning(q, h)[None]),
+        atol=1e-6,
     )
 
 

@@ -1,5 +1,6 @@
 """Property-based tests over random graphs, mutations, and decodes."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from memalign.graphs import (
@@ -19,12 +20,13 @@ from memalign.graphs import (
     verify_subset,
 )
 from memalign.retriever import init_retriever
-from memalign.decoding import generate_subgraph
+from memalign.decoding import ConstraintEngine, DecodeError, generate_subgraph
 from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
 from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
 from util import (
     WORDS,
     RELATION_WORDS,
+    ScanEngine,
     mutate_subgraph,
     reference_parse_evidence,
     reference_parse_full_graph,
@@ -165,6 +167,52 @@ def test_decode_verifies_with_irregular_whitespace_and_reserved_words(full, seed
     if greedy:
         assert len(sub.graph.nodes) == len(full.nodes)
         assert len(sub.graph.edges) == len(full.edges)
+
+
+@st.composite
+def engine_cases(draw):
+    """A graph with irregular words, possibly duplicated edges, and its
+    vocabulary: closed, or open with some words left out, so that node ids
+    and other words collide on UNK.  Zero to three confidence values."""
+    full = draw(irregular_graphs())
+    if full.edges and draw(st.booleans()):
+        extra = draw(st.lists(st.sampled_from(full.edges), min_size=1, max_size=3))
+        full = MemoryGraph(full.nodes, full.edges + tuple(extra))
+    words = [*graph_surface_words(full)]
+    words += draw(st.lists(st.sampled_from(("0.25", "0.75", "1")), max_size=3, unique=True))
+    if draw(st.booleans()):
+        return full, build_vocabulary(words)
+    kept = [w for w in words if draw(st.booleans())]
+    return full, build_vocabulary(kept, mode="open")
+
+
+# Logits with many ties, and with every legal logit -inf at times.
+LOGIT_VALUES = (-np.inf, -1.0, 0.0, 0.0, 1.0, 1.0)
+
+
+@given(engine_cases(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
+    """At every step of a random legal walk: ``forced()`` is the only legal
+    token or None, ``choose(logits)`` is the subset argmax, and the legal
+    set matches the scan oracle."""
+    full, vocab = case
+    rng = np.random.default_rng(seed)
+    engine = ConstraintEngine(full, vocab)
+    oracle = ScanEngine(full, vocab)
+    while not engine.done:
+        allowed = engine.allowed_tokens()
+        assert allowed == sorted(oracle.allowed())
+        if not allowed:
+            with pytest.raises(DecodeError, match="dead end"):
+                engine.forced()
+            return
+        assert engine.forced() == (allowed[0] if len(allowed) == 1 else None)
+        logits = rng.choice(LOGIT_VALUES, size=len(vocab))
+        assert engine.choose(logits) == allowed[logits[allowed].argmax()]
+        token = data.draw(st.sampled_from(allowed))
+        engine.advance(token)
+        oracle.advance(token)
 
 
 # -- the scanning parser against the reference parser ------------------------

@@ -72,7 +72,7 @@ def test_sequence_logits_match_stepwise_cells():
     h = rng.standard_normal(2)
     tokens = [BOS, 10, 11, 12, EOS]
     cache = sequence_logits(model, tokens, q, h)
-    state = model.init_state(q, h)
+    state = model.init_states(model.conditioning(q, h)[None])[0]
     for t in range(len(tokens) - 1):
         logits, state = model.cell(tokens[t], state)
         np.testing.assert_allclose(cache.logits[t], logits, rtol=1e-12)
@@ -350,7 +350,11 @@ def test_cell_rows_match_gate_by_gate_formula():
             np.testing.assert_allclose(
                 logits[row], model.out_weight @ expected + model.out_bias, **close
             )
-            np.testing.assert_allclose(model.step(token, s), expected, **close)
+            np.testing.assert_allclose(
+                model.transition(model.input_projection(token)[None], s[None])[0],
+                expected,
+                **close,
+            )
             one_row = model.transition(x_proj[row : row + 1], states[row : row + 1])
             assert one_row.shape == (1, d_m)
             np.testing.assert_allclose(one_row[0], expected, **close)

@@ -186,7 +186,9 @@ class ScanEngine:
     scanning all node and edge lines of the full graph.
 
     ``allowed()`` gives the legal next tokens as a set; ``advance(token)``
-    assumes a legal token.
+    assumes a legal token.  A line ends by its length, so an EOL word inside
+    a line continues it.  Node ids that collide on UNK share one id token,
+    whose line is the last such node's.
     """
 
     # Phases whose only legal token is fixed, and the phase each leads to.
@@ -223,6 +225,15 @@ class ScanEngine:
         n = len(self.line)
         return [i for i in self._open_edges() if self.edge_lines[i][:n] == self.line]
 
+    def _template(self) -> list[int]:
+        """The node line the current line replays."""
+        return [t for t in self.node_lines if t[0] == self.line[0]][-1]
+
+    def _completed_edge(self) -> int | None:
+        """The first open edge whose whole line is the current line."""
+        n = len(self.line)
+        return next((i for i in self._edge_matches() if len(self.edge_lines[i]) == n), None)
+
     def allowed(self) -> set[int]:
         if self.phase in self.FIXED:
             return {self.FIXED[self.phase][0]}
@@ -231,7 +242,7 @@ class ScanEngine:
                 TOK_EDGES
             }
         if self.phase == "node-line":
-            template = next(t for t in self.node_lines if t[0] == self.line[0])
+            template = self._template()
             return {template[len(self.line)] if len(self.line) < len(template) else TOK_EOL}
         if self.phase == "edge-line-start":
             return {self.edge_lines[i][0] for i in self._open_edges()} | {TOK_CONFIDENCE}
@@ -251,7 +262,7 @@ class ScanEngine:
             self.line = [token]
             self.phase = "edges-eol" if token == TOK_EDGES else "node-line"
         elif phase == "node-line":
-            if token == TOK_EOL:
+            if len(self.line) == len(self._template()):
                 self.emitted.add(self.line[0])
                 self.phase = "node-line-start"
             else:
@@ -260,11 +271,9 @@ class ScanEngine:
             self.line = [token]
             self.phase = "confidence-eol" if token == TOK_CONFIDENCE else "edge-line"
         elif phase == "edge-line":
-            if token == TOK_EOL:
-                n = len(self.line)
-                self.used.add(
-                    next(i for i in self._edge_matches() if len(self.edge_lines[i]) == n)
-                )
+            completed = self._completed_edge() if token == TOK_EOL else None
+            if completed is not None:
+                self.used.add(completed)
                 self.phase = "edge-line-start"
             else:
                 self.line.append(token)
