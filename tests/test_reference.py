@@ -15,6 +15,8 @@ import pytest
 
 from memalign.cli import main
 
+pytestmark = pytest.mark.reference
+
 DATA = Path(__file__).parent / "data"
 REFERENCE = json.loads((DATA / "reference_small.json").read_text())
 RETRIEVE_REFERENCE = json.loads((DATA / "reference_retrieve.json").read_text())

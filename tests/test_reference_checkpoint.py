@@ -11,6 +11,7 @@ Record the file again, after a change that is meant to move it, with
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from memalign.checkpoint import load_checkpoint, save_checkpoint
 from memalign.graphs import parse_evidence, parse_full_graph
@@ -23,6 +24,8 @@ from memalign.retriever import (
     train_retriever,
 )
 from memalign.vocab import build_vocabulary
+
+pytestmark = pytest.mark.reference
 
 REFERENCE = Path(__file__).parent / "data" / "reference_retriever.ckpt"
 

@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from memalign import EngineConfig, decoding
 from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
@@ -19,6 +20,8 @@ from memalign.retriever import init_retriever
 from memalign.tokenization import graph_surface_words
 from memalign.vocab import build_vocabulary
 from util import memory_graph, random_graph
+
+pytestmark = pytest.mark.reference
 
 REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "reference_decode.json").read_text()

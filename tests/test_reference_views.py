@@ -36,6 +36,8 @@ from memalign.pipeline import (
 from memalign.retriever import init_retriever
 from memalign.unified import init_alignment_module
 
+pytestmark = pytest.mark.reference
+
 REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "reference_views.json").read_text()
 )
