@@ -30,10 +30,17 @@ def lr_at_step(
 class AdamW:
     """Decoupled weight decay Adam over a dict of named numpy parameters.
 
-    Parameters are updated in place, ``UPDATE_CHUNK`` elements at a time
-    through two fixed buffer rows, with the elementwise operations of the
-    textbook update in its order; iteration order is the sorted parameter
-    name, so updates are deterministic.
+    ``m`` and ``v`` are the textbook first and second moments.  As in
+    ``torch.optim.AdamW``, the decay scales the parameter by
+    ``1 - lr wd`` and the bias corrections and eps fold into two scalars:
+
+        (m / bc1) / (sqrt(v / bc2) + eps)
+            = (sqrt(bc2) / bc1) * m / (sqrt(v) + eps sqrt(bc2))
+
+    so a step takes one divide per element.  Parameters are updated in
+    place, ``UPDATE_CHUNK`` elements at a time through two fixed buffer
+    rows; iteration order is the sorted parameter name, so updates are
+    deterministic.  A gradient must have its parameter's shape.
     """
 
     def __init__(
@@ -65,10 +72,18 @@ class AdamW:
         return lr_at_step(self.t, self.total_steps, self.base_lr, self.warmup_ratio)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        for name, p in self.params.items():
+            if grads[name].shape != p.shape:
+                raise ValueError(
+                    f"gradient of {name!r} has shape {grads[name].shape} but "
+                    f"the parameter has shape {p.shape}"
+                )
         lr = self.current_lr()
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        sqrt_bc2 = math.sqrt(1.0 - self.beta2**self.t)
+        step_size = lr * sqrt_bc2 / (1.0 - self.beta1**self.t)
+        eps = self.eps * sqrt_bc2
+        decay = 1.0 - lr * self.weight_decay
         b1, b2 = self.beta1, self.beta2
         for name in sorted(self.params):
             # Flat views: the updates below write through to the parameter
@@ -89,14 +104,10 @@ class AdamW:
                 np.square(g, out=tmp)
                 tmp *= 1.0 - b2
                 v += tmp
-                # update = (m / bc1) / (sqrt(v / bc2) + eps)
-                np.divide(v, bc2, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp += self.eps
-                np.divide(m, bc1, out=update)
-                update /= tmp
-                # p -= lr (update + wd p)
-                np.multiply(self.weight_decay, p, out=tmp)
-                update += tmp
-                update *= lr
+                # p = (1 - lr wd) p - step_size m / (sqrt(v) + eps)
+                p *= decay
+                np.sqrt(v, out=tmp)
+                tmp += eps
+                np.divide(m, tmp, out=update)
+                update *= step_size
                 p -= update

@@ -259,13 +259,16 @@ def init_retriever(
 @dataclass
 class _ForwardCache:
     """Activations of a teacher-forced pass over a padded batch of B
-    sequences, T = the longest sequence's step count, time-major."""
+    sequences, T = the longest sequence's step count, time-major.  The
+    input embeddings are not kept: the pass reads ``emb`` only at the U
+    distinct input tokens, and so does its backward pass."""
 
     inputs: np.ndarray  # (T, B) input token ids, padded with BOS
+    tokens: np.ndarray  # (U,) the distinct input token ids, ascending
+    token_rows: np.ndarray  # (T * B,) index in tokens of each step's input
     mask: np.ndarray  # (B, T) step mask: True where a step is real
     lengths: np.ndarray  # (B,) steps per sequence
     cond: np.ndarray  # (B, d_q + d_s)
-    xs: np.ndarray  # (T, B, d_m) input embeddings
     states: np.ndarray  # (T + 1, B, d_m) with states[0] = initial states
     zs: np.ndarray  # (T, B, d_m)
     cs: np.ndarray  # (T, B, d_m)
@@ -286,6 +289,10 @@ def sequence_logits(
     sequence.  Row r of ``logits`` is a real step of one sequence: the
     rows run through sequence 0's steps, then sequence 1's, and so on,
     and the row for step t predicts that sequence's token t + 1.
+
+    The input projections W x + b are computed once per distinct input
+    token of the batch, as one gemm over those tokens' embeddings, and
+    gathered per step; every token id must lie in [0, vocab_size).
     """
     if len(tokens) and isinstance(tokens[0], (int, np.integer)):
         tokens = [tokens]
@@ -307,14 +314,19 @@ def sequence_logits(
     for b, seq in enumerate(seqs):
         inputs[: lengths[b], b] = seq[:-1]
     mask = np.arange(steps) < lengths[:, None]
+    tokens, token_rows = np.unique(inputs.reshape(-1), return_inverse=True)
+    # Every id is an input but each sequence's last, a target only.
+    for token in (tokens[0], tokens[-1], *(seq[-1] for seq in seqs)):
+        if not 0 <= token < model.vocab_size:
+            raise RetrieverError(f"token id {token} out of range")
 
     # The pass reads the parameters as they are now, also after an edit in
     # place, so the recurrence weight cached from older values goes.
     model.drop_projections()
-    # W x + b of every step at once, as one gemm; the cell adds U s.
-    xs = model.emb[inputs]
-    pre_in = (xs.reshape(steps * batch, d_m) @ model.w_in.T).reshape(steps, batch, 2 * d_m)
-    pre_in += model.b_in
+    # W x + b of each distinct input token, as one gemm; the cell adds U s.
+    table = model.emb[tokens] @ model.w_in.T
+    table += model.b_in
+    pre_in = table[token_rows].reshape(steps, batch, 2 * d_m)
     states = np.empty((steps + 1, batch, d_m))
     zs = np.empty((steps, batch, d_m))
     cs = np.empty((steps, batch, d_m))
@@ -322,7 +334,7 @@ def sequence_logits(
     for t in range(steps):
         model.transition(pre_in[t], states[t], zs[t], cs[t], out=states[t + 1])
     logits = model.logits(states[1:].swapaxes(0, 1)[mask])
-    return _ForwardCache(inputs, mask, lengths, cond, xs, states, zs, cs, logits)
+    return _ForwardCache(inputs, tokens, token_rows, mask, lengths, cond, states, zs, cs, logits)
 
 
 def sequence_backward(
@@ -333,6 +345,9 @@ def sequence_backward(
     The gradients are summed over the batch's sequences.  The loop runs
     only the sequential state recurrence; the weight gradients are
     matmuls over all steps afterwards.  Padded steps get zero gradient.
+    The gate pre-activation gradients are first summed per distinct input
+    token, so the gradients of ``w_in`` and ``emb`` are gemms over the U
+    tokens rather than over the T B steps.
     """
     if d_logits.shape != cache.logits.shape:
         raise RetrieverError("logit gradient shape mismatch")
@@ -359,17 +374,20 @@ def sequence_backward(
         d_state = d_s_new * carry[t] + d_pre[t].reshape(batch, 2 * d_m) @ u_rec
 
     flat_pre = d_pre.reshape(steps * batch, 2 * d_m)
-    grads["w_in"] = flat_pre.T @ cache.xs.reshape(steps * batch, d_m)
     grads["u_rec"] = flat_pre.T @ cache.states[:-1].reshape(steps * batch, d_m)
     grads["b_in"] = flat_pre.sum(axis=0)
-    # Each step's input gradient summed into its token's row: one bincount
-    # over (token, column) bins makes np.add.at's additions in its order.
-    d_xs = flat_pre @ model.w_in
-    vocab_size = model.vocab_size
-    bins = (cache.inputs.reshape(-1, 1) * d_m + np.arange(d_m)).reshape(-1)
-    grads["emb"] = np.bincount(
-        bins, weights=d_xs.reshape(-1), minlength=vocab_size * d_m
-    ).reshape(vocab_size, d_m)
+    # Each step's pre-activation gradient summed into its input token's
+    # row, step by step in np.add.at's order, by one bincount over
+    # (token, column) bins; the input x of every step of a token is its
+    # embedding, so both input gradients follow from these U rows.
+    n_tokens = cache.tokens.shape[0]
+    bins = (cache.token_rows[:, None] * (2 * d_m) + np.arange(2 * d_m)).reshape(-1)
+    d_pre_tokens = np.bincount(
+        bins, weights=d_pre.reshape(-1), minlength=n_tokens * 2 * d_m
+    ).reshape(n_tokens, 2 * d_m)
+    grads["w_in"] = d_pre_tokens.T @ model.emb[cache.tokens]
+    grads["emb"] = np.zeros_like(model.emb)
+    grads["emb"][cache.tokens] = d_pre_tokens @ model.w_in
     d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
     grads["cond_weight"] = d_s0_pre.T @ cache.cond
     grads["cond_bias"] = d_s0_pre.sum(axis=0)

@@ -82,8 +82,25 @@ def test_adamw_update_is_deterministic():
 
 
 def _reference_adamw_step(opt, params, grads):
-    """The allocating form of one AdamW step, as it read before the update
-    moved into preallocated buffers."""
+    """The allocating form of one AdamW step: decay by 1 - lr wd, then the
+    moment update with the bias corrections and eps folded into scalars."""
+    lr = opt.current_lr()
+    t = opt.t + 1
+    sqrt_bc2 = math.sqrt(1.0 - opt.beta2**t)
+    step_size = lr * sqrt_bc2 / (1.0 - opt.beta1**t)
+    for name in sorted(params):
+        p, g, m, v = params[name], grads[name], opt.m[name], opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * np.square(g)
+        p *= 1.0 - lr * opt.weight_decay
+        p -= step_size * (m / (np.sqrt(v) + opt.eps * sqrt_bc2))
+
+
+def _textbook_adamw_step(opt, params, grads):
+    """The textbook form of one AdamW step, bias corrections applied to
+    the moments."""
     lr = opt.current_lr()
     t = opt.t + 1
     bc1 = 1.0 - opt.beta1**t
@@ -98,26 +115,51 @@ def _reference_adamw_step(opt, params, grads):
         p -= lr * (update + opt.weight_decay * p)
 
 
-def test_adamw_in_place_step_is_bitwise_reference():
+# "big" spans two update chunks, the second one partial.
+SHAPES = {"w": (64, 16), "b": (16,), "big": (300, 70), "s": ()}
+STEP_KWARGS = dict(lr=0.01, weight_decay=0.05, total_steps=30, warmup_ratio=0.2)
+
+
+def _run_beside(reference_step, check):
+    """Thirty AdamW steps beside ``reference_step`` on a copy of the same
+    parameters and gradients; ``check(actual, expected)`` after each step."""
     rng = np.random.default_rng(1)
-    # "big" spans two update chunks, the second one partial.
-    shapes = {"w": (64, 16), "b": (16,), "big": (300, 70), "s": ()}
-    fast = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+    fast = {k: rng.standard_normal(shape) for k, shape in SHAPES.items()}
     ref = {k: v.copy() for k, v in fast.items()}
-    kwargs = dict(lr=0.01, weight_decay=0.05, total_steps=30, warmup_ratio=0.2)
-    opt = AdamW(fast, **kwargs)
-    ref_opt = AdamW(ref, **kwargs)
+    opt = AdamW(fast, **STEP_KWARGS)
+    ref_opt = AdamW(ref, **STEP_KWARGS)
     for _ in range(30):
-        grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
-        _reference_adamw_step(ref_opt, ref, grads)
+        grads = {k: rng.standard_normal(shape) for k, shape in SHAPES.items()}
+        reference_step(ref_opt, ref, grads)
         ref_opt.t += 1
         opt.step(grads)
         for key in fast:
-            np.testing.assert_array_equal(fast[key], ref[key])
-            np.testing.assert_array_equal(opt.m[key], ref_opt.m[key])
-            np.testing.assert_array_equal(opt.v[key], ref_opt.v[key])
+            check(fast[key], ref[key])
+            check(opt.m[key], ref_opt.m[key])
+            check(opt.v[key], ref_opt.v[key])
+
+
+def test_adamw_in_place_step_is_bitwise_reference():
+    _run_beside(_reference_adamw_step, np.testing.assert_array_equal)
+
+
+def test_adamw_stays_within_rounding_of_textbook_form():
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-14)
+
+    _run_beside(_textbook_adamw_step, close)
 
 
 def test_adamw_rejects_non_contiguous_parameters():
     with pytest.raises(ValueError, match="C-contiguous"):
         AdamW({"w": np.ones((3, 4)).T})
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (4, 3), (12,)])
+def test_adamw_rejects_gradient_of_another_shape(shape):
+    params = {"w": np.ones((3, 4))}
+    opt = AdamW(params, lr=0.1)
+    with pytest.raises(ValueError, match="'w'"):
+        opt.step({"w": np.full(shape, 2.0)})
+    assert opt.t == 0
+    np.testing.assert_array_equal(params["w"], np.ones((3, 4)))

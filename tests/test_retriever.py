@@ -65,6 +65,23 @@ def test_sequence_logits_requires_bos():
     assert cache.states.shape == (2, 1, 6)
 
 
+@pytest.mark.parametrize("bad", [-1, -14, 14, 99])
+def test_sequence_logits_refuses_token_ids_outside_the_vocabulary(bad):
+    model = small_model()  # 14 tokens
+    single = (np.zeros(3), np.zeros(2))
+    pair = (np.zeros((2, 3)), np.zeros((2, 2)))
+    for tokens, (q, h) in (
+        ([BOS, bad, EOS], single),
+        ([BOS, 10, bad], single),  # a target only, never an input
+        ([[BOS, 10, 11], [BOS, 12, bad, 11]], pair),
+    ):
+        with pytest.raises(RetrieverError, match=f"token id {bad} out of range"):
+            sequence_logits(model, tokens, q, h)
+    # Both ends of the range are token ids.
+    cache = sequence_logits(model, [BOS, 0, 13, 0], *single)
+    assert cache.logits.shape == (3, 14)
+
+
 def test_sequence_logits_match_stepwise_cells():
     model = small_model()
     rng = np.random.default_rng(0)
@@ -375,7 +392,7 @@ def test_sequence_logits_steps_the_cell_bit_for_bit():
         seqs, q, h = _padded_batch(rng, 30, 3, 2, lengths=(3, 9, 1, 6, 12))
         cache = sequence_logits(model, seqs, q, h)
         steps, batch = cache.inputs.shape
-        flat = cache.xs.reshape(steps * batch, d_m)
+        flat = model.emb[cache.inputs].reshape(steps * batch, d_m)
         x_proj = (flat @ model.w_in.T).reshape(steps, batch, 2 * d_m) + model.b_in
         state = model.init_states(cache.cond)
         assert np.array_equal(cache.states[0], state)
@@ -412,8 +429,9 @@ def test_sigmoid_equals_where_formula_bitwise():
 
 
 def test_embedding_gradient_equals_scattered_sum_bitwise():
-    """The bincount form of the embedding gradient adds each step's input
-    gradient into its token's row in np.add.at's order."""
+    """The gate pre-activation gradients are summed into their input
+    token's row in np.add.at's order, and the embedding gradient is that
+    token-by-gate matrix times w_in."""
     model = small_model(vocab_size=14, d_m=6)
     rng = np.random.default_rng(22)
     seqs, q, h = _padded_batch(rng, 5, 3, 2, lengths=(9, 4, 12))  # tokens repeat
@@ -434,10 +452,9 @@ def test_embedding_gradient_equals_scattered_sum_bitwise():
         d_s_new = d_hidden[t] + d_state
         np.multiply(d_s_new[:, None, :], local[t], out=d_pre[t])
         d_state = d_s_new * (1.0 - z[t]) + d_pre[t].reshape(batch, 2 * d_m) @ model.u_rec
-    expected = np.zeros_like(model.emb)
-    d_xs = d_pre.reshape(steps * batch, 2 * d_m) @ model.w_in
-    np.add.at(expected, cache.inputs.reshape(-1), d_xs)
-    assert np.array_equal(grads["emb"], expected)
+    d_pre_tokens = np.zeros((model.vocab_size, 2 * d_m))
+    np.add.at(d_pre_tokens, cache.inputs.reshape(-1), d_pre.reshape(steps * batch, 2 * d_m))
+    assert np.array_equal(grads["emb"], d_pre_tokens @ model.w_in)
 
 
 def test_query_embedder_memo_equals_hashing_every_word():
