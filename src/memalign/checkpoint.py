@@ -18,6 +18,7 @@ the uint64 FNV-1a hash of all prior bytes.  ``load_checkpoint`` reads both;
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -37,6 +38,15 @@ def _checksum(version: int, body: bytes) -> bytes:
     if version == 1:
         return struct.pack("<Q", fnv1a64(body))
     return hashlib.blake2b(body, digest_size=8).digest()
+
+
+def _unpack(fmt: str, buffer, pos: int, what: str) -> tuple:
+    """``struct.unpack_from``, raising :class:`CheckpointError` when the
+    fields run past the end of ``buffer``."""
+    try:
+        return struct.unpack_from(fmt, buffer, pos)
+    except struct.error as exc:
+        raise CheckpointError(f"truncated {what}") from exc
 
 
 def save_checkpoint(sections: dict[str, np.ndarray], path: str | Path) -> None:
@@ -86,13 +96,11 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
     entries: list[tuple[str, int, int]] = []
     for _ in range(count):
-        if pos + 4 > len(body):
-            raise CheckpointError("truncated section table")
-        (name_len,) = struct.unpack_from("<I", body, pos)
+        (name_len,) = _unpack("<I", body, pos, "section table")
         pos += 4
         name = str(body[pos : pos + name_len], "utf-8")
         pos += name_len
-        offset, length = struct.unpack_from("<QQ", body, pos)
+        offset, length = _unpack("<QQ", body, pos, "section table")
         pos += 16
         entries.append((name, offset, length))
 
@@ -101,10 +109,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         if offset + length > len(body):
             raise CheckpointError(f"truncated section {name!r}")
         blob = body[offset : offset + length]
-        (rank,) = struct.unpack_from("<Q", blob, 0)
-        dims = struct.unpack_from(f"<{rank}Q", blob, 8)
+        (rank,) = _unpack("<Q", blob, 0, f"section {name!r}")
+        dims = _unpack(f"<{rank}Q", blob, 8, f"section {name!r} shape")
         payload = blob[8 + 8 * rank :]
-        expected = int(np.prod(dims, dtype=np.int64)) * 4
+        expected = math.prod(dims) * 4
         if len(payload) != expected:
             raise CheckpointError(
                 f"section {name!r} payload length {len(payload)} does not "

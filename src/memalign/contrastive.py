@@ -156,12 +156,9 @@ def sample_negatives(
 
 
 def _cosines(anchor_vecs: np.ndarray, target_vecs: np.ndarray) -> np.ndarray:
-    """Cosine of each target row (rows) with each anchor row (columns)."""
-    a, t = (
-        x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), ZERO_NORM_EPS)
-        for x in (anchor_vecs, target_vecs)
-    )
-    return t @ a.T
+    """Cosine of each target row (rows) with each anchor row (columns); 0
+    for a row of (near) zero norm."""
+    return unit_rows(target_vecs) @ unit_rows(anchor_vecs).T
 
 
 def topk_match_accuracy(anchor_vecs: np.ndarray, target_vecs: np.ndarray) -> float:

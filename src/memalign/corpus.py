@@ -38,7 +38,7 @@ from .graphs import (
 from .seeding import component_rng, fnv1a64
 from .tokenization import graph_surface_words
 from .vocab import Vocabulary, build_vocabulary
-from .unified import InstanceContent
+from .unified import InstanceContent, segment_blocks
 
 ADJECTIVES = (
     "amber", "ancient", "brisk", "calm", "coastal", "crimson", "dusty",
@@ -332,16 +332,9 @@ def generate_synthetic_corpus(
 
     rng = component_rng(seed, "corpus")
     pattern_rng = component_rng(seed, "corpus-patterns")
-    block_sizes = [len(b) for b in np.array_split(np.arange(d_c), segment_count)]
-    max_block = max(block_sizes)
-    max_chain = chain_range[1]
-    patterns = pattern_rng.standard_normal((max_chain, max_block))
-
-    block_slices = []
-    start = 0
-    for size in block_sizes:
-        block_slices.append(slice(start, start + size))
-        start += size
+    blocks = segment_blocks(d_c, segment_count)
+    max_block = max(block.stop - block.start for block in blocks)
+    patterns = pattern_rng.standard_normal((chain_range[1], max_block))
 
     instances: list[CorpusInstance] = []
     for index in range(n):
@@ -389,16 +382,11 @@ def generate_synthetic_corpus(
 
         content = content_noise * rng.standard_normal(d_c)
         for position in range(1, g + 1):
-            seg = chain_segment(position, segment_count)
-            block = block_slices[seg]
-            size = block_sizes[seg]
-            content[block] += pattern_scale * patterns[position - 1][:size]
+            block = blocks[chain_segment(position, segment_count)]
+            content[block] += pattern_scale * patterns[position - 1][: block.stop - block.start]
         for i in range(g, total):
-            seg = int(rng.integers(segment_count))
-            block = block_slices[seg]
-            content[block] += distractor_noise * rng.standard_normal(
-                block_sizes[seg]
-            )
+            block = blocks[int(rng.integers(segment_count))]
+            content[block] += distractor_noise * rng.standard_normal(block.stop - block.start)
 
         instances.append(
             CorpusInstance(

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .graphs import Edge, EvidenceSubgraph, GraphFormatError, MemoryGraph, Node
-from .retriever import RetrieverError, RetrieverModel
+from .retriever import RetrieverModel
 from .tokenization import edge_line_tokens, node_line_tokens
 from .vocab import (
     BOS,
@@ -441,9 +441,8 @@ def decode_many(
     # each.  The last token is the next step's input.
     rows: list[list] = []
     state = np.empty((0, model.d_m))
-    # The model's input projections by token, kept across calls: a token
-    # fed back is projected once per model, not once per call.
-    projections, projected = model.projection_table()
+    # Every token's input projection, built once per model, not per call.
+    projections = model.projections()
 
     while True:
         joined = []  # the joining rows' conditioning rows
@@ -490,10 +489,7 @@ def decode_many(
                         f"(phase {engine.phase!r})"
                     )
                 token = engine.forced()
-                if last not in projected:
-                    projections[last] = model.input_projection(last)
-                    projected.add(last)
-            except (DecodeError, RetrieverError) as exc:
+            except DecodeError as exc:
                 error, limit = exc, i
                 break
             if token is None:

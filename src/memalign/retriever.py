@@ -163,28 +163,20 @@ class RetrieverModel:
         """The initial states (B, d_m) of conditioning rows (B, d_q + d_s)."""
         return np.tanh(conds @ self.cond_weight.T + self.cond_bias)
 
-    def input_projection(self, token: int) -> np.ndarray:
-        """W x + b = [Wz x + bz; Wc x + bc] for the embedding x of one input
-        token."""
-        if not 0 <= token < self.vocab_size:
-            raise RetrieverError(f"token id {token} out of range")
-        return self.w_in @ self.emb[token] + self.b_in
+    # The projection table and the recurrence weight are kept across
+    # decodes.  Assigning any attribute drops them, as does sequence_logits,
+    # and so must a caller that changes emb, w_in, b_in or u_rec in place
+    # before it decodes (train_retriever does after each optimizer step).
+    # copy() and checkpoint loading start without them; they are never
+    # serialized.
 
-    # The projection table (row t, once filled, is input_projection(t))
-    # and the recurrence weight are kept across decodes.  Assigning any
-    # attribute drops them, as does sequence_logits, and so must a caller
-    # that changes emb, w_in, b_in or u_rec in place before it decodes
-    # (train_retriever does after each optimizer step).  copy() and
-    # checkpoint loading start without them; they are never serialized.
-
-    def projection_table(self) -> tuple[np.ndarray, set[int]]:
-        """The projection table ``(rows, filled)``: ``rows[t]`` is
-        ``input_projection(t)`` for every ``t`` in ``filled``.  A reader
-        fills a missing row, and adds its token to ``filled``, first."""
-        table = self.__dict__.get("_projection_table")
+    def projections(self) -> np.ndarray:
+        """The projection table (V, 2 d_m): row t is W x + b =
+        [Wz x + bz; Wc x + bc] for the embedding x of token t, built for
+        the whole vocabulary by one gemm when first read."""
+        table = self.__dict__.get("_projections")
         if table is None:
-            table = (np.empty((self.vocab_size, 2 * self.d_m)), set())
-            self.__dict__["_projection_table"] = table
+            table = self.__dict__["_projections"] = self.emb @ self.w_in.T + self.b_in
         return table
 
     def recurrence_weight(self) -> np.ndarray:
@@ -197,7 +189,7 @@ class RetrieverModel:
 
     def drop_projections(self) -> None:
         """Forget the projection table and the recurrence weight."""
-        self.__dict__["_projection_table"] = self.__dict__["_recurrence_weight"] = None
+        self.__dict__["_projections"] = self.__dict__["_recurrence_weight"] = None
 
     def transition(
         self, x_proj: np.ndarray, states: np.ndarray, z=None, c=None, out=None
@@ -226,7 +218,9 @@ class RetrieverModel:
     def cell(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One recurrence step of one state (d_m,) on an input token, as a
         one-row ``transition`` and ``logits``; returns (logits, new state)."""
-        new_state = self.transition(self.input_projection(token)[None], state[None])
+        if not 0 <= token < self.vocab_size:
+            raise RetrieverError(f"token id {token} out of range")
+        new_state = self.transition(self.projections()[token][None], state[None])
         return self.logits(new_state)[0], new_state[0]
 
 
@@ -260,12 +254,10 @@ def init_retriever(
 class _ForwardCache:
     """Activations of a teacher-forced pass over a padded batch of B
     sequences, T = the longest sequence's step count, time-major.  The
-    input embeddings are not kept: the pass reads ``emb`` only at the U
-    distinct input tokens, and so does its backward pass."""
+    input projections are not kept: each step's is a row of the model's
+    projection table, gathered by the input token id."""
 
     inputs: np.ndarray  # (T, B) input token ids, padded with BOS
-    tokens: np.ndarray  # (U,) the distinct input token ids, ascending
-    token_rows: np.ndarray  # (T * B,) index in tokens of each step's input
     mask: np.ndarray  # (B, T) step mask: True where a step is real
     lengths: np.ndarray  # (B,) steps per sequence
     cond: np.ndarray  # (B, d_q + d_s)
@@ -290,9 +282,8 @@ def sequence_logits(
     rows run through sequence 0's steps, then sequence 1's, and so on,
     and the row for step t predicts that sequence's token t + 1.
 
-    The input projections W x + b are computed once per distinct input
-    token of the batch, as one gemm over those tokens' embeddings, and
-    gathered per step; every token id must lie in [0, vocab_size).
+    Each step's input projection W x + b is gathered from the model's
+    projection table; every token id must lie in [0, vocab_size).
     """
     if len(tokens) and isinstance(tokens[0], (int, np.integer)):
         tokens = [tokens]
@@ -314,19 +305,16 @@ def sequence_logits(
     for b, seq in enumerate(seqs):
         inputs[: lengths[b], b] = seq[:-1]
     mask = np.arange(steps) < lengths[:, None]
-    tokens, token_rows = np.unique(inputs.reshape(-1), return_inverse=True)
     # Every id is an input but each sequence's last, a target only.
-    for token in (tokens[0], tokens[-1], *(seq[-1] for seq in seqs)):
+    for token in (inputs.min(), inputs.max(), *(seq[-1] for seq in seqs)):
         if not 0 <= token < model.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
 
     # The pass reads the parameters as they are now, also after an edit in
-    # place, so the recurrence weight cached from older values goes.
+    # place, so the table and recurrence weight cached from older values go.
     model.drop_projections()
-    # W x + b of each distinct input token, as one gemm; the cell adds U s.
-    table = model.emb[tokens] @ model.w_in.T
-    table += model.b_in
-    pre_in = table[token_rows].reshape(steps, batch, 2 * d_m)
+    # W x + b of each step's input token; the cell adds U s.
+    pre_in = model.projections()[inputs]
     states = np.empty((steps + 1, batch, d_m))
     zs = np.empty((steps, batch, d_m))
     cs = np.empty((steps, batch, d_m))
@@ -334,7 +322,7 @@ def sequence_logits(
     for t in range(steps):
         model.transition(pre_in[t], states[t], zs[t], cs[t], out=states[t + 1])
     logits = model.logits(states[1:].swapaxes(0, 1)[mask])
-    return _ForwardCache(inputs, tokens, token_rows, mask, lengths, cond, states, zs, cs, logits)
+    return _ForwardCache(inputs, mask, lengths, cond, states, zs, cs, logits)
 
 
 def sequence_backward(
@@ -346,8 +334,8 @@ def sequence_backward(
     only the sequential state recurrence; the weight gradients are
     matmuls over all steps afterwards.  Padded steps get zero gradient.
     The gate pre-activation gradients are first summed per distinct input
-    token, so the gradients of ``w_in`` and ``emb`` are gemms over the U
-    tokens rather than over the T B steps.
+    token, so the gradients of ``w_in`` and ``emb`` are gemms over those U
+    tokens rather than over the T B steps or the V vocabulary rows.
     """
     if d_logits.shape != cache.logits.shape:
         raise RetrieverError("logit gradient shape mismatch")
@@ -380,14 +368,14 @@ def sequence_backward(
     # row, step by step in np.add.at's order, by one bincount over
     # (token, column) bins; the input x of every step of a token is its
     # embedding, so both input gradients follow from these U rows.
-    n_tokens = cache.tokens.shape[0]
-    bins = (cache.token_rows[:, None] * (2 * d_m) + np.arange(2 * d_m)).reshape(-1)
+    tokens, token_rows = np.unique(cache.inputs.reshape(-1), return_inverse=True)
+    bins = (token_rows[:, None] * (2 * d_m) + np.arange(2 * d_m)).reshape(-1)
     d_pre_tokens = np.bincount(
-        bins, weights=d_pre.reshape(-1), minlength=n_tokens * 2 * d_m
-    ).reshape(n_tokens, 2 * d_m)
-    grads["w_in"] = d_pre_tokens.T @ model.emb[cache.tokens]
+        bins, weights=d_pre.reshape(-1), minlength=tokens.shape[0] * 2 * d_m
+    ).reshape(tokens.shape[0], 2 * d_m)
+    grads["w_in"] = d_pre_tokens.T @ model.emb[tokens]
     grads["emb"] = np.zeros_like(model.emb)
-    grads["emb"][cache.tokens] = d_pre_tokens @ model.w_in
+    grads["emb"][tokens] = d_pre_tokens @ model.w_in
     d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
     grads["cond_weight"] = d_s0_pre.T @ cache.cond
     grads["cond_bias"] = d_s0_pre.sum(axis=0)

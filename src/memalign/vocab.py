@@ -123,9 +123,18 @@ class Vocabulary:
         if not lines:
             raise VocabularyError("empty vocabulary file")
         head = json.loads(lines[0])
-        if head.get("token") != "<mode>":
-            raise VocabularyError("missing vocabulary mode record")
-        entries = [json.loads(line) for line in lines[1:] if line.strip()]
+        if not isinstance(head, dict) or head.get("token") != "<mode>":
+            raise VocabularyError("line 1: missing vocabulary mode record")
+        entries = []
+        for number, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            entry = json.loads(line)
+            valid = isinstance(entry, dict) and isinstance(entry.get("token"), str)
+            # An id is an int: not a bool, nor a float such as 12.0.
+            if not (valid and type(entry.get("id")) is int):
+                raise VocabularyError(f"line {number}: not a string token with an int id")
+            entries.append(entry)
         entries.sort(key=lambda e: e["id"])
         words = []
         for i, entry in enumerate(entries):
@@ -136,7 +145,7 @@ class Vocabulary:
                     raise VocabularyError("reserved token mismatch")
             else:
                 words.append(entry["token"])
-        return cls(tuple(words), mode=head["id"])
+        return cls(tuple(words), mode=head.get("id"))
 
 
 def build_vocabulary(surface_words: Iterable[str], mode: str = "closed") -> Vocabulary:

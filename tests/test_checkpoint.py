@@ -1,5 +1,6 @@
 """Binary checkpoint format: round trips and corruption detection."""
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -89,6 +90,54 @@ def test_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
+def sealed(body: bytes) -> bytes:
+    """A file of ``body`` with a valid version-2 checksum."""
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def malformed_checkpoints() -> dict[str, tuple[bytes, str]]:
+    """Files with valid checksums whose section table or section blobs run
+    short or declare an impossible shape, each with the error it is refused
+    with."""
+    header = MAGIC + struct.pack("<II", VERSION, 1)
+
+    def one_section(blob: bytes) -> bytes:
+        offset = len(header) + 4 + 1 + 16
+        return header + struct.pack("<I", 1) + b"w" + struct.pack("<QQ", offset, len(blob)) + blob
+
+    return {
+        "name past the end": (
+            header + struct.pack("<I", 100) + b"w",
+            "truncated section table",
+        ),
+        "short offset and length": (
+            header + struct.pack("<I", 1) + b"w" + struct.pack("<Q", 0),
+            "truncated section table",
+        ),
+        "blob under 8 bytes": (one_section(b"\0" * 4), "truncated section 'w'"),
+        "rank past the blob": (
+            one_section(struct.pack("<QQ", 3, 2)),
+            "truncated section 'w' shape",
+        ),
+        "huge rank": (one_section(struct.pack("<Q", 2**62)), "truncated section 'w' shape"),
+        # 2^32 * 2^32 elements wrap to 0 in int64 arithmetic.
+        "shape past int64": (
+            one_section(struct.pack("<3Q", 2, 2**32, 2**32)),
+            "section 'w' payload length 0 does not match declared shape "
+            "(4294967296, 4294967296)",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(malformed_checkpoints()))
+def test_malformed_tables_and_blobs_are_checkpoint_errors(tmp_path, case):
+    data, message = malformed_checkpoints()[case]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(sealed(data))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
 def test_magic_constant():
     assert MAGIC == b"MEMALNCK"
 
@@ -144,8 +193,7 @@ def test_unknown_version_rejected(tmp_path):
     save_checkpoint({"w": np.zeros(2, dtype=np.float32)}, path)
     data = bytearray(path.read_bytes())
     data[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 3)
-    body = bytes(data[:-8])
-    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    path.write_bytes(sealed(bytes(data[:-8])))
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
         load_checkpoint(path)
 

@@ -8,6 +8,7 @@ import pytest
 from memalign.cli import main
 from memalign.corpus import generate_synthetic_corpus, save_corpus
 from memalign.graphs import emit, emit_evidence
+from test_checkpoint import malformed_checkpoints, sealed
 
 
 def test_verify_accepts(tmp_path, capsys):
@@ -224,4 +225,18 @@ def test_retriever_and_vocabulary_of_different_sizes_are_refused(served, tmp_pat
     assert err == (
         f"error: retriever has {size} token rows but the vocabulary has {size + 1} tokens\n"
     )
+    assert not (tmp_path / "retrieved.jsonl").exists()
+
+
+def test_malformed_checkpoint_is_a_validation_error(served, tmp_path, capsys):
+    checkpoints = Path(served[served.index("--checkpoints") + 1])
+    for name in ("vocab.jsonl", "align_explicit-sim.ckpt", "align_latent-sim.ckpt"):
+        shutil.copy(checkpoints / name, tmp_path / name)
+    data, message = malformed_checkpoints()["rank past the blob"]
+    (tmp_path / "retriever.ckpt").write_bytes(sealed(data))
+    argv = [*served, "--out", str(tmp_path)]
+    argv[argv.index("--checkpoints") + 1] = str(tmp_path)
+    capsys.readouterr()
+    assert main(["retrieve", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "retrieved.jsonl").exists()

@@ -142,6 +142,21 @@ def test_topk_and_gap_on_identical_sets():
     assert cosine_alignment_gap(vecs, vecs) > 0.5
 
 
+def test_near_zero_target_rows_have_cosine_zero_as_in_cosine_sim():
+    rng = np.random.default_rng(4)
+    anchors = rng.standard_normal((3, 4))
+    targets = anchors + 0.1 * rng.standard_normal((3, 4))
+    # Norm 5e-13, below the zero-norm threshold, pointing at its own anchor.
+    targets[1] = 5e-13 * anchors[1] / np.linalg.norm(anchors[1])
+    sims = np.array([[cosine_sim(t, a) for a in anchors] for t in targets])
+    assert np.all(sims[1] == 0.0)
+    # Row 1 scores 0 with every anchor, so it matches anchor 0, not its own.
+    assert topk_match_accuracy(anchors, targets) == pytest.approx(2 / 3)
+    same, total = np.trace(sims), sims.sum()
+    expected = same / 3 - (total - same) / 6
+    assert cosine_alignment_gap(anchors, targets) == pytest.approx(expected, rel=1e-12)
+
+
 def _toy_problem(n=64, d_t=6, d_s=4, seed=0):
     rng = np.random.default_rng(seed)
     raws = rng.standard_normal((n, d_t))

@@ -27,10 +27,11 @@ from memalign.retriever import (
     RetrieverExample,
     RetrieverModel,
     init_retriever,
+    sequence_logits,
     train_retriever,
 )
 from memalign.tokenization import graph_surface_words, linearize_evidence
-from memalign.vocab import build_vocabulary
+from memalign.vocab import BOS, build_vocabulary
 from test_reference_decode import REFERENCE, long_cases, small_cases
 from util import random_graph, random_subgraph, sequential_decode
 
@@ -377,27 +378,34 @@ def test_lines_forming_no_graph_fail_like_a_sequential_loop():
 # -- state kept across calls: the projection table and the graph indexes --
 
 
-def test_input_projections_are_computed_once_per_model(monkeypatch):
+def test_input_projections_are_computed_once_per_model():
     rng = np.random.default_rng(18)
     graphs, vocab = mixed_batch(rng, count=10)
     model = init_retriever(len(vocab), 8, 4, 3, seed=9)
     requests = requests_for(graphs, rng)
-    projected = []
-    original = RetrieverModel.input_projection
-
-    def counted(self, token):
-        projected.append(token)
-        return original(self, token)
-
-    monkeypatch.setattr(RetrieverModel, "input_projection", counted)
     first = [generate_subgraph(model, *request, vocab) for request in requests]
-    assert projected and len(projected) == len(set(projected))
-    count = len(projected)
-    # Every token fed back is projected already: repeats project nothing.
+    table = model.projections()
+    # One gemm over the whole vocabulary; row t is W x_t + b up to how a
+    # gemm and a gemv round.
+    assert np.array_equal(table, model.emb @ model.w_in.T + model.b_in)
+    for token, row in enumerate(table):
+        expected = model.w_in @ model.emb[token] + model.b_in
+        np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-15)
+    # Repeats read the same table: nothing is projected again.
     for _ in range(2):
         assert [generate_subgraph(model, *request, vocab) for request in requests] == first
         assert decode_many(model, vocab, requests) == first
-    assert len(projected) == count
+        assert model.projections() is table
+    # A teacher-forced pass rebuilds the table from the current parameters
+    # and gathers each step's pre-activations from it, bit for bit.
+    seqs = [[BOS, *rng.integers(0, model.vocab_size, size=n)] for n in (5, 2, 9)]
+    cache = sequence_logits(model, seqs, rng.standard_normal((3, 4)), rng.standard_normal((3, 3)))
+    rebuilt = model.projections()
+    assert rebuilt is not table and np.array_equal(rebuilt, table)
+    states = cache.states[0]
+    for t, inputs in enumerate(cache.inputs):
+        states = model.transition(rebuilt[inputs], states)
+        assert np.array_equal(states, cache.states[t + 1])
 
 
 def test_assigning_a_parameter_drops_the_projection_table():

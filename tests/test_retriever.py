@@ -351,7 +351,7 @@ def test_cell_rows_match_gate_by_gate_formula():
         states = rng.standard_normal((5, d_m))
         conds = rng.standard_normal((5, 5))
         tokens = [int(t) for t in rng.integers(0, 30, size=5)]
-        x_proj = np.stack([model.input_projection(t) for t in tokens])
+        x_proj = model.projections()[tokens]
         wz, wc, uz, uc, bz, bc = gate_parameters(model)
         before = states.copy()
         batch = model.transition(x_proj, states)
@@ -368,7 +368,7 @@ def test_cell_rows_match_gate_by_gate_formula():
                 logits[row], model.out_weight @ expected + model.out_bias, **close
             )
             np.testing.assert_allclose(
-                model.transition(model.input_projection(token)[None], s[None])[0],
+                model.transition(model.projections()[token][None], s[None])[0],
                 expected,
                 **close,
             )

@@ -1,4 +1,6 @@
 """Vocabulary table and reserved token ids."""
+import json
+
 import pytest
 
 from memalign.vocab import (
@@ -83,6 +85,31 @@ def test_load_rejects_missing_mode_record(tmp_path):
     path = tmp_path / "vocab.jsonl"
     path.write_text('{"token": "<bos>", "id": 0}\n')
     with pytest.raises(VocabularyError):
+        Vocabulary.load(path)
+
+
+MALFORMED_LINES = {
+    "head not an object": (0, '["<mode>", "closed"]'),
+    "record not an object": (3, '"<unk>"'),
+    "missing token": (3, '{"id": 2}'),
+    "missing id": (3, '{"token": "<unk>"}'),
+    "string id": (3, '{"token": "<unk>", "id": "2"}'),
+    "float id": (13, '{"token": "0.9", "id": 12.0}'),
+    "bool id": (2, '{"token": "<eos>", "id": true}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_load_names_the_line_of_a_malformed_record(tmp_path, case):
+    path = tmp_path / "vocab.jsonl"
+    build_vocabulary(["harbor", "mill", "0.9"]).save(path)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[13]) == {"token": "0.9", "id": 12}
+    assert Vocabulary.load(path).id_of("0.9") == 12
+    index, replacement = MALFORMED_LINES[case]
+    lines[index] = replacement
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(VocabularyError, match=f"^line {index + 1}: "):
         Vocabulary.load(path)
 
 
