@@ -98,7 +98,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = _unpack("<I", body, pos, "section table")
         pos += 4
-        name = str(body[pos : pos + name_len], "utf-8")
+        try:
+            name = str(body[pos : pos + name_len], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError("section name is not UTF-8") from exc
         pos += name_len
         offset, length = _unpack("<QQ", body, pos, "section table")
         pos += 16

@@ -3,19 +3,19 @@
 At every step a dynamic mask permits only tokens that (a) keep the stream
 inside the linearization grammar and (b) replay node/edge lines that
 exist verbatim in the full memory graph.  The constraint engine records
-the full graph's own node or edge as each line completes, and the chosen
-confidence value, so the evidence subgraph is assembled from that record
-instead of re-parsed from the tokens: it verifies by construction, also
-for descriptions and relations with irregular whitespace or words that
-share a structural token's spelling.
+which of the full graph's lines completed, and the chosen confidence
+value, so the evidence subgraph is assembled from that record instead of
+re-parsed from the tokens: it verifies by construction, also for
+descriptions and relations with irregular whitespace, words that share a
+structural token's spelling, and words or node ids the vocabulary lacks.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Edge, EvidenceSubgraph, GraphFormatError, MemoryGraph, Node
+from .graphs import EvidenceSubgraph, MemoryGraph
 from .retriever import RetrieverModel
 from .tokenization import edge_line_tokens, node_line_tokens
 from .vocab import (
@@ -51,9 +51,15 @@ _FIXED_PHASES = {
     "eos": (EOS, "eos"),
 }
 
-# Phases whose legal set is the engine's mask: the token that closes the
-# section, legal at every line start.
-_LINE_STARTS = {"node-line-start": TOK_EDGES, "edge-line-start": TOK_CONFIDENCE}
+# Phases whose legal set is the engine's mask, each with the token that
+# closes the section (legal at every line start), the phase that token
+# leads to and the phase of a line begun there.
+_LINE_STARTS = {
+    "node-line-start": (TOK_EDGES, "edges-eol", "node-line"),
+    "edge-line-start": (TOK_CONFIDENCE, "confidence-eol", "edge-line"),
+}
+# Phases inside a line, and the line start a completed line returns to.
+_LINES = {"node-line": "node-line-start", "edge-line": "edge-line-start"}
 
 
 # The most full-graph lines (node lines plus edge lines) whose indexes one
@@ -72,11 +78,15 @@ class GraphIndex:
     """The part of a decode that depends only on the full graph and the
     vocabulary, built once and shared by every decode of that graph.
 
-    Node lines are keyed by their id token, edge line indices grouped by
-    source token in edge order; token lines exclude the trailing EOL,
-    which the engine handles by position.  ``start_mask`` is the legal
+    ``token_lines`` holds the graph's node lines, then its edge lines, in
+    graph order and without their trailing EOL, which the engine handles
+    by position; a line is known by its index there, not by its tokens, so
+    node ids that share a token (unseen ids, all UNK) stay apart.  Words
+    the vocabulary lacks read as UNK in either vocabulary mode.
+    ``node_groups`` maps each first token of a node line to the indices of
+    the node lines it starts, in graph order.  ``start_mask`` is the legal
     set at the first node-line start as a read-only boolean vocabulary
-    mask, the node id tokens and ``<EDGES>``, and ``start_count`` its
+    mask, those first tokens and ``<EDGES>``, and ``start_count`` its
     number of legal tokens; each engine starts from a copy.  ``lines``
     counts the graph's node and edge lines, the measure the index cache
     is bounded by.  ``graph`` is the graph the index was built from.
@@ -84,34 +94,24 @@ class GraphIndex:
     """
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
-        self.node_lines: dict[int, tuple[int, ...]] = {}
-        self.node_of: dict[int, Node] = {}
-        edge_lines: list[tuple[int, ...]] = []
-        edges_by_source: dict[int, list[int]] = {}
+        word_id = vocab.input_id
+        lines = [node_line_tokens(node, word_id) for node in full_graph.nodes]
+        lines += [edge_line_tokens(edge, word_id) for edge in full_graph.edges]
         # BOS, header, <NODES>, EOL, <EDGES>, EOL and EOS, plus each line
         # with its EOL: the length of the full graph's linearization.
-        serialized = 7
-        for node in full_graph.nodes:
-            toks = node_line_tokens(node, vocab)
-            serialized += len(toks)
-            toks.pop()
-            self.node_lines[toks[0]] = tuple(toks)
-            self.node_of[toks[0]] = node
-        for i, edge in enumerate(full_graph.edges):
-            toks = edge_line_tokens(edge, vocab)
-            serialized += len(toks)
-            toks.pop()
-            edge_lines.append(tuple(toks))
-            edges_by_source.setdefault(toks[0], []).append(i)
-        self.edge_lines = tuple(edge_lines)
-        self.edges_by_source = {s: tuple(edges) for s, edges in edges_by_source.items()}
+        serialized = 7 + sum(map(len, lines))
+        self.token_lines = tuple(tuple(line[:-1]) for line in lines)
+        groups: dict[int, list[int]] = {}
+        for i in range(len(full_graph.nodes)):
+            groups.setdefault(lines[i][0], []).append(i)
+        self.node_groups = {first: tuple(group) for first, group in groups.items()}
         mask = np.zeros(len(vocab), dtype=bool)
-        mask[[*self.node_lines, TOK_EDGES]] = True
+        mask[[*groups, TOK_EDGES]] = True
         mask.flags.writeable = False
         self.start_mask = mask
-        self.start_count = len(self.node_lines) + 1
+        self.start_count = len(groups) + 1
         self.graph = full_graph
-        self.lines = len(full_graph.nodes) + len(full_graph.edges)
+        self.lines = len(lines)
         # Token budget sufficient to emit the whole full graph as evidence:
         # +4 covers the confidence section, +8 is slack.
         self.default_max_len = serialized + 4 + 8
@@ -147,17 +147,21 @@ class ConstraintEngine:
     """Tracks the grammar state and the set of legal next tokens for one
     decode against a fixed full graph, whose :class:`GraphIndex` it reads.
 
-    The legal set at a line start is one boolean vocabulary mask,
-    ``mask``, with ``count`` legal tokens.  Before ``<EDGES>`` it holds
-    the nodes not yet emitted and ``<EDGES>``: a copy of the index's start
-    mask, whose node entry clears as the node's line completes.  The
-    emitted node set is final once ``<EDGES>`` is taken, so the open
-    edges (both endpoints emitted) are grouped by source then, and the
-    mask becomes the sources with an open edge and ``[CONFIDENCE]``; a
-    completed edge line leaves its source's list, and the source's entry
-    clears with its last open edge.  Every step other than a line start
-    costs time in the edge lines that share the current line's prefix,
-    not in the size of the graph.
+    Node lines and edge lines are replayed alike.  ``pending`` maps each
+    first token to the unused lines it starts, in graph order, and the
+    legal set at a line start is one boolean vocabulary mask, ``mask``,
+    with ``count`` legal tokens: the first tokens with an unused line and
+    the token that closes the section.  Before ``<EDGES>`` the pending
+    lines are the index's node groups and the mask a copy of its start
+    mask.  The completed node set is final once ``<EDGES>`` is taken, so
+    the open edges (both endpoint nodes completed, compared by node id)
+    are grouped by first token then, and the mask becomes those tokens
+    and ``[CONFIDENCE]``.  Inside a line, ``candidates`` holds the pending
+    lines that share the tokens taken so far; the EOL completes the first
+    of them of the current length.  A completed line leaves its group,
+    except the last, which stays while the first token's mask entry
+    clears.  Every step other than a line start costs time in the
+    candidates, not in the size of the graph.
 
     A decode step asks :meth:`forced` for the one legal token and, when
     there are several, :meth:`choose` for the legal token with the
@@ -166,9 +170,9 @@ class ConstraintEngine:
 
     A line ends by its length, not by the first EOL token, so a word
     spelled like a structural token is replayed as part of its line.  The
-    engine records the full graph's own node or edge as each line
-    completes, and the confidence value taken; :meth:`evidence` assembles
-    the subgraph from that record.
+    engine records the index of each line as it completes, ``completed``,
+    and the confidence value taken; :meth:`evidence` assembles the
+    subgraph from that record.
     """
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
@@ -178,29 +182,26 @@ class ConstraintEngine:
         self.phase = "header"
         self.mask = index.start_mask.copy()
         self.count = index.start_count
-        self.open_by_source: dict[int, list[int]] = {}
-        self.line: list[int] = []
-        self.edge_candidates: list[int] = []
+        # The groups stay the index's; a completion replaces its own.
+        self.pending: dict[int, Sequence[int]] = dict(index.node_groups)
+        # Inside a line: the tokens taken of it, and its candidates.
+        self.pos = 0
+        self.candidates: Sequence[int] = ()
         self.done = False
-        # The record: completed lines' nodes and edges, in order, and the
+        # The record: completed lines' indices, in order, and the
         # confidence value once taken.
-        self.evidence_nodes: list[Node] = []
-        self.evidence_edges: list[Edge] = []
+        self.completed: list[int] = []
         self.confidence: float | None = None
 
     def allowed_tokens(self) -> list[int]:
         """The legal next tokens, in ascending id order."""
         phase = self.phase
-        if phase == "edge-line":
-            pos = len(self.line)
-            lines = self.index.edge_lines
+        if phase in _LINES:
+            pos = self.pos
+            lines = self.index.token_lines
             return sorted(
-                {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in self.edge_candidates}
+                {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in self.candidates}
             )
-        if phase == "node-line":
-            template = self.index.node_lines[self.line[0]]
-            pos = len(self.line)
-            return [template[pos] if pos < len(template) else TOK_EOL]
         if phase in _FIXED_PHASES:
             return [_FIXED_PHASES[phase][0]]
         if phase in _LINE_STARTS:
@@ -213,15 +214,11 @@ class ConstraintEngine:
         """The one legal next token, or ``None`` when there are several.
         Raises :class:`DecodeError` when there is none."""
         phase = self.phase
-        if phase == "node-line":
-            template = self.index.node_lines[self.line[0]]
-            pos = len(self.line)
-            return template[pos] if pos < len(template) else TOK_EOL
-        if phase == "edge-line":
-            pos = len(self.line)
-            lines = self.index.edge_lines
+        if phase in _LINES:
+            pos = self.pos
+            lines = self.index.token_lines
             token = None
-            for i in self.edge_candidates:
+            for i in self.candidates:
                 line = lines[i]
                 next_token = line[pos] if pos < len(line) else TOK_EOL
                 if token is None:
@@ -233,7 +230,7 @@ class ConstraintEngine:
         elif phase in _LINE_STARTS:
             # The section's closing token is always legal: it is forced
             # when nothing else is.
-            return _LINE_STARTS[phase] if self.count == 1 else None
+            return _LINE_STARTS[phase][0] if self.count == 1 else None
         elif phase == "confidence-value":
             ids = self.vocab.confidence_ids
             if len(ids) > 1:
@@ -268,33 +265,31 @@ class ConstraintEngine:
             )
         raise DecodeError(f"token id {token} not legal in phase {self.phase!r}")
 
-    def _starts_line(self, token: int) -> bool:
-        """Whether ``token`` is in the line-start mask; an id outside the
-        vocabulary, which an index would wrap or overrun, is not."""
-        return 0 <= token < len(self.mask) and bool(self.mask[token])
-
     def advance(self, token: int) -> None:
         """Consume ``token``; raises :class:`DecodeError`, leaving the state
         unchanged, when it is not legal."""
         phase = self.phase
-        if phase == "edge-line":
-            self._advance_edge_line(token)
-        elif phase == "node-line":
-            template = self.index.node_lines[self.line[0]]
-            pos = len(self.line)
-            if pos < len(template):
-                if token != template[pos]:
-                    self._reject(token)
-                self.line.append(token)
+        if phase in _LINES:
+            pos = self.pos
+            lines = self.index.token_lines
+            candidates = self.candidates
+            if token == TOK_EOL:
+                # Duplicate lines resolve to the first unused index.  With
+                # no line of this length, an EOL word continues a longer
+                # line.
+                for i in candidates:
+                    if len(lines[i]) == pos:
+                        self._complete(i)
+                        return
+            if len(candidates) == 1:  # the common case, without a new list
+                line = lines[candidates[0]]
+                matches = candidates if pos < len(line) and line[pos] == token else ()
             else:
-                if token != TOK_EOL:
-                    self._reject(token)
-                node_token = self.line[0]
-                self.mask[node_token] = False
-                self.count -= 1
-                self.evidence_nodes.append(self.index.node_of[node_token])
-                self.line = []
-                self.phase = "node-line-start"
+                matches = [i for i in candidates if pos < len(lines[i]) and lines[i][pos] == token]
+            if not matches:
+                self._reject(token)
+            self.pos = pos + 1
+            self.candidates = matches
         elif phase in _FIXED_PHASES:
             expected, next_phase = _FIXED_PHASES[phase]
             if token != expected:
@@ -302,22 +297,18 @@ class ConstraintEngine:
             self.phase = next_phase
             if phase == "eos":
                 self.done = True
-        elif phase == "node-line-start":
-            if token == TOK_EDGES:
-                self._open_edges()
-                self.phase = "edges-eol"
-            elif self._starts_line(token):
-                self.line = [token]
-                self.phase = "node-line"
-            else:
-                self._reject(token)
-        elif phase == "edge-line-start":
-            if token == TOK_CONFIDENCE:
-                self.phase = "confidence-eol"
-            elif self._starts_line(token):
-                self.line = [token]
-                self.edge_candidates = self.open_by_source[token]
-                self.phase = "edge-line"
+        elif phase in _LINE_STARTS:
+            closing, next_phase, line_phase = _LINE_STARTS[phase]
+            if token == closing:
+                if token == TOK_EDGES:
+                    self._open_edges()
+                self.phase = next_phase
+            # An id outside the vocabulary, which an index would wrap or
+            # overrun, starts no line.
+            elif 0 <= token < len(self.mask) and self.mask[token]:
+                self.pos = 1
+                self.candidates = self.pending[token]
+                self.phase = line_phase
             else:
                 self._reject(token)
         elif phase == "confidence-value":
@@ -328,61 +319,46 @@ class ConstraintEngine:
         else:
             raise DecodeError(f"cannot advance from phase {phase!r}")
 
-    def _open_edges(self) -> None:
-        """Group the edges whose endpoints were both emitted by source, and
-        turn the mask from the nodes not emitted into the sources with an
-        open edge."""
-        mask = self.mask
-        lines = self.index.edge_lines
-        for source, edges in self.index.edges_by_source.items():
-            if mask[source]:
-                continue
-            open_idx = [i for i in edges if not mask[lines[i][2]]]
-            if open_idx:
-                self.open_by_source[source] = open_idx
-        mask[:] = False
-        mask[[*self.open_by_source, TOK_CONFIDENCE]] = True
-        self.count = len(self.open_by_source) + 1
+    def _complete(self, i: int) -> None:
+        """Record line ``i`` as completed and return to the line start."""
+        first = self.index.token_lines[i][0]
+        unused = self.pending[first]
+        if len(unused) == 1:
+            self.mask[first] = False
+            self.count -= 1
+        else:
+            self.pending[first] = [j for j in unused if j != i]
+        self.completed.append(i)
+        self.candidates = ()
+        self.phase = _LINES[self.phase]
 
-    def _advance_edge_line(self, token: int) -> None:
-        pos = len(self.line)
-        lines = self.index.edge_lines
-        if token == TOK_EOL:
-            # Duplicate edge lines resolve to the first unused index.  With
-            # no line of this length, an EOL word continues a longer line.
-            completed = next(
-                (i for i in self.edge_candidates if len(lines[i]) == pos), None
-            )
-            if completed is not None:
-                source = self.line[0]
-                unused = self.open_by_source[source]
-                unused.remove(completed)
-                if not unused:
-                    self.mask[source] = False
-                    self.count -= 1
-                self.evidence_edges.append(self.index.graph.edges[completed])
-                self.line = []
-                self.edge_candidates = []
-                self.phase = "edge-line-start"
-                return
-        matches = [
-            i for i in self.edge_candidates if pos < len(lines[i]) and lines[i][pos] == token
-        ]
-        if not matches:
-            self._reject(token)
-        self.line.append(token)
-        self.edge_candidates = matches
+    def _open_edges(self) -> None:
+        """Group the edges whose endpoint nodes were both completed by first
+        token, and turn the mask into those tokens and ``[CONFIDENCE]``."""
+        graph = self.index.graph
+        lines = self.index.token_lines
+        done = {graph.nodes[i].id for i in self.completed}
+        pending: dict[int, list[int]] = {}
+        for i, edge in enumerate(graph.edges, len(graph.nodes)):
+            if edge.source in done and edge.target in done:
+                pending.setdefault(lines[i][0], []).append(i)
+        self.pending = pending
+        self.mask[:] = False
+        self.mask[[*pending, TOK_CONFIDENCE]] = True
+        self.count = len(pending) + 1
 
     def evidence(self) -> EvidenceSubgraph:
         """The evidence subgraph of the lines completed so far and the
-        confidence value taken.  Raises :class:`DecodeError` when they do
-        not form a graph, as when node ids collide on UNK in an open
-        vocabulary."""
-        try:
-            graph = MemoryGraph(tuple(self.evidence_nodes), tuple(self.evidence_edges))
-            return EvidenceSubgraph(graph, self.confidence)
-        except GraphFormatError as exc:
-            raise DecodeError(f"decoded lines do not form a graph: {exc}") from exc
+        confidence value taken."""
+        nodes, edges = self.index.graph.nodes, self.index.graph.edges
+        n = len(nodes)
+        return EvidenceSubgraph(
+            MemoryGraph(
+                tuple(nodes[i] for i in self.completed if i < n),
+                tuple(edges[i - n] for i in self.completed if i >= n),
+            ),
+            self.confidence,
+        )
 
 
 def decode_many(
@@ -416,12 +392,12 @@ def decode_many(
     decode (one row, which NumPy hands to gemv) may round a state's last
     bits differently, so they take the same tokens unless two legal
     tokens' logits tie within that rounding.  Every output passes subset
-    verification against its full graph.
+    verification against its full graph, also when the vocabulary lacks
+    some of its words or node ids.
 
     A request that cannot be decoded (a grammar dead end, ``max_len``
-    exhausted before EOS, a malformed request, decoded lines that form no
-    graph) raises what a loop over the requests in input order would raise
-    first; the requests after it are not decoded.  ``max_len`` defaults,
+    exhausted before EOS, a malformed request) raises what a loop over the
+    requests in input order would raise first; the requests after it are not decoded.  ``max_len`` defaults,
     per request, to a budget that fits the whole full graph.  A model
     whose vocabulary size is not ``len(vocab)`` raises
     :class:`DecodeError` before any request is taken.

@@ -12,7 +12,7 @@ single-spaced graphs (the canonical form used throughout the engine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import (
     Edge,
@@ -72,18 +72,18 @@ def graph_surface_words(graph: MemoryGraph, confidence: float | None = None):
         yield format_confidence(confidence)
 
 
-def node_line_tokens(node: Node, vocab: Vocabulary) -> list[int]:
-    """Tokens of one node line, end-of-line included."""
-    toks = [vocab.id_of(node.id), TOK_COLON]
-    toks.extend(vocab.id_of(w) for w in node.description.split())
+def node_line_tokens(node: Node, word_id: Callable[[str], int]) -> list[int]:
+    """Tokens of one node line, end-of-line included, words by ``word_id``."""
+    toks = [word_id(node.id), TOK_COLON]
+    toks.extend(map(word_id, node.description.split()))
     toks.append(TOK_EOL)
     return toks
 
 
-def edge_line_tokens(edge: Edge, vocab: Vocabulary) -> list[int]:
-    """Tokens of one edge line, end-of-line included."""
-    toks = [vocab.id_of(edge.source), TOK_ARROW, vocab.id_of(edge.target), TOK_COLON]
-    toks.extend(vocab.id_of(w) for w in edge.relation.split())
+def edge_line_tokens(edge: Edge, word_id: Callable[[str], int]) -> list[int]:
+    """Tokens of one edge line, end-of-line included, words by ``word_id``."""
+    toks = [word_id(edge.source), TOK_ARROW, word_id(edge.target), TOK_COLON]
+    toks.extend(map(word_id, edge.relation.split()))
     toks.append(TOK_EOL)
     return toks
 
@@ -94,10 +94,10 @@ def linearize(
     """Serialize a graph into its token sequence."""
     toks: list[int] = [BOS, TOK_HEADER, TOK_NODES, TOK_EOL]
     for node in graph.nodes:
-        toks.extend(node_line_tokens(node, vocab))
+        toks.extend(node_line_tokens(node, vocab.id_of))
     toks.extend((TOK_EDGES, TOK_EOL))
     for edge in graph.edges:
-        toks.extend(edge_line_tokens(edge, vocab))
+        toks.extend(edge_line_tokens(edge, vocab.id_of))
     if confidence is not None:
         toks.extend((TOK_CONFIDENCE, TOK_EOL))
         toks.append(vocab.id_of(format_confidence(confidence)))

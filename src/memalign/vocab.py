@@ -50,12 +50,21 @@ def _is_confidence(word: str) -> bool:
     return math.isfinite(value) and 0.0 <= value <= 1.0
 
 
+def _record(line: str, number: int):
+    """One JSON line of a saved vocabulary, its errors named by file line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise VocabularyError(f"line {number}: not JSON ({exc.msg}, column {exc.colno})") from None
+
+
 @dataclass
 class Vocabulary:
     """Bijective token table with reserved structural ids.
 
     ``mode`` is ``"open"`` (out-of-vocabulary words map to UNK) or
-    ``"closed"`` (out-of-vocabulary words are errors).
+    ``"closed"`` (out-of-vocabulary words are errors) in :meth:`id_of`;
+    :meth:`input_id` maps them to UNK in either mode.
     """
 
     words: tuple[str, ...] = ()
@@ -92,6 +101,11 @@ class Vocabulary:
             raise VocabularyError(f"out-of-vocabulary word {word!r}")
         return wid
 
+    def input_id(self, word: str) -> int:
+        """The id ``word`` feeds the model: UNK for an unseen word, in
+        either mode."""
+        return self._ids.get(word, UNK)
+
     def token(self, token_id: int) -> str:
         if token_id < len(RESERVED_TOKENS):
             return RESERVED_TOKENS[token_id]
@@ -122,14 +136,14 @@ class Vocabulary:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines:
             raise VocabularyError("empty vocabulary file")
-        head = json.loads(lines[0])
+        head = _record(lines[0], 1)
         if not isinstance(head, dict) or head.get("token") != "<mode>":
             raise VocabularyError("line 1: missing vocabulary mode record")
         entries = []
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            entry = json.loads(line)
+            entry = _record(line, number)
             valid = isinstance(entry, dict) and isinstance(entry.get("token"), str)
             # An id is an int: not a bool, nor a float such as 12.0.
             if not (valid and type(entry.get("id")) is int):

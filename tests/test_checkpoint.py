@@ -120,6 +120,10 @@ def malformed_checkpoints() -> dict[str, tuple[bytes, str]]:
             "truncated section 'w' shape",
         ),
         "huge rank": (one_section(struct.pack("<Q", 2**62)), "truncated section 'w' shape"),
+        "name not UTF-8": (
+            header + struct.pack("<I", 1) + b"\xff" + struct.pack("<QQ", 0, 0),
+            "section name is not UTF-8",
+        ),
         # 2^32 * 2^32 elements wrap to 0 in int64 arithmetic.
         "shape past int64": (
             one_section(struct.pack("<3Q", 2, 2**32, 2**32)),

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from memalign.cli import main
-from memalign.corpus import generate_synthetic_corpus, save_corpus
-from memalign.graphs import emit, emit_evidence
+from memalign.corpus import generate_synthetic_corpus, load_corpus, save_corpus
+from memalign.graphs import emit, emit_evidence, parse_evidence, parse_full_graph, verify_subset
 from test_checkpoint import malformed_checkpoints, sealed
 
 
@@ -240,3 +240,26 @@ def test_malformed_checkpoint_is_a_validation_error(served, tmp_path, capsys):
     assert main(["retrieve", *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "retrieved.jsonl").exists()
+
+
+def test_memory_with_unseen_words_and_node_ids_is_served(served, tmp_path):
+    # One instance's full graph gains a node and an edge the training
+    # corpus never saw, so the closed vocabulary lacks N77 and violet.
+    corpus_path = Path(served[served.index("--corpus") + 1])
+    records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+    text = records[2]["full_graph_text"]
+    records[2]["full_graph_text"] = text.replace(
+        "<EDGES>\n", "N77: violet beacon\n<EDGES>\nN77 -> N1: violet\n"
+    )
+    corpus = tmp_path / "unseen.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = [*served, "--out", str(tmp_path)]
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    assert main(["retrieve", *argv]) == 0
+    instances = {inst.id: inst for inst in load_corpus(corpus)}
+    lines = (tmp_path / "retrieved.jsonl").read_text().splitlines()
+    assert len(lines) == len(instances)
+    for line in lines:
+        record = json.loads(line)
+        full = parse_full_graph(instances[record["id"]].full_graph_text)
+        assert verify_subset(parse_evidence(record["evidence"]), full).accepted

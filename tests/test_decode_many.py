@@ -350,10 +350,10 @@ def test_irregular_lines_decode_to_evidence_that_verifies(lines):
         assert decode_many(model, vocab, [request, request]) == [sub, sub]
 
 
-def test_lines_forming_no_graph_fail_like_a_sequential_loop():
-    # In an open vocabulary N2 and N3 both map to UNK, so the engine
-    # replays one UNK node line and opens edges of the other: the decoded
-    # lines leave an edge dangling.
+def test_node_ids_colliding_on_unk_decode_as_distinct_nodes():
+    # In an open vocabulary N2 and N3 both map to UNK.  The engine tells
+    # their lines apart by their place in the graph, so both nodes decode,
+    # and the edge into N2 opens by node id.
     full = MemoryGraph(
         (Node("N1", "amber"), Node("N2", "calm"), Node("N3", "calm")),
         (Edge("N1", "N2", "feeds"),),
@@ -363,16 +363,19 @@ def test_lines_forming_no_graph_fail_like_a_sequential_loop():
     model.out_bias[[decoding.TOK_EDGES, decoding.TOK_CONFIDENCE]] = -1e3
     good_graph = MemoryGraph((Node("N1", "amber"),), ())
     good = (good_graph, np.zeros(4), np.zeros(3))
-    bad = (full, np.zeros(4), np.zeros(3))
+    colliding = (full, np.zeros(4), np.zeros(3))
     malformed = (good_graph, np.zeros(5), np.zeros(3))
-    with pytest.raises(DecodeError, match="undeclared node") as raised:
-        generate_subgraph(model, *bad, vocab)
-    for requests in ([good, bad, good], [bad, good, good], [good, bad, malformed]):
-        with pytest.raises(DecodeError) as batched:
+    sub = generate_subgraph(model, *colliding, vocab)
+    assert sorted(sub.graph.nodes, key=full.nodes.index) == list(full.nodes)
+    assert sub.graph.edges == full.edges
+    assert verify_subset(sub, full).accepted
+    for requests in ([good, colliding, good], [colliding, good, good]):
+        assert decode_many(model, vocab, requests) == [
+            generate_subgraph(model, *request, vocab) for request in requests
+        ]
+    for requests in ([good, colliding, malformed], [good, malformed, colliding]):
+        with pytest.raises(RetrieverError, match="conditioning dimension"):
             decode_many(model, vocab, requests)
-        assert str(batched.value) == str(raised.value)
-    with pytest.raises(RetrieverError, match="conditioning dimension"):
-        decode_many(model, vocab, [good, malformed, bad])
 
 
 # -- state kept across calls: the projection table and the graph indexes --

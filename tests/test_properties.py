@@ -20,7 +20,7 @@ from memalign.graphs import (
     verify_subset,
 )
 from memalign.retriever import init_retriever
-from memalign.decoding import ConstraintEngine, DecodeError, generate_subgraph
+from memalign.decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
 from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
 from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
 from util import (
@@ -166,6 +166,50 @@ def test_decode_verifies_with_irregular_whitespace_and_reserved_words(full, seed
     assert parse_evidence(emit_evidence(sub)) == sub
     if greedy:
         assert len(sub.graph.nodes) == len(full.nodes)
+        assert len(sub.graph.edges) == len(full.edges)
+
+
+# Words no vocabulary below is built from.
+UNSEEN_WORDS = ("violet", "beacon", "umbral")
+
+
+@st.composite
+def unseen_cases(draw):
+    """A graph with node ids from N1 to N98 and words some of which are
+    unseen, and the words of its vocabulary: a random part of its own."""
+    ids = draw(st.lists(st.integers(1, 98), min_size=1, max_size=6, unique=True))
+    text = st.lists(st.sampled_from(WORDS[:4] + UNSEEN_WORDS), min_size=1, max_size=3)
+    nodes = tuple(Node(f"N{i}", " ".join(draw(text))) for i in ids)
+    edges = []
+    if len(ids) >= 2:
+        for _ in range(draw(st.integers(0, 5))):
+            a, b = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            edges.append(Edge(f"N{a}", f"N{b}", " ".join(draw(text))))
+    full = MemoryGraph(nodes, tuple(edges))
+    seen = [w for w in graph_surface_words(full) if w not in UNSEEN_WORDS and draw(st.booleans())]
+    return full, seen
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+@given(unseen_cases(), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_decode_verifies_with_unseen_words_and_node_ids(mode, case, seed, greedy):
+    """Words and node ids the vocabulary lacks read as UNK in either mode;
+    decoding never raises, and lines that share every token (node ids
+    colliding on UNK) still decode as distinct nodes and edges."""
+    full, seen = case
+    vocab = build_vocabulary([*seen, "0.75", "0.25"], mode=mode)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=seed)
+    if greedy:  # against closing a section: every line gets decoded
+        model.out_bias[[TOK_EDGES, TOK_CONFIDENCE]] = -1e3
+    rng = np.random.default_rng(seed)
+    request = (full, rng.standard_normal(4), rng.standard_normal(3))
+    sub = generate_subgraph(model, *request, vocab)
+    assert verify_subset(sub, full).accepted
+    assert parse_evidence(emit_evidence(sub)) == sub
+    assert decode_many(model, vocab, [request, request]) == [sub, sub]
+    if greedy:
+        assert sorted(sub.graph.nodes, key=full.nodes.index) == list(full.nodes)
         assert len(sub.graph.edges) == len(full.edges)
 
 

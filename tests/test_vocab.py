@@ -96,6 +96,8 @@ MALFORMED_LINES = {
     "string id": (3, '{"token": "<unk>", "id": "2"}'),
     "float id": (13, '{"token": "0.9", "id": 12.0}'),
     "bool id": (2, '{"token": "<eos>", "id": true}'),
+    "head not JSON": (0, '{"token": "<mode>"'),
+    "record not JSON": (5, '{"token": "<x>", "id": 4'),
 }
 
 

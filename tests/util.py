@@ -186,9 +186,12 @@ class ScanEngine:
     scanning all node and edge lines of the full graph.
 
     ``allowed()`` gives the legal next tokens as a set; ``advance(token)``
-    assumes a legal token.  A line ends by its length, so an EOL word inside
-    a line continues it.  Node ids that collide on UNK share one id token,
-    whose line is the last such node's.
+    assumes a legal token.  Lines are known by their place in the graph,
+    not by their tokens: node ids that collide on UNK stay distinct
+    nodes, and an edge is open once the nodes with its endpoint ids
+    completed.  A line ends by its length, so an EOL word inside a line
+    continues it; an EOL completes the first unused line equal to the
+    tokens taken.
     """
 
     # Phases whose only legal token is fixed, and the phase each leads to.
@@ -203,55 +206,44 @@ class ScanEngine:
     }
 
     def __init__(self, full: MemoryGraph, vocab: Vocabulary):
-        self.node_lines = [node_line_tokens(n, vocab)[:-1] for n in full.nodes]
-        self.edge_lines = [edge_line_tokens(e, vocab)[:-1] for e in full.edges]
+        self.full = full
+        word_id = vocab.input_id
+        self.node_lines = [node_line_tokens(n, word_id)[:-1] for n in full.nodes]
+        self.edge_lines = [edge_line_tokens(e, word_id)[:-1] for e in full.edges]
         self.confidence_ids = {
             vocab.id_of(word) for word in vocab.words if _is_confidence_word(word)
         }
         self.phase = "header"
-        self.emitted: set[int] = set()
-        self.used: set[int] = set()
+        self.used_nodes: set[int] = set()
+        self.used_edges: set[int] = set()
         self.line: list[int] = []
 
-    def _open_edges(self) -> list[int]:
-        return [
-            i
-            for i, line in enumerate(self.edge_lines)
-            if i not in self.used and line[0] in self.emitted and line[2] in self.emitted
-        ]
+    def _unused(self) -> dict[int, list[int]]:
+        """The lines of the current section still available, by index."""
+        if self.phase.startswith("node"):
+            return {i: line for i, line in enumerate(self.node_lines) if i not in self.used_nodes}
+        done = {self.full.nodes[i].id for i in self.used_nodes}
+        return {
+            i: self.edge_lines[i]
+            for i, edge in enumerate(self.full.edges)
+            if i not in self.used_edges and edge.source in done and edge.target in done
+        }
 
-    def _edge_matches(self) -> list[int]:
-        """Open edges whose tokens start with the current line."""
+    def _matches(self) -> dict[int, list[int]]:
+        """Unused lines whose tokens start with the current line."""
         n = len(self.line)
-        return [i for i in self._open_edges() if self.edge_lines[i][:n] == self.line]
-
-    def _template(self) -> list[int]:
-        """The node line the current line replays."""
-        return [t for t in self.node_lines if t[0] == self.line[0]][-1]
-
-    def _completed_edge(self) -> int | None:
-        """The first open edge whose whole line is the current line."""
-        n = len(self.line)
-        return next((i for i in self._edge_matches() if len(self.edge_lines[i]) == n), None)
+        return {i: line for i, line in self._unused().items() if line[:n] == self.line}
 
     def allowed(self) -> set[int]:
         if self.phase in self.FIXED:
             return {self.FIXED[self.phase][0]}
         if self.phase == "node-line-start":
-            return {line[0] for line in self.node_lines if line[0] not in self.emitted} | {
-                TOK_EDGES
-            }
-        if self.phase == "node-line":
-            template = self._template()
-            return {template[len(self.line)] if len(self.line) < len(template) else TOK_EOL}
+            return {line[0] for line in self._unused().values()} | {TOK_EDGES}
         if self.phase == "edge-line-start":
-            return {self.edge_lines[i][0] for i in self._open_edges()} | {TOK_CONFIDENCE}
-        if self.phase == "edge-line":
+            return {line[0] for line in self._unused().values()} | {TOK_CONFIDENCE}
+        if self.phase in ("node-line", "edge-line"):
             n = len(self.line)
-            return {
-                self.edge_lines[i][n] if n < len(self.edge_lines[i]) else TOK_EOL
-                for i in self._edge_matches()
-            }
+            return {line[n] if n < len(line) else TOK_EOL for line in self._matches().values()}
         return set(self.confidence_ids)  # confidence-value
 
     def advance(self, token: int) -> None:
@@ -261,20 +253,16 @@ class ScanEngine:
         elif phase == "node-line-start":
             self.line = [token]
             self.phase = "edges-eol" if token == TOK_EDGES else "node-line"
-        elif phase == "node-line":
-            if len(self.line) == len(self._template()):
-                self.emitted.add(self.line[0])
-                self.phase = "node-line-start"
-            else:
-                self.line.append(token)
         elif phase == "edge-line-start":
             self.line = [token]
             self.phase = "confidence-eol" if token == TOK_CONFIDENCE else "edge-line"
-        elif phase == "edge-line":
-            completed = self._completed_edge() if token == TOK_EOL else None
-            if completed is not None:
-                self.used.add(completed)
-                self.phase = "edge-line-start"
+        elif phase in ("node-line", "edge-line"):
+            n = len(self.line)
+            whole = [i for i, line in self._matches().items() if len(line) == n]
+            if token == TOK_EOL and whole:
+                used = self.used_nodes if phase == "node-line" else self.used_edges
+                used.add(whole[0])
+                self.phase = phase + "-start"
             else:
                 self.line.append(token)
         else:  # confidence-value
