@@ -30,7 +30,7 @@ from .corpus import (
     visible_gold,
 )
 from .decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
-from .fusion import FusedMemory, FusionError, fuse_max, fuse_states
+from .fusion import FusedMemory, FusionError, fuse_states
 from .graphs import (
     Edge,
     EvidenceSubgraph,

@@ -109,6 +109,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
     sections: dict[str, np.ndarray] = {}
     for name, offset, length in entries:
+        if name in sections:
+            raise CheckpointError(f"duplicate section {name!r}")
         if offset + length > len(body):
             raise CheckpointError(f"truncated section {name!r}")
         blob = body[offset : offset + length]

@@ -156,7 +156,3 @@ def load_config(path: str | Path) -> EngineConfig:
     cfg.distill.__post_init__()
     cfg.__post_init__()
     return cfg
-
-
-def save_config(cfg_text: str, path: str | Path) -> None:
-    Path(path).write_text(cfg_text, encoding="utf-8")

@@ -62,6 +62,11 @@ RELATIONS = (
     "shelters", "supports",
 )
 
+# The confidence of every synthetic gold subgraph, and the scale of the
+# noise each distractor node adds to one segment block of the content.
+GOLD_CONFIDENCE = 0.9
+DISTRACTOR_NOISE = 0.2
+
 
 class CorpusError(ValueError):
     pass
@@ -299,10 +304,7 @@ def generate_synthetic_corpus(
     segment_count: int = 8,
     chain_range: tuple[int, int] = (2, 4),
     d_c: int = 64,
-    confidence: float = 0.9,
     answer_position: str = "last",
-    pattern_scale: float = 1.0,
-    distractor_noise: float = 0.2,
     content_noise: float = 0.5,
 ) -> list[CorpusInstance]:
     """Deterministic synthetic corpus of chain-evidence instances.
@@ -367,7 +369,7 @@ def generate_synthetic_corpus(
         full = MemoryGraph(nodes, chain_edges + tuple(extra_edges))
 
         gold_nodes = nodes[:g]
-        gold = EvidenceSubgraph(MemoryGraph(gold_nodes, chain_edges), confidence)
+        gold = EvidenceSubgraph(MemoryGraph(gold_nodes, chain_edges), GOLD_CONFIDENCE)
 
         if answer_position == "last" or g < 2:
             answer_node = g
@@ -383,10 +385,10 @@ def generate_synthetic_corpus(
         content = content_noise * rng.standard_normal(d_c)
         for position in range(1, g + 1):
             block = blocks[chain_segment(position, segment_count)]
-            content[block] += pattern_scale * patterns[position - 1][: block.stop - block.start]
+            content[block] += patterns[position - 1][: block.stop - block.start]
         for i in range(g, total):
             block = blocks[int(rng.integers(segment_count))]
-            content[block] += distractor_noise * rng.standard_normal(block.stop - block.start)
+            content[block] += DISTRACTOR_NOISE * rng.standard_normal(block.stop - block.start)
 
         instances.append(
             CorpusInstance(
@@ -402,9 +404,7 @@ def generate_synthetic_corpus(
     return instances
 
 
-def corpus_vocabulary(
-    instances: list[CorpusInstance], mode: str = "closed"
-) -> Vocabulary:
+def corpus_vocabulary(instances: list[CorpusInstance]) -> Vocabulary:
     """Vocabulary over all full-graph and gold-subgraph surface words."""
 
     def words():
@@ -413,4 +413,4 @@ def corpus_vocabulary(
             sub = instance.gold_subgraph()
             yield from graph_surface_words(sub.graph, sub.confidence)
 
-    return build_vocabulary(words(), mode=mode)
+    return build_vocabulary(words())

@@ -82,7 +82,7 @@ class GraphIndex:
     graph order and without their trailing EOL, which the engine handles
     by position; a line is known by its index there, not by its tokens, so
     node ids that share a token (unseen ids, all UNK) stay apart.  Words
-    the vocabulary lacks read as UNK in either vocabulary mode.
+    the vocabulary lacks read as UNK.
     ``node_groups`` maps each first token of a node line to the indices of
     the node lines it starts, in graph order.  ``start_mask`` is the legal
     set at the first node-line start as a read-only boolean vocabulary

@@ -40,23 +40,22 @@ class AdamW:
     so a step takes one divide per element.  Parameters are updated in
     place, ``UPDATE_CHUNK`` elements at a time through two fixed buffer
     rows; iteration order is the sorted parameter name, so updates are
-    deterministic.  A gradient must have its parameter's shape.
+    deterministic.  A gradient must have its parameter's shape.  The betas
+    and eps are the ``torch.optim.AdamW`` defaults.
     """
 
     def __init__(
         self,
         params: dict[str, np.ndarray],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
         total_steps: int = 0,
         warmup_ratio: float = 0.0,
     ):
         self.params = params
         self.base_lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
         self.weight_decay = weight_decay
         self.total_steps = total_steps
         self.warmup_ratio = warmup_ratio

@@ -353,16 +353,13 @@ def module_sections(module: AlignmentModule, prefix: str) -> dict[str, np.ndarra
     return {f"{prefix}/{k}": v for k, v in module.parameters().items()}
 
 
-def module_from_sections(
-    sections: dict[str, np.ndarray], prefix: str, activation: str = "tanh"
-) -> AlignmentModule:
+def module_from_sections(sections: dict[str, np.ndarray], prefix: str) -> AlignmentModule:
     try:
         return AlignmentModule(
             *(
                 np.asarray(sections[f"{prefix}/{name}"], dtype=np.float64)
                 for name in ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias")
-            ),
-            activation,
+            )
         )
     except KeyError as exc:
         raise CheckpointError(f"missing checkpoint section {exc}") from exc
@@ -381,18 +378,16 @@ _RETRIEVER_SECTIONS = (
 )
 
 
-def retriever_sections(model: RetrieverModel, prefix: str = "retriever") -> dict[str, np.ndarray]:
+def retriever_sections(model: RetrieverModel) -> dict[str, np.ndarray]:
     params = model.parameters()
     for stacked, halves in _GATE_SECTIONS:
         params.update(zip(halves, np.split(params.pop(stacked), 2)))
-    return {f"{prefix}/{name}": params[name] for name in _RETRIEVER_SECTIONS}
+    return {f"retriever/{name}": params[name] for name in _RETRIEVER_SECTIONS}
 
 
-def retriever_from_sections(
-    sections: dict[str, np.ndarray], prefix: str = "retriever"
-) -> RetrieverModel:
+def retriever_from_sections(sections: dict[str, np.ndarray]) -> RetrieverModel:
     try:
-        params = {name: sections[f"{prefix}/{name}"] for name in _RETRIEVER_SECTIONS}
+        params = {name: sections[f"retriever/{name}"] for name in _RETRIEVER_SECTIONS}
     except KeyError as exc:
         raise CheckpointError(f"missing checkpoint section {exc}") from exc
     for stacked, halves in _GATE_SECTIONS:

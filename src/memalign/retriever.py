@@ -5,6 +5,7 @@ over gold serializations."""
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .graphs import EvidenceSubgraph, MemoryGraph, verify_subset
 from .optim import AdamW
 from .seeding import component_rng, fnv1a64
-from .tokenization import GraphTokenSequence, linearize_evidence
+from .tokenization import linearize_evidence
 from .vocab import BOS, Vocabulary
 
 
@@ -386,7 +387,7 @@ def sequence_backward(
 
 
 def teacher_distribution(
-    gold: GraphTokenSequence | list[int], step: int, epsilon: float, vocab_size: int
+    gold: Sequence[int], step: int, epsilon: float, vocab_size: int
 ) -> np.ndarray:
     """Label-smoothed gold distribution: (1-eps) one-hot + eps uniform."""
     tokens = list(gold)

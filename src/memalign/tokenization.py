@@ -11,8 +11,7 @@ single-spaced graphs (the canonical form used throughout the engine).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Sequence
 
 from .graphs import (
     Edge,
@@ -43,20 +42,6 @@ STRUCTURAL_IDS = frozenset(
 
 class LinearizationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GraphTokenSequence:
-    tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.tokens)
 
 
 def graph_surface_words(graph: MemoryGraph, confidence: float | None = None):
@@ -90,7 +75,7 @@ def edge_line_tokens(edge: Edge, word_id: Callable[[str], int]) -> list[int]:
 
 def linearize(
     graph: MemoryGraph, vocab: Vocabulary, confidence: float | None = None
-) -> GraphTokenSequence:
+) -> tuple[int, ...]:
     """Serialize a graph into its token sequence."""
     toks: list[int] = [BOS, TOK_HEADER, TOK_NODES, TOK_EOL]
     for node in graph.nodes:
@@ -103,10 +88,10 @@ def linearize(
         toks.append(vocab.id_of(format_confidence(confidence)))
         toks.append(TOK_EOL)
     toks.append(EOS)
-    return GraphTokenSequence(tuple(toks))
+    return tuple(toks)
 
 
-def linearize_evidence(sub: EvidenceSubgraph, vocab: Vocabulary) -> GraphTokenSequence:
+def linearize_evidence(sub: EvidenceSubgraph, vocab: Vocabulary) -> tuple[int, ...]:
     return linearize(sub.graph, vocab, sub.confidence)
 
 
@@ -150,9 +135,9 @@ class _Cursor:
         return " ".join(words)
 
 
-def delinearize(seq: GraphTokenSequence, vocab: Vocabulary) -> EvidenceSubgraph:
+def delinearize(seq: Sequence[int], vocab: Vocabulary) -> EvidenceSubgraph:
     """Invert :func:`linearize`; rejects any stream outside the grammar."""
-    cur = _Cursor(tuple(seq.tokens), vocab)
+    cur = _Cursor(tuple(seq), vocab)
     cur.expect(BOS, "BOS")
     if cur.peek() == EOS:
         raise LinearizationError("empty body")

@@ -10,24 +10,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ACTIVATIONS = ("tanh", "identity")
 
 
 class UnifiedSpaceError(ValueError):
     pass
-
-
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    """The activation of ``x``, written over ``x``: callers pass a temporary."""
-    if name == "tanh":
-        return np.tanh(x, out=x)
-    if name == "identity":
-        return x
-    raise UnifiedSpaceError(f"unknown activation {name!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -82,9 +71,6 @@ class MemoryState:
             raise UnifiedSpaceError(f"non-finite memory state for {self.paradigm!r}")
         object.__setattr__(self, "raw", raw)
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.raw.tobytes()).hexdigest()
-
 
 @dataclass(frozen=True)
 class Paradigm:
@@ -92,7 +78,6 @@ class Paradigm:
     d_t: int
     encoder_seed: int
     weight: np.ndarray  # d_t x d_c fixed random linear map
-    activation: str = "tanh"
 
 
 class ParadigmRegistry:
@@ -149,8 +134,8 @@ class ParadigmRegistry:
         one-row product is; an ``(N, d_c) @ weight.T`` gemm would round
         differently.
         """
-        paradigm = self.get(name)
-        return apply_activation(paradigm.activation, paradigm.weight @ rows[:, :, None])[:, :, 0]
+        states = self.get(name).weight @ rows[:, :, None]
+        return np.tanh(states, out=states)[:, :, 0]
 
 
 @dataclass
@@ -162,7 +147,6 @@ class AlignmentModule:
     layer1_bias: np.ndarray
     layer2_weight: np.ndarray  # d_out x d_hidden
     layer2_bias: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.layer1_weight = np.asarray(self.layer1_weight, dtype=np.float64)
@@ -178,8 +162,6 @@ class AlignmentModule:
         for arr in (self.layer1_weight, self.layer1_bias, self.layer2_weight, self.layer2_bias):
             if not np.all(np.isfinite(arr)):
                 raise UnifiedSpaceError("non-finite alignment parameters")
-        if self.activation not in ACTIVATIONS:
-            raise UnifiedSpaceError(f"unknown activation {self.activation!r}")
 
     @property
     def d_in(self) -> int:
@@ -210,13 +192,10 @@ class AlignmentModule:
             self.layer1_bias.copy(),
             self.layer2_weight.copy(),
             self.layer2_bias.copy(),
-            self.activation,
         )
 
 
-def init_alignment_module(
-    d_in: int, d_hidden: int, d_out: int, seed: int, activation: str = "tanh"
-) -> AlignmentModule:
+def init_alignment_module(d_in: int, d_hidden: int, d_out: int, seed: int) -> AlignmentModule:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
     b1 = 1.0 / np.sqrt(d_in)
@@ -226,7 +205,6 @@ def init_alignment_module(
         np.zeros(d_hidden),
         rng.uniform(-b2, b2, size=(d_out, d_hidden)),
         np.zeros(d_out),
-        activation,
     )
 
 
@@ -241,10 +219,10 @@ def _as_input(module: AlignmentModule, state) -> np.ndarray:
 
 
 def align_hidden(module: AlignmentModule, x: np.ndarray) -> np.ndarray:
-    """Layer 1 and its activation on input rows ``x``, in one buffer."""
+    """Layer 1 and its tanh on input rows ``x``, in one buffer."""
     hidden = x @ module.layer1_weight.T
     hidden += module.layer1_bias
-    return apply_activation(module.activation, hidden)
+    return np.tanh(hidden, out=hidden)
 
 
 def align_output(module: AlignmentModule, hidden: np.ndarray) -> np.ndarray:
@@ -264,9 +242,8 @@ def hidden_gradients(
     activations ``align_hidden`` gave, given d(loss)/d(output) = ``up``
     (B, d_out), summed over the rows."""
     d_pre1 = up @ module.layer2_weight
-    if module.activation == "tanh":
-        # tanh' at the pre-activation is 1 - tanh^2, from the activations.
-        d_pre1 *= 1.0 - hidden * hidden
+    # tanh' at the pre-activation is 1 - tanh^2, from the activations.
+    d_pre1 *= 1.0 - hidden * hidden
     return {
         "layer1_weight": d_pre1.T @ x,
         "layer1_bias": d_pre1.sum(axis=0),

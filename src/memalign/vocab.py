@@ -2,7 +2,8 @@
 
 Ids 0-9 are reserved: sequence sentinels, UNK, and the seven structural
 markers of the evidence-subgraph format.  Word tokens are whitespace-split
-surface words of node ids, descriptions, relations, and confidence values.
+surface words of node ids, descriptions, relations, and confidence values,
+with ids from 10 up; a word spelled like a reserved token is still a word.
 """
 from __future__ import annotations
 
@@ -60,15 +61,12 @@ def _record(line: str, number: int):
 
 @dataclass
 class Vocabulary:
-    """Bijective token table with reserved structural ids.
-
-    ``mode`` is ``"open"`` (out-of-vocabulary words map to UNK) or
-    ``"closed"`` (out-of-vocabulary words are errors) in :meth:`id_of`;
-    :meth:`input_id` maps them to UNK in either mode.
+    """Bijective token table: the reserved structural ids, then one id per
+    word.  An out-of-vocabulary word is an error in :meth:`id_of` and UNK in
+    :meth:`input_id`.
     """
 
     words: tuple[str, ...] = ()
-    mode: str = "closed"
     _ids: dict[str, int] = field(init=False, repr=False)
     # Decode state compiled per memory graph against this vocabulary: the
     # decoding.GraphIndex of each graph keyed by graph value, least
@@ -78,17 +76,14 @@ class Vocabulary:
     graph_index_lines: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("open", "closed"):
-            raise VocabularyError(f"unknown vocabulary mode {self.mode!r}")
         self.words = tuple(self.words)
-        self._ids = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
-        for word in self.words:
-            if word in self._ids:
-                raise VocabularyError(f"duplicate or reserved word {word!r}")
-            self._ids[word] = len(self._ids)
+        self._ids = {}
+        for i, word in enumerate(self.words, len(RESERVED_TOKENS)):
+            if self._ids.setdefault(word, i) != i:
+                raise VocabularyError(f"duplicate word {word!r}")
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(RESERVED_TOKENS) + len(self.words)
 
     def __contains__(self, word: str) -> bool:
         return word in self._ids
@@ -96,14 +91,11 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         wid = self._ids.get(word)
         if wid is None:
-            if self.mode == "open":
-                return UNK
             raise VocabularyError(f"out-of-vocabulary word {word!r}")
         return wid
 
     def input_id(self, word: str) -> int:
-        """The id ``word`` feeds the model: UNK for an unseen word, in
-        either mode."""
+        """The id ``word`` feeds the model: UNK for an unseen word."""
         return self._ids.get(word, UNK)
 
     def token(self, token_id: int) -> str:
@@ -125,9 +117,13 @@ class Vocabulary:
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the token table as JSON lines (one {token, id} per line)."""
-        lines = [json.dumps({"token": "<mode>", "id": self.mode})]
-        for tok, i in self._ids.items():
+        """Write the token table as JSON lines (one {token, id} per line).
+
+        The head record names the ``"closed"`` vocabulary kind, the one
+        :meth:`id_of` implements.
+        """
+        lines = [json.dumps({"token": "<mode>", "id": "closed"})]
+        for i, tok in enumerate(RESERVED_TOKENS + self.words):
             lines.append(json.dumps({"token": tok, "id": i}))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -139,6 +135,9 @@ class Vocabulary:
         head = _record(lines[0], 1)
         if not isinstance(head, dict) or head.get("token") != "<mode>":
             raise VocabularyError("line 1: missing vocabulary mode record")
+        # Older files may name the "open" kind; they load the same table.
+        if head.get("id") not in ("open", "closed"):
+            raise VocabularyError(f"line 1: unknown vocabulary mode {head.get('id')!r}")
         entries = []
         for number, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -159,19 +158,9 @@ class Vocabulary:
                     raise VocabularyError("reserved token mismatch")
             else:
                 words.append(entry["token"])
-        return cls(tuple(words), mode=head.get("id"))
+        return cls(tuple(words))
 
 
-def build_vocabulary(surface_words: Iterable[str], mode: str = "closed") -> Vocabulary:
-    """Build a vocabulary from surface words in first-seen order.
-
-    Words equal to a reserved token string are dropped (they already have
-    a structural id).
-    """
-    words: list[str] = []
-    seen = set(RESERVED_TOKENS)
-    for word in surface_words:
-        if word not in seen:
-            seen.add(word)
-            words.append(word)
-    return Vocabulary(tuple(words), mode=mode)
+def build_vocabulary(surface_words: Iterable[str]) -> Vocabulary:
+    """Build a vocabulary from surface words in first-seen order."""
+    return Vocabulary(tuple(dict.fromkeys(surface_words)))

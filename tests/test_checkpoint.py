@@ -97,13 +97,22 @@ def sealed(body: bytes) -> bytes:
 
 def malformed_checkpoints() -> dict[str, tuple[bytes, str]]:
     """Files with valid checksums whose section table or section blobs run
-    short or declare an impossible shape, each with the error it is refused
-    with."""
+    short, declare an impossible shape or name one section twice, each with
+    the error it is refused with."""
     header = MAGIC + struct.pack("<II", VERSION, 1)
 
-    def one_section(blob: bytes) -> bytes:
-        offset = len(header) + 4 + 1 + 16
-        return header + struct.pack("<I", 1) + b"w" + struct.pack("<QQ", offset, len(blob)) + blob
+    def named_w(*blobs: bytes) -> bytes:
+        """A file of one section named ``w`` per blob."""
+        head = MAGIC + struct.pack("<II", VERSION, len(blobs))
+        offset = len(head) + len(blobs) * (4 + 1 + 16)
+        table = b""
+        for blob in blobs:
+            table += struct.pack("<I", 1) + b"w" + struct.pack("<QQ", offset, len(blob))
+            offset += len(blob)
+        return head + table + b"".join(blobs)
+
+    def scalar(value: float) -> bytes:
+        return struct.pack("<Q", 0) + struct.pack("<f", value)
 
     return {
         "name past the end": (
@@ -114,19 +123,20 @@ def malformed_checkpoints() -> dict[str, tuple[bytes, str]]:
             header + struct.pack("<I", 1) + b"w" + struct.pack("<Q", 0),
             "truncated section table",
         ),
-        "blob under 8 bytes": (one_section(b"\0" * 4), "truncated section 'w'"),
+        "blob under 8 bytes": (named_w(b"\0" * 4), "truncated section 'w'"),
         "rank past the blob": (
-            one_section(struct.pack("<QQ", 3, 2)),
+            named_w(struct.pack("<QQ", 3, 2)),
             "truncated section 'w' shape",
         ),
-        "huge rank": (one_section(struct.pack("<Q", 2**62)), "truncated section 'w' shape"),
+        "huge rank": (named_w(struct.pack("<Q", 2**62)), "truncated section 'w' shape"),
         "name not UTF-8": (
             header + struct.pack("<I", 1) + b"\xff" + struct.pack("<QQ", 0, 0),
             "section name is not UTF-8",
         ),
+        "section named twice": (named_w(scalar(1.0), scalar(2.0)), "duplicate section 'w'"),
         # 2^32 * 2^32 elements wrap to 0 in int64 arithmetic.
         "shape past int64": (
-            one_section(struct.pack("<3Q", 2, 2**32, 2**32)),
+            named_w(struct.pack("<3Q", 2, 2**32, 2**32)),
             "section 'w' payload length 0 does not match declared shape "
             "(4294967296, 4294967296)",
         ),

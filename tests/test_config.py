@@ -6,7 +6,6 @@ from memalign.config import (
     EngineConfig,
     default_config_text,
     load_config,
-    save_config,
 )
 
 
@@ -29,7 +28,7 @@ def test_defaults():
 
 def test_default_text_round_trips(tmp_path):
     path = tmp_path / "engine.cfg"
-    save_config(default_config_text(), path)
+    path.write_text(default_config_text(), encoding="utf-8")
     cfg = load_config(path)
     base = EngineConfig()
     assert cfg.seed == base.seed

@@ -23,6 +23,7 @@ from memalign.corpus import (
 )
 from memalign.graphs import GraphFormatError, MemoryGraph, verify_subset
 from memalign.pipeline import build_runtime, prepare_retriever_examples
+from memalign.vocab import VocabularyError
 from util import reference_parse_evidence, reference_parse_full_graph, reference_verify_subset
 
 
@@ -309,7 +310,8 @@ def test_instance_content_segments():
 def test_corpus_vocabulary_closed_and_covers_gold():
     corpus = generate_synthetic_corpus(10, 5)
     vocab = corpus_vocabulary(corpus)
-    assert vocab.mode == "closed"
+    with pytest.raises(VocabularyError):
+        vocab.id_of("unseen")
     assert len(vocab) <= 200
     assert "0.9" in vocab
 

@@ -316,9 +316,8 @@ def test_no_engine_outlives_its_row(window, monkeypatch):
     assert all(dead >= j - window + 1 for j, dead in enumerate(finished_before))
 
 
-# Lines parse_full_graph accepts that a re-parse of the decoded tokens
-# cannot reproduce: runs of whitespace collapse, and "->", ":" and "<eol>"
-# are read back as structure.
+# Lines parse_full_graph accepts that are irregular as token streams: runs
+# of whitespace collapse, and words are spelled like structural tokens.
 IRREGULAR_LINES = (
     ("N1: amber  gate", "N2: calm yard", "N1 -> N2: feeds"),
     ("N1: amber gate", "N2: calm\tyard", "N1 -> N2: feeds"),
@@ -326,6 +325,7 @@ IRREGULAR_LINES = (
     ("N1: gate -> yard", "N2: calm yard", "N1 -> N2: feeds"),
     ("N1: amber gate", "N2: calm : yard", "N2 -> N1: a -> b : c"),
     ("N1: amber <eol> gate", "N2: <bos> <eos>", "N1 -> N2: <eol> x", "N1 -> N2: <eol>"),
+    ("N1: red -> lamp", "N2: calm : sea", "N1 -> N2: <eol> feeds"),
 )
 
 
@@ -351,14 +351,14 @@ def test_irregular_lines_decode_to_evidence_that_verifies(lines):
 
 
 def test_node_ids_colliding_on_unk_decode_as_distinct_nodes():
-    # In an open vocabulary N2 and N3 both map to UNK.  The engine tells
-    # their lines apart by their place in the graph, so both nodes decode,
-    # and the edge into N2 opens by node id.
+    # N2 and N3 are not in the vocabulary, so both map to UNK.  The engine
+    # tells their lines apart by their place in the graph, so both nodes
+    # decode, and the edge into N2 opens by node id.
     full = MemoryGraph(
         (Node("N1", "amber"), Node("N2", "calm"), Node("N3", "calm")),
         (Edge("N1", "N2", "feeds"),),
     )
-    vocab = build_vocabulary(["N1", "amber", "calm", "feeds", "0.5"], mode="open")
+    vocab = build_vocabulary(["N1", "amber", "calm", "feeds", "0.5"])
     model = init_retriever(len(vocab), 8, 4, 3, seed=0)
     model.out_bias[[decoding.TOK_EDGES, decoding.TOK_CONFIDENCE]] = -1e3
     good_graph = MemoryGraph((Node("N1", "amber"),), ())

@@ -2,55 +2,49 @@
 import numpy as np
 import pytest
 
-from memalign.fusion import FusionError, fuse_max, fuse_states
-from memalign.unified import MemoryState, init_alignment_module
+from memalign.fusion import FusionError, fuse_states
+from memalign.unified import MemoryState, align_forward, init_alignment_module
 
 
-def test_fuse_max_elementwise_maximum():
-    fused = fuse_max([np.array([1.0, -2.0]), np.array([0.5, 3.0])])
-    np.testing.assert_array_equal(fused.values, [1.0, 3.0])
+def paradigm_states(n, seed=0):
+    """Modules for ``n`` paradigms of differing input widths, and one state
+    of each."""
+    rng = np.random.default_rng(seed)
+    modules = {f"p{i}": init_alignment_module(3 + i, 4, 5, seed=seed + i) for i in range(n)}
+    states = [MemoryState(f"p{i}", rng.standard_normal(3 + i)) for i in range(n)]
+    return states, modules
 
 
-def test_fuse_max_is_order_independent():
-    rng = np.random.default_rng(0)
-    vecs = [rng.standard_normal(5) for _ in range(4)]
-    a = fuse_max(vecs).values
-    b = fuse_max(vecs[::-1]).values
+def aligned(states, modules):
+    return [align_forward(modules[s.paradigm], s) for s in states]
+
+
+def test_fuse_states_is_the_elementwise_maximum_of_aligned_states():
+    states, modules = paradigm_states(3)
+    fused = fuse_states(states, modules).values
+    assert fused.shape == (5,)
+    assert np.array_equal(fused, np.max(aligned(states, modules), axis=0))
+
+
+def test_fuse_states_is_order_independent():
+    states, modules = paradigm_states(4, seed=1)
+    a = fuse_states(states, modules).values
+    b = fuse_states(states[::-1], modules).values
     np.testing.assert_array_equal(a, b)
 
 
-def test_fuse_max_idempotent_on_duplicates():
-    v = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(fuse_max([v, v.copy()]).values, v)
+def test_fuse_states_idempotent_on_duplicates():
+    states, modules = paradigm_states(1, seed=2)
+    once = fuse_states(states, modules).values
+    np.testing.assert_array_equal(fuse_states(states * 3, modules).values, once)
+    np.testing.assert_array_equal(once, aligned(states, modules)[0])
 
 
-def test_fuse_max_dominates_inputs():
-    rng = np.random.default_rng(1)
-    vecs = [rng.standard_normal(8) for _ in range(3)]
-    fused = fuse_max(vecs).values
-    for v in vecs:
+def test_fuse_states_dominates_aligned_inputs():
+    states, modules = paradigm_states(3, seed=3)
+    fused = fuse_states(states, modules).values
+    for v in aligned(states, modules):
         assert np.all(fused >= v)
-
-
-def test_fuse_max_errors():
-    with pytest.raises(FusionError):
-        fuse_max([])
-    with pytest.raises(FusionError):
-        fuse_max([np.zeros(2), np.zeros(3)])
-    with pytest.raises(FusionError):
-        fuse_max([np.zeros(2)], provenance=[("p", "x"), ("q", "y")])
-
-
-def test_fuse_states_uses_per_paradigm_modules():
-    m_a = init_alignment_module(3, 4, 2, seed=0)
-    m_b = init_alignment_module(5, 4, 2, seed=1)
-    rng = np.random.default_rng(2)
-    s_a = MemoryState("a", rng.standard_normal(3))
-    s_b = MemoryState("b", rng.standard_normal(5))
-    fused = fuse_states([s_a, s_b], {"a": m_a, "b": m_b})
-    assert fused.values.shape == (2,)
-    assert [p for p, _ in fused.provenance] == ["a", "b"]
-    assert fused.provenance[0][1] == s_a.digest()
 
 
 def test_fuse_states_requires_module():

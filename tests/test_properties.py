@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from memalign.contrastive import infonce_batch, unit_rows
 
 from memalign.graphs import (
     EVIDENCE_HEADER,
@@ -19,7 +22,7 @@ from memalign.graphs import (
     subset_violations,
     verify_subset,
 )
-from memalign.retriever import init_retriever
+from memalign.retriever import DistillConfig, distill_loss, init_retriever, teacher_distributions
 from memalign.decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
 from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
 from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
@@ -190,15 +193,14 @@ def unseen_cases(draw):
     return full, seen
 
 
-@pytest.mark.parametrize("mode", ["open", "closed"])
 @given(unseen_cases(), st.integers(0, 2**31 - 1), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_decode_verifies_with_unseen_words_and_node_ids(mode, case, seed, greedy):
-    """Words and node ids the vocabulary lacks read as UNK in either mode;
-    decoding never raises, and lines that share every token (node ids
-    colliding on UNK) still decode as distinct nodes and edges."""
+def test_decode_verifies_with_unseen_words_and_node_ids(case, seed, greedy):
+    """Words and node ids the vocabulary lacks read as UNK; decoding never
+    raises, and lines that share every token (node ids colliding on UNK)
+    still decode as distinct nodes and edges."""
     full, seen = case
-    vocab = build_vocabulary([*seen, "0.75", "0.25"], mode=mode)
+    vocab = build_vocabulary([*seen, "0.75", "0.25"])
     model = init_retriever(len(vocab), 8, 4, 3, seed=seed)
     if greedy:  # against closing a section: every line gets decoded
         model.out_bias[[TOK_EDGES, TOK_CONFIDENCE]] = -1e3
@@ -216,8 +218,8 @@ def test_decode_verifies_with_unseen_words_and_node_ids(mode, case, seed, greedy
 @st.composite
 def engine_cases(draw):
     """A graph with irregular words, possibly duplicated edges, and its
-    vocabulary: closed, or open with some words left out, so that node ids
-    and other words collide on UNK.  Zero to three confidence values."""
+    vocabulary: all its words, or some of them, so that node ids and other
+    words left out collide on UNK.  Zero to three confidence values."""
     full = draw(irregular_graphs())
     if full.edges and draw(st.booleans()):
         extra = draw(st.lists(st.sampled_from(full.edges), min_size=1, max_size=3))
@@ -227,7 +229,7 @@ def engine_cases(draw):
     if draw(st.booleans()):
         return full, build_vocabulary(words)
     kept = [w for w in words if draw(st.booleans())]
-    return full, build_vocabulary(kept, mode="open")
+    return full, build_vocabulary(kept)
 
 
 # Logits with many ties, and with every legal logit -inf at times.
@@ -357,3 +359,47 @@ def test_subset_check_agrees_with_reference(pair):
     sub_nodes, sub_edges, _ = scan(emit_evidence(sub), EVIDENCE_HEADER)
     violations = subset_violations(sub_nodes.items(), sub_edges, full_nodes, full_edges)
     assert tuple(violations) == expected.violations
+
+
+# Finite entries whose gaps stay representable: a logit gap near the float64
+# maximum overflows the loss itself (it is about twice the largest gap).
+BOUNDED = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def distill_cases(draw):
+    """Student logits (steps, V) and one gold token per step."""
+    steps, vocab = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    logits = draw(arrays(np.float64, (steps, vocab), elements=BOUNDED))
+    targets = draw(st.lists(st.integers(0, vocab - 1), min_size=steps, max_size=steps))
+    return logits, targets
+
+
+@given(distill_cases(), st.floats(0.0, 0.5))
+@settings(max_examples=400, deadline=None)
+def test_distill_loss_and_gradient_are_finite_for_finite_logits(case, epsilon):
+    logits, targets = case
+    teacher = teacher_distributions(targets, epsilon, logits.shape[1])
+    loss, grad = distill_loss(teacher, logits, DistillConfig(), gold_tokens=targets)
+    assert np.isfinite(loss)
+    assert np.all(np.isfinite(grad))
+
+
+@st.composite
+def infonce_cases(draw):
+    """Anchor rows (B, d), target rows (B, d) and negatives (B, K, d)."""
+    b, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    return (
+        draw(arrays(np.float64, (b, d), elements=BOUNDED)),
+        draw(arrays(np.float64, (b, d), elements=BOUNDED)),
+        draw(arrays(np.float64, (b, k, d), elements=BOUNDED)),
+    )
+
+
+@given(infonce_cases(), st.floats(0.01, 10.0))
+@settings(max_examples=400, deadline=None)
+def test_infonce_losses_and_gradients_are_finite_for_finite_rows(case, tau):
+    anchors, targets, negatives = case
+    losses, grads = infonce_batch(unit_rows(anchors), targets, unit_rows(negatives), tau)
+    assert np.all(np.isfinite(losses))
+    assert np.all(np.isfinite(grads))

@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from memalign.graphs import EvidenceSubgraph, MemoryGraph, Node
+from memalign.graphs import EvidenceSubgraph, MemoryGraph, Node, parse_full_graph
 from memalign.tokenization import (
     LinearizationError,
-    GraphTokenSequence,
     delinearize,
     graph_surface_words,
     linearize,
@@ -83,7 +82,7 @@ def test_delinearize_rejects_garbage():
         [BOS, TOK_HEADER, TOK_EDGES, TOK_EOL, EOS],  # markers out of order
     ):
         with pytest.raises(LinearizationError):
-            delinearize(GraphTokenSequence(tuple(bad)), vocab)
+            delinearize(tuple(bad), vocab)
 
 
 def test_delinearize_rejects_duplicate_node_ids():
@@ -93,7 +92,24 @@ def test_delinearize_rejects_duplicate_node_ids():
     node_line = toks[4:8]  # N1 : x EOL
     doubled = toks[:8] + node_line + toks[8:]
     with pytest.raises(LinearizationError):
-        delinearize(GraphTokenSequence(tuple(doubled)), vocab)
+        delinearize(tuple(doubled), vocab)
+
+
+# Descriptions and relations whose words are spelled like structural tokens.
+RESERVED_SPELLED_GRAPH = (
+    "[FULL_GRAPH]\n<NODES>\nN1: red -> lamp\nN2: calm : sea\n"
+    "<EDGES>\nN1 -> N2: <eol> feeds\n"
+)
+
+
+def test_words_spelled_like_structural_tokens_round_trip():
+    full = parse_full_graph(RESERVED_SPELLED_GRAPH)
+    sub = EvidenceSubgraph(full, 0.5)
+    vocab = vocab_for(full, 0.5)
+    assert {"->", ":", "<eol>"} <= set(vocab.words)
+    tokens = linearize_evidence(sub, vocab)
+    assert isinstance(tokens, tuple)
+    assert delinearize(tokens, vocab) == sub
 
 
 def test_surface_words_cover_linearization():

@@ -36,8 +36,7 @@ def test_registry_register_and_encode_deterministic():
     s1 = reg.encode_state("p", content)
     s2 = reg.encode_state("p", content)
     assert s1.paradigm == "p"
-    np.testing.assert_array_equal(s1.raw, s2.raw)
-    assert s1.digest() == s2.digest()
+    assert s1.raw.tobytes() == s2.raw.tobytes()
 
 
 def test_registry_rejects_duplicates_and_unknown():
@@ -103,11 +102,10 @@ def test_module_digest_tracks_parameters():
     assert module.digest() != before
 
 
-@pytest.mark.parametrize("activation", ["tanh", "identity"])
-def test_align_gradients_match_finite_differences(activation):
+def test_align_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     for trial in range(10):
-        module = init_alignment_module(5, 4, 3, seed=trial, activation=activation)
+        module = init_alignment_module(5, 4, 3, seed=trial)
         x = rng.standard_normal(5)
         w = rng.standard_normal(3)  # random linear functional as the loss
 
@@ -164,26 +162,21 @@ def test_masked_encode_equals_array_split_blocks():
             reg.encode_state("p", content, {segments})
 
 
-@pytest.mark.parametrize("activation", ["tanh", "identity"])
-def test_gradients_from_hidden_equal_recomputed_formula(activation):
+def test_gradients_from_hidden_equal_recomputed_formula():
     """Training hands layer 1's activations to the gradient step; the
     result equals the formula that recomputes them, bit for bit."""
-    module = init_alignment_module(5, 4, 3, seed=1, activation=activation)
+    module = init_alignment_module(5, 4, 3, seed=1)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 5))
     up = rng.standard_normal((6, 3))
     hidden = align_hidden(module, x)
     assert np.array_equal(align_output(module, hidden), align_forward(module, x))
-    pre1 = x @ module.layer1_weight.T + module.layer1_bias
-    if activation == "tanh":
-        t = np.tanh(pre1)
-        d_pre1 = (up @ module.layer2_weight) * (1.0 - t * t)
-    else:
-        d_pre1 = (up @ module.layer2_weight) * np.ones_like(pre1)
+    t = np.tanh(x @ module.layer1_weight.T + module.layer1_bias)
+    d_pre1 = (up @ module.layer2_weight) * (1.0 - t * t)
     expected = {
         "layer1_weight": d_pre1.T @ x,
         "layer1_bias": d_pre1.sum(axis=0),
-        "layer2_weight": up.T @ np.tanh(pre1) if activation == "tanh" else up.T @ pre1,
+        "layer2_weight": up.T @ t,
         "layer2_bias": up.sum(axis=0),
     }
     for grads in (hidden_gradients(module, x, hidden, up), align_gradients(module, x, up)):

@@ -38,22 +38,22 @@ def test_word_ids_follow_reserved_block():
     assert len(vocab) == 12
 
 
-def test_closed_mode_rejects_oov():
-    vocab = Vocabulary(("harbor",), mode="closed")
+def test_oov_is_an_error_in_id_of_and_unk_as_input():
+    vocab = Vocabulary(("harbor",))
     with pytest.raises(VocabularyError):
         vocab.id_of("mill")
+    assert vocab.input_id("mill") == UNK
+    assert vocab.input_id("harbor") == vocab.id_of("harbor") == 10
 
 
-def test_open_mode_maps_oov_to_unk():
-    vocab = Vocabulary(("harbor",), mode="open")
-    assert vocab.id_of("mill") == UNK
-
-
-def test_duplicate_and_reserved_words_rejected():
-    with pytest.raises(VocabularyError):
+def test_duplicate_words_rejected_and_reserved_spellings_are_words():
+    with pytest.raises(VocabularyError, match="duplicate word 'x'"):
         Vocabulary(("x", "x"))
+    vocab = Vocabulary(("->", "<eol>"))
+    assert vocab.id_of("->") == 10 and vocab.token(10) == "->"
+    assert vocab.id_of("<eol>") == 11 and vocab.token(TOK_EOL) == "<eol>"
     with pytest.raises(VocabularyError):
-        Vocabulary(("->",))
+        vocab.id_of(":")
 
 
 def test_unknown_id_rejected():
@@ -66,19 +66,35 @@ def test_build_vocabulary_first_seen_order():
     assert vocab.words == ("b", "a", "c")
 
 
-def test_build_vocabulary_drops_reserved_surface_words():
-    vocab = build_vocabulary(["->", "x", ":"])
-    assert vocab.words == ("x",)
+def test_build_vocabulary_keeps_reserved_surface_words():
+    vocab = build_vocabulary(["->", "x", ":", "x"])
+    assert vocab.words == ("->", "x", ":")
+    assert len(vocab) == 13
 
 
 def test_save_load_round_trip(tmp_path):
-    vocab = build_vocabulary(["harbor", "mill", "0.9"], mode="open")
+    vocab = build_vocabulary(["harbor", ":", "mill", "0.9"])
     path = tmp_path / "vocab.jsonl"
     vocab.save(path)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"token": "<mode>", "id": "closed"}
+    assert json.loads(lines[12]) == {"token": ":", "id": 11}
     loaded = Vocabulary.load(path)
     assert loaded.words == vocab.words
-    assert loaded.mode == vocab.mode
     assert loaded.id_of("0.9") == vocab.id_of("0.9")
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_load_accepts_either_vocabulary_kind_head(tmp_path, kind):
+    path = tmp_path / "vocab.jsonl"
+    build_vocabulary(["harbor"]).save(path)
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({"token": "<mode>", "id": kind})
+    path.write_text("\n".join(lines) + "\n")
+    vocab = Vocabulary.load(path)
+    assert vocab.words == ("harbor",)
+    with pytest.raises(VocabularyError):
+        vocab.id_of("mill")
 
 
 def test_load_rejects_missing_mode_record(tmp_path):
@@ -97,6 +113,7 @@ MALFORMED_LINES = {
     "float id": (13, '{"token": "0.9", "id": 12.0}'),
     "bool id": (2, '{"token": "<eos>", "id": true}'),
     "head not JSON": (0, '{"token": "<mode>"'),
+    "unknown head kind": (0, '{"token": "<mode>", "id": "ajar"}'),
     "record not JSON": (5, '{"token": "<x>", "id": 4'),
 }
 

@@ -26,7 +26,6 @@ from memalign.graphs import (
 )
 from memalign.retriever import RetrieverModel, _sigmoid
 from memalign.tokenization import (
-    GraphTokenSequence,
     delinearize,
     edge_line_tokens,
     node_line_tokens,
@@ -313,7 +312,7 @@ def sequential_decode(
         token = int(np.argmax(masked))
         engine.advance(token)
         tokens.append(token)
-    return delinearize(GraphTokenSequence(tuple(tokens)), vocab)
+    return delinearize(tuple(tokens), vocab)
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
