@@ -75,10 +75,24 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row (last axis, kept).  A row whose
+    squares overflow although its entries are finite is measured again
+    divided by its largest absolute entry; other rows keep their bits."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    flat, rows = norms.reshape(-1), x.reshape(-1, x.shape[-1])
+    for i in np.flatnonzero(np.isinf(flat)):
+        scale = np.abs(rows[i]).max()
+        if np.isfinite(scale):
+            flat[i] = scale * np.linalg.norm(rows[i] / scale)
+    return norms
+
+
 def unit_rows(x: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; rows of (near) zero norm become zero rows."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    norms = _row_norms(x)
     return x / np.where(norms < ZERO_NORM_EPS, np.inf, norms)
 
 
@@ -96,7 +110,7 @@ def infonce_batch(
     d loss_b / d h_t[b] (B, d).  A zero-norm vector has cosine 0 with
     everything and gets zero gradient.
     """
-    norms = np.linalg.norm(h_t, axis=1, keepdims=True)
+    norms = _row_norms(h_t)
     inv_norms = 1.0 / np.where(norms < ZERO_NORM_EPS, np.inf, norms)
     target_units = h_t * inv_norms
     positive = np.sum(anchor_units * target_units, axis=1)

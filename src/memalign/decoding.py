@@ -62,21 +62,10 @@ _LINE_STARTS = {
 _LINES = {"node-line": "node-line-start", "edge-line": "edge-line-start"}
 
 
-# The most full-graph lines (node lines plus edge lines) whose indexes one
-# vocabulary keeps.  A cached line costs about 460 B on the serve corpus,
-# its graph and its index's start mask (one byte per vocabulary token)
-# included (tracemalloc), so the cache holds at most about 460 KiB: some
-# 90 graphs of the serve corpus (11.5 lines each), or one long-memory
-# graph of up to about 225 nodes (1,012 lines, about 395 B each).  Holding
-# the whole 2,294-line serve corpus instead raised that workload's peak
-# RSS by about 1.5 MB more, and its repeats of a graph come back to back,
-# so they hit either way.
-INDEX_CACHE_LINES = 1024
-
-
 class GraphIndex:
     """The part of a decode that depends only on the full graph and the
-    vocabulary, built once and shared by every decode of that graph.
+    vocabulary, built once and shared by back-to-back decodes of that
+    graph: the vocabulary keeps the last index an engine was given.
 
     ``token_lines`` holds the graph's node lines, then its edge lines, in
     graph order and without their trailing EOL, which the engine handles
@@ -87,9 +76,8 @@ class GraphIndex:
     the node lines it starts, in graph order.  ``start_mask`` is the legal
     set at the first node-line start as a read-only boolean vocabulary
     mask, those first tokens and ``<EDGES>``, and ``start_count`` its
-    number of legal tokens; each engine starts from a copy.  ``lines``
-    counts the graph's node and edge lines, the measure the index cache
-    is bounded by.  ``graph`` is the graph the index was built from.
+    number of legal tokens; each engine starts from a copy.  ``graph`` is
+    the graph the index was built from.
     Nothing in an index changes after it is built.
     """
 
@@ -111,41 +99,16 @@ class GraphIndex:
         self.start_mask = mask
         self.start_count = len(groups) + 1
         self.graph = full_graph
-        self.lines = len(lines)
         # Token budget sufficient to emit the whole full graph as evidence:
         # +4 covers the confidence section, +8 is slack.
         self.default_max_len = serialized + 4 + 8
 
-    @classmethod
-    def of(cls, full_graph: MemoryGraph, vocab: Vocabulary) -> "GraphIndex":
-        """The index of ``full_graph`` under ``vocab``, from the vocabulary's
-        cache when an equal graph was indexed there before.
-
-        The cache is keyed by the graph's value, so separately parsed
-        copies of one graph share an index, and it dies with the
-        vocabulary.  It holds at most :data:`INDEX_CACHE_LINES` lines and
-        evicts the least recently used index first; a graph larger than
-        that bound is indexed but not kept.
-        """
-        cache = vocab.graph_indexes
-        # A dict keeps insertion order: re-inserting on every use keeps it
-        # least recently used first.  The key stays the graph the index was
-        # built from, so an equal copy is not kept alive beside it.
-        index = cache.pop(full_graph, None)
-        if index is None:
-            index = cls(full_graph, vocab)
-            if index.lines > INDEX_CACHE_LINES:
-                return index
-            vocab.graph_index_lines += index.lines
-            while vocab.graph_index_lines > INDEX_CACHE_LINES:
-                vocab.graph_index_lines -= cache.pop(next(iter(cache))).lines
-        cache[index.graph] = index
-        return index
-
 
 class ConstraintEngine:
     """Tracks the grammar state and the set of legal next tokens for one
-    decode against a fixed full graph, whose :class:`GraphIndex` it reads.
+    decode against a fixed full graph, whose :class:`GraphIndex` it reads:
+    the vocabulary's last index when that was built from an equal graph,
+    else a new one, which the vocabulary then keeps in its place.
 
     Node lines and edge lines are replayed alike.  ``pending`` maps each
     first token to the unused lines it starts, in graph order, and the
@@ -177,7 +140,12 @@ class ConstraintEngine:
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
         self.vocab = vocab
-        self.index = index = GraphIndex.of(full_graph, vocab)
+        # Decodes of one graph come back to back (an instance's views and
+        # coverage levels), so the last index catches every repeat.
+        index = vocab.graph_index
+        if index is None or index.graph != full_graph:
+            index = vocab.graph_index = GraphIndex(full_graph, vocab)
+        self.index = index
         self.default_max_len = index.default_max_len
         self.phase = "header"
         self.mask = index.start_mask.copy()
@@ -371,8 +339,10 @@ def decode_many(
     lock step.
 
     Every request has its own :class:`ConstraintEngine` over its graph's
-    shared :class:`GraphIndex`, and every row reads its input projections
-    from the model's projection table, so neither is rebuilt per call.
+    :class:`GraphIndex`, which consecutive requests for equal graphs share,
+    and every row reads its input projections from the model's projection
+    table.  An engine keeps its index while it decodes, whatever graph
+    the requests after it bring.
     The rows run the cell training runs: requests that join together get
     their initial states from one ``init_states`` call, and each step runs
     ``transition`` once over the rows still decoding and ``logits`` once

@@ -68,12 +68,9 @@ class Vocabulary:
 
     words: tuple[str, ...] = ()
     _ids: dict[str, int] = field(init=False, repr=False)
-    # Decode state compiled per memory graph against this vocabulary: the
-    # decoding.GraphIndex of each graph keyed by graph value, least
-    # recently used first, and the node and edge lines they index.
-    # Decoding fills and bounds them.
-    graph_indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    graph_index_lines: int = field(default=0, init=False, repr=False, compare=False)
+    # The decoding.GraphIndex of the last graph decoded against this
+    # vocabulary, which a back-to-back decode of an equal graph reuses.
+    graph_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.words = tuple(self.words)

@@ -33,7 +33,7 @@ from memalign.retriever import (
 from memalign.tokenization import graph_surface_words, linearize_evidence
 from memalign.vocab import BOS, build_vocabulary
 from test_reference_decode import REFERENCE, long_cases, small_cases
-from util import random_graph, random_subgraph, sequential_decode
+from util import count_index_builds, random_graph, random_subgraph, sequential_decode
 
 CONFIDENCES = ("0.5", "0.9", "1.0")
 
@@ -473,25 +473,18 @@ def test_equal_graphs_share_one_index(monkeypatch):
     full = random_graph(rng, min_nodes=5, max_extra_edges=10)
     vocab = build_vocabulary([*graph_surface_words(full), *CONFIDENCES])
     model = init_retriever(len(vocab), 8, 4, 3, seed=12)
-    built = []
-    original = decoding.GraphIndex.__init__
-
-    def counted(self, *args):
-        built.append(self)
-        original(self, *args)
-
-    monkeypatch.setattr(decoding.GraphIndex, "__init__", counted)
+    built = count_index_builds(monkeypatch)
     text = emit(full, "full")
     copies = [parse_full_graph(text) for _ in range(3)]
     assert all(copy == full and copy is not full for copy in copies)
     q, h = rng.standard_normal(4), rng.standard_normal(3)
     expected = generate_subgraph(model, full, q, h, vocab)
     assert decode_many(model, vocab, [(g, q, h) for g in copies]) == [expected] * 3
-    assert len(built) == 1 and list(vocab.graph_indexes.values()) == built
+    assert len(built) == 1 and vocab.graph_index is built[0]
     # The index is the vocabulary's: an equal vocabulary starts its own.
     other = build_vocabulary(vocab.words)
     assert generate_subgraph(model, copies[0], q, h, other) == expected
-    assert len(built) == 2 and list(other.graph_indexes.values()) == built[1:]
+    assert len(built) == 2 and other.graph_index is built[1]
 
 
 def chain_graph(nodes: int, first: int = 1) -> MemoryGraph:
@@ -503,43 +496,48 @@ def chain_graph(nodes: int, first: int = 1) -> MemoryGraph:
     )
 
 
-def test_index_cache_is_bounded_by_lines_and_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(decoding, "INDEX_CACHE_LINES", 20)
-    graphs = {name: chain_graph(n, first) for name, n, first in (
-        ("a", 4, 1), ("b", 4, 11), ("c", 5, 21), ("huge", 11, 31))}
+def test_the_vocabulary_keeps_only_the_last_index(monkeypatch):
+    graphs = {name: chain_graph(4, first) for name, first in (("a", 1), ("b", 11))}
     words = [w for g in graphs.values() for w in graph_surface_words(g)]
     vocab = build_vocabulary([*words, *CONFIDENCES])
-    cache = vocab.graph_indexes
+    assert vocab.graph_index is None
 
-    def held(vocab):
-        lines = sum(index.lines for index in vocab.graph_indexes.values())
-        assert lines == vocab.graph_index_lines <= decoding.INDEX_CACHE_LINES
-        return lines
+    def use(graph):
+        return decoding.ConstraintEngine(graph, vocab).index
 
-    def use(name):
-        engine = decoding.ConstraintEngine(graphs[name], vocab)
-        held(vocab)
-        return engine.index
-
-    a = use("a")  # 7 lines
-    use("b")  # 7 lines
-    assert use("a") is a  # b is now the least recently used
-    use("c")  # 9 lines: 23 > 20, so b goes
-    assert list(cache) == [graphs["a"], graphs["c"]]
-    # A graph over the bound is indexed but never cached.
-    assert use("huge").lines == 21 and use("huge") is not use("huge")
-    assert list(cache) == [graphs["a"], graphs["c"]]
-    assert use("a") is a and list(cache) == [graphs["c"], graphs["a"]]
-    assert held(vocab) == 16
-    # Many small graphs cycle through without the bound ever being exceeded.
+    a = use(graphs["a"])
+    copy_a = parse_full_graph(emit(graphs["a"], "full"))
+    assert copy_a is not graphs["a"] and use(copy_a) is a
+    assert vocab.graph_index is a and a.graph is graphs["a"]
+    b = use(graphs["b"])
+    assert b is not a and vocab.graph_index is b
+    again = use(graphs["a"])
+    assert again is not a and vocab.graph_index is again
+    # A batch over distinct graphs leaves only the last graph's index.
     rng = np.random.default_rng(22)
-    many = [random_graph(rng, max_nodes=9, max_extra_edges=10) for _ in range(60)]
+    drawn = (random_graph(rng, max_nodes=9, max_extra_edges=10) for _ in range(60))
+    many = list(dict.fromkeys(drawn))  # distinct graphs
     vocab = build_vocabulary(
         [*sorted({w for g in many for w in graph_surface_words(g)}), *CONFIDENCES]
     )
-    cache = vocab.graph_indexes
     model = init_retriever(len(vocab), 8, 4, 3, seed=13)
-    for full in many:
-        generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
-        held(vocab)
-        assert next(reversed(cache)) == full  # the latest graph is the most recent
+    requests = [(g, rng.standard_normal(4), rng.standard_normal(3)) for g in many]
+    expected = [generate_subgraph(model, *request, vocab) for request in requests]
+    built = count_index_builds(monkeypatch)
+    assert decode_many(model, vocab, requests) == expected
+    assert len(built) == len(many) > 40
+    assert vocab.graph_index is built[-1] and vocab.graph_index.graph is many[-1]
+
+
+def test_a_repeat_of_a_large_graph_reuses_its_index(monkeypatch):
+    # 1,025 lines: a graph's size does not decide whether it is kept.
+    full = chain_graph(513)
+    assert len(full.nodes) + len(full.edges) > 1024
+    vocab = build_vocabulary([*graph_surface_words(full), *CONFIDENCES])
+    model = init_retriever(len(vocab), 8, 4, 3, seed=14)
+    built = count_index_builds(monkeypatch)
+    rng = np.random.default_rng(23)
+    q, h = rng.standard_normal(4), rng.standard_normal(3)
+    first = generate_subgraph(model, full, q, h, vocab)
+    assert generate_subgraph(model, full, q, h, vocab) == first
+    assert len(built) == 1 and vocab.graph_index is built[0]

@@ -25,12 +25,14 @@ from memalign.pipeline import (
     module_from_sections,
     module_sections,
     prepare_retriever_examples,
+    reconstruction_rate,
     retriever_from_sections,
     retriever_sections,
     train_alignment_pipeline,
 )
 from memalign.retriever import init_retriever
 from memalign.unified import align_forward, init_alignment_module
+from util import count_index_builds
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,19 @@ def test_evaluate_retrieval_report_keys(runtime, corpus):
         assert key in report
     assert report["n"] == len(corpus)
     assert 0.0 <= report["utilization"] <= 1.0
+
+
+def test_reconstruction_indexes_each_instance_graph_once(monkeypatch, runtime, corpus):
+    # Each instance's full-context and coverage examples come back to
+    # back, so the decodes of one graph share one index.
+    vocab = corpus_vocabulary(corpus)
+    model = init_retriever(
+        len(vocab), 16, runtime.config.d_q, runtime.config.d_s, seed=0
+    )
+    examples = prepare_retriever_examples(runtime, corpus, (0.5,))
+    built = count_index_builds(monkeypatch)
+    reconstruction_rate(runtime, model, vocab, examples)
+    assert len(built) == len(corpus)
 
 
 def test_module_checkpoint_round_trip(tmp_path, runtime, corpus):

@@ -386,13 +386,13 @@ def test_distill_loss_and_gradient_are_finite_for_finite_logits(case, epsilon):
 
 
 @st.composite
-def infonce_cases(draw):
+def infonce_cases(draw, elements=BOUNDED):
     """Anchor rows (B, d), target rows (B, d) and negatives (B, K, d)."""
     b, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
     return (
-        draw(arrays(np.float64, (b, d), elements=BOUNDED)),
-        draw(arrays(np.float64, (b, d), elements=BOUNDED)),
-        draw(arrays(np.float64, (b, k, d), elements=BOUNDED)),
+        draw(arrays(np.float64, (b, d), elements=elements)),
+        draw(arrays(np.float64, (b, d), elements=elements)),
+        draw(arrays(np.float64, (b, k, d), elements=elements)),
     )
 
 
@@ -403,3 +403,21 @@ def test_infonce_losses_and_gradients_are_finite_for_finite_rows(case, tau):
     losses, grads = infonce_batch(unit_rows(anchors), targets, unit_rows(negatives), tau)
     assert np.all(np.isfinite(losses))
     assert np.all(np.isfinite(grads))
+
+
+# Entries of magnitude 0.25 to 1: every row keeps a norm far above the
+# zero-row threshold at the smallest scale drawn.
+UNIT_SCALE = st.one_of(st.floats(-1.0, -0.25), st.floats(0.25, 1.0))
+SCALE = st.floats(1e-6, 1e300)
+
+
+@given(infonce_cases(UNIT_SCALE), SCALE, SCALE, SCALE)
+@settings(max_examples=300, deadline=None)
+def test_infonce_losses_are_invariant_to_the_scale_of_the_rows(case, a, t, n):
+    anchors, targets, negatives = case
+    losses, grads = infonce_batch(unit_rows(anchors), targets, unit_rows(negatives), 0.1)
+    scaled_losses, scaled_grads = infonce_batch(
+        unit_rows(anchors * a), targets * t, unit_rows(negatives * n), 0.1
+    )
+    np.testing.assert_allclose(scaled_losses, losses, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(scaled_grads * t, grads, rtol=1e-12, atol=1e-12)

@@ -9,7 +9,7 @@ import re
 import numpy as np
 
 from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
-from memalign.decoding import ConstraintEngine, DecodeError
+from memalign.decoding import ConstraintEngine, DecodeError, GraphIndex
 from memalign.graphs import (
     CONFIDENCE_MARKER,
     EDGES_MARKER,
@@ -266,6 +266,20 @@ class ScanEngine:
                 self.line.append(token)
         else:  # confidence-value
             self.phase = "confidence-value-eol"
+
+
+def count_index_builds(monkeypatch) -> list[GraphIndex]:
+    """Patch ``GraphIndex.__init__`` to record every index it builds, in
+    order, into the returned list."""
+    built: list[GraphIndex] = []
+    original = GraphIndex.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(GraphIndex, "__init__", counted)
+    return built
 
 
 def gate_parameters(model: RetrieverModel) -> tuple[np.ndarray, ...]:
