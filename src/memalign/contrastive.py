@@ -63,16 +63,13 @@ class AlignTrainReport:
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0 when either vector is (near) zero."""
+    """Cosine similarity, the dot product of the :func:`unit_rows` of the
+    two vectors: 0 when either is (near) zero, and scale-safe."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ContrastiveError(f"dimension mismatch {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    return float(u @ v / (nu * nv))
+    return float(unit_rows(u) @ unit_rows(v))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

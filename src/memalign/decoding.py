@@ -126,9 +126,9 @@ class ConstraintEngine:
     clears.  Every step other than a line start costs time in the
     candidates, not in the size of the graph.
 
-    A decode step asks :meth:`forced` for the one legal token and, when
-    there are several, :meth:`choose` for the legal token with the
-    highest logit; neither builds the legal set at a line start.
+    A decode takes each run of decided tokens from :meth:`take_run` and,
+    at a choice, asks :meth:`choose` for the legal token with the highest
+    logit; neither builds the legal set at a line start.
     :meth:`allowed_tokens` lists the legal set.
 
     A line ends by its length, not by the first EOL token, so a word
@@ -178,37 +178,44 @@ class ConstraintEngine:
             return list(self.vocab.confidence_ids)
         raise DecodeError(f"no legal continuation from phase {phase!r}")
 
-    def forced(self) -> int | None:
-        """The one legal next token, or ``None`` when there are several.
-        Raises :class:`DecodeError` when there is none."""
-        phase = self.phase
-        if phase in _LINES:
-            pos = self.pos
-            lines = self.index.token_lines
-            token = None
-            for i in self.candidates:
-                line = lines[i]
-                next_token = line[pos] if pos < len(line) else TOK_EOL
-                if token is None:
-                    token = next_token
-                elif next_token != token:
-                    return None
-        elif phase in _FIXED_PHASES:
-            return _FIXED_PHASES[phase][0]
-        elif phase in _LINE_STARTS:
-            # The section's closing token is always legal: it is forced
-            # when nothing else is.
-            return _LINE_STARTS[phase][0] if self.count == 1 else None
-        elif phase == "confidence-value":
-            ids = self.vocab.confidence_ids
-            if len(ids) > 1:
-                return None
-            token = ids[0] if ids else None
-        else:
-            raise DecodeError(f"no legal continuation from phase {phase!r}")
-        if token is None:
-            raise DecodeError(f"grammar dead end in phase {phase!r}")
-        return token
+    def take_run(self, limit: int) -> list[int]:
+        """Consume and return the decided tokens up to the next choice, at
+        most ``limit`` and none after the confidence value; empty at a
+        choice, :class:`DecodeError` when the next token is a dead end.  A
+        line with one candidate left is one slice of its tokens and EOL."""
+        run: list[int] = []
+        while len(run) < limit:
+            phase = self.phase
+            if phase in _LINES:
+                candidates, pos, lines = self.candidates, self.pos, self.index.token_lines
+                if len(candidates) == 1:
+                    tail = lines[candidates[0]][pos : pos + limit - len(run)]
+                    run += tail
+                    self.pos = pos + len(tail)
+                    if len(run) < limit:
+                        run.append(TOK_EOL)
+                        self._complete(candidates[0])
+                    continue
+                legal = {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in candidates}
+            elif phase in _FIXED_PHASES:
+                legal = (_FIXED_PHASES[phase][0],)
+            elif phase in _LINE_STARTS:
+                # The closing token is always legal, and forced when alone.
+                if self.count > 1:
+                    break
+                legal = (_LINE_STARTS[phase][0],)
+            else:  # the confidence value
+                legal = self.vocab.confidence_ids
+            if not legal and not run:
+                raise DecodeError(f"grammar dead end in phase {phase!r}")
+            if len(legal) != 1:
+                break
+            (token,) = legal
+            self.advance(token)
+            run.append(token)
+            if phase == "confidence-value":
+                break
+        return run
 
     def choose(self, row_logits: np.ndarray) -> int:
         """The legal next token with the highest of ``row_logits`` (one
@@ -249,11 +256,7 @@ class ConstraintEngine:
                     if len(lines[i]) == pos:
                         self._complete(i)
                         return
-            if len(candidates) == 1:  # the common case, without a new list
-                line = lines[candidates[0]]
-                matches = candidates if pos < len(line) and line[pos] == token else ()
-            else:
-                matches = [i for i in candidates if pos < len(lines[i]) and lines[i][pos] == token]
+            matches = [i for i in candidates if pos < len(lines[i]) and lines[i][pos] == token]
             if not matches:
                 self._reject(token)
             self.pos = pos + 1
@@ -329,6 +332,16 @@ class ConstraintEngine:
         )
 
 
+def _finished(engine: ConstraintEngine, budget: int, length: int) -> bool:
+    """Whether a row of ``length`` tokens has ended: its confidence value is
+    taken and ``budget`` admits EOL and EOS.  Raises when it is spent."""
+    if engine.confidence is not None and length + 2 <= budget:
+        return True
+    if length >= budget:
+        raise DecodeError(f"max_len {budget} exhausted without EOS (phase {engine.phase!r})")
+    return False
+
+
 def decode_many(
     model: RetrieverModel,
     vocab: Vocabulary,
@@ -339,38 +352,39 @@ def decode_many(
     lock step.
 
     Every request has its own :class:`ConstraintEngine` over its graph's
-    :class:`GraphIndex`, which consecutive requests for equal graphs share,
-    and every row reads its input projections from the model's projection
-    table.  An engine keeps its index while it decodes, whatever graph
-    the requests after it bring.
-    The rows run the cell training runs: requests that join together get
-    their initial states from one ``init_states`` call, and each step runs
-    ``transition`` once over the rows still decoding and ``logits`` once
-    over the rows with more than one legal token.  Each step asks every
-    row's engine for its :meth:`~ConstraintEngine.forced` token; the rows
-    without one take their engine's :meth:`~ConstraintEngine.choose` of
-    their logits.  Input projections and states are gathered by
-    ``ndarray.take``, and when every row chooses, ``logits`` reads the
-    states themselves.  Once a row takes its
-    confidence value, only EOL and EOS can follow and no logits read the
-    states after it, so the row ends there when ``max_len`` admits both
-    tokens: its evidence subgraph is assembled from its engine's record
-    and the row leaves the batch with its engine.
-    The next request joins as soon as fewer than :data:`DECODE_WINDOW`
-    rows are decoding, so memory stays bounded however many requests
-    there are; ``requests`` is consumed in order.  A batch row and a lone
-    decode (one row, which NumPy hands to gemv) may round a state's last
-    bits differently, so they take the same tokens unless two legal
-    tokens' logits tie within that rounding.  Every output passes subset
+    :class:`GraphIndex`, which consecutive requests for equal graphs share
+    (an engine keeps its index while it decodes), and every row reads its
+    input projections from the model's projection table.  The rows run the
+    cell training runs: requests that join together get their initial
+    states from one ``init_states`` call, and each step runs ``transition``
+    once over the rows still decoding and ``logits`` once over the rows at
+    a choice, which take their engine's :meth:`~ConstraintEngine.choose`.
+    A row takes each run of decided tokens from its engine in one
+    :meth:`~ConstraintEngine.take_run` call and feeds it one token a step.
+    Inputs and states are gathered by ``ndarray.take``.  Once a row takes
+    its confidence value, only EOL and EOS can follow and no logits read
+    the states after it, so the row ends there when ``max_len`` admits
+    both tokens, with its evidence subgraph assembled from its engine's
+    record.  The next request joins as soon as fewer than
+    :data:`DECODE_WINDOW` rows are decoding, so memory stays bounded;
+    ``requests`` is consumed in order.
+
+    The last row, once no request can join it (every lone decode, and the
+    end of every batch), leaves the lock step for a loop of its own: one
+    one-row ``transition`` per run token, and at a choice one
+    ``transition`` and one ``logits`` row.  A batch row and a lone decode
+    (one row, which NumPy hands to gemv) may round a state's last bits
+    differently, so they take the same tokens unless two legal tokens'
+    logits tie within that rounding.  Every output passes subset
     verification against its full graph, also when the vocabulary lacks
     some of its words or node ids.
 
     A request that cannot be decoded (a grammar dead end, ``max_len``
     exhausted before EOS, a malformed request) raises what a loop over the
-    requests in input order would raise first; the requests after it are not decoded.  ``max_len`` defaults,
-    per request, to a budget that fits the whole full graph.  A model
-    whose vocabulary size is not ``len(vocab)`` raises
-    :class:`DecodeError` before any request is taken.
+    requests in input order would raise first; the requests after it are
+    not decoded.  ``max_len`` defaults, per request, to a budget that fits
+    the whole full graph.  A model whose vocabulary size is not
+    ``len(vocab)`` raises :class:`DecodeError` before any request is taken.
     """
     if model.vocab_size != len(vocab):
         raise DecodeError(
@@ -383,8 +397,8 @@ def decode_many(
     error: Exception | None = None
     limit: int | None = None  # the first failing request, once one fails
     # The requests decoding, in input order, as [index, engine, budget,
-    # tokens taken (BOS included), last token], and their states, one row
-    # each.  The last token is the next step's input.
+    # tokens taken (BOS included), last token (the next step's input),
+    # queued run (its engine took it already)], and their states.
     rows: list[list] = []
     state = np.empty((0, model.d_m))
     # Every token's input projection, built once per model, not per call.
@@ -411,37 +425,33 @@ def decode_many(
                 break
             subgraphs.append(None)
             budget = engine.default_max_len if max_len is None else max_len
-            rows.append([i, engine, budget, 1, BOS])
+            rows.append([i, engine, budget, 1, BOS, []])
         if joined:
             state = np.vstack((state, model.init_states(np.stack(joined))))
-        if not rows:
-            break
+        if len(rows) < 2 and (exhausted or limit is not None):
+            break  # no request can join: a last row runs alone below
 
-        # Each row makes the checks a sequential decode makes before its
-        # next step.  A failing row drops itself and every row after it.
+        # Each row makes a sequential decode's checks, which cannot fire in
+        # a queued run (it ends within the budget and at the confidence
+        # value at the latest); a failing row drops itself and those after.
         kept, taken, inputs, choices = [], [], [], []
         for k, row in enumerate(rows):
-            i, engine, budget, length, last = row
-            try:
-                if engine.confidence is not None and length + 2 <= budget:
-                    # EOL and EOS follow: the row is done, and its engine
-                    # is released before the next request joins.
-                    subgraphs[i] = engine.evidence()
-                    row[1] = engine = None
-                    continue
-                if length >= budget:
-                    raise DecodeError(
-                        f"max_len {budget} exhausted without EOS "
-                        f"(phase {engine.phase!r})"
-                    )
-                token = engine.forced()
-            except DecodeError as exc:
-                error, limit = exc, i
-                break
-            if token is None:
+            i, engine, budget, length, last, run = row
+            if not run:
+                try:
+                    if _finished(engine, budget, length):
+                        # The engine is released before the next request joins.
+                        subgraphs[i] = engine.evidence()
+                        row[1] = engine = None
+                        continue
+                    run = row[5] = engine.take_run(budget - length)
+                except DecodeError as exc:
+                    error, limit = exc, i
+                    break
+            if not run:
                 choices.append(len(kept))
             kept.append(k)
-            taken.append(token)
+            taken.append(run.pop(0) if run else None)
             inputs.append(last)
         if len(kept) < len(rows):
             rows = [rows[k] for k in kept]
@@ -455,12 +465,32 @@ def decode_many(
         if choices:
             chosen = state if len(choices) == len(rows) else state.take(choices, axis=0)
             for row_logits, k in zip(model.logits(chosen), choices):
-                taken[k] = rows[k][1].choose(row_logits)
+                taken[k] = token = rows[k][1].choose(row_logits)
+                rows[k][1].advance(token)
         for row, token in zip(rows, taken):
-            row[1].advance(token)
             row[3] += 1
             row[4] = token
 
+    if rows:
+        # The last row, alone: a run costs one transition per token.
+        i, engine, budget, length, last, run = rows[0]
+        try:
+            while True:
+                for token in run:
+                    state = model.transition(projections[last : last + 1], state)
+                    last = token
+                length += len(run)
+                if _finished(engine, budget, length):
+                    break
+                run = engine.take_run(budget - length)
+                if not run:
+                    state = model.transition(projections[last : last + 1], state)
+                    last = engine.choose(model.logits(state)[0])
+                    engine.advance(last)
+                    length += 1
+            subgraphs[i] = engine.evidence()
+        except DecodeError as exc:
+            error = exc
     if error is not None:
         raise error
     return subgraphs

@@ -142,6 +142,21 @@ def test_topk_and_gap_on_identical_sets():
     assert cosine_alignment_gap(vecs, vecs) > 0.5
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cosine_sim_is_invariant_to_the_scale_of_the_rows(scale):
+    """Rows whose squares overflow keep their cosine; rows below the
+    zero-norm threshold read as zero rows.  No step warns."""
+    u, v = np.array([1.0, -2.0, 3.0, 0.5]), np.array([0.5, 1.0, -1.0, 2.0])
+    expected = cosine_sim(u, v)
+    if scale > 1:
+        assert cosine_sim(scale * u, scale * v) == pytest.approx(expected, rel=1e-12)
+        assert cosine_sim(scale * u, v) == pytest.approx(expected, rel=1e-12)
+        assert cosine_sim(np.full(4, scale), np.full(4, scale)) == pytest.approx(1.0, rel=1e-12)
+    else:
+        assert cosine_sim(scale * u, v) == 0.0
+        assert cosine_sim(scale * u, scale * v) == 0.0
+
+
 def test_near_zero_target_rows_have_cosine_zero_as_in_cosine_sim():
     rng = np.random.default_rng(4)
     anchors = rng.standard_normal((3, 4))

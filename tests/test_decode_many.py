@@ -264,6 +264,59 @@ def test_budget_around_the_confidence_value_matches_sequential_decode(extra):
             ]
 
 
+def test_every_budget_ends_a_lone_decode_and_a_batch_row_alike():
+    """Every ``max_len`` from 1 to two past the decode's length, on a graph
+    with a duplicated edge, ``<eol>`` words and node ids that collide on
+    UNK: the lone decode, the first row of a batch whose other rows are
+    shorter (so it finishes alone) and the sequential reference return the
+    same evidence, or raise the same error, where the budget ends a line,
+    a run, a choice or the confidence section."""
+    full = MemoryGraph(
+        (Node("N1", "amber <eol> gate"), Node("N2", "calm"), Node("N3", "calm"),
+         Node("N4", "<eol>")),
+        (Edge("N1", "N2", "feeds"), Edge("N1", "N2", "feeds"), Edge("N3", "N1", "<eol> joins"),
+         Edge("N4", "N3", "feeds"), Edge("N1", "N4", "feeds")),
+    )
+    # N3 and N4 are not in the vocabulary: both read as UNK.
+    vocab = build_vocabulary(["N1", "N2", "amber", "<eol>", "gate", "calm", "feeds", "joins",
+                              "0.5", "0.9"])
+    model = init_retriever(len(vocab), 8, 4, 3, seed=2)
+    model.out_bias[[decoding.TOK_EDGES, decoding.TOK_CONFIDENCE]] = -1e3
+    rng = np.random.default_rng(18)
+    request = (full, rng.standard_normal(4), rng.standard_normal(3))
+    others = [(MemoryGraph((Node("N1", "amber"),), ()), rng.standard_normal(4),
+               rng.standard_normal(3)),
+              (MemoryGraph((Node("N2", "calm"), Node("N1", "gate")), (Edge("N2", "N1", "feeds"),)),
+               rng.standard_normal(4), rng.standard_normal(3))]
+
+    def decoded_length(sub):  # BOS to EOS; every word known, to count them
+        known = build_vocabulary([*graph_surface_words(sub.graph), "0.5", "0.9"])
+        return len(linearize_evidence(sub, known))
+
+    sub = sequential_decode(model, *request, vocab)
+    length = decoded_length(sub)
+    assert len(sub.graph.nodes) == 4 and len(sub.graph.edges) == 5
+    assert all(decoded_length(sequential_decode(model, *r, vocab)) < length for r in others)
+
+    def outcome(decode):
+        try:
+            return decode()
+        except DecodeError as exc:
+            return str(exc)
+
+    results = []
+    for max_len in range(1, length + 3):
+        expected = outcome(lambda: sequential_decode(model, *request, vocab, max_len))
+        assert outcome(lambda: generate_subgraph(model, *request, vocab, max_len)) == expected
+        batch = outcome(lambda: decode_many(model, vocab, [request, *others], max_len)[0])
+        assert batch == expected
+        results.append(expected)
+    assert results[length - 1 :] == [sub] * 3
+    assert all(isinstance(result, str) for result in results[: length - 1])
+    # The budget runs out in each of the 12 phases.
+    assert len({result.split("phase ")[1] for result in results[: length - 1]}) == 12
+
+
 def test_no_recurrence_step_after_the_confidence_value(monkeypatch):
     rng = np.random.default_rng(16)
     graphs, vocab = mixed_batch(rng, count=10)

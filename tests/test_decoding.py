@@ -231,6 +231,44 @@ def test_decode_lists_the_legal_set_only_at_choices_inside_a_line(monkeypatch):
     assert all(phase in ("edge-line", "confidence-value") and width > 1 for phase, width in listed)
 
 
+def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
+    """A lone decode runs one one-row transition per token after BOS up to
+    the confidence value, and advances its engine only at choices and
+    through runs, fewer times than it takes tokens; it calls neither
+    ``cell`` nor ``allowed_tokens()`` outside a choice inside a line."""
+    rng = np.random.default_rng(7)
+    full = with_duplicate_edges(random_graph(rng, min_nodes=5, max_extra_edges=10))
+    vocab = vocab_with_confidence(full)
+    model = init_retriever(len(vocab), 8, 4, 3, seed=2)
+    calls = {"transition": 0, "advance": 0, "cell": 0, "allowed_tokens": 0}
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((RetrieverModel, "transition"), (RetrieverModel, "cell"),
+                      (ConstraintEngine, "advance"), (ConstraintEngine, "allowed_tokens")):
+        counting(cls, name)
+    sub = generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
+    monkeypatch.undo()
+    tokens = list(linearize_evidence(sub, vocab))[1:-2]  # up to the confidence value
+    engine = ConstraintEngine(full, vocab)
+    line_choices = 0
+    for token in tokens:
+        allowed = engine.allowed_tokens()
+        line_choices += len(allowed) > 1 and engine.phase in ("edge-line", "confidence-value")
+        engine.advance(token)
+    assert calls["transition"] == len(tokens)
+    assert 0 < calls["advance"] < len(tokens)
+    assert calls["cell"] == 0
+    assert calls["allowed_tokens"] == line_choices
+
+
 def test_ids_outside_the_vocabulary_are_rejected_in_every_phase():
     """Negative and too-large ids raise DecodeError and leave the state
     unchanged; -1 would wrap to N1, the last id, which is legal at both

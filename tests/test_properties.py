@@ -1,4 +1,6 @@
 """Property-based tests over random graphs, mutations, and decodes."""
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,12 +238,29 @@ def engine_cases(draw):
 LOGIT_VALUES = (-np.inf, -1.0, 0.0, 0.0, 1.0, 1.0)
 
 
+def engine_copy(engine: ConstraintEngine) -> ConstraintEngine:
+    """An independent copy of a decode's state, sharing its index."""
+    return copy.deepcopy(engine, {id(engine.index): engine.index, id(engine.vocab): engine.vocab})
+
+
+def engine_state(engine: ConstraintEngine) -> tuple:
+    """Everything a later step reads and the record an engine keeps."""
+    pending = {first: tuple(lines) for first, lines in engine.pending.items()}
+    return (engine.phase, engine.pos, tuple(engine.candidates), pending, engine.mask.tobytes(),
+            engine.count, engine.done, tuple(engine.completed), engine.confidence)
+
+
 @given(engine_cases(), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=300, deadline=None)
 def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
-    """At every step of a random legal walk: ``forced()`` is the only legal
-    token or None, ``choose(logits)`` is the subset argmax, and the legal
-    set matches the scan oracle."""
+    """At every step of a random legal walk: ``take_run(1)`` is the only
+    legal token or nothing, ``choose(logits)`` is the subset argmax, and
+    the legal set matches the scan oracle.  A run of any limit, cut
+    mid-line or not, takes the tokens repeated ``take_run(1)`` calls take
+    and leaves the state they leave, and so does advancing its tokens one
+    by one; each of its tokens is the oracle's one legal token, and it ends
+    at its limit, after the confidence value, or where the oracle has a
+    choice or a dead end."""
     full, vocab = case
     rng = np.random.default_rng(seed)
     engine = ConstraintEngine(full, vocab)
@@ -251,9 +270,33 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
         assert allowed == sorted(oracle.allowed())
         if not allowed:
             with pytest.raises(DecodeError, match="dead end"):
-                engine.forced()
+                engine.take_run(1)
             return
-        assert engine.forced() == (allowed[0] if len(allowed) == 1 else None)
+        limit = data.draw(st.integers(1, 12))
+        runner, stepper, walker = engine_copy(engine), engine_copy(engine), engine_copy(engine)
+        run = runner.take_run(limit)
+        steps: list[int] = []
+        while len(steps) < limit:
+            valued = stepper.confidence is not None
+            try:
+                step = stepper.take_run(1)
+            except DecodeError:  # a dead end ends a run and raises next
+                break
+            assert len(step) <= 1
+            steps += step
+            if not step or stepper.confidence is not None and not valued:
+                break
+        assert steps[:1] == (allowed if len(allowed) == 1 else [])
+        assert run == steps and len(run) <= limit
+        for token in run:
+            walker.advance(token)
+        assert engine_state(runner) == engine_state(stepper) == engine_state(walker)
+        ahead = copy.deepcopy(oracle)
+        for token in run:
+            assert ahead.allowed() == {token}
+            ahead.advance(token)
+        if len(run) < limit and not (run and ahead.phase == "confidence-value-eol"):
+            assert len(ahead.allowed()) != 1
         logits = rng.choice(LOGIT_VALUES, size=len(vocab))
         assert engine.choose(logits) == allowed[logits[allowed].argmax()]
         token = data.draw(st.sampled_from(allowed))

@@ -25,11 +25,7 @@ from memalign.graphs import (
     Violation,
 )
 from memalign.retriever import RetrieverModel, _sigmoid
-from memalign.tokenization import (
-    delinearize,
-    edge_line_tokens,
-    node_line_tokens,
-)
+from memalign.tokenization import edge_line_tokens, node_line_tokens
 from memalign.vocab import (
     BOS,
     EOS,
@@ -302,7 +298,9 @@ def sequential_decode(
 ) -> EvidenceSubgraph:
     """Reference greedy decode of one request: the recurrence written out
     gate by gate with one matvec per weight, logits on every step and an
-    argmax over the whole vocabulary with illegal tokens masked."""
+    argmax over the whole vocabulary with illegal tokens masked.  Returns
+    the engine's record, checked to spell every token taken, so node ids
+    that collide on UNK come back as the graph's own nodes."""
     engine = ConstraintEngine(full, vocab)
     max_len = engine.default_max_len if max_len is None else max_len
     if not vocab.confidence_ids:
@@ -326,7 +324,16 @@ def sequential_decode(
         token = int(np.argmax(masked))
         engine.advance(token)
         tokens.append(token)
-    return delinearize(tuple(tokens), vocab)
+    sub = engine.evidence()
+    spelled = [BOS, TOK_HEADER, TOK_NODES, TOK_EOL]
+    for node in sub.graph.nodes:
+        spelled += node_line_tokens(node, vocab.input_id)
+    spelled += [TOK_EDGES, TOK_EOL]
+    for edge in sub.graph.edges:
+        spelled += edge_line_tokens(edge, vocab.input_id)
+    spelled += [TOK_CONFIDENCE, TOK_EOL, tokens[-3], TOK_EOL, EOS]
+    assert tokens == spelled and float(vocab.token(tokens[-3])) == sub.confidence
+    return sub
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
