@@ -126,9 +126,10 @@ class ConstraintEngine:
     clears.  Every step other than a line start costs time in the
     candidates, not in the size of the graph.
 
-    A decode takes each run of decided tokens from :meth:`take_run` and,
-    at a choice, asks :meth:`choose` for the legal token with the highest
-    logit; neither builds the legal set at a line start.
+    A decode takes each run of decided tokens from :meth:`take_run`, which
+    tells by ``at_choice`` whether the run stopped at a choice, and there
+    asks :meth:`choose` for the legal token with the highest logit; neither
+    builds the legal set at a line start.
     :meth:`allowed_tokens` lists the legal set.
 
     A line ends by its length, not by the first EOL token, so a word
@@ -156,6 +157,8 @@ class ConstraintEngine:
         self.pos = 0
         self.candidates: Sequence[int] = ()
         self.done = False
+        # Whether the last run stopped because the next token is a choice.
+        self.at_choice = False
         # The record: completed lines' indices, in order, and the
         # confidence value once taken.
         self.completed: list[int] = []
@@ -182,8 +185,11 @@ class ConstraintEngine:
         """Consume and return the decided tokens up to the next choice, at
         most ``limit`` and none after the confidence value; empty at a
         choice, :class:`DecodeError` when the next token is a dead end.  A
-        line with one candidate left is one slice of its tokens and EOL."""
+        line with one candidate left is one slice of its tokens and EOL.
+        ``at_choice`` tells whether the run stopped at a choice, so a
+        decode need not ask again to learn of it."""
         run: list[int] = []
+        self.at_choice = False
         while len(run) < limit:
             phase = self.phase
             if phase in _LINES:
@@ -202,6 +208,7 @@ class ConstraintEngine:
             elif phase in _LINE_STARTS:
                 # The closing token is always legal, and forced when alone.
                 if self.count > 1:
+                    self.at_choice = True
                     break
                 legal = (_LINE_STARTS[phase][0],)
             else:  # the confidence value
@@ -209,6 +216,7 @@ class ConstraintEngine:
             if not legal and not run:
                 raise DecodeError(f"grammar dead end in phase {phase!r}")
             if len(legal) != 1:
+                self.at_choice = len(legal) > 1
                 break
             (token,) = legal
             self.advance(token)
@@ -360,7 +368,9 @@ def decode_many(
     once over the rows still decoding and ``logits`` once over the rows at
     a choice, which take their engine's :meth:`~ConstraintEngine.choose`.
     A row takes each run of decided tokens from its engine in one
-    :meth:`~ConstraintEngine.take_run` call and feeds it one token a step.
+    :meth:`~ConstraintEngine.take_run` call and feeds it one token a step;
+    a run that stopped at a choice (``at_choice``) ends with that choice,
+    so the engine is asked for the next run only after it.
     Inputs and states are gathered by ``ndarray.take``.  Once a row takes
     its confidence value, only EOL and EOS can follow and no logits read
     the states after it, so the row ends there when ``max_len`` admits
@@ -398,7 +408,8 @@ def decode_many(
     limit: int | None = None  # the first failing request, once one fails
     # The requests decoding, in input order, as [index, engine, budget,
     # tokens taken (BOS included), last token (the next step's input),
-    # queued run (its engine took it already)], and their states.
+    # queued run (its engine took it already, None for a choice that ends
+    # it)], and their states.
     rows: list[list] = []
     state = np.empty((0, model.d_m))
     # Every token's input projection, built once per model, not per call.
@@ -448,10 +459,13 @@ def decode_many(
                 except DecodeError as exc:
                     error, limit = exc, i
                     break
-            if not run:
+                if engine.at_choice:
+                    run.append(None)
+            token = run.pop(0)
+            if token is None:
                 choices.append(len(kept))
             kept.append(k)
-            taken.append(run.pop(0) if run else None)
+            taken.append(token)
             inputs.append(last)
         if len(kept) < len(rows):
             rows = [rows[k] for k in kept]
@@ -461,7 +475,7 @@ def decode_many(
 
         # Every row's state consumes its last token; only the choice rows
         # (more than one legal token) need logits.
-        state = model.transition(projections.take(inputs, axis=0), state)
+        state = model.transition(projections.take(inputs, axis=1), state)
         if choices:
             chosen = state if len(choices) == len(rows) else state.take(choices, axis=0)
             for row_logits, k in zip(model.logits(chosen), choices):
@@ -472,22 +486,23 @@ def decode_many(
             row[4] = token
 
     if rows:
-        # The last row, alone: a run costs one transition per token.
+        # The last row, alone: a run costs one transition per token, and
+        # the choice that ends it one transition and one logits row more.
         i, engine, budget, length, last, run = rows[0]
         try:
             while True:
                 for token in run:
-                    state = model.transition(projections[last : last + 1], state)
+                    state = model.transition(projections[:, last : last + 1], state)
+                    if token is None:
+                        token = engine.choose(model.logits(state)[0])
+                        engine.advance(token)
                     last = token
                 length += len(run)
                 if _finished(engine, budget, length):
                     break
                 run = engine.take_run(budget - length)
-                if not run:
-                    state = model.transition(projections[last : last + 1], state)
-                    last = engine.choose(model.logits(state)[0])
-                    engine.advance(last)
-                    length += 1
+                if engine.at_choice:
+                    run.append(None)
             subgraphs[i] = engine.evidence()
         except DecodeError as exc:
             error = exc

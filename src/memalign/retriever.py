@@ -56,17 +56,9 @@ class QueryEmbedder:
         return vec
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # e^min(x, 0) / (1 + e^-|x|): 1 / (1 + e^-x) for x >= 0 and
-    # e^x / (1 + e^x) below, so no exp overflows.
-    num = np.minimum(x, 0.0, out=out)
-    np.exp(num, out=num)
-    den = np.abs(x)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    num /= den
-    return num
+# 1/2 as a 0-d array: NumPy multiplies by it faster than by a Python float,
+# which it converts on every call.
+_HALF = np.array(0.5)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -90,6 +82,12 @@ class RetrieverModel:
     The gate parameters are stored stacked, ``w_in`` = [Wz; Wc],
     ``u_rec`` = [Uz; Uc] and ``b_in`` = [bz; bc]; the first d_m rows of
     each belong to the update gate z, the last d_m to the candidate c.
+
+    The cell computes the gate as sigmoid(a) = (1 + tanh(a / 2)) / 2, so
+    one tanh serves both gates.  The projection table and the recurrence
+    weight it multiplies by are kept gate-major, the update gate's half
+    scaled by 1/2 (exact for all but subnormal values), so that g = tanh(a / 2)
+    and c come out of one tanh over one (2, B, d_m) array.
     """
 
     emb: np.ndarray  # V x d_m token embeddings
@@ -169,23 +167,31 @@ class RetrieverModel:
     # and so must a caller that changes emb, w_in, b_in or u_rec in place
     # before it decodes (train_retriever does after each optimizer step).
     # copy() and checkpoint loading start without them; they are never
-    # serialized.
+    # serialized.  Both are gate-major, the update gate first, and its half
+    # is scaled by 1/2 where they are built, so the cell takes the gate's
+    # sigmoid as a tanh.
 
     def projections(self) -> np.ndarray:
-        """The projection table (V, 2 d_m): row t is W x + b =
-        [Wz x + bz; Wc x + bc] for the embedding x of token t, built for
-        the whole vocabulary by one gemm when first read."""
+        """The projection table (2, V, d_m): ``table[0, t]`` is
+        (Wz x + bz) / 2 and ``table[1, t]`` is Wc x + bc for the embedding x
+        of token t, built for the whole vocabulary by one gemm when first
+        read."""
         table = self.__dict__.get("_projections")
         if table is None:
-            table = self.__dict__["_projections"] = self.emb @ self.w_in.T + self.b_in
+            flat = self.emb @ self.w_in.T + self.b_in
+            table = np.stack([flat[:, : self.d_m], flat[:, self.d_m :]])
+            table[0] *= 0.5
+            self.__dict__["_projections"] = table
         return table
 
     def recurrence_weight(self) -> np.ndarray:
-        """[Uz; Uc].T (d_m, 2 d_m), laid out contiguously: a transposed view
-        multiplies slower and rounds differently."""
+        """[Uz.T / 2, Uc.T] (2, d_m, d_m), laid out contiguously: a
+        transposed view multiplies slower and rounds differently."""
         u_t = self.__dict__.get("_recurrence_weight")
         if u_t is None:
-            u_t = self.__dict__["_recurrence_weight"] = np.ascontiguousarray(self.u_rec.T)
+            u_t = np.stack([self.u_rec[: self.d_m].T, self.u_rec[self.d_m :].T])
+            u_t[0] *= 0.5
+            self.__dict__["_recurrence_weight"] = u_t
         return u_t
 
     def drop_projections(self) -> None:
@@ -193,22 +199,28 @@ class RetrieverModel:
         self.__dict__["_projections"] = self.__dict__["_recurrence_weight"] = None
 
     def transition(
-        self, x_proj: np.ndarray, states: np.ndarray, z=None, c=None, out=None
+        self, x_proj: np.ndarray, states: np.ndarray, acts=None, out=None
     ) -> np.ndarray:
         """One recurrence step of each row of a (B, d_m) state batch, given
-        the rows' input projections (B, 2 d_m); returns the new states.
-        The gates z and c and the new states are written into ``z``, ``c``
-        and ``out`` when those are given."""
-        d_m = states.shape[1]
-        pre = states @ self.recurrence_weight()
+        the rows' input projections (2, B, d_m), gathered from the
+        projection table; returns the new states.
+
+        One tanh over the pre-activations gives g = tanh(a_z / 2) and the
+        candidate c, and with z = (1 + g) / 2 the new state (1 - z) s + z c
+        is (s + c + g (c - s)) / 2: one gemm and seven more NumPy calls,
+        over contiguous gate and candidate halves.  The activations (g, c)
+        and the new states are written into ``acts`` and ``out`` when those
+        are given.
+        """
+        pre = np.matmul(states, self.recurrence_weight(), out=acts)
         pre += x_proj  # U s + (W x + b), as W x + b + U s: addition commutes
-        gate, cand = pre[:, :d_m], pre[:, d_m:]
-        z = _sigmoid(gate, out=z)
-        c = np.tanh(cand, out=cand if c is None else c)
-        # (1 - z) * s + z * c, with z * c in the spent gate pre-activations.
-        new = np.subtract(1.0, z, out=out)
-        new *= states
-        new += np.multiply(z, c, out=gate)
+        np.tanh(pre, out=pre)
+        gate, cand = pre[0], pre[1]
+        new = np.subtract(cand, states, out=out)
+        new *= gate
+        new += states
+        new += cand
+        new *= _HALF
         return new
 
     def logits(self, states: np.ndarray) -> np.ndarray:
@@ -221,7 +233,7 @@ class RetrieverModel:
         one-row ``transition`` and ``logits``; returns (logits, new state)."""
         if not 0 <= token < self.vocab_size:
             raise RetrieverError(f"token id {token} out of range")
-        new_state = self.transition(self.projections()[token][None], state[None])
+        new_state = self.transition(self.projections()[:, token : token + 1], state[None])
         return self.logits(new_state)[0], new_state[0]
 
 
@@ -263,8 +275,7 @@ class _ForwardCache:
     lengths: np.ndarray  # (B,) steps per sequence
     cond: np.ndarray  # (B, d_q + d_s)
     states: np.ndarray  # (T + 1, B, d_m) with states[0] = initial states
-    zs: np.ndarray  # (T, B, d_m)
-    cs: np.ndarray  # (T, B, d_m)
+    acts: np.ndarray  # (T, 2, B, d_m): each step's g = tanh(a_z / 2) and c
     logits: np.ndarray  # (sum(lengths), V): real steps, sequence by sequence
 
 
@@ -314,16 +325,15 @@ def sequence_logits(
     # The pass reads the parameters as they are now, also after an edit in
     # place, so the table and recurrence weight cached from older values go.
     model.drop_projections()
-    # W x + b of each step's input token; the cell adds U s.
-    pre_in = model.projections()[inputs]
+    # W x + b of each step's input token, (2, T, B, d_m); the cell adds U s.
+    pre_in = model.projections()[:, inputs]
     states = np.empty((steps + 1, batch, d_m))
-    zs = np.empty((steps, batch, d_m))
-    cs = np.empty((steps, batch, d_m))
+    acts = np.empty((steps, 2, batch, d_m))
     states[0] = model.init_states(cond)
     for t in range(steps):
-        model.transition(pre_in[t], states[t], zs[t], cs[t], out=states[t + 1])
+        model.transition(pre_in[:, t], states[t], acts[t], out=states[t + 1])
     logits = model.logits(states[1:].swapaxes(0, 1)[mask])
-    return _ForwardCache(inputs, mask, lengths, cond, states, zs, cs, logits)
+    return _ForwardCache(inputs, mask, lengths, cond, states, acts, logits)
 
 
 def sequence_backward(
@@ -350,10 +360,21 @@ def sequence_backward(
     d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
 
     # Local derivatives of s' = (1 - z) s + z c wrt the z and c
-    # pre-activations, for every step at once: (T, B, 2, d_m).
-    z, c, s = cache.zs, cache.cs, cache.states[:-1]
-    local = np.stack([(c - s) * z * (1.0 - z), z * (1.0 - c * c)], axis=2)
+    # pre-activations, for every step at once: (T, B, 2, d_m), written in
+    # place into one buffer, so the peak memory is acts, z, carry and it.
+    g, c, s = cache.acts[:, 0], cache.acts[:, 1], cache.states[:-1]
+    z = g + 1.0
+    z *= 0.5  # sigmoid(a_z) = (1 + tanh(a_z / 2)) / 2
     carry = 1.0 - z
+    local = np.empty((steps, batch, 2, d_m))
+    d_z, d_c = local[:, :, 0], local[:, :, 1]
+    np.subtract(c, s, out=d_z)
+    d_z *= z
+    d_z *= carry  # (c - s) z (1 - z)
+    np.multiply(c, c, out=d_c)
+    np.subtract(1.0, d_c, out=d_c)
+    d_c *= z  # z (1 - c c)
+    del z
     u_rec = model.u_rec
     d_pre = np.empty((steps, batch, 2, d_m))
     d_state = np.zeros((batch, d_m))

@@ -441,11 +441,17 @@ def test_input_projections_are_computed_once_per_model():
     requests = requests_for(graphs, rng)
     first = [generate_subgraph(model, *request, vocab) for request in requests]
     table = model.projections()
-    # One gemm over the whole vocabulary; row t is W x_t + b up to how a
-    # gemm and a gemv round.
-    assert np.array_equal(table, model.emb @ model.w_in.T + model.b_in)
-    for token, row in enumerate(table):
+    # One gemm over the whole vocabulary, gate-major with the update gate's
+    # half scaled by 1/2, exactly; row t is W x_t + b up to how a gemm and
+    # a gemv round.
+    flat = model.emb @ model.w_in.T + model.b_in
+    d_m = model.d_m
+    assert table.shape == (2, model.vocab_size, d_m)
+    assert np.array_equal(2.0 * table[0], flat[:, :d_m])
+    assert np.array_equal(table[1], flat[:, d_m:])
+    for token in range(model.vocab_size):
         expected = model.w_in @ model.emb[token] + model.b_in
+        row = np.concatenate([2.0 * table[0, token], table[1, token]])
         np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-15)
     # Repeats read the same table: nothing is projected again.
     for _ in range(2):
@@ -460,7 +466,7 @@ def test_input_projections_are_computed_once_per_model():
     assert rebuilt is not table and np.array_equal(rebuilt, table)
     states = cache.states[0]
     for t, inputs in enumerate(cache.inputs):
-        states = model.transition(rebuilt[inputs], states)
+        states = model.transition(rebuilt[:, inputs], states)
         assert np.array_equal(states, cache.states[t + 1])
 
 
@@ -484,7 +490,7 @@ def test_in_place_recurrence_update_reaches_the_next_decode_once_dropped():
     graphs, vocab = mixed_batch(rng, count=12)
     model = init_retriever(len(vocab), 8, 4, 3, seed=14)
     requests = requests_for(graphs, rng)
-    before = decode_many(model, vocab, requests)  # caches [Uz; Uc].T
+    before = decode_many(model, vocab, requests)  # caches [Uz.T / 2, Uc.T]
     cached = model.recurrence_weight()
     u_rec = model.u_rec
     u_rec += rng.standard_normal(u_rec.shape)  # in place, as AdamW updates
@@ -492,7 +498,9 @@ def test_in_place_recurrence_update_reaches_the_next_decode_once_dropped():
     assert model.recurrence_weight() is cached
     assert decode_many(model, vocab, requests) == before
     model.drop_projections()
-    assert np.array_equal(model.recurrence_weight(), model.u_rec.T)
+    d_m = model.d_m
+    gate_major = np.stack([model.u_rec[:d_m].T * 0.5, model.u_rec[d_m:].T])
+    assert np.array_equal(model.recurrence_weight(), gate_major)
     after = decode_many(model, vocab, requests)
     assert after != before
     assert after == decode_many(model.copy(), vocab, requests)

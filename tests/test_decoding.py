@@ -235,7 +235,9 @@ def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
     """A lone decode runs one one-row transition per token after BOS up to
     the confidence value, and advances its engine only at choices and
     through runs, fewer times than it takes tokens; it calls neither
-    ``cell`` nor ``allowed_tokens()`` outside a choice inside a line."""
+    ``cell`` nor ``allowed_tokens()`` outside a choice inside a line.  A
+    run tells whether it stopped at a choice, so no ``take_run`` call comes
+    back empty."""
     rng = np.random.default_rng(7)
     full = with_duplicate_edges(random_graph(rng, min_nodes=5, max_extra_edges=10))
     vocab = vocab_with_confidence(full)
@@ -254,19 +256,32 @@ def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
     for cls, name in ((RetrieverModel, "transition"), (RetrieverModel, "cell"),
                       (ConstraintEngine, "advance"), (ConstraintEngine, "allowed_tokens")):
         counting(cls, name)
+    runs = []
+    take_run = ConstraintEngine.take_run
+
+    def recorded(self, limit):
+        run = take_run(self, limit)
+        runs.append(tuple(run))  # as returned; the decode queues the list
+        return run
+
+    monkeypatch.setattr(ConstraintEngine, "take_run", recorded)
     sub = generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
     monkeypatch.undo()
     tokens = list(linearize_evidence(sub, vocab))[1:-2]  # up to the confidence value
     engine = ConstraintEngine(full, vocab)
-    line_choices = 0
+    choices = line_choices = 0
     for token in tokens:
         allowed = engine.allowed_tokens()
+        choices += len(allowed) > 1
         line_choices += len(allowed) > 1 and engine.phase in ("edge-line", "confidence-value")
         engine.advance(token)
     assert calls["transition"] == len(tokens)
     assert 0 < calls["advance"] < len(tokens)
     assert calls["cell"] == 0
     assert calls["allowed_tokens"] == line_choices
+    # Each token came from one non-empty run or was chosen.
+    assert all(runs)
+    assert sum(map(len, runs)) + choices == len(tokens)
 
 
 def test_ids_outside_the_vocabulary_are_rejected_in_every_phase():

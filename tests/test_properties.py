@@ -260,7 +260,8 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
     and leaves the state they leave, and so does advancing its tokens one
     by one; each of its tokens is the oracle's one legal token, and it ends
     at its limit, after the confidence value, or where the oracle has a
-    choice or a dead end."""
+    choice or a dead end, and says by ``at_choice`` whether it was a
+    choice."""
     full, vocab = case
     rng = np.random.default_rng(seed)
     engine = ConstraintEngine(full, vocab)
@@ -297,6 +298,7 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
             ahead.advance(token)
         if len(run) < limit and not (run and ahead.phase == "confidence-value-eol"):
             assert len(ahead.allowed()) != 1
+        assert runner.at_choice == (len(run) < limit and len(ahead.allowed()) > 1)
         logits = rng.choice(LOGIT_VALUES, size=len(vocab))
         assert engine.choose(logits) == allowed[logits[allowed].argmax()]
         token = data.draw(st.sampled_from(allowed))
@@ -426,6 +428,29 @@ def test_distill_loss_and_gradient_are_finite_for_finite_logits(case, epsilon):
     loss, grad = distill_loss(teacher, logits, DistillConfig(), gold_tokens=targets)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
+
+
+@st.composite
+def cell_cases(draw):
+    """A model, input projections (2, B, d_m) with any finite entries and
+    states (B, d_m) in [-1, 1]."""
+    d_m, batch = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    model = init_retriever(3, d_m, 2, 2, seed=draw(st.integers(0, 2**32 - 1)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    x_proj = draw(arrays(np.float64, (2, batch, d_m), elements=finite))
+    states = draw(arrays(np.float64, (batch, d_m), elements=st.floats(-1.0, 1.0)))
+    return model, x_proj, states
+
+
+@given(cell_cases())
+@settings(max_examples=400, deadline=None)
+def test_transition_keeps_states_in_the_unit_box(case):
+    """s' = (s + c + g (c - s)) / 2 with g, c in [-1, 1] is a convex mix of
+    s and c: finite, and within four rounding errors of the unit box."""
+    model, x_proj, states = case
+    new = model.transition(x_proj, states)
+    assert np.all(np.isfinite(new))
+    assert np.all(np.abs(new) <= 1.0 + 4 * np.finfo(np.float64).eps)
 
 
 @st.composite

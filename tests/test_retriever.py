@@ -13,7 +13,6 @@ from memalign.retriever import (
     RetrieverError,
     RetrieverExample,
     RetrieverModel,
-    _sigmoid,
     distill_loss,
     init_retriever,
     sequence_backward,
@@ -25,7 +24,7 @@ from memalign.retriever import (
 )
 from memalign.seeding import fnv1a64
 from memalign.vocab import BOS, EOS, build_vocabulary
-from util import central_difference, gate_parameters, relative_error
+from util import central_difference, gate_parameters, relative_error, where_sigmoid
 
 
 def small_model(vocab_size=14, d_m=6, d_q=3, d_s=2, seed=0):
@@ -351,7 +350,7 @@ def test_cell_rows_match_gate_by_gate_formula():
         states = rng.standard_normal((5, d_m))
         conds = rng.standard_normal((5, 5))
         tokens = [int(t) for t in rng.integers(0, 30, size=5)]
-        x_proj = model.projections()[tokens]
+        x_proj = model.projections()[:, tokens]
         wz, wc, uz, uc, bz, bc = gate_parameters(model)
         before = states.copy()
         batch = model.transition(x_proj, states)
@@ -359,7 +358,7 @@ def test_cell_rows_match_gate_by_gate_formula():
         initial = model.init_states(conds)
         for row, (token, s) in enumerate(zip(tokens, states)):
             x = model.emb[token]
-            z = _sigmoid(wz @ x + uz @ s + bz)
+            z = where_sigmoid(wz @ x + uz @ s + bz)
             c = np.tanh(wc @ x + uc @ s + bc)
             expected = (1.0 - z) * s + z * c
             close = {"rtol": 1e-12, "atol": 1e-15, "err_msg": str(d_m)}
@@ -368,11 +367,11 @@ def test_cell_rows_match_gate_by_gate_formula():
                 logits[row], model.out_weight @ expected + model.out_bias, **close
             )
             np.testing.assert_allclose(
-                model.transition(model.projections()[token][None], s[None])[0],
+                model.transition(model.projections()[:, token : token + 1], s[None])[0],
                 expected,
                 **close,
             )
-            one_row = model.transition(x_proj[row : row + 1], states[row : row + 1])
+            one_row = model.transition(x_proj[:, row : row + 1], states[row : row + 1])
             assert one_row.shape == (1, d_m)
             np.testing.assert_allclose(one_row[0], expected, **close)
             np.testing.assert_allclose(
@@ -385,47 +384,54 @@ def test_cell_rows_match_gate_by_gate_formula():
 
 def test_sequence_logits_steps_the_cell_bit_for_bit():
     """The teacher-forced pass is init_states, then transition at every
-    step over the padded batch, then logits over the real steps' states."""
+    step over the padded batch, then logits over the real steps' states;
+    its cache keeps each step's activations as transition writes them."""
     rng = np.random.default_rng(8)
     for d_m in (5, 13, 64, 128):
         model = small_model(vocab_size=30, d_m=d_m)
         seqs, q, h = _padded_batch(rng, 30, 3, 2, lengths=(3, 9, 1, 6, 12))
         cache = sequence_logits(model, seqs, q, h)
         steps, batch = cache.inputs.shape
-        flat = model.emb[cache.inputs].reshape(steps * batch, d_m)
-        x_proj = (flat @ model.w_in.T).reshape(steps, batch, 2 * d_m) + model.b_in
+        assert cache.acts.shape == (steps, 2, batch, d_m)
+        table = model.projections()
         state = model.init_states(cache.cond)
         assert np.array_equal(cache.states[0], state)
-        z, c = np.empty((batch, d_m)), np.empty((batch, d_m))
+        acts = np.empty((2, batch, d_m))
         for t in range(steps):
-            state = model.transition(x_proj[t], state, z, c)
+            state = model.transition(table[:, cache.inputs[t]], state, acts)
             assert np.array_equal(cache.states[t + 1], state), (d_m, t)
-            assert np.array_equal(cache.zs[t], z) and np.array_equal(cache.cs[t], c)
+            assert np.array_equal(cache.acts[t], acts), (d_m, t)
         hidden = cache.states[1:].swapaxes(0, 1)[cache.mask]
         assert np.array_equal(cache.logits, model.logits(hidden))
 
 
-def _where_sigmoid(x):
-    """The np.where form of the numerically stable sigmoid."""
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
-
-
-def test_sigmoid_equals_where_formula_bitwise():
+def test_gate_through_the_cell_matches_the_sigmoid_on_special_values():
+    """With zero w_in and u_rec the update gate's pre-activation is its
+    bias.  On special biases (signed zeros, the smallest normal and
+    subnormal numbers, the ends of exp's range and of the float range,
+    infinities) the gate z = (1 + g) / 2 that transition applies stays in
+    [0, 1] and within 1e-15 of the where-form sigmoid, with no
+    RuntimeWarning, and so does z = s' / c read from a zero state."""
     tiny = np.finfo(np.float64).tiny
-    special = np.array([
-        0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, tiny / 2**20, -tiny / 2**20,
-        5e-324, -5e-324, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308, 36.0, -36.0,
+    gate_bias = np.array([
+        0.0, -0.0, tiny, -tiny, tiny / 2**20, -tiny / 2**20, 5e-324, -5e-324,
+        745.2, -745.2, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf, 36.0, -36.0,
     ])
-    rng = np.random.default_rng(21)
-    for x in (special, rng.standard_normal(1000) * 10, rng.standard_normal((7, 13))):
-        with np.errstate(all="ignore"):
-            expected = _where_sigmoid(x)
-        got = _sigmoid(x)
-        assert got.shape == x.shape
-        assert np.array_equal(got, expected, equal_nan=True)
-        numbers = ~np.isnan(expected)  # a NaN's sign bit carries nothing
-        assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
+    d_m = gate_bias.shape[0]
+    model = init_retriever(3, d_m, 2, 2, seed=0)
+    model.w_in = np.zeros_like(model.w_in)
+    model.u_rec = np.zeros_like(model.u_rec)
+    model.b_in = np.concatenate([gate_bias, np.ones(d_m)])  # c = tanh(1)
+    expected = where_sigmoid(gate_bias)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acts = np.empty((2, 3, d_m))
+        new = model.transition(model.projections()[:, [0, 1, 2]], np.zeros((3, d_m)), acts)
+        for g, s_new in zip(acts[0], new):
+            z = (1.0 + g) / 2.0
+            assert np.all((z >= 0.0) & (z <= 1.0))
+            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(s_new / np.tanh(1.0), expected, rtol=0, atol=1e-15)
 
 
 def test_embedding_gradient_equals_scattered_sum_bitwise():
@@ -444,7 +450,8 @@ def test_embedding_gradient_equals_scattered_sum_bitwise():
     d_m = model.d_m
     d_hidden = np.zeros((steps, batch, d_m))
     d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
-    z, c, s = cache.zs, cache.cs, cache.states[:-1]
+    g, c, s = cache.acts[:, 0], cache.acts[:, 1], cache.states[:-1]
+    z = (1.0 + g) * 0.5
     local = np.stack([(c - s) * z * (1.0 - z), z * (1.0 - c * c)], axis=2)
     d_pre = np.empty((steps, batch, 2, d_m))
     d_state = np.zeros((batch, d_m))

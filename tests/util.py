@@ -24,7 +24,7 @@ from memalign.graphs import (
     VerificationReport,
     Violation,
 )
-from memalign.retriever import RetrieverModel, _sigmoid
+from memalign.retriever import RetrieverModel
 from memalign.tokenization import edge_line_tokens, node_line_tokens
 from memalign.vocab import (
     BOS,
@@ -278,6 +278,13 @@ def count_index_builds(monkeypatch) -> list[GraphIndex]:
     return built
 
 
+def where_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The np.where form of the numerically stable sigmoid, 1 / (1 + e^-x)
+    for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
 def gate_parameters(model: RetrieverModel) -> tuple[np.ndarray, ...]:
     """(Wz, Wc, Uz, Uc, bz, bc): the row halves of the stacked gate arrays."""
     d_m = model.d_m
@@ -315,7 +322,7 @@ def sequential_decode(
             )
         allowed = engine.allowed_tokens()
         x = model.emb[tokens[-1]]
-        z = _sigmoid(wz @ x + uz @ state + bz)
+        z = where_sigmoid(wz @ x + uz @ state + bz)
         c = np.tanh(wc @ x + uc @ state + bc)
         state = (1.0 - z) * state + z * c
         logits = model.out_weight @ state + model.out_bias
