@@ -85,9 +85,6 @@ class GraphIndex:
         word_id = vocab.input_id
         lines = [node_line_tokens(node, word_id) for node in full_graph.nodes]
         lines += [edge_line_tokens(edge, word_id) for edge in full_graph.edges]
-        # BOS, header, <NODES>, EOL, <EDGES>, EOL and EOS, plus each line
-        # with its EOL: the length of the full graph's linearization.
-        serialized = 7 + sum(map(len, lines))
         self.token_lines = tuple(tuple(line[:-1]) for line in lines)
         groups: dict[int, list[int]] = {}
         for i in range(len(full_graph.nodes)):
@@ -99,9 +96,6 @@ class GraphIndex:
         self.start_mask = mask
         self.start_count = len(groups) + 1
         self.graph = full_graph
-        # Token budget sufficient to emit the whole full graph as evidence:
-        # +4 covers the confidence section, +8 is slack.
-        self.default_max_len = serialized + 4 + 8
 
 
 class ConstraintEngine:
@@ -147,7 +141,6 @@ class ConstraintEngine:
         if index is None or index.graph != full_graph:
             index = vocab.graph_index = GraphIndex(full_graph, vocab)
         self.index = index
-        self.default_max_len = index.default_max_len
         self.phase = "header"
         self.mask = index.start_mask.copy()
         self.count = index.start_count
@@ -181,26 +174,25 @@ class ConstraintEngine:
             return list(self.vocab.confidence_ids)
         raise DecodeError(f"no legal continuation from phase {phase!r}")
 
-    def take_run(self, limit: int) -> list[int]:
-        """Consume and return the decided tokens up to the next choice, at
-        most ``limit`` and none after the confidence value; empty at a
-        choice, :class:`DecodeError` when the next token is a dead end.  A
-        line with one candidate left is one slice of its tokens and EOL.
+    def take_run(self) -> list[int]:
+        """Consume and return the decided tokens up to the next choice, none
+        after the confidence value or EOS; empty at a choice,
+        :class:`DecodeError` when the next token is a dead end.  A line with
+        one candidate left is one slice of its tokens and EOL.
         ``at_choice`` tells whether the run stopped at a choice, so a
         decode need not ask again to learn of it."""
         run: list[int] = []
         self.at_choice = False
-        while len(run) < limit:
+        while not self.done:
             phase = self.phase
             if phase in _LINES:
                 candidates, pos, lines = self.candidates, self.pos, self.index.token_lines
                 if len(candidates) == 1:
-                    tail = lines[candidates[0]][pos : pos + limit - len(run)]
-                    run += tail
-                    self.pos = pos + len(tail)
-                    if len(run) < limit:
-                        run.append(TOK_EOL)
-                        self._complete(candidates[0])
+                    line = lines[candidates[0]]
+                    run += line[pos:]
+                    run.append(TOK_EOL)
+                    self.pos = len(line)
+                    self._complete(candidates[0])
                     continue
                 legal = {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in candidates}
             elif phase in _FIXED_PHASES:
@@ -340,21 +332,10 @@ class ConstraintEngine:
         )
 
 
-def _finished(engine: ConstraintEngine, budget: int, length: int) -> bool:
-    """Whether a row of ``length`` tokens has ended: its confidence value is
-    taken and ``budget`` admits EOL and EOS.  Raises when it is spent."""
-    if engine.confidence is not None and length + 2 <= budget:
-        return True
-    if length >= budget:
-        raise DecodeError(f"max_len {budget} exhausted without EOS (phase {engine.phase!r})")
-    return False
-
-
 def decode_many(
     model: RetrieverModel,
     vocab: Vocabulary,
     requests: Iterable[tuple[MemoryGraph, np.ndarray, np.ndarray]],
-    max_len: int | None = None,
 ) -> list[EvidenceSubgraph]:
     """Greedy constrained decoding of ``(full_graph, q, h)`` requests in
     lock step.
@@ -373,11 +354,10 @@ def decode_many(
     so the engine is asked for the next run only after it.
     Inputs and states are gathered by ``ndarray.take``.  Once a row takes
     its confidence value, only EOL and EOS can follow and no logits read
-    the states after it, so the row ends there when ``max_len`` admits
-    both tokens, with its evidence subgraph assembled from its engine's
-    record.  The next request joins as soon as fewer than
-    :data:`DECODE_WINDOW` rows are decoding, so memory stays bounded;
-    ``requests`` is consumed in order.
+    the states after it, so the row ends there, with its evidence subgraph
+    assembled from its engine's record.  The next request joins as soon as
+    fewer than :data:`DECODE_WINDOW` rows are decoding, so memory stays
+    bounded; ``requests`` is consumed in order.
 
     The last row, once no request can join it (every lone decode, and the
     end of every batch), leaves the lock step for a loop of its own: one
@@ -389,27 +369,27 @@ def decode_many(
     verification against its full graph, also when the vocabulary lacks
     some of its words or node ids.
 
-    A request that cannot be decoded (a grammar dead end, ``max_len``
-    exhausted before EOS, a malformed request) raises what a loop over the
-    requests in input order would raise first; the requests after it are
-    not decoded.  ``max_len`` defaults, per request, to a budget that fits
-    the whole full graph.  A model whose vocabulary size is not
-    ``len(vocab)`` raises :class:`DecodeError` before any request is taken.
+    A row needs no token budget, as each full-graph line completes at
+    most once, and cannot dead-end once the vocabulary has a confidence
+    value token.  So a request fails only as it joins: a malformed one
+    raises at once, before any later request is taken, as a loop over the
+    requests in input order would.  A model whose vocabulary size is not
+    ``len(vocab)``, or a vocabulary without a confidence value token,
+    raises :class:`DecodeError` before any request is taken.
     """
     if model.vocab_size != len(vocab):
         raise DecodeError(
             f"retriever has {model.vocab_size} token rows but the vocabulary "
             f"has {len(vocab)} tokens"
         )
+    if not vocab.confidence_ids:
+        raise DecodeError("vocabulary has no confidence value token")
     pending = iter(requests)
     exhausted = False
     subgraphs: list[EvidenceSubgraph | None] = []  # per request taken, in input order
-    error: Exception | None = None
-    limit: int | None = None  # the first failing request, once one fails
-    # The requests decoding, in input order, as [index, engine, budget,
-    # tokens taken (BOS included), last token (the next step's input),
-    # queued run (its engine took it already, None for a choice that ends
-    # it)], and their states.
+    # The requests decoding, in input order, as [index, engine, last token
+    # (the next step's input), queued run (its engine took it already, None
+    # for a choice that ends it)], and their states.
     rows: list[list] = []
     state = np.empty((0, model.d_m))
     # Every token's input projection, built once per model, not per call.
@@ -417,48 +397,31 @@ def decode_many(
 
     while True:
         joined = []  # the joining rows' conditioning rows
-        while not exhausted and limit is None and len(rows) < DECODE_WINDOW:
+        while not exhausted and len(rows) < DECODE_WINDOW:
             request = next(pending, None)
             if request is None:
                 exhausted = True
                 break
-            i = len(subgraphs)
-            # A sequential loop raises here only after decoding every
-            # request before this one, so the error waits for those rows.
-            try:
-                full_graph, q, h = request
-                engine = ConstraintEngine(full_graph, vocab)
-                if not vocab.confidence_ids:
-                    raise DecodeError("vocabulary has no confidence value token")
-                joined.append(model.conditioning(q, h))
-            except (ValueError, TypeError, DecodeError) as exc:
-                error, limit = exc, i
-                break
+            full_graph, q, h = request
+            engine = ConstraintEngine(full_graph, vocab)
+            joined.append(model.conditioning(q, h))
+            rows.append([len(subgraphs), engine, BOS, []])
             subgraphs.append(None)
-            budget = engine.default_max_len if max_len is None else max_len
-            rows.append([i, engine, budget, 1, BOS, []])
         if joined:
             state = np.vstack((state, model.init_states(np.stack(joined))))
-        if len(rows) < 2 and (exhausted or limit is not None):
+        if len(rows) < 2 and exhausted:
             break  # no request can join: a last row runs alone below
 
-        # Each row makes a sequential decode's checks, which cannot fire in
-        # a queued run (it ends within the budget and at the confidence
-        # value at the latest); a failing row drops itself and those after.
         kept, taken, inputs, choices = [], [], [], []
         for k, row in enumerate(rows):
-            i, engine, budget, length, last, run = row
+            i, engine, last, run = row
             if not run:
-                try:
-                    if _finished(engine, budget, length):
-                        # The engine is released before the next request joins.
-                        subgraphs[i] = engine.evidence()
-                        row[1] = engine = None
-                        continue
-                    run = row[5] = engine.take_run(budget - length)
-                except DecodeError as exc:
-                    error, limit = exc, i
-                    break
+                if engine.confidence is not None:
+                    # The engine is released before the next request joins.
+                    subgraphs[i] = engine.evidence()
+                    row[1] = engine = None
+                    continue
+                run = row[3] = engine.take_run()
                 if engine.at_choice:
                     run.append(None)
             token = run.pop(0)
@@ -482,32 +445,25 @@ def decode_many(
                 taken[k] = token = rows[k][1].choose(row_logits)
                 rows[k][1].advance(token)
         for row, token in zip(rows, taken):
-            row[3] += 1
-            row[4] = token
+            row[2] = token
 
     if rows:
         # The last row, alone: a run costs one transition per token, and
         # the choice that ends it one transition and one logits row more.
-        i, engine, budget, length, last, run = rows[0]
-        try:
-            while True:
-                for token in run:
-                    state = model.transition(projections[:, last : last + 1], state)
-                    if token is None:
-                        token = engine.choose(model.logits(state)[0])
-                        engine.advance(token)
-                    last = token
-                length += len(run)
-                if _finished(engine, budget, length):
-                    break
-                run = engine.take_run(budget - length)
-                if engine.at_choice:
-                    run.append(None)
-            subgraphs[i] = engine.evidence()
-        except DecodeError as exc:
-            error = exc
-    if error is not None:
-        raise error
+        i, engine, last, run = rows[0]
+        while True:
+            for token in run:
+                state = model.transition(projections[:, last : last + 1], state)
+                if token is None:
+                    token = engine.choose(model.logits(state)[0])
+                    engine.advance(token)
+                last = token
+            if engine.confidence is not None:
+                break
+            run = engine.take_run()
+            if engine.at_choice:
+                run.append(None)
+        subgraphs[i] = engine.evidence()
     return subgraphs
 
 
@@ -517,14 +473,8 @@ def generate_subgraph(
     q: np.ndarray,
     h: np.ndarray,
     vocab: Vocabulary,
-    max_len: int | None = None,
 ) -> EvidenceSubgraph:
     """Greedy constrained decoding of one evidence subgraph: the one-request
-    case of :func:`decode_many`.
-
-    The output always passes subset verification against ``full_graph``.
-    Raises :class:`DecodeError` when the grammar dead-ends or ``max_len``
-    is exhausted before EOS.  ``max_len`` defaults to a budget that fits
-    the whole full graph.
-    """
-    return decode_many(model, vocab, [(full_graph, q, h)], max_len)[0]
+    case of :func:`decode_many`, so it passes subset verification against
+    ``full_graph``."""
+    return decode_many(model, vocab, [(full_graph, q, h)])[0]

@@ -22,6 +22,7 @@ from .graphs import EvidenceSubgraph, emit_evidence
 from .metrics import (
     AnswerPair,
     MemoryRecord,
+    MetricsError,
     exact_match,
     mem_length,
     memory_utilization,
@@ -297,8 +298,11 @@ def evaluate_retrieval(
 
     The retrieved evidence text is scored directly against the gold
     answer (the containment oracle stands in for an agent model).  The
-    default view is the full-context anchored one.
+    default view is the full-context anchored one.  Raises
+    :class:`MetricsError` for no instances.
     """
+    if not instances:
+        raise MetricsError("evaluation requires at least one instance")
     subgraphs = decode_instances(runtime, model, vocab, instances, views)
     records = []
     em_scores = []
@@ -331,7 +335,10 @@ def reconstruction_rate(
     vocab: Vocabulary,
     examples: list[RetrieverExample],
 ) -> float:
-    """Fraction of examples whose constrained decode equals the gold."""
+    """Fraction of examples whose constrained decode equals the gold.
+    Raises :class:`MetricsError` for no examples."""
+    if not examples:
+        raise MetricsError("reconstruction rate requires at least one example")
     subgraphs = decode_many(
         model,
         vocab,

@@ -242,6 +242,18 @@ def test_malformed_checkpoint_is_a_validation_error(served, tmp_path, capsys):
     assert not (tmp_path / "retrieved.jsonl").exists()
 
 
+def test_eval_on_an_empty_corpus_is_a_validation_error(served, tmp_path, capsys):
+    # RuntimeWarnings fail the suite, so an empty mean would escape main.
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = [*served, "--out", str(tmp_path)]
+    argv[argv.index("--corpus") + 1] = str(empty)
+    capsys.readouterr()
+    assert main(["eval", *argv]) == 1
+    assert capsys.readouterr().err == "error: evaluation requires at least one instance\n"
+    assert not (tmp_path / "eval_report.json").exists()
+
+
 def test_memory_with_unseen_words_and_node_ids_is_served(served, tmp_path):
     # One instance's full graph gains a node and an edge the training
     # corpus never saw, so the closed vocabulary lacks N77 and violet.

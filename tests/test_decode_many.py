@@ -63,16 +63,6 @@ def digest(sub) -> str:
     return hashlib.sha256(emit_evidence(sub).encode("utf-8")).hexdigest()
 
 
-def first_error(decode, requests):
-    """What a loop over the requests in input order raises first."""
-    for full, q, h in requests:
-        try:
-            decode(full, q, h)
-        except Exception as exc:  # noqa: BLE001 - any error is the answer
-            return exc
-    return None
-
-
 # The batch runs each step as one gemm over its rows, and a lone decode as
 # one gemv, which may round the last bits differently: the outputs must
 # still match at widths below, between and at multiples of the BLAS
@@ -112,90 +102,41 @@ def test_batches_reproduce_reference_digests():
     }
 
 
-def test_max_len_failure_matches_sequential_loop():
-    rng = np.random.default_rng(12)
-    graphs, vocab = mixed_batch(rng, count=12)
-    model = init_retriever(len(vocab), 8, 4, 3, seed=3)
-    requests = requests_for(graphs, rng)
-    lengths = [
-        len(linearize_evidence(sequential_decode(model, *r, vocab), vocab)) for r in requests
-    ]
-    # A decode of n tokens (BOS and EOS included) fits a budget of n.
-    max_len = sorted(lengths)[len(lengths) // 2]
-    failing = [i for i, n in enumerate(lengths) if n > max_len]
-    # Rows that fit finish before and after the first failing one.
-    assert 0 < failing[0] and len(failing) < len(requests) - failing[0]
-    expected = first_error(
-        lambda full, q, h: sequential_decode(model, full, q, h, vocab, max_len), requests
-    )
-    assert isinstance(expected, DecodeError)
-    with pytest.raises(DecodeError) as raised:
-        decode_many(model, vocab, requests, max_len)
-    assert str(raised.value) == str(expected)
-    fitting = [r for r, n in zip(requests, lengths) if n <= max_len]
-    assert decode_many(model, vocab, fitting, max_len) == [
-        sequential_decode(model, *r, vocab) for r in fitting
-    ]
-
-
-def test_earlier_decode_failure_wins_over_later_bad_request():
+def test_a_malformed_request_raises_its_own_error():
     rng = np.random.default_rng(13)
     graphs, vocab = mixed_batch(rng, count=6)
     model = init_retriever(len(vocab), 8, 4, 3, seed=4)
     good = requests_for(graphs, rng)
-    longest = max(
-        good, key=lambda r: len(linearize_evidence(sequential_decode(model, *r, vocab), vocab))
-    )
-    shortest = min(
-        good, key=lambda r: len(linearize_evidence(sequential_decode(model, *r, vocab), vocab))
-    )
-    max_len = len(linearize_evidence(sequential_decode(model, *longest, vocab), vocab)) - 1
     bad = (graphs[0], np.zeros(5), np.zeros(3))  # wrong query dimension
-
-    def loop(full, q, h):
-        return sequential_decode(model, full, q, h, vocab, max_len)
-
-    # The long request runs out of budget before the malformed one is reached.
-    requests = [shortest, longest, bad]
-    expected = first_error(loop, requests)
-    assert isinstance(expected, DecodeError)
-    with pytest.raises(DecodeError) as raised:
-        decode_many(model, vocab, requests, max_len)
-    assert str(raised.value) == str(expected)
-
-    # A malformed request before any failing one raises its own error.
     with pytest.raises(RetrieverError, match="conditioning dimension"):
-        decode_many(model, vocab, [shortest, bad, longest], max_len)
+        decode_many(model, vocab, [good[0], bad, good[1]])
     with pytest.raises(RetrieverError, match="conditioning dimension"):
         generate_subgraph(model, *bad, vocab)
 
 
+def taking(requests, taken):
+    """``requests`` as a stream that records the index of each one taken."""
+    for i, request in enumerate(requests):
+        taken.append(i)
+        yield request
+
+
 @pytest.mark.parametrize("window", [1, 2, 64])
 def test_requests_after_a_failure_are_not_taken(window, monkeypatch):
+    """A malformed request raises as it joins and no later request is
+    taken, whatever the window: the requests before it cannot fail, so its
+    error is the first a loop over the requests in order raises."""
     monkeypatch.setattr(decoding, "DECODE_WINDOW", window)
     rng = np.random.default_rng(14)
     graphs, vocab = mixed_batch(rng, count=8)
     model = init_retriever(len(vocab), 8, 4, 3, seed=5)
-    requests = requests_for(graphs, rng)
-    lengths = [
-        len(linearize_evidence(sequential_decode(model, *r, vocab), vocab)) for r in requests
-    ]
-    max_len = sorted(lengths)[len(lengths) // 2]
-    first_failing = next(i for i, n in enumerate(lengths) if n > max_len)
-    taken = []
-
-    def stream():
-        for i, request in enumerate(requests):
-            taken.append(i)
-            yield request
-
-    with pytest.raises(DecodeError, match="max_len"):
-        decode_many(model, vocab, stream(), max_len)
-    # Requests are taken in order, and none once one has failed: with a
-    # window of one, that is exactly a sequential loop.
-    assert taken == list(range(len(taken))) and first_failing in taken
-    if window == 1:
-        assert taken == list(range(first_failing + 1))
+    good = requests_for(graphs, rng)
+    for j in range(len(good)):
+        requests = [*good[:j], (graphs[j], np.zeros(5), np.zeros(3)), *good[j + 1 :]]
+        taken = []
+        with pytest.raises(RetrieverError, match="conditioning dimension"):
+            decode_many(model, vocab, taking(requests, taken))
+        assert taken == list(range(j + 1))
 
 
 def test_batch_requires_confidence_token():
@@ -237,84 +178,6 @@ def confidence_taken_at(sub, vocab) -> int:
     """L: the tokens (BOS included) a decode has taken once it takes its
     confidence value; only EOL and EOS follow."""
     return len(linearize_evidence(sub, vocab)) - 2
-
-
-@pytest.mark.parametrize("extra", [1, 2])
-def test_budget_around_the_confidence_value_matches_sequential_decode(extra):
-    rng = np.random.default_rng(15)
-    graphs, vocab = mixed_batch(rng, count=6)
-    model = init_retriever(len(vocab), 8, 4, 3, seed=6)
-    for request in requests_for(graphs, rng):
-        taken = confidence_taken_at(sequential_decode(model, *request, vocab), vocab)
-        max_len = taken + extra
-        expected = first_error(
-            lambda full, q, h: sequential_decode(model, full, q, h, vocab, max_len), [request]
-        )
-        if extra == 1:
-            # EOL fits, EOS does not: the step after the value still runs
-            # and the budget runs out where a sequential decode's does.
-            assert isinstance(expected, DecodeError)
-            with pytest.raises(DecodeError) as raised:
-                decode_many(model, vocab, [request], max_len)
-            assert str(raised.value) == str(expected)
-        else:
-            assert expected is None
-            assert decode_many(model, vocab, [request], max_len) == [
-                sequential_decode(model, *request, vocab, max_len)
-            ]
-
-
-def test_every_budget_ends_a_lone_decode_and_a_batch_row_alike():
-    """Every ``max_len`` from 1 to two past the decode's length, on a graph
-    with a duplicated edge, ``<eol>`` words and node ids that collide on
-    UNK: the lone decode, the first row of a batch whose other rows are
-    shorter (so it finishes alone) and the sequential reference return the
-    same evidence, or raise the same error, where the budget ends a line,
-    a run, a choice or the confidence section."""
-    full = MemoryGraph(
-        (Node("N1", "amber <eol> gate"), Node("N2", "calm"), Node("N3", "calm"),
-         Node("N4", "<eol>")),
-        (Edge("N1", "N2", "feeds"), Edge("N1", "N2", "feeds"), Edge("N3", "N1", "<eol> joins"),
-         Edge("N4", "N3", "feeds"), Edge("N1", "N4", "feeds")),
-    )
-    # N3 and N4 are not in the vocabulary: both read as UNK.
-    vocab = build_vocabulary(["N1", "N2", "amber", "<eol>", "gate", "calm", "feeds", "joins",
-                              "0.5", "0.9"])
-    model = init_retriever(len(vocab), 8, 4, 3, seed=2)
-    model.out_bias[[decoding.TOK_EDGES, decoding.TOK_CONFIDENCE]] = -1e3
-    rng = np.random.default_rng(18)
-    request = (full, rng.standard_normal(4), rng.standard_normal(3))
-    others = [(MemoryGraph((Node("N1", "amber"),), ()), rng.standard_normal(4),
-               rng.standard_normal(3)),
-              (MemoryGraph((Node("N2", "calm"), Node("N1", "gate")), (Edge("N2", "N1", "feeds"),)),
-               rng.standard_normal(4), rng.standard_normal(3))]
-
-    def decoded_length(sub):  # BOS to EOS; every word known, to count them
-        known = build_vocabulary([*graph_surface_words(sub.graph), "0.5", "0.9"])
-        return len(linearize_evidence(sub, known))
-
-    sub = sequential_decode(model, *request, vocab)
-    length = decoded_length(sub)
-    assert len(sub.graph.nodes) == 4 and len(sub.graph.edges) == 5
-    assert all(decoded_length(sequential_decode(model, *r, vocab)) < length for r in others)
-
-    def outcome(decode):
-        try:
-            return decode()
-        except DecodeError as exc:
-            return str(exc)
-
-    results = []
-    for max_len in range(1, length + 3):
-        expected = outcome(lambda: sequential_decode(model, *request, vocab, max_len))
-        assert outcome(lambda: generate_subgraph(model, *request, vocab, max_len)) == expected
-        batch = outcome(lambda: decode_many(model, vocab, [request, *others], max_len)[0])
-        assert batch == expected
-        results.append(expected)
-    assert results[length - 1 :] == [sub] * 3
-    assert all(isinstance(result, str) for result in results[: length - 1])
-    # The budget runs out in each of the 12 phases.
-    assert len({result.split("phase ")[1] for result in results[: length - 1]}) == 12
 
 
 def test_no_recurrence_step_after_the_confidence_value(monkeypatch):

@@ -12,7 +12,7 @@ from memalign.graphs import (
     verify_subset,
 )
 from memalign.retriever import RetrieverModel, init_retriever
-from memalign.tokenization import graph_surface_words, linearize, linearize_evidence
+from memalign.tokenization import graph_surface_words, linearize_evidence
 from memalign.vocab import EOS, TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
 from util import ScanEngine, random_graph, random_subgraph
 
@@ -103,15 +103,6 @@ def test_generate_requires_confidence_token():
         generate_subgraph(model, full, np.zeros(4), np.zeros(3), vocab)
 
 
-def test_generate_respects_max_len():
-    rng = np.random.default_rng(3)
-    full = random_graph(rng, min_nodes=4)
-    vocab = vocab_with_confidence(full)
-    model = init_retriever(len(vocab), 8, 4, 3, seed=0)
-    with pytest.raises(DecodeError, match="max_len"):
-        generate_subgraph(model, full, np.zeros(4), np.zeros(3), vocab, max_len=3)
-
-
 def test_decoded_tokens_end_with_eos():
     full = MemoryGraph((Node("N1", "amber"),), ())
     vocab = vocab_with_confidence(full)
@@ -163,17 +154,6 @@ def test_indexed_engine_matches_scan_oracle():
                 oracle.advance(token)
         assert indexes[1] is indexes[0]
     assert rejected_in == set(PHASES)
-
-
-def test_default_max_len_is_full_linearization_plus_twelve():
-    rng = np.random.default_rng(5)
-    for trial in range(40):
-        full = random_graph(rng, max_extra_edges=10)
-        if trial % 2:
-            full = with_duplicate_edges(full)
-        vocab = vocab_with_confidence(full)
-        engine = ConstraintEngine(full, vocab)
-        assert engine.default_max_len == len(linearize(full, vocab)) + 12
 
 
 def test_forced_steps_skip_the_output_projection(monkeypatch):
@@ -259,8 +239,8 @@ def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
     runs = []
     take_run = ConstraintEngine.take_run
 
-    def recorded(self, limit):
-        run = take_run(self, limit)
+    def recorded(self):
+        run = take_run(self)
         runs.append(tuple(run))  # as returned; the decode queues the list
         return run
 

@@ -16,6 +16,7 @@ from memalign.corpus import (
 )
 from memalign.decoding import DECODE_WINDOW
 from memalign.fusion import fuse_states
+from memalign.metrics import MetricsError
 from memalign.pipeline import (
     ANCHOR_PARADIGM,
     View,
@@ -155,6 +156,15 @@ def test_reconstruction_indexes_each_instance_graph_once(monkeypatch, runtime, c
     built = count_index_builds(monkeypatch)
     reconstruction_rate(runtime, model, vocab, examples)
     assert len(built) == len(corpus)
+
+
+def test_no_instances_are_refused(runtime, corpus):
+    vocab = corpus_vocabulary(corpus)
+    model = init_retriever(len(vocab), 16, runtime.config.d_q, runtime.config.d_s, seed=0)
+    with pytest.raises(MetricsError, match="at least one instance"):
+        evaluate_retrieval(runtime, model, vocab, [])
+    with pytest.raises(MetricsError, match="at least one example"):
+        reconstruction_rate(runtime, model, vocab, [])
 
 
 def test_module_checkpoint_round_trip(tmp_path, runtime, corpus):

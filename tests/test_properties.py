@@ -1,5 +1,6 @@
 """Property-based tests over random graphs, mutations, and decodes."""
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from memalign.graphs import (
     Node,
     emit,
     emit_evidence,
+    format_confidence,
     parse_evidence,
     parse_full_graph,
     scan,
@@ -26,7 +28,12 @@ from memalign.graphs import (
 )
 from memalign.retriever import DistillConfig, distill_loss, init_retriever, teacher_distributions
 from memalign.decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
-from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
+from memalign.tokenization import (
+    delinearize,
+    graph_surface_words,
+    linearize,
+    linearize_evidence,
+)
 from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
 from util import (
     WORDS,
@@ -218,20 +225,25 @@ def test_decode_verifies_with_unseen_words_and_node_ids(case, seed, greedy):
 
 
 @st.composite
-def engine_cases(draw):
+def engine_cases(draw, min_confidences=0):
     """A graph with irregular words, possibly duplicated edges, and its
     vocabulary: all its words, or some of them, so that node ids and other
-    words left out collide on UNK.  Zero to three confidence values."""
+    words left out collide on UNK, and ``min_confidences`` to three
+    confidence values."""
     full = draw(irregular_graphs())
     if full.edges and draw(st.booleans()):
         extra = draw(st.lists(st.sampled_from(full.edges), min_size=1, max_size=3))
         full = MemoryGraph(full.nodes, full.edges + tuple(extra))
     words = [*graph_surface_words(full)]
-    words += draw(st.lists(st.sampled_from(("0.25", "0.75", "1")), max_size=3, unique=True))
     if draw(st.booleans()):
-        return full, build_vocabulary(words)
-    kept = [w for w in words if draw(st.booleans())]
-    return full, build_vocabulary(kept)
+        words = [w for w in words if draw(st.booleans())]
+    words += draw(
+        st.lists(
+            st.sampled_from(("0.25", "0.75", "1")), min_size=min_confidences, max_size=3,
+            unique=True,
+        )
+    )
+    return full, build_vocabulary(words)
 
 
 # Logits with many ties, and with every legal logit -inf at times.
@@ -253,15 +265,13 @@ def engine_state(engine: ConstraintEngine) -> tuple:
 @given(engine_cases(), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=300, deadline=None)
 def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
-    """At every step of a random legal walk: ``take_run(1)`` is the only
-    legal token or nothing, ``choose(logits)`` is the subset argmax, and
-    the legal set matches the scan oracle.  A run of any limit, cut
-    mid-line or not, takes the tokens repeated ``take_run(1)`` calls take
-    and leaves the state they leave, and so does advancing its tokens one
-    by one; each of its tokens is the oracle's one legal token, and it ends
-    at its limit, after the confidence value, or where the oracle has a
-    choice or a dead end, and says by ``at_choice`` whether it was a
-    choice."""
+    """At every step of a random legal walk: the legal set matches the scan
+    oracle, ``choose(logits)`` is the subset argmax, and ``take_run()``
+    takes the tokens that advancing the one legal token of
+    ``allowed_tokens()``, one at a time, takes until a choice, the
+    confidence value, EOS or a dead end, and leaves the state that leaves;
+    its ``at_choice`` says whether the oracle has a choice where it
+    stopped."""
     full, vocab = case
     rng = np.random.default_rng(seed)
     engine = ConstraintEngine(full, vocab)
@@ -271,39 +281,53 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
         assert allowed == sorted(oracle.allowed())
         if not allowed:
             with pytest.raises(DecodeError, match="dead end"):
-                engine.take_run(1)
+                engine.take_run()
             return
-        limit = data.draw(st.integers(1, 12))
-        runner, stepper, walker = engine_copy(engine), engine_copy(engine), engine_copy(engine)
-        run = runner.take_run(limit)
+        runner, stepper = engine_copy(engine), engine_copy(engine)
+        run = runner.take_run()
         steps: list[int] = []
-        while len(steps) < limit:
-            valued = stepper.confidence is not None
-            try:
-                step = stepper.take_run(1)
-            except DecodeError:  # a dead end ends a run and raises next
+        while not stepper.done and len(stepper.allowed_tokens()) == 1:
+            valued = stepper.phase == "confidence-value"
+            steps += stepper.allowed_tokens()
+            stepper.advance(steps[-1])
+            if valued:
                 break
-            assert len(step) <= 1
-            steps += step
-            if not step or stepper.confidence is not None and not valued:
-                break
-        assert steps[:1] == (allowed if len(allowed) == 1 else [])
-        assert run == steps and len(run) <= limit
-        for token in run:
-            walker.advance(token)
-        assert engine_state(runner) == engine_state(stepper) == engine_state(walker)
+        assert run == steps
+        assert engine_state(runner) == engine_state(stepper)
         ahead = copy.deepcopy(oracle)
         for token in run:
             assert ahead.allowed() == {token}
             ahead.advance(token)
-        if len(run) < limit and not (run and ahead.phase == "confidence-value-eol"):
-            assert len(ahead.allowed()) != 1
-        assert runner.at_choice == (len(run) < limit and len(ahead.allowed()) > 1)
+        assert runner.at_choice == (len(ahead.allowed()) > 1)
         logits = rng.choice(LOGIT_VALUES, size=len(vocab))
         assert engine.choose(logits) == allowed[logits[allowed].argmax()]
         token = data.draw(st.sampled_from(allowed))
         engine.advance(token)
         oracle.advance(token)
+
+
+@given(engine_cases(min_confidences=1), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_a_decode_takes_each_full_graph_line_at_most_once(case, seed, greedy):
+    """Over graphs the parser accepts, with duplicated edges, node ids that
+    collide on UNK and words spelled ``<eol>``: the evidence's nodes and
+    edges, as multisets, are contained in the full graph's, so a decode
+    takes at most the full graph's linearization and the 4 tokens of the
+    confidence section.  Against closing a section it takes exactly
+    that."""
+    full, vocab = case
+    assert parse_full_graph(emit(full)) == full  # the parser accepts it
+    model = init_retriever(len(vocab), 8, 4, 3, seed=seed)
+    if greedy:  # against closing a section: every line gets decoded
+        model.out_bias[[TOK_EDGES, TOK_CONFIDENCE]] = -1e3
+    rng = np.random.default_rng(seed)
+    sub = generate_subgraph(model, full, rng.standard_normal(4), rng.standard_normal(3), vocab)
+    nodes, edges = Counter(sub.graph.nodes), Counter(sub.graph.edges)
+    assert nodes <= Counter(full.nodes) and edges <= Counter(full.edges)
+    # Every word known, to count the tokens.
+    known = build_vocabulary([*graph_surface_words(full), format_confidence(sub.confidence)])
+    length, bound = len(linearize_evidence(sub, known)), len(linearize(full, known)) + 4
+    assert length == bound if greedy else length <= bound
 
 
 # -- the scanning parser against the reference parser ------------------------

@@ -301,7 +301,6 @@ def sequential_decode(
     q: np.ndarray,
     h: np.ndarray,
     vocab: Vocabulary,
-    max_len: int | None = None,
 ) -> EvidenceSubgraph:
     """Reference greedy decode of one request: the recurrence written out
     gate by gate with one matvec per weight, logits on every step and an
@@ -309,17 +308,12 @@ def sequential_decode(
     the engine's record, checked to spell every token taken, so node ids
     that collide on UNK come back as the graph's own nodes."""
     engine = ConstraintEngine(full, vocab)
-    max_len = engine.default_max_len if max_len is None else max_len
     if not vocab.confidence_ids:
         raise DecodeError("vocabulary has no confidence value token")
     state = np.tanh(model.cond_weight @ np.concatenate([q, h]) + model.cond_bias)
     wz, wc, uz, uc, bz, bc = gate_parameters(model)
     tokens = [BOS]
     while not engine.done:
-        if len(tokens) >= max_len:
-            raise DecodeError(
-                f"max_len {max_len} exhausted without EOS (phase {engine.phase!r})"
-            )
         allowed = engine.allowed_tokens()
         x = model.emb[tokens[-1]]
         z = where_sigmoid(wz @ x + uz @ state + bz)
