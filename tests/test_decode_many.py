@@ -30,7 +30,7 @@ from memalign.retriever import (
     sequence_logits,
     train_retriever,
 )
-from memalign.tokenization import graph_surface_words, linearize_evidence
+from memalign.tokenization import graph_surface_words, linearize, linearize_evidence
 from memalign.vocab import BOS, build_vocabulary
 from test_reference_decode import REFERENCE, long_cases, small_cases
 from util import count_index_builds, random_graph, random_subgraph, sequential_decode
@@ -292,6 +292,47 @@ def test_node_ids_colliding_on_unk_decode_as_distinct_nodes():
     for requests in ([good, colliding, malformed], [good, malformed, colliding]):
         with pytest.raises(RetrieverError, match="conditioning dimension"):
             decode_many(model, vocab, requests)
+
+
+def test_a_lone_decode_and_a_batch_row_alike_on_an_adversarial_graph():
+    """A graph with a duplicated edge, ``<eol>`` words and node ids that
+    collide on UNK, decoded against closing a section: the lone decode,
+    the first row of a batch whose other rows are shorter (so it finishes
+    alone) and the sequential reference return the same evidence, the
+    whole graph, in exactly the full linearization and the 4 tokens of the
+    confidence section."""
+    full = MemoryGraph(
+        (Node("N1", "amber <eol> gate"), Node("N2", "calm"), Node("N3", "calm"),
+         Node("N4", "<eol>")),
+        (Edge("N1", "N2", "feeds"), Edge("N1", "N2", "feeds"), Edge("N3", "N1", "<eol> joins"),
+         Edge("N4", "N3", "feeds"), Edge("N1", "N4", "feeds")),
+    )
+    # N3 and N4 are not in the vocabulary: both read as UNK.
+    vocab = build_vocabulary(["N1", "N2", "amber", "<eol>", "gate", "calm", "feeds", "joins",
+                              "0.5", "0.9"])
+    model = init_retriever(len(vocab), 8, 4, 3, seed=2)
+    model.out_bias[[decoding.TOK_EDGES, decoding.TOK_CONFIDENCE]] = -1e3
+    rng = np.random.default_rng(18)
+    request = (full, rng.standard_normal(4), rng.standard_normal(3))
+    others = [(MemoryGraph((Node("N1", "amber"),), ()), rng.standard_normal(4),
+               rng.standard_normal(3)),
+              (MemoryGraph((Node("N2", "calm"), Node("N1", "gate")), (Edge("N2", "N1", "feeds"),)),
+               rng.standard_normal(4), rng.standard_normal(3))]
+
+    def decoded_length(sub):  # BOS to EOS; every word known, to count them
+        known = build_vocabulary([*graph_surface_words(sub.graph), "0.5", "0.9"])
+        return len(linearize_evidence(sub, known))
+
+    sub = sequential_decode(model, *request, vocab)
+    assert sorted(sub.graph.nodes, key=full.nodes.index) == list(full.nodes)
+    assert sorted(sub.graph.edges, key=full.edges.index) == list(full.edges)
+    assert verify_subset(sub, full).accepted
+    known = build_vocabulary([*graph_surface_words(full), "0.5", "0.9"])
+    assert decoded_length(sub) == len(linearize(full, known)) + 4
+    assert all(decoded_length(sequential_decode(model, *r, vocab)) < decoded_length(sub)
+               for r in others)
+    assert generate_subgraph(model, *request, vocab) == sub
+    assert decode_many(model, vocab, [request, *others])[0] == sub
 
 
 # -- state kept across calls: the projection table and the graph indexes --

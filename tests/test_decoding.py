@@ -13,7 +13,7 @@ from memalign.graphs import (
 )
 from memalign.retriever import RetrieverModel, init_retriever
 from memalign.tokenization import graph_surface_words, linearize_evidence
-from memalign.vocab import EOS, TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
+from memalign.vocab import EOS, TOK_CONFIDENCE, TOK_EDGES, TOK_EOL, build_vocabulary
 from util import ScanEngine, random_graph, random_subgraph
 
 PHASES = (
@@ -154,6 +154,49 @@ def test_indexed_engine_matches_scan_oracle():
                 oracle.advance(token)
         assert indexes[1] is indexes[0]
     assert rejected_in == set(PHASES)
+
+
+@pytest.mark.parametrize("values", [("0.5",), ("0.9", "0.5")])
+def test_a_run_ends_at_the_confidence_value(values):
+    """From the last line start a run takes the confidence section up to
+    its value and no further: a lone value is decided, taken and ends the
+    run; two are a choice, where the run stops.  Only the value's EOL and
+    EOS follow, as one run."""
+    full = MemoryGraph((Node("N1", "amber"),), ())
+    vocab = vocab_with_confidence(full, values)
+    engine = ConstraintEngine(full, vocab)
+    engine.take_run()
+    assert engine.at_choice and engine.phase == "node-line-start"
+    engine.advance(TOK_EDGES)
+    section = [TOK_EOL, TOK_CONFIDENCE, TOK_EOL]
+    if len(values) == 1:
+        assert engine.take_run() == [*section, vocab.id_of("0.5")]
+        assert not engine.at_choice and engine.confidence == 0.5
+    else:
+        assert engine.take_run() == section
+        assert engine.at_choice and engine.confidence is None
+        engine.advance(vocab.id_of("0.9"))
+        assert engine.confidence == 0.9
+    assert not engine.done
+    assert engine.take_run() == [TOK_EOL, EOS]
+    assert engine.done and engine.take_run() == []
+
+
+def test_a_vocabulary_without_confidence_values_is_a_dead_end():
+    """A public engine over a vocabulary with no confidence value takes the
+    confidence section up to the value; there ``take_run`` and ``choose``
+    both raise, so the dead end is reported, never passed over."""
+    full = MemoryGraph((Node("N1", "amber"),), ())
+    vocab = build_vocabulary(["N1", "amber"])
+    engine = ConstraintEngine(full, vocab)
+    engine.take_run()
+    engine.advance(TOK_EDGES)
+    assert engine.take_run() == [TOK_EOL, TOK_CONFIDENCE, TOK_EOL]
+    assert not engine.at_choice and engine.phase == "confidence-value"
+    with pytest.raises(DecodeError, match="dead end in phase 'confidence-value'"):
+        engine.take_run()
+    with pytest.raises(DecodeError, match="dead end in phase 'confidence-value'"):
+        engine.choose(np.zeros(len(vocab)))
 
 
 def test_forced_steps_skip_the_output_projection(monkeypatch):
