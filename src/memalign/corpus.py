@@ -62,6 +62,13 @@ RELATIONS = (
     "shelters", "supports",
 )
 
+# Inclusive ranges of a synthetic instance's node count, gold chain length
+# and extra edge count.  Every instance keeps at least two distractor nodes,
+# so each range is met and at least one extra edge fits among them.
+NODES_RANGE = (6, 9)
+CHAIN_RANGE = (2, 4)
+EXTRA_EDGES_RANGE = (1, 3)
+
 # The confidence of every synthetic gold subgraph, and the scale of the
 # noise each distractor node adds to one segment block of the content.
 GOLD_CONFIDENCE = 0.9
@@ -299,15 +306,13 @@ def instance_content(
 def generate_synthetic_corpus(
     n: int,
     seed: int,
-    nodes_range: tuple[int, int] = (6, 9),
-    extra_edges_range: tuple[int, int] = (1, 3),
     segment_count: int = 8,
-    chain_range: tuple[int, int] = (2, 4),
     d_c: int = 64,
     answer_position: str = "last",
     content_noise: float = 0.5,
 ) -> list[CorpusInstance]:
-    """Deterministic synthetic corpus of chain-evidence instances.
+    """Deterministic synthetic corpus of chain-evidence instances, each
+    shaped by ``NODES_RANGE``, ``CHAIN_RANGE`` and ``EXTRA_EDGES_RANGE``.
 
     ``answer_position`` is ``"last"`` (answer noun in the deepest chain
     node) or ``"alternate"`` (drawn between the last two chain positions,
@@ -315,33 +320,19 @@ def generate_synthetic_corpus(
     """
     if n < 1:
         raise CorpusError("need n >= 1")
-    if not (1 <= nodes_range[0] <= nodes_range[1]):
-        raise CorpusError(f"invalid nodes range {nodes_range}")
-    if not (0 <= extra_edges_range[0] <= extra_edges_range[1]):
-        raise CorpusError(f"invalid edges range {extra_edges_range}")
-    if not (1 <= chain_range[0] <= chain_range[1]):
-        raise CorpusError(f"invalid chain range {chain_range}")
-    if nodes_range[1] > len(NOUNS):
-        raise CorpusError(f"nodes range exceeds noun pool size {len(NOUNS)}")
     if segment_count < 1:
         raise CorpusError("need at least one segment")
-    worst_distractors = nodes_range[0] - min(chain_range[1], nodes_range[0])
-    if extra_edges_range[0] > worst_distractors * max(worst_distractors - 1, 0):
-        raise CorpusError(
-            "infeasible shape parameters: minimum extra edges cannot fit "
-            "in the distractor set"
-        )
 
     rng = component_rng(seed, "corpus")
     pattern_rng = component_rng(seed, "corpus-patterns")
     blocks = segment_blocks(d_c, segment_count)
     max_block = max(block.stop - block.start for block in blocks)
-    patterns = pattern_rng.standard_normal((chain_range[1], max_block))
+    patterns = pattern_rng.standard_normal((CHAIN_RANGE[1], max_block))
 
     instances: list[CorpusInstance] = []
     for index in range(n):
-        total = int(rng.integers(nodes_range[0], nodes_range[1] + 1))
-        g = min(int(rng.integers(chain_range[0], chain_range[1] + 1)), total)
+        total = int(rng.integers(NODES_RANGE[0], NODES_RANGE[1] + 1))
+        g = int(rng.integers(CHAIN_RANGE[0], CHAIN_RANGE[1] + 1))
         nouns = rng.choice(NOUNS, size=total, replace=False)
         adjs = rng.choice(ADJECTIVES, size=total)
         nodes = tuple(
@@ -356,22 +347,19 @@ def generate_synthetic_corpus(
         pairs = [
             (a, b) for a in distractors for b in distractors if a != b
         ]
-        max_extra = min(extra_edges_range[1], len(pairs))
-        min_extra = min(extra_edges_range[0], max_extra)
-        n_extra = int(rng.integers(min_extra, max_extra + 1))
-        extra_edges = []
-        if n_extra:
-            chosen = rng.choice(len(pairs), size=n_extra, replace=False)
-            extra_edges = [
-                Edge(pairs[p][0], pairs[p][1], str(rng.choice(RELATIONS)))
-                for p in sorted(int(c) for c in chosen)
-            ]
-        full = MemoryGraph(nodes, chain_edges + tuple(extra_edges))
+        max_extra = min(EXTRA_EDGES_RANGE[1], len(pairs))
+        n_extra = int(rng.integers(EXTRA_EDGES_RANGE[0], max_extra + 1))
+        chosen = rng.choice(len(pairs), size=n_extra, replace=False)
+        extra_edges = tuple(
+            Edge(pairs[p][0], pairs[p][1], str(rng.choice(RELATIONS)))
+            for p in sorted(int(c) for c in chosen)
+        )
+        full = MemoryGraph(nodes, chain_edges + extra_edges)
 
         gold_nodes = nodes[:g]
         gold = EvidenceSubgraph(MemoryGraph(gold_nodes, chain_edges), GOLD_CONFIDENCE)
 
-        if answer_position == "last" or g < 2:
+        if answer_position == "last":
             answer_node = g
         elif answer_position == "alternate":
             answer_node = int(rng.choice([g - 1, g]))

@@ -20,7 +20,6 @@ from .graphs import (
     MemoryGraph,
     Node,
     format_confidence,
-    is_node_id,
 )
 from .vocab import (
     BOS,
@@ -35,9 +34,14 @@ from .vocab import (
     Vocabulary,
 )
 
-STRUCTURAL_IDS = frozenset(
-    {TOK_HEADER, TOK_NODES, TOK_EDGES, TOK_CONFIDENCE, TOK_COLON, TOK_ARROW, TOK_EOL}
+# Ids that cannot stand as a word: the sentinels and the structural markers.
+NON_WORD_IDS = frozenset(
+    {BOS, EOS, TOK_HEADER, TOK_NODES, TOK_EDGES, TOK_CONFIDENCE, TOK_COLON, TOK_ARROW, TOK_EOL}
 )
+# The fixed head of a node and of an edge line, None marking a node id; the
+# words after the head are the description or the relation.
+NODE_HEAD = (None, TOK_COLON)
+EDGE_HEAD = (None, TOK_ARROW, None, TOK_COLON)
 
 
 class LinearizationError(ValueError):
@@ -95,103 +99,56 @@ def linearize_evidence(sub: EvidenceSubgraph, vocab: Vocabulary) -> tuple[int, .
     return linearize(sub.graph, vocab, sub.confidence)
 
 
-class _Cursor:
-    def __init__(self, tokens: tuple[int, ...], vocab: Vocabulary):
-        self.tokens = tokens
-        self.vocab = vocab
-        self.pos = 0
+def _words(tokens: tuple[int, ...], vocab: Vocabulary, what: str) -> str:
+    if not tokens or not NON_WORD_IDS.isdisjoint(tokens):
+        raise LinearizationError(f"empty {what}, or a structural token in it")
+    return " ".join(map(vocab.token, tokens))
 
-    def peek(self) -> int:
-        if self.pos >= len(self.tokens):
-            raise LinearizationError("truncated token stream")
-        return self.tokens[self.pos]
 
-    def take(self) -> int:
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, token_id: int, what: str) -> None:
-        tok = self.take()
-        if tok != token_id:
-            raise LinearizationError(
-                f"expected {what} at position {self.pos - 1}, "
-                f"got {self.vocab.token(tok)!r}"
-            )
-
-    def take_words_until_eol(self, what: str) -> str:
-        words: list[str] = []
-        while self.peek() != TOK_EOL:
-            tok = self.take()
-            if tok in (BOS, EOS) or tok in STRUCTURAL_IDS:
-                raise LinearizationError(
-                    f"unexpected structural token inside {what} at "
-                    f"position {self.pos - 1}"
-                )
-            words.append(self.vocab.token(tok))
-        self.take()  # EOL
-        if not words:
-            raise LinearizationError(f"empty {what}")
-        return " ".join(words)
+def _fields(line: tuple[int, ...], head: tuple, vocab: Vocabulary, what: str) -> list[str]:
+    """The node ids of a line laid out as ``head`` then words, and its
+    words.  ``MemoryGraph`` checks the ids: each node id must pass
+    ``is_node_id``, and each edge endpoint must be a declared node."""
+    if not all(want in (None, tok) for tok, want in zip(line, head)):
+        raise LinearizationError(f"malformed {what} line")
+    ids = [vocab.token(tok) for tok, want in zip(line, head) if want is None]
+    return ids + [_words(line[len(head) :], vocab, what)]
 
 
 def delinearize(seq: Sequence[int], vocab: Vocabulary) -> EvidenceSubgraph:
-    """Invert :func:`linearize`; rejects any stream outside the grammar."""
-    cur = _Cursor(tuple(seq), vocab)
-    cur.expect(BOS, "BOS")
-    if cur.peek() == EOS:
-        raise LinearizationError("empty body")
-    cur.expect(TOK_HEADER, "header marker")
-    cur.expect(TOK_NODES, "<NODES> marker")
-    cur.expect(TOK_EOL, "end-of-line")
+    """Invert :func:`linearize`; rejects any stream outside the grammar,
+    and any id outside the vocabulary.
 
-    nodes: list[Node] = []
-    while cur.peek() != TOK_EDGES:
-        tok = cur.take()
-        if tok in STRUCTURAL_IDS or tok in (BOS, EOS):
-            raise LinearizationError(
-                f"marker out of order: {vocab.token(tok)!r} in node section"
-            )
-        node_id = vocab.token(tok)
-        if not is_node_id(node_id):
-            raise LinearizationError(f"node line lacking id token, got {node_id!r}")
-        cur.expect(TOK_COLON, "':' after node id")
-        description = cur.take_words_until_eol("node description")
-        nodes.append(Node(node_id, description))
-    cur.take()  # <EDGES>
-    cur.expect(TOK_EOL, "end-of-line")
-
-    edges: list[Edge] = []
-    while cur.peek() not in (TOK_CONFIDENCE, EOS):
-        tok = cur.take()
-        source = vocab.token(tok)
-        if tok in STRUCTURAL_IDS or not is_node_id(source):
-            raise LinearizationError(f"edge line lacking source id, got {source!r}")
-        cur.expect(TOK_ARROW, "'->' in edge line")
-        target = vocab.token(cur.take())
-        if not is_node_id(target):
-            raise LinearizationError(f"edge line lacking target id, got {target!r}")
-        cur.expect(TOK_COLON, "':' in edge line")
-        relation = cur.take_words_until_eol("edge relation")
-        edges.append(Edge(source, target, relation))
-
+    The body between BOS and EOS is split at its EOL tokens, exact since
+    no word has a structural id, and its lines are matched in order: the
+    header, node lines, the <EDGES> line, edge lines, then optionally the
+    [CONFIDENCE] line and one value line.
+    """
+    seq, size = tuple(seq), len(vocab)
+    if not all(0 <= tok < size for tok in seq):
+        raise LinearizationError("token id outside the vocabulary")
+    if seq[:1] != (BOS,) or seq[-2:] != (TOK_EOL, EOS):
+        raise LinearizationError("stream does not run from BOS through lines to EOS")
+    body = seq[1:-1]
+    ends = [i for i, tok in enumerate(body) if tok == TOK_EOL]
+    lines = [body[a + 1 : b] for a, b in zip([-1] + ends, ends)]
+    if lines[0] != (TOK_HEADER, TOK_NODES) or (TOK_EDGES,) not in lines:
+        raise LinearizationError("missing header or <EDGES> line")
+    edges_at = lines.index((TOK_EDGES,))
+    rest = lines[edges_at + 1 :]
+    confidence_at = rest.index((TOK_CONFIDENCE,)) if (TOK_CONFIDENCE,) in rest else len(rest)
+    nodes = [Node(*_fields(line, NODE_HEAD, vocab, "node")) for line in lines[1:edges_at]]
+    edges = [Edge(*_fields(line, EDGE_HEAD, vocab, "edge")) for line in rest[:confidence_at]]
     confidence = None
-    if cur.peek() == TOK_CONFIDENCE:
-        cur.take()
-        cur.expect(TOK_EOL, "end-of-line")
-        value_word = cur.take_words_until_eol("confidence value")
+    if confidence_at < len(rest):
+        if len(rest) != confidence_at + 2:
+            raise LinearizationError("expected exactly one confidence value line")
+        value_word = _words(rest[-1], vocab, "confidence value")
         try:
             confidence = float(value_word)
         except ValueError:
-            raise LinearizationError(
-                f"non-numeric confidence {value_word!r}"
-            ) from None
-    cur.expect(EOS, "EOS")
-    if cur.pos != len(cur.tokens):
-        raise LinearizationError("trailing tokens after EOS")
-
+            raise LinearizationError(f"non-numeric confidence {value_word!r}") from None
     try:
-        graph = MemoryGraph(tuple(nodes), tuple(edges))
-        return EvidenceSubgraph(graph, confidence)
+        return EvidenceSubgraph(MemoryGraph(tuple(nodes), tuple(edges)), confidence)
     except GraphFormatError as exc:
         raise LinearizationError(f"invalid graph in token stream: {exc}") from exc

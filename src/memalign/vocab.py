@@ -96,12 +96,11 @@ class Vocabulary:
         return self._ids.get(word, UNK)
 
     def token(self, token_id: int) -> str:
+        if not 0 <= token_id < len(self):
+            raise VocabularyError(f"unknown token id {token_id}")
         if token_id < len(RESERVED_TOKENS):
             return RESERVED_TOKENS[token_id]
-        idx = token_id - len(RESERVED_TOKENS)
-        if idx >= len(self.words):
-            raise VocabularyError(f"unknown token id {token_id}")
-        return self.words[idx]
+        return self.words[token_id - len(RESERVED_TOKENS)]
 
     @functools.cached_property
     def confidence_ids(self) -> tuple[int, ...]:

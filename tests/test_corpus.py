@@ -75,23 +75,11 @@ def test_distractor_edges_stay_among_distractors():
             assert e.source not in gold_ids and e.target not in gold_ids
 
 
-def test_minimal_shape():
-    corpus = generate_synthetic_corpus(
-        1, 0, nodes_range=(1, 1), extra_edges_range=(0, 0), chain_range=(1, 1)
-    )
-    inst = corpus[0]
-    assert len(inst.full_graph().nodes) == 1
-    assert len(inst.gold_subgraph().graph.nodes) == 1
-
-
 def test_invalid_shapes_rejected():
     with pytest.raises(CorpusError):
         generate_synthetic_corpus(0, 1)
     with pytest.raises(CorpusError):
-        generate_synthetic_corpus(1, 1, nodes_range=(5, 3))
-    with pytest.raises(CorpusError):
-        generate_synthetic_corpus(1, 1, nodes_range=(3, 3), chain_range=(3, 3),
-                                  extra_edges_range=(2, 2))
+        generate_synthetic_corpus(1, 1, segment_count=0)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -214,7 +202,8 @@ def _reference_graph_error(record: dict) -> str | None:
     return f"instance {record['id']!r}: gold subgraph fails subset verification ({kinds})"
 
 
-GOOD = generate_synthetic_corpus(1, 1, chain_range=(3, 3), extra_edges_range=(2, 2))[0]
+# Seed 1, index 14: a chain of three nodes and two extra edges.
+GOOD = generate_synthetic_corpus(15, 1)[14]
 
 
 @pytest.mark.parametrize(
@@ -287,8 +276,8 @@ def test_coverage_mask_fractions():
 
 
 def test_visible_gold_restricts_chain():
-    corpus = generate_synthetic_corpus(30, 11, chain_range=(4, 4))
-    inst = corpus[0]
+    inst = generate_synthetic_corpus(5, 11)[4]  # seed 11, index 4: a chain of four
+    assert len(inst.gold_subgraph().graph.nodes) == 4
     full_vis = visible_gold(inst, set(range(8)))
     assert full_vis == inst.gold_subgraph()
     none_vis = visible_gold(inst, set())

@@ -29,17 +29,19 @@ from memalign.graphs import (
 from memalign.retriever import DistillConfig, distill_loss, init_retriever, teacher_distributions
 from memalign.decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
 from memalign.tokenization import (
+    LinearizationError,
     delinearize,
     graph_surface_words,
     linearize,
     linearize_evidence,
 )
-from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, build_vocabulary
+from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, TOK_EOL, build_vocabulary
 from util import (
     WORDS,
     RELATION_WORDS,
     ScanEngine,
     mutate_subgraph,
+    reference_delinearize,
     reference_parse_evidence,
     reference_parse_full_graph,
     reference_verify_subset,
@@ -428,6 +430,66 @@ def test_subset_check_agrees_with_reference(pair):
     sub_nodes, sub_edges, _ = scan(emit_evidence(sub), EVIDENCE_HEADER)
     violations = subset_violations(sub_nodes.items(), sub_edges, full_nodes, full_edges)
     assert tuple(violations) == expected.violations
+
+
+# -- the line reader against the reference token-stream parser ---------------
+
+
+@st.composite
+def mutated_streams(draw):
+    """The token stream of a random subgraph, with or without its confidence
+    section, after a few deletions, insertions, substitutions, duplicated
+    slices and repeated lines; inserted and substituted ids may lie outside
+    the vocabulary."""
+    full, sub = draw(subset_pairs())
+    vocab = build_vocabulary(graph_surface_words(full, sub.confidence))
+    confidence = sub.confidence if draw(st.booleans()) else None
+    tokens = list(linearize(sub.graph, vocab, confidence))
+    # The grammar turns on the reserved ids 0-9, so they get a branch of
+    # their own beside any in-range id and the ids outside the vocabulary.
+    ids = st.one_of(
+        st.integers(0, 9), st.integers(0, len(vocab) - 1), st.sampled_from((-12, -1, len(vocab)))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(("delete", "insert", "substitute", "duplicate", "line")))
+        i = draw(st.integers(0, len(tokens)))
+        if mutation == "insert":
+            tokens.insert(i, draw(ids))
+        elif i == len(tokens):
+            continue
+        elif mutation == "delete":
+            del tokens[i]
+        elif mutation == "substitute":
+            tokens[i] = draw(ids)
+        elif mutation == "duplicate":
+            j = draw(st.integers(i + 1, len(tokens)))
+            k = draw(st.integers(0, len(tokens)))
+            tokens[k:k] = tokens[i:j]
+        else:  # one whole line, repeated in place
+            cuts = [0, *(e + 1 for e, tok in enumerate(tokens) if tok == TOK_EOL), len(tokens)]
+            m = draw(st.integers(0, len(cuts) - 2))
+            tokens[cuts[m + 1] : cuts[m + 1]] = tokens[cuts[m] : cuts[m + 1]]
+    return tuple(tokens), vocab
+
+
+def _stream_outcome(parse, tokens, vocab):
+    try:
+        return parse(tokens, vocab)
+    except LinearizationError:
+        return "rejected"
+
+
+@pytest.mark.reference
+@given(mutated_streams())
+@settings(max_examples=1000, deadline=None)
+def test_delinearize_agrees_with_reference_parser(case):
+    tokens, vocab = case
+    if all(0 <= tok < len(vocab) for tok in tokens):
+        expected = _stream_outcome(reference_delinearize, tokens, vocab)
+        assert _stream_outcome(delinearize, tokens, vocab) == expected
+    else:
+        with pytest.raises(LinearizationError):
+            delinearize(tokens, vocab)
 
 
 # Finite entries whose gaps stay representable: a logit gap near the float64

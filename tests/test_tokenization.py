@@ -17,6 +17,7 @@ from memalign.vocab import (
     TOK_EOL,
     TOK_HEADER,
     TOK_NODES,
+    UNK,
     build_vocabulary,
 )
 from util import random_graph, random_subgraph
@@ -80,9 +81,21 @@ def test_delinearize_rejects_garbage():
         good + [EOS],  # trailing tokens
         [BOS, EOS],  # empty body
         [BOS, TOK_HEADER, TOK_EDGES, TOK_EOL, EOS],  # markers out of order
+        # ids outside the vocabulary in place of the description word "x"
+        *(good[:6] + [bad_id] + good[7:] for bad_id in (-1, -11, len(vocab))),
     ):
         with pytest.raises(LinearizationError):
             delinearize(tuple(bad), vocab)
+
+
+def test_unk_reads_as_a_word():
+    # UNK stands for an unseen word, so unlike the sentinels and structural
+    # markers it may stand in a description.
+    g = MemoryGraph((Node("N1", "x"),), ())
+    vocab = vocab_for(g)
+    toks = list(linearize(g, vocab))
+    toks[6] = UNK  # N1 : x EOL -> N1 : <unk> EOL
+    assert delinearize(tuple(toks), vocab).graph.nodes == (Node("N1", "<unk>"),)
 
 
 def test_delinearize_rejects_duplicate_node_ids():

@@ -57,8 +57,10 @@ def test_duplicate_words_rejected_and_reserved_spellings_are_words():
 
 
 def test_unknown_id_rejected():
-    with pytest.raises(VocabularyError):
-        Vocabulary(("a",)).token(99)
+    # Negative ids must not index the reserved block or the words from the end.
+    for token_id in (99, 11, -1, -3, -10, -11, -12):
+        with pytest.raises(VocabularyError, match="unknown token id"):
+            Vocabulary(("a",)).token(token_id)
 
 
 def test_build_vocabulary_first_seen_order():

@@ -1,6 +1,7 @@
 """Shared test helpers: random graph generation, a scan-based reference
-constraint engine, a one-request reference decoder, finite differences and
-the reference graph parser and subset check."""
+constraint engine, a one-request reference decoder, finite differences,
+the reference graph parser and subset check, and the reference token-stream
+parser."""
 from __future__ import annotations
 
 import math
@@ -23,12 +24,15 @@ from memalign.graphs import (
     Node,
     VerificationReport,
     Violation,
+    is_node_id,
 )
 from memalign.retriever import RetrieverModel
-from memalign.tokenization import edge_line_tokens, node_line_tokens
+from memalign.tokenization import LinearizationError, edge_line_tokens, node_line_tokens
 from memalign.vocab import (
     BOS,
     EOS,
+    TOK_ARROW,
+    TOK_COLON,
     TOK_CONFIDENCE,
     TOK_EDGES,
     TOK_EOL,
@@ -544,3 +548,116 @@ def reference_verify_subset(sub: EvidenceSubgraph, full: MemoryGraph) -> Verific
         elif edge.relation not in full_pairs[(edge.source, edge.target)]:
             violations.append(Violation("relation-mismatch", text))
     return VerificationReport(tuple(violations))
+
+
+# -- reference token-stream parser -----------------------------------------
+# The cursor parser that memalign.tokenization replaced with a line reader,
+# kept as the oracle the reader is tested against.  It reads ids outside the
+# vocabulary through ``Vocabulary.token``, so it is an oracle only for streams
+# whose ids are all in range.
+
+_REFERENCE_STRUCTURAL_IDS = frozenset(
+    {TOK_HEADER, TOK_NODES, TOK_EDGES, TOK_CONFIDENCE, TOK_COLON, TOK_ARROW, TOK_EOL}
+)
+
+
+class _ReferenceCursor:
+    def __init__(self, tokens: tuple, vocab: Vocabulary):
+        self.tokens = tokens
+        self.vocab = vocab
+        self.pos = 0
+
+    def peek(self) -> int:
+        if self.pos >= len(self.tokens):
+            raise LinearizationError("truncated token stream")
+        return self.tokens[self.pos]
+
+    def take(self) -> int:
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, token_id: int, what: str) -> None:
+        tok = self.take()
+        if tok != token_id:
+            raise LinearizationError(
+                f"expected {what} at position {self.pos - 1}, "
+                f"got {self.vocab.token(tok)!r}"
+            )
+
+    def take_words_until_eol(self, what: str) -> str:
+        words: list[str] = []
+        while self.peek() != TOK_EOL:
+            tok = self.take()
+            if tok in (BOS, EOS) or tok in _REFERENCE_STRUCTURAL_IDS:
+                raise LinearizationError(
+                    f"unexpected structural token inside {what} at "
+                    f"position {self.pos - 1}"
+                )
+            words.append(self.vocab.token(tok))
+        self.take()  # EOL
+        if not words:
+            raise LinearizationError(f"empty {what}")
+        return " ".join(words)
+
+
+def reference_delinearize(seq, vocab: Vocabulary) -> EvidenceSubgraph:
+    """Invert ``linearize`` token by token; rejects any stream outside the grammar."""
+    cur = _ReferenceCursor(tuple(seq), vocab)
+    cur.expect(BOS, "BOS")
+    if cur.peek() == EOS:
+        raise LinearizationError("empty body")
+    cur.expect(TOK_HEADER, "header marker")
+    cur.expect(TOK_NODES, "<NODES> marker")
+    cur.expect(TOK_EOL, "end-of-line")
+
+    nodes: list[Node] = []
+    while cur.peek() != TOK_EDGES:
+        tok = cur.take()
+        if tok in _REFERENCE_STRUCTURAL_IDS or tok in (BOS, EOS):
+            raise LinearizationError(
+                f"marker out of order: {vocab.token(tok)!r} in node section"
+            )
+        node_id = vocab.token(tok)
+        if not is_node_id(node_id):
+            raise LinearizationError(f"node line lacking id token, got {node_id!r}")
+        cur.expect(TOK_COLON, "':' after node id")
+        description = cur.take_words_until_eol("node description")
+        nodes.append(Node(node_id, description))
+    cur.take()  # <EDGES>
+    cur.expect(TOK_EOL, "end-of-line")
+
+    edges: list[Edge] = []
+    while cur.peek() not in (TOK_CONFIDENCE, EOS):
+        tok = cur.take()
+        source = vocab.token(tok)
+        if tok in _REFERENCE_STRUCTURAL_IDS or not is_node_id(source):
+            raise LinearizationError(f"edge line lacking source id, got {source!r}")
+        cur.expect(TOK_ARROW, "'->' in edge line")
+        target = vocab.token(cur.take())
+        if not is_node_id(target):
+            raise LinearizationError(f"edge line lacking target id, got {target!r}")
+        cur.expect(TOK_COLON, "':' in edge line")
+        relation = cur.take_words_until_eol("edge relation")
+        edges.append(Edge(source, target, relation))
+
+    confidence = None
+    if cur.peek() == TOK_CONFIDENCE:
+        cur.take()
+        cur.expect(TOK_EOL, "end-of-line")
+        value_word = cur.take_words_until_eol("confidence value")
+        try:
+            confidence = float(value_word)
+        except ValueError:
+            raise LinearizationError(
+                f"non-numeric confidence {value_word!r}"
+            ) from None
+    cur.expect(EOS, "EOS")
+    if cur.pos != len(cur.tokens):
+        raise LinearizationError("trailing tokens after EOS")
+
+    try:
+        graph = MemoryGraph(tuple(nodes), tuple(edges))
+        return EvidenceSubgraph(graph, confidence)
+    except GraphFormatError as exc:
+        raise LinearizationError(f"invalid graph in token stream: {exc}") from exc
