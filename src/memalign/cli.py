@@ -46,13 +46,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_coverage(raw: str) -> tuple[float, ...]:
+    # argparse reports the message of an ArgumentTypeError, and only a
+    # generic one for any other error a type function raises.
     try:
         levels = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"bad coverage list {raw!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad coverage list {raw!r}") from exc
     for level in levels:
         if not 0.0 <= level <= 1.0:
-            raise UsageError(f"coverage level {level} outside [0, 1]")
+            raise argparse.ArgumentTypeError(f"coverage level {level} outside [0, 1]")
     return levels
 
 
@@ -69,7 +71,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", parents=[common], help="generate a synthetic corpus")
     p.add_argument("--n", type=int, default=2500)
     p.add_argument("--segment-count", type=int, default=8)
-    p.add_argument("--answer-position", choices=("last", "alternate"), default="last")
     p.add_argument("--name", default="corpus.jsonl")
 
     p = sub.add_parser(
@@ -179,11 +180,7 @@ def _retrieve(args, views: list[View], name: str) -> int:
 def _cmd_gen_data(args) -> int:
     cfg = _engine_config(args)
     instances = generate_synthetic_corpus(
-        args.n,
-        cfg.seed,
-        segment_count=args.segment_count,
-        d_c=cfg.d_c,
-        answer_position=args.answer_position,
+        args.n, cfg.seed, segment_count=args.segment_count, d_c=cfg.d_c
     )
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / args.name
@@ -207,7 +204,8 @@ def _cmd_train_retriever(args) -> int:
         {
             "epoch_losses": report.epoch_losses,
             "parameter_count": report.parameter_count,
-            "n_examples": len(instances),
+            # One example per instance for the full view and each coverage level.
+            "n_examples": len(instances) * (1 + len(args.coverage)),
         },
     )
     print(f"trained retriever ({report.parameter_count} parameters); "

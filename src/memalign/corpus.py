@@ -150,10 +150,10 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     """Load and fully validate a JSONL corpus.
 
     Every instance must have string text fields, unique ids, a finite
-    content vector of ``d_c`` entries, at least one segment, and graph texts
-    that scan and pass subset verification; no invalid instance ever reaches
-    training.  Validation builds no graph objects: each instance parses its
-    graphs on first use.
+    content vector of ``d_c`` entries, one to ``d_c`` segments (each needs
+    a content entry of its own), and graph texts that scan and pass subset
+    verification; no invalid instance ever reaches training.  Validation
+    builds no graph objects: each instance parses its graphs on first use.
     """
     text = Path(path).read_text(encoding="utf-8")
     instances: list[CorpusInstance] = []
@@ -194,6 +194,8 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         segments = record["segment_count"]
         if type(segments) is not int or segments < 1:  # a JSON true is no count
             raise CorpusError(f"line {lineno}: segment_count {segments!r} is not a positive integer")
+        if segments > d_c:
+            raise CorpusError(f"line {lineno}: segment_count {segments} exceeds d_c {d_c}")
         instance = CorpusInstance(
             id=instance_id,
             query=record["query"],
@@ -308,20 +310,20 @@ def generate_synthetic_corpus(
     seed: int,
     segment_count: int = 8,
     d_c: int = 64,
-    answer_position: str = "last",
     content_noise: float = 0.5,
 ) -> list[CorpusInstance]:
     """Deterministic synthetic corpus of chain-evidence instances, each
-    shaped by ``NODES_RANGE``, ``CHAIN_RANGE`` and ``EXTRA_EDGES_RANGE``.
-
-    ``answer_position`` is ``"last"`` (answer noun in the deepest chain
-    node) or ``"alternate"`` (drawn between the last two chain positions,
-    which live on opposite paradigm sides).
+    shaped by ``NODES_RANGE``, ``CHAIN_RANGE`` and ``EXTRA_EDGES_RANGE``,
+    with the answer noun in the deepest chain node.  Every one of the
+    ``segment_count`` segments needs a content entry of its own, so it
+    may not exceed ``d_c``.
     """
     if n < 1:
         raise CorpusError("need n >= 1")
     if segment_count < 1:
         raise CorpusError("need at least one segment")
+    if segment_count > d_c:
+        raise CorpusError(f"segment_count {segment_count} exceeds d_c {d_c}")
 
     rng = component_rng(seed, "corpus")
     pattern_rng = component_rng(seed, "corpus-patterns")
@@ -359,13 +361,7 @@ def generate_synthetic_corpus(
         gold_nodes = nodes[:g]
         gold = EvidenceSubgraph(MemoryGraph(gold_nodes, chain_edges), GOLD_CONFIDENCE)
 
-        if answer_position == "last":
-            answer_node = g
-        elif answer_position == "alternate":
-            answer_node = int(rng.choice([g - 1, g]))
-        else:
-            raise CorpusError(f"unknown answer position {answer_position!r}")
-        gold_answer = str(nouns[answer_node - 1])
+        gold_answer = str(nouns[g - 1])
 
         mentions = " and ".join(node.description for node in gold_nodes)
         query = f"which chain of {g} links runs through {mentions}"

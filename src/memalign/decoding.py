@@ -11,7 +11,7 @@ structural token's spelling, and words or node ids the vocabulary lacks.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -75,9 +75,8 @@ class GraphIndex:
     ``node_groups`` maps each first token of a node line to the indices of
     the node lines it starts, in graph order.  ``start_mask`` is the legal
     set at the first node-line start as a read-only boolean vocabulary
-    mask, those first tokens and ``<EDGES>``, and ``start_count`` its
-    number of legal tokens; each engine starts from a copy.  ``graph`` is
-    the graph the index was built from.
+    mask, those first tokens and ``<EDGES>``; each engine starts from a
+    copy.  ``graph`` is the graph the index was built from.
     Nothing in an index changes after it is built.
     """
 
@@ -94,7 +93,6 @@ class GraphIndex:
         mask[[*groups, TOK_EDGES]] = True
         mask.flags.writeable = False
         self.start_mask = mask
-        self.start_count = len(groups) + 1
         self.graph = full_graph
 
 
@@ -105,22 +103,24 @@ class ConstraintEngine:
     else a new one, which the vocabulary then keeps in its place.
 
     Node lines and edge lines are replayed alike.  ``pending`` maps each
-    first token to the unused lines it starts, in graph order, and the
-    legal set at a line start is one boolean vocabulary mask, ``mask``,
-    with ``count`` legal tokens: the first tokens with an unused line and
-    the token that closes the section.  Before ``<EDGES>`` the pending
-    lines are the index's node groups and the mask a copy of its start
-    mask.  The completed node set is final once ``<EDGES>`` is taken, so
-    the open edges (both endpoint nodes completed, compared by node id)
-    are grouped by first token then, and the mask becomes those tokens
-    and ``[CONFIDENCE]``.  Inside a line, ``candidates`` holds the pending
-    lines that share the tokens taken so far; the EOL completes the first
-    of them of the current length.  A completed line leaves its group,
-    except the last, which stays while the first token's mask entry
-    clears.  Every step other than a line start costs time in the
+    first token with an unused line to those lines, in graph order, and
+    the legal set at a line start is one boolean vocabulary mask,
+    ``mask``: the keys of ``pending`` and the token that closes the
+    section, so a line start is a choice exactly when ``pending`` is not
+    empty.  Before ``<EDGES>`` the pending lines are the index's node
+    groups and the mask a copy of its start mask.  The completed node set
+    is final once ``<EDGES>`` is taken, so the open edges (both endpoint
+    nodes completed, compared by node id) are grouped by first token
+    then, and the mask becomes those tokens and ``[CONFIDENCE]``.  Inside
+    a line, ``candidates`` holds the pending lines that share the tokens
+    taken so far; the EOL completes the first of them of the current
+    length.  A completed line leaves its group, and the last one to leave
+    takes the group out of ``pending`` and its first token out of the
+    mask.  Every step other than a line start costs time in the
     candidates, not in the size of the graph.
 
-    A decode takes each run of decided tokens from :meth:`take_run`, which
+    The legal set of every phase is written once, in :meth:`_legal`.  A
+    decode takes each run of decided tokens from :meth:`take_run`, which
     tells by ``at_choice`` whether the run stopped at a choice, and there
     asks :meth:`choose` for the legal token with the highest logit; neither
     builds the legal set at a line start.
@@ -143,8 +143,7 @@ class ConstraintEngine:
         self.index = index
         self.phase = "header"
         self.mask = index.start_mask.copy()
-        self.count = index.start_count
-        # The groups stay the index's; a completion replaces its own.
+        # The groups stay the index's; a completion replaces or drops its own.
         self.pending: dict[int, Sequence[int]] = dict(index.node_groups)
         # Inside a line: the tokens taken of it, and its candidates.
         self.pos = 0
@@ -157,22 +156,25 @@ class ConstraintEngine:
         self.completed: list[int] = []
         self.confidence: float | None = None
 
-    def allowed_tokens(self) -> list[int]:
-        """The legal next tokens, in ascending id order."""
+    def _legal(self) -> Collection[int] | None:
+        """The legal next tokens, unordered; ``None`` at a line start with
+        more than one, where the legal set is ``mask``."""
         phase = self.phase
         if phase in _LINES:
             pos = self.pos
             lines = self.index.token_lines
-            return sorted(
-                {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in self.candidates}
-            )
+            return {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in self.candidates}
         if phase in _FIXED_PHASES:
-            return [_FIXED_PHASES[phase][0]]
+            return (_FIXED_PHASES[phase][0],)
         if phase in _LINE_STARTS:
-            return np.flatnonzero(self.mask).tolist()
-        if phase == "confidence-value":
-            return list(self.vocab.confidence_ids)
-        raise DecodeError(f"no legal continuation from phase {phase!r}")
+            # The closing token is always legal, and forced when no line is pending.
+            return None if self.pending else (_LINE_STARTS[phase][0],)
+        return self.vocab.confidence_ids
+
+    def allowed_tokens(self) -> list[int]:
+        """The legal next tokens, in ascending id order."""
+        legal = self._legal()
+        return np.flatnonzero(self.mask).tolist() if legal is None else sorted(legal)
 
     def take_run(self) -> list[int]:
         """Consume and return the decided tokens up to the next choice, none
@@ -184,32 +186,22 @@ class ConstraintEngine:
         run: list[int] = []
         self.at_choice = False
         while not self.done:
-            phase = self.phase
-            if phase in _LINES:
-                candidates, pos, lines = self.candidates, self.pos, self.index.token_lines
-                if len(candidates) == 1:
-                    line = lines[candidates[0]]
-                    run += line[pos:]
-                    run.append(TOK_EOL)
-                    self.pos = len(line)
-                    self._complete(candidates[0])
-                    continue
-                legal = {lines[i][pos] if pos < len(lines[i]) else TOK_EOL for i in candidates}
-            elif phase in _FIXED_PHASES:
-                legal = (_FIXED_PHASES[phase][0],)
-            elif phase in _LINE_STARTS:
-                # The closing token is always legal, and forced when alone.
-                if self.count > 1:
-                    self.at_choice = True
-                    break
-                legal = (_LINE_STARTS[phase][0],)
-            else:  # the confidence value
-                legal = self.vocab.confidence_ids
-            if not legal and not run:
-                raise DecodeError(f"grammar dead end in phase {phase!r}")
-            if len(legal) != 1:
-                self.at_choice = len(legal) > 1
+            phase, candidates = self.phase, self.candidates
+            if phase in _LINES and len(candidates) == 1:
+                line = self.index.token_lines[candidates[0]]
+                run += line[self.pos :]
+                run.append(TOK_EOL)
+                self.pos = len(line)
+                self._complete(candidates[0])
+                continue
+            legal = self._legal()
+            if legal is None or len(legal) > 1:
+                self.at_choice = True
                 break
+            if not legal:
+                if run:
+                    break
+                raise DecodeError(f"grammar dead end in phase {phase!r}")
             (token,) = legal
             self.advance(token)
             run.append(token)
@@ -282,21 +274,19 @@ class ConstraintEngine:
                 self.phase = line_phase
             else:
                 self._reject(token)
-        elif phase == "confidence-value":
+        else:  # the confidence value
             if token not in self.vocab.confidence_ids:
                 self._reject(token)
             self.confidence = float(self.vocab.token(token))
             self.phase = "confidence-value-eol"
-        else:
-            raise DecodeError(f"cannot advance from phase {phase!r}")
 
     def _complete(self, i: int) -> None:
         """Record line ``i`` as completed and return to the line start."""
         first = self.index.token_lines[i][0]
         unused = self.pending[first]
         if len(unused) == 1:
+            del self.pending[first]
             self.mask[first] = False
-            self.count -= 1
         else:
             self.pending[first] = [j for j in unused if j != i]
         self.completed.append(i)
@@ -316,7 +306,6 @@ class ConstraintEngine:
         self.pending = pending
         self.mask[:] = False
         self.mask[[*pending, TOK_CONFIDENCE]] = True
-        self.count = len(pending) + 1
 
     def evidence(self) -> EvidenceSubgraph:
         """The evidence subgraph of the lines completed so far and the

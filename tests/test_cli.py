@@ -137,6 +137,47 @@ def test_train_align_rejects_anchor(tmp_path):
     assert code == 1
 
 
+def test_training_coverage_levels_grow_the_reported_sets(tmp_path, capsys):
+    """``--coverage L1,L2`` adds one retriever example per instance and
+    level, and one alignment demonstration per instance, level and side,
+    and the reports count them: with 6 instances, 6 → 18 examples, and a
+    pool of 6 → 30 demonstrations whose holdout (at most the pool less
+    one batch of 4) grows from 2 to 26.  A level outside [0, 1] or no
+    number at all exits 1, with a message that names it, before any
+    checkpoint is written."""
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(
+        "[alignment]\nBatch size = 4\nEpochs = 1\nNegative sample size = 2\nHoldout = 100\n\n"
+        "[distillation]\nEpochs = 1\nPer-device batch size = 6\n"
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(6, 42), corpus)
+    stages = (["train-retriever"], ["train-align", "--paradigm", "explicit-sim"])
+    counts = []
+    for coverage in ([], ["--coverage", "0.5,1"]):
+        out = tmp_path / f"out{len(coverage)}"
+        for stage in stages:
+            assert main([*stage, "--corpus", str(corpus), "--config", str(cfg),
+                         "--out", str(out), *coverage]) == 0
+        retriever = json.loads((out / "retriever_report.json").read_text())
+        align = json.loads((out / "align_explicit-sim_report.json").read_text())
+        counts.append((retriever["n_examples"], align["holdout_size"]))
+    assert counts == [(6, 2), (18, 26)]
+    out = tmp_path / "refused"
+    refusals = {
+        "1.5": "coverage level 1.5 outside [0, 1]",
+        "nan": "coverage level nan outside [0, 1]",
+        "x": "bad coverage list 'x'",
+    }
+    for levels, message in refusals.items():
+        for stage in stages:
+            capsys.readouterr()
+            assert main([*stage, "--corpus", str(corpus), "--out", str(out),
+                         "--coverage", levels]) == 1
+            assert f"argument --coverage: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     """Checkpoints of a one-epoch run over six instances, for the serving

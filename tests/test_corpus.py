@@ -75,11 +75,18 @@ def test_distractor_edges_stay_among_distractors():
             assert e.source not in gold_ids and e.target not in gold_ids
 
 
-def test_invalid_shapes_rejected():
+def test_invalid_shapes_rejected(tmp_path):
     with pytest.raises(CorpusError):
         generate_synthetic_corpus(0, 1)
     with pytest.raises(CorpusError):
         generate_synthetic_corpus(1, 1, segment_count=0)
+    # A segment past d_c would get an empty block, and the chain positions
+    # there no signal (with d_c=4 and 8 segments, positions 2 and 4).
+    with pytest.raises(CorpusError, match="segment_count 8 exceeds d_c 4"):
+        generate_synthetic_corpus(1, 1, segment_count=8, d_c=4)
+    assert generate_synthetic_corpus(1, 1, segment_count=4, d_c=4)[0].segment_count == 4
+    assert main(["gen-data", "--n", "1", "--segment-count", "65", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "corpus.jsonl").exists()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -160,6 +167,7 @@ def test_load_rejects_subset_violations(tmp_path):
         ("full_graph_text", 5, "full_graph_text is not a string"),
         ("gold_subgraph_text", None, "gold_subgraph_text is not a string"),
         ("segment_count", True, "segment_count True is not a positive integer"),
+        ("segment_count", 65, "segment_count 65 exceeds d_c 64"),
         pytest.param(
             "content_vector", "5" * 64, "content_vector is not a list of numbers",
             id="content_vector-digit-string",

@@ -261,7 +261,15 @@ def engine_state(engine: ConstraintEngine) -> tuple:
     """Everything a later step reads and the record an engine keeps."""
     pending = {first: tuple(lines) for first, lines in engine.pending.items()}
     return (engine.phase, engine.pos, tuple(engine.candidates), pending, engine.mask.tobytes(),
-            engine.count, engine.done, tuple(engine.completed), engine.confidence)
+            engine.done, tuple(engine.completed), engine.confidence)
+
+
+def assert_pending_is_the_mask(engine: ConstraintEngine) -> None:
+    """``pending`` holds exactly the mask's line-start tokens: the mask
+    less the section's closing token, ``<EDGES>`` or ``[CONFIDENCE]``,
+    which starts no line."""
+    starts = set(np.flatnonzero(engine.mask).tolist()) - {TOK_EDGES, TOK_CONFIDENCE}
+    assert set(engine.pending) == starts
 
 
 @given(engine_cases(), st.integers(0, 2**32 - 1), st.data())
@@ -273,12 +281,14 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
     ``allowed_tokens()``, one at a time, takes until a choice, the
     confidence value, EOS or a dead end, and leaves the state that leaves;
     its ``at_choice`` says whether the oracle has a choice where it
-    stopped."""
+    stopped.  ``pending`` holds exactly the mask's line-start tokens, so a
+    run stops at a line start only when a line is pending."""
     full, vocab = case
     rng = np.random.default_rng(seed)
     engine = ConstraintEngine(full, vocab)
     oracle = ScanEngine(full, vocab)
     while not engine.done:
+        assert_pending_is_the_mask(engine)
         allowed = engine.allowed_tokens()
         assert allowed == sorted(oracle.allowed())
         if not allowed:
@@ -296,6 +306,9 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
                 break
         assert run == steps
         assert engine_state(runner) == engine_state(stepper)
+        assert_pending_is_the_mask(runner)
+        if runner.phase in ("node-line-start", "edge-line-start"):
+            assert runner.pending
         ahead = copy.deepcopy(oracle)
         for token in run:
             assert ahead.allowed() == {token}
