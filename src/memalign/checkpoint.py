@@ -1,6 +1,6 @@
 """Binary parameter checkpoints.
 
-Layout of format version 2 (all integers little-endian):
+Layout of the format, version 2 (all integers little-endian):
 
     magic          8 bytes   "MEMALNCK"
     version        uint32    2
@@ -11,9 +11,8 @@ Layout of format version 2 (all integers little-endian):
                    row-major float32 payload
     checksum       8 bytes   BLAKE2b digest (digest size 8) of all prior bytes
 
-Version 1 files have the same layout with version 1 and, as the checksum,
-the uint64 FNV-1a hash of all prior bytes.  ``load_checkpoint`` reads both;
-``save_checkpoint`` writes version 2.
+``save_checkpoint`` writes this layout and ``load_checkpoint`` reads it and
+refuses any other version.
 """
 from __future__ import annotations
 
@@ -24,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeding import fnv1a64
-
 MAGIC = b"MEMALNCK"
 VERSION = 2
 
@@ -34,9 +31,7 @@ class CheckpointError(ValueError):
     pass
 
 
-def _checksum(version: int, body: bytes) -> bytes:
-    if version == 1:
-        return struct.pack("<Q", fnv1a64(body))
+def _checksum(body: bytes) -> bytes:
     return hashlib.blake2b(body, digest_size=8).digest()
 
 
@@ -74,7 +69,7 @@ def save_checkpoint(sections: dict[str, np.ndarray], path: str | Path) -> None:
         offset += len(blob)
 
     body = MAGIC + struct.pack("<II", VERSION, len(names)) + bytes(table) + b"".join(blobs)
-    Path(path).write_bytes(body + _checksum(VERSION, body))
+    Path(path).write_bytes(body + _checksum(body))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
@@ -89,9 +84,9 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     pos = len(MAGIC)
     version, count = struct.unpack_from("<II", body, pos)
     pos += 8
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if stored != _checksum(version, body):
+    if stored != _checksum(body):
         raise CheckpointError("checksum mismatch")
 
     entries: list[tuple[str, int, int]] = []

@@ -143,12 +143,13 @@ def load_config(path: str | Path) -> EngineConfig:
         elif section_name == "paradigms":
             cfg.paradigms = []
             for name, raw in section.items():
-                parts = raw.split()
-                if len(parts) != 2:
+                try:
+                    d_t, encoder_seed = map(int, raw.split())
+                except ValueError:
                     raise ConfigError(
                         f"paradigm {name!r} expects '<d_t> <encoder_seed>'"
-                    )
-                cfg.paradigms.append(ParadigmSpec(name, int(parts[0]), int(parts[1])))
+                    ) from None
+                cfg.paradigms.append(ParadigmSpec(name, d_t, encoder_seed))
         else:
             raise ConfigError(f"unknown configuration section {section_name!r}")
     # re-validate after field overrides

@@ -41,6 +41,8 @@ class AlignConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ContrastiveError("temperature must be positive")
+        if self.epochs < 1:
+            raise ContrastiveError("alignment epochs must be at least 1")
         if not 1 <= self.negatives <= self.n_demos - 1:
             raise ContrastiveError("need 1 <= negatives <= n_demos - 1")
         if not 1 <= self.batch_size <= self.n_demos:

@@ -35,7 +35,7 @@ from .graphs import (
     scan,
     subset_violations,
 )
-from .seeding import component_rng, fnv1a64
+from .seeding import component_rng
 from .tokenization import graph_surface_words
 from .vocab import Vocabulary, build_vocabulary
 from .unified import InstanceContent, segment_blocks
@@ -126,16 +126,12 @@ REQUIRED_FIELDS = (
     "gold_answer",
     "full_graph_text",
     "gold_subgraph_text",
+    "content_vector",
     "segment_count",
 )
-STRING_FIELDS = REQUIRED_FIELDS[:-1]
+STRING_FIELDS = REQUIRED_FIELDS[:-2]
 # The types json.loads gives a number (a JSON true is a bool, not a number).
 JSON_NUMBERS = frozenset((int, float))
-
-
-def _default_content_vector(instance_id: str, d_c: int) -> tuple[float, ...]:
-    rng = np.random.default_rng(fnv1a64(f"content:{instance_id}".encode()))
-    return tuple((0.5 * rng.standard_normal(d_c)).tolist())
 
 
 def corpus_to_jsonl(instances: list[CorpusInstance]) -> str:
@@ -179,10 +175,8 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         if instance_id in seen_ids:
             raise CorpusError(f"line {lineno}: duplicate id {instance_id!r}")
         seen_ids.add(instance_id)
-        content = record.get("content_vector")
-        if content is None:
-            content = _default_content_vector(instance_id, d_c)
-        elif not isinstance(content, list) or not set(map(type, content)) <= JSON_NUMBERS:
+        content = record["content_vector"]
+        if not isinstance(content, list) or not set(map(type, content)) <= JSON_NUMBERS:
             raise CorpusError(f"line {lineno}: content_vector is not a list of numbers")
         content = tuple(map(float, content))
         if len(content) != d_c:

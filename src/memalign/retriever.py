@@ -152,10 +152,11 @@ class RetrieverModel:
     # a batch of rows (NumPy hands a one-row batch to gemv).
 
     def conditioning(self, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """The conditioning row concat(q, h) of one request."""
-        cond = np.concatenate([np.asarray(q, float), np.asarray(h, float)])
-        if cond.shape != (self.d_cond,):
-            raise RetrieverError(f"conditioning dimension {cond.shape[0]} != {self.d_cond}")
+        """The conditioning row concat(q, h) of one request (1-D vectors), or
+        the rows of a batch (2-D, one row per request)."""
+        cond = np.concatenate([np.asarray(q, float), np.asarray(h, float)], axis=-1)
+        if cond.ndim > 2 or cond.shape[-1] != self.d_cond:
+            raise RetrieverError(f"conditioning dimension {cond.shape[-1]} != {self.d_cond}")
         return cond
 
     def init_states(self, conds: np.ndarray) -> np.ndarray:
@@ -165,7 +166,7 @@ class RetrieverModel:
     # The projection table and the recurrence weight are kept across
     # decodes.  Assigning any attribute drops them, as does sequence_logits,
     # and so must a caller that changes emb, w_in, b_in or u_rec in place
-    # before it decodes (train_retriever does after each optimizer step).
+    # before it decodes (train_retriever does once, after training).
     # copy() and checkpoint loading start without them; they are never
     # serialized.  Both are gate-major, the update gate first, and its half
     # is scaled by 1/2 where they are built, so the cell takes the gate's
@@ -302,14 +303,9 @@ def sequence_logits(
     seqs = [list(seq) for seq in tokens]
     if not seqs or any(len(seq) < 2 or seq[0] != BOS for seq in seqs):
         raise RetrieverError("token sequence must start with BOS and be non-trivial")
-    cond = np.concatenate(
-        [np.atleast_2d(np.asarray(q, float)), np.atleast_2d(np.asarray(h, float))],
-        axis=1,
-    )
-    if cond.shape != (len(seqs), model.d_cond):
-        raise RetrieverError(
-            f"conditioning shape {cond.shape} != {(len(seqs), model.d_cond)}"
-        )
+    cond = np.atleast_2d(model.conditioning(q, h))
+    if cond.shape[0] != len(seqs):
+        raise RetrieverError(f"conditioning rows {cond.shape[0]} != sequences {len(seqs)}")
     lengths = np.array([len(seq) - 1 for seq in seqs])
     batch, steps = len(seqs), int(lengths.max())
     d_m = model.d_m
@@ -444,6 +440,8 @@ class DistillConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise RetrieverError("distillation epochs and batch size must be at least 1")
         if self.kl_temperature <= 0:
             raise RetrieverError("KL temperature must be positive")
         if not 0.0 <= self.teacher_epsilon < 1.0:
@@ -606,9 +604,10 @@ def train_retriever(
             for k in grads:
                 grads[k] /= len(batch)
             optimizer.step(grads)
-            model.drop_projections()
             epoch_loss += batch_loss
         report.epoch_losses.append(epoch_loss / n)
 
+    # The optimizer updated the parameters in place after the last pass.
+    model.drop_projections()
     report.wall_seconds = time.perf_counter() - started
     return model, report

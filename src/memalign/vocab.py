@@ -131,8 +131,7 @@ class Vocabulary:
         head = _record(lines[0], 1)
         if not isinstance(head, dict) or head.get("token") != "<mode>":
             raise VocabularyError("line 1: missing vocabulary mode record")
-        # Older files may name the "open" kind; they load the same table.
-        if head.get("id") not in ("open", "closed"):
+        if head.get("id") != "closed":
             raise VocabularyError(f"line 1: unknown vocabulary mode {head.get('id')!r}")
         entries = []
         for number, line in enumerate(lines[1:], start=2):

@@ -13,7 +13,6 @@ from memalign.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from memalign.seeding import fnv1a64
 
 
 def random_sections(seed=0):
@@ -156,8 +155,9 @@ def test_magic_constant():
     assert MAGIC == b"MEMALNCK"
 
 
-def version1_bytes(sections: dict[str, np.ndarray]) -> bytes:
-    """A format-1 file as the version-1 writer laid it out: FNV-1a trailer."""
+def layout_bytes(sections: dict[str, np.ndarray]) -> bytes:
+    """A file laid out by hand as the module docstring describes it:
+    version 2, float32 payloads and a BLAKE2b trailer."""
     blobs = []
     for arr in sections.values():
         arr = np.asarray(arr, dtype="<f4")
@@ -171,23 +171,7 @@ def version1_bytes(sections: dict[str, np.ndarray]) -> bytes:
     for name, blob in zip(names, blobs):
         table += struct.pack("<I", len(name)) + name + struct.pack("<QQ", offset, len(blob))
         offset += len(blob)
-    body = MAGIC + struct.pack("<II", 1, len(names)) + table + b"".join(blobs)
-    return body + struct.pack("<Q", fnv1a64(body))
-
-
-def test_version_1_files_still_load(tmp_path):
-    path = tmp_path / "v1.ckpt"
-    sections = random_sections(1)
-    path.write_bytes(version1_bytes(sections))
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(sections)
-    for name, arr in sections.items():
-        np.testing.assert_array_equal(loaded[name], arr)
-    corrupted = bytearray(path.read_bytes())
-    corrupted[-12] ^= 0x01
-    path.write_bytes(bytes(corrupted))
-    with pytest.raises(CheckpointError, match="checksum"):
-        load_checkpoint(path)
+    return sealed(MAGIC + struct.pack("<II", 2, len(names)) + table + b"".join(blobs))
 
 
 def test_writes_version_2_with_blake2b_trailer(tmp_path):
@@ -197,28 +181,27 @@ def test_writes_version_2_with_blake2b_trailer(tmp_path):
     assert VERSION == 2
     assert struct.unpack_from("<I", data, len(MAGIC))[0] == 2
     assert data[-8:] == hashlib.blake2b(data[:-8], digest_size=8).digest()
-    # Same payload as a version-1 file: only the version and trailer differ.
-    v1 = version1_bytes(random_sections())
-    assert data[12:-8] == v1[12:-8]
+    assert data == layout_bytes(random_sections())
 
 
-def test_unknown_version_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 3])
+def test_unknown_version_rejected(tmp_path, version):
     path = tmp_path / "m.ckpt"
     save_checkpoint({"w": np.zeros(2, dtype=np.float32)}, path)
     data = bytearray(path.read_bytes())
-    data[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", 3)
+    data[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", version)
     path.write_bytes(sealed(bytes(data[:-8])))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
         load_checkpoint(path)
 
 
 def test_loaded_arrays_own_their_memory(tmp_path):
     """Each payload is copied out of the file's buffer: no returned array is
     a view that keeps the whole file alive."""
-    v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
-    v1.write_bytes(version1_bytes(random_sections()))
-    save_checkpoint(random_sections(), v2)
-    for path in (v1, v2):
+    by_hand, saved = tmp_path / "by_hand.ckpt", tmp_path / "saved.ckpt"
+    by_hand.write_bytes(layout_bytes(random_sections(1)))
+    save_checkpoint(random_sections(), saved)
+    for path in (by_hand, saved):
         for name, arr in load_checkpoint(path).items():
             assert arr.flags.owndata and arr.base is None, (path.name, name)
             assert arr.flags.writeable and arr.flags.c_contiguous, (path.name, name)

@@ -127,6 +127,34 @@ def test_end_to_end_pipeline(tmp_path, capsys):
     assert "Unique Ratio" in out_text and "%" in out_text
 
 
+@pytest.mark.parametrize(
+    "stage, body",
+    [
+        ("train-retriever", "[distillation]\nEpochs = 0\n"),
+        ("train-retriever", "[distillation]\nPer-device batch size = 0\n"),
+        # Settings that the six-instance corpus accepts, but for the epochs.
+        (
+            "train-align",
+            "[alignment]\nEpochs = 0\nBatch size = 2\nNegative sample size = 2\nHoldout = 0\n",
+        ),
+    ],
+)
+def test_settings_that_cannot_train_are_refused_before_any_write(tmp_path, capsys, stage, body):
+    corpus = tmp_path / "c.jsonl"
+    save_corpus(generate_synthetic_corpus(6, 1), corpus)
+    config = tmp_path / "engine.cfg"
+    config.write_text(body)
+    out = tmp_path / "out"
+    argv = [stage, "--corpus", str(corpus), "--config", str(config), "--out", str(out)]
+    if stage == "train-align":
+        argv += ["--paradigm", "explicit-sim"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_align_rejects_anchor(tmp_path):
     corpus = tmp_path / "c.jsonl"
     save_corpus(generate_synthetic_corpus(2, 1), corpus)

@@ -87,6 +87,10 @@ def test_paradigm_section(tmp_path):
         ("[engine]\nseed = seven\n", "invalid value"),
         ("[paradigms]\np = 16\n", "expects"),
         ("[alignment]\nBatch size = 0\n", "batch_size|need"),
+        ("[paradigms]\nanchor-graph = 64 x\n", "^paradigm 'anchor-graph' expects"),
+        ("[distillation]\nEpochs = 0\n", "distillation epochs"),
+        ("[distillation]\nPer-device batch size = 0\n", "distillation epochs and batch size"),
+        ("[alignment]\nEpochs = 0\n", "alignment epochs"),
     ],
 )
 def test_bad_configs_rejected(tmp_path, body, match):

@@ -151,6 +151,10 @@ def test_load_rejects_subset_violations(tmp_path):
         load_corpus(path)
 
 
+# A field the record leaves out.
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -174,13 +178,21 @@ def test_load_rejects_subset_violations(tmp_path):
         ),
         ("content_vector", ["0.5"] * 64, "content_vector is not a list of numbers"),
         ("content_vector", [True] * 64, "content_vector is not a list of numbers"),
+        ("content_vector", None, "content_vector is not a list of numbers"),
+        pytest.param(
+            "content_vector", MISSING, "missing field content_vector",
+            id="content_vector-missing",
+        ),
     ],
 )
 def test_load_rejects_unusable_records(tmp_path, field, value, message):
     good = generate_synthetic_corpus(1, 1)[0].to_json()
     record = json.loads(good)
     record["id"] = "other"
-    record[field] = value
+    if value is MISSING:
+        del record[field]
+    else:
+        record[field] = value
     path = tmp_path / "c.jsonl"
     path.write_text(good + "\n" + json.dumps(record) + "\n")
     with pytest.raises(CorpusError, match=f"line 2: {message}"):
@@ -249,16 +261,6 @@ def test_load_reports_graph_errors_like_the_reference_parser(tmp_path, field, ed
     with pytest.raises(CorpusError) as err:
         load_corpus(path)
     assert str(err.value) == expected
-
-
-def test_missing_content_vector_is_generated(tmp_path):
-    inst = generate_synthetic_corpus(1, 1)[0]
-    record = json.loads(inst.to_json())
-    del record["content_vector"]
-    path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps(record) + "\n")
-    loaded = load_corpus(path, d_c=64)
-    assert len(loaded[0].content_vector) == 64
 
 
 # -- segment geometry ----------------------------------------------------

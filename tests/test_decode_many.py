@@ -431,6 +431,11 @@ def test_trained_model_decodes_like_its_checkpoint(tmp_path):
     decoded = decode_many(trained, vocab, requests)
     assert decoded != decode_many(model_init, vocab, requests)
     assert decoded == decode_many(reloaded, vocab, requests)
+    # The last optimizer step changed the parameters in place after the
+    # last forward pass: the cached table and weight must be built anew.
+    fresh = trained.copy()
+    np.testing.assert_array_equal(trained.projections(), fresh.projections())
+    np.testing.assert_array_equal(trained.recurrence_weight(), fresh.recurrence_weight())
 
 
 def test_equal_graphs_share_one_index(monkeypatch):

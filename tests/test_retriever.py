@@ -64,6 +64,14 @@ def test_sequence_logits_requires_bos():
     assert cache.states.shape == (2, 1, 6)
 
 
+def test_sequence_logits_checks_the_conditioning_width_and_rows():
+    model = small_model()  # d_q 3 + d_s 2
+    with pytest.raises(RetrieverError, match="^conditioning dimension 6 != 5$"):
+        sequence_logits(model, [BOS, 10], np.zeros(4), np.zeros(2))
+    with pytest.raises(RetrieverError, match="^conditioning rows 2 != sequences 1$"):
+        sequence_logits(model, [BOS, 10], np.zeros((2, 3)), np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("bad", [-1, -14, 14, 99])
 def test_sequence_logits_refuses_token_ids_outside_the_vocabulary(bad):
     model = small_model()  # 14 tokens

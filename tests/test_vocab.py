@@ -87,12 +87,16 @@ def test_save_load_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["open", "closed"])
-def test_load_accepts_either_vocabulary_kind_head(tmp_path, kind):
+def test_load_accepts_only_the_closed_vocabulary_head(tmp_path, kind):
     path = tmp_path / "vocab.jsonl"
     build_vocabulary(["harbor"]).save(path)
     lines = path.read_text().splitlines()
     lines[0] = json.dumps({"token": "<mode>", "id": kind})
     path.write_text("\n".join(lines) + "\n")
+    if kind == "open":
+        with pytest.raises(VocabularyError, match="^line 1: unknown vocabulary mode 'open'$"):
+            Vocabulary.load(path)
+        return
     vocab = Vocabulary.load(path)
     assert vocab.words == ("harbor",)
     with pytest.raises(VocabularyError):
