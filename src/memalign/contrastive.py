@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import AdamW
+from .optim import AdamW, check_schedule
 from .seeding import component_rng
 from .unified import (
     AlignmentModule,
@@ -51,6 +51,7 @@ class AlignConfig:
             raise ContrastiveError("mse_weight must be non-negative")
         if not 0 <= self.holdout < self.n_demos:
             raise ContrastiveError("holdout must leave a nonempty training pool")
+        check_schedule("alignment", self.learning_rate, self.weight_decay, self.warmup_ratio)
 
 
 @dataclass

@@ -245,6 +245,8 @@ def coverage_mask(side: int, fraction: float, segment_count: int) -> set[int]:
     """
     if side not in (0, 1):
         raise CorpusError("side must be 0 or 1")
+    if segment_count < 2:
+        raise CorpusError(f"coverage needs at least two segments, got {segment_count}")
     if not 0.0 <= fraction <= 1.0:
         raise CorpusError(f"coverage fraction {fraction} outside [0, 1]")
     half = segment_count // 2
@@ -314,8 +316,8 @@ def generate_synthetic_corpus(
     """
     if n < 1:
         raise CorpusError("need n >= 1")
-    if segment_count < 1:
-        raise CorpusError("need at least one segment")
+    if segment_count < 2:
+        raise CorpusError("need at least two segments, one per paradigm side")
     if segment_count > d_c:
         raise CorpusError(f"segment_count {segment_count} exceeds d_c {d_c}")
 

@@ -119,11 +119,13 @@ class ConstraintEngine:
     mask.  Every step other than a line start costs time in the
     candidates, not in the size of the graph.
 
-    The legal set of every phase is written once, in :meth:`_legal`.  A
-    decode takes each run of decided tokens from :meth:`take_run`, which
-    tells by ``at_choice`` whether the run stopped at a choice, and there
-    asks :meth:`choose` for the legal token with the highest logit; neither
-    builds the legal set at a line start.
+    The legal set of every phase is written once, in :meth:`_legal`, and
+    every step is taken by :meth:`_step`, which checks nothing.  A decode
+    takes each run of decided tokens from :meth:`take_run`, which ends a
+    run that stopped at a choice with ``None``, and there has
+    :meth:`choose` take the legal token with the highest logit; neither
+    builds the legal set at a line start.  :meth:`advance` takes a token
+    from any other caller once :meth:`_legal` allows it, and
     :meth:`allowed_tokens` lists the legal set.
 
     A line ends by its length, not by the first EOL token, so a word
@@ -149,8 +151,6 @@ class ConstraintEngine:
         self.pos = 0
         self.candidates: Sequence[int] = ()
         self.done = False
-        # Whether the last run stopped because the next token is a choice.
-        self.at_choice = False
         # The record: completed lines' indices, in order, and the
         # confidence value once taken.
         self.completed: list[int] = []
@@ -176,15 +176,13 @@ class ConstraintEngine:
         legal = self._legal()
         return np.flatnonzero(self.mask).tolist() if legal is None else sorted(legal)
 
-    def take_run(self) -> list[int]:
+    def take_run(self) -> list[int | None]:
         """Consume and return the decided tokens up to the next choice, none
-        after the confidence value or EOS; empty at a choice,
-        :class:`DecodeError` when the next token is a dead end.  A line with
-        one candidate left is one slice of its tokens and EOL.
-        ``at_choice`` tells whether the run stopped at a choice, so a
-        decode need not ask again to learn of it."""
-        run: list[int] = []
-        self.at_choice = False
+        after the confidence value or EOS, and ``None`` last when the run
+        stopped at a choice: ``[None]`` at a choice, :class:`DecodeError`
+        when the next token is a dead end.  A line with one candidate left
+        is one slice of its tokens and EOL."""
+        run: list[int | None] = []
         while not self.done:
             phase, candidates = self.phase, self.candidates
             if phase in _LINES and len(candidates) == 1:
@@ -196,45 +194,53 @@ class ConstraintEngine:
                 continue
             legal = self._legal()
             if legal is None or len(legal) > 1:
-                self.at_choice = True
+                run.append(None)
                 break
             if not legal:
                 if run:
                     break
                 raise DecodeError(f"grammar dead end in phase {phase!r}")
             (token,) = legal
-            self.advance(token)
+            self._step(token)
             run.append(token)
             if phase == "confidence-value":
                 break
         return run
 
     def choose(self, row_logits: np.ndarray) -> int:
-        """The legal next token with the highest of ``row_logits`` (one
-        logit per vocabulary token), ties to the lowest id: the token
-        ``allowed[row_logits[allowed].argmax()]`` picks from ``allowed =
-        allowed_tokens()``."""
+        """Take and return the legal next token with the highest of
+        ``row_logits`` (one logit per vocabulary token), ties to the lowest
+        id: the token ``allowed[row_logits[allowed].argmax()]`` picks from
+        ``allowed = allowed_tokens()``."""
         if self.phase in _LINE_STARTS:
             mask = self.mask
             token = int(np.where(mask, row_logits, -np.inf).argmax())
             # Only when every legal logit is -inf can the argmax land on
             # an illegal token; the lowest legal id is then the pick.
-            return token if mask[token] else int(mask.argmax())
-        allowed = self.allowed_tokens()
-        if not allowed:
-            raise DecodeError(f"grammar dead end in phase {self.phase!r}")
-        return allowed[int(row_logits.take(allowed).argmax())]
-
-    def _reject(self, token: int) -> None:
-        if 0 <= token < len(self.mask):
-            raise DecodeError(
-                f"token {self.vocab.token(token)!r} not legal in phase {self.phase!r}"
-            )
-        raise DecodeError(f"token id {token} not legal in phase {self.phase!r}")
+            if not mask[token]:
+                token = int(mask.argmax())
+        else:
+            allowed = self.allowed_tokens()
+            if not allowed:
+                raise DecodeError(f"grammar dead end in phase {self.phase!r}")
+            token = allowed[int(row_logits.take(allowed).argmax())]
+        self._step(token)
+        return token
 
     def advance(self, token: int) -> None:
-        """Consume ``token``; raises :class:`DecodeError`, leaving the state
-        unchanged, when it is not legal."""
+        """Take ``token``; raises :class:`DecodeError`, leaving the state
+        unchanged, when it is not in the legal set."""
+        legal = self._legal()
+        # An id outside the vocabulary, which an index would wrap or overrun,
+        # is in no mask.
+        known = 0 <= token < len(self.mask)
+        if not (known and self.mask[token] if legal is None else token in legal):
+            word = repr(self.vocab.token(token)) if known else f"id {token}"
+            raise DecodeError(f"token {word} not legal in phase {self.phase!r}")
+        self._step(token)
+
+    def _step(self, token: int) -> None:
+        """Take ``token``, which the caller knows to be legal."""
         phase = self.phase
         if phase in _LINES:
             pos = self.pos
@@ -249,34 +255,22 @@ class ConstraintEngine:
                         self._complete(i)
                         return
             matches = [i for i in candidates if pos < len(lines[i]) and lines[i][pos] == token]
-            if not matches:
-                self._reject(token)
             self.pos = pos + 1
             self.candidates = matches
         elif phase in _FIXED_PHASES:
-            expected, next_phase = _FIXED_PHASES[phase]
-            if token != expected:
-                self._reject(token)
-            self.phase = next_phase
-            if phase == "eos":
-                self.done = True
+            self.phase = _FIXED_PHASES[phase][1]
+            self.done = phase == "eos"
         elif phase in _LINE_STARTS:
             closing, next_phase, line_phase = _LINE_STARTS[phase]
             if token == closing:
                 if token == TOK_EDGES:
                     self._open_edges()
                 self.phase = next_phase
-            # An id outside the vocabulary, which an index would wrap or
-            # overrun, starts no line.
-            elif 0 <= token < len(self.mask) and self.mask[token]:
+            else:
                 self.pos = 1
                 self.candidates = self.pending[token]
                 self.phase = line_phase
-            else:
-                self._reject(token)
         else:  # the confidence value
-            if token not in self.vocab.confidence_ids:
-                self._reject(token)
             self.confidence = float(self.vocab.token(token))
             self.phase = "confidence-value-eol"
 
@@ -339,8 +333,8 @@ def decode_many(
     a choice, which take their engine's :meth:`~ConstraintEngine.choose`.
     A row takes each run of decided tokens from its engine in one
     :meth:`~ConstraintEngine.take_run` call and feeds it one token a step;
-    a run that stopped at a choice (``at_choice``) ends with that choice,
-    so the engine is asked for the next run only after it.
+    a run that stopped at a choice ends with ``None``, the choice, so the
+    engine is asked for the next run only after it.
     Inputs and states are gathered by ``ndarray.take``.  Once a row takes
     its confidence value, only EOL and EOS can follow and no logits read
     the states after it, so the row ends there, with its evidence subgraph
@@ -411,8 +405,6 @@ def decode_many(
                     row[1] = engine = None
                     continue
                 run = row[3] = engine.take_run()
-                if engine.at_choice:
-                    run.append(None)
             token = run.pop(0)
             if token is None:
                 choices.append(len(kept))
@@ -431,8 +423,7 @@ def decode_many(
         if choices:
             chosen = state if len(choices) == len(rows) else state.take(choices, axis=0)
             for row_logits, k in zip(model.logits(chosen), choices):
-                taken[k] = token = rows[k][1].choose(row_logits)
-                rows[k][1].advance(token)
+                taken[k] = rows[k][1].choose(row_logits)
         for row, token in zip(rows, taken):
             row[2] = token
 
@@ -445,13 +436,10 @@ def decode_many(
                 state = model.transition(projections[:, last : last + 1], state)
                 if token is None:
                     token = engine.choose(model.logits(state)[0])
-                    engine.advance(token)
                 last = token
             if engine.confidence is not None:
                 break
             run = engine.take_run()
-            if engine.at_choice:
-                run.append(None)
         subgraphs[i] = engine.evidence()
     return subgraphs
 

@@ -27,6 +27,12 @@ def lr_at_step(
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def check_schedule(stage: str, lr: float, weight_decay: float, warmup_ratio: float) -> None:
+    """Refuse ``stage``'s optimizer settings that cannot train, NaN included."""
+    if not (lr > 0 and weight_decay >= 0 and 0 <= warmup_ratio <= 1):
+        raise ValueError(f"{stage} needs learning rate > 0, weight decay >= 0, warmup in [0, 1]")
+
+
 class AdamW:
     """Decoupled weight decay Adam over a dict of named numpy parameters.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import EvidenceSubgraph, MemoryGraph, verify_subset
-from .optim import AdamW
+from .optim import AdamW, check_schedule
 from .seeding import component_rng, fnv1a64
 from .tokenization import linearize_evidence
 from .vocab import BOS, Vocabulary
@@ -442,10 +442,11 @@ class DistillConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise RetrieverError("distillation epochs and batch size must be at least 1")
-        if self.kl_temperature <= 0:
-            raise RetrieverError("KL temperature must be positive")
+        if not (self.kl_temperature > 0 and self.kl_weight >= 0 and self.ce_weight >= 0):
+            raise RetrieverError("need KL temperature > 0 and KL and CE weights >= 0")
         if not 0.0 <= self.teacher_epsilon < 1.0:
             raise RetrieverError("teacher epsilon must be in [0, 1)")
+        check_schedule("distillation", self.learning_rate, self.weight_decay, self.warmup_ratio)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -480,9 +481,10 @@ def distill_loss(
             f"step count/vocab mismatch: teacher {teacher_dists.shape} vs "
             f"student {student_logits.shape}"
         )
+    # Written so that a NaN or infinite entry fails.
     sums = teacher_dists.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise RetrieverError("teacher distributions must sum to 1")
+    if not (np.all(teacher_dists >= 0.0) and np.all(np.abs(sums - 1.0) <= 1e-9)):
+        raise RetrieverError("teacher distributions must be non-negative and sum to 1")
     steps = teacher_dists.shape[0]
     if gold_tokens is None:
         gold_tokens = np.argmax(teacher_dists, axis=1)

@@ -132,10 +132,17 @@ def test_end_to_end_pipeline(tmp_path, capsys):
     [
         ("train-retriever", "[distillation]\nEpochs = 0\n"),
         ("train-retriever", "[distillation]\nPer-device batch size = 0\n"),
+        ("train-retriever", "[distillation]\nLearning rate = 0\n"),
+        ("train-retriever", "[distillation]\nKL weight = -1\n"),
         # Settings that the six-instance corpus accepts, but for the epochs.
         (
             "train-align",
             "[alignment]\nEpochs = 0\nBatch size = 2\nNegative sample size = 2\nHoldout = 0\n",
+        ),
+        (
+            "train-align",
+            "[alignment]\nWarmup ratio = 2\nBatch size = 2\nNegative sample size = 2\n"
+            "Holdout = 0\n",
         ),
     ],
 )

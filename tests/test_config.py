@@ -91,6 +91,18 @@ def test_paradigm_section(tmp_path):
         ("[distillation]\nEpochs = 0\n", "distillation epochs"),
         ("[distillation]\nPer-device batch size = 0\n", "distillation epochs and batch size"),
         ("[alignment]\nEpochs = 0\n", "alignment epochs"),
+        ("[alignment]\nLearning rate = 0\n", "alignment needs learning rate > 0"),
+        ("[alignment]\nLearning rate = nan\n", "alignment needs learning rate > 0"),
+        ("[alignment]\nWeight decay = -0.01\n", "alignment needs learning rate > 0"),
+        ("[alignment]\nWarmup ratio = 2.0\n", "alignment needs learning rate > 0"),
+        ("[alignment]\nWarmup ratio = -0.5\n", "alignment needs learning rate > 0"),
+        ("[distillation]\nLearning rate = -1e-5\n", "distillation needs learning rate > 0"),
+        ("[distillation]\nWeight decay = -1\n", "distillation needs learning rate > 0"),
+        ("[distillation]\nWarmup = 1.5\n", "distillation needs learning rate > 0"),
+        ("[distillation]\nWarmup = -0.1\n", "distillation needs learning rate > 0"),
+        ("[distillation]\nKL weight = -0.5\n", "KL and CE weights >= 0"),
+        ("[distillation]\nCE weight = -1\n", "KL and CE weights >= 0"),
+        ("[distillation]\nKL temperature = nan\n", "KL temperature > 0"),
     ],
 )
 def test_bad_configs_rejected(tmp_path, body, match):

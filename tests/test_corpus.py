@@ -80,13 +80,16 @@ def test_invalid_shapes_rejected(tmp_path):
         generate_synthetic_corpus(0, 1)
     with pytest.raises(CorpusError):
         generate_synthetic_corpus(1, 1, segment_count=0)
+    with pytest.raises(CorpusError, match="at least two segments"):
+        generate_synthetic_corpus(1, 1, segment_count=1)
     # A segment past d_c would get an empty block, and the chain positions
     # there no signal (with d_c=4 and 8 segments, positions 2 and 4).
     with pytest.raises(CorpusError, match="segment_count 8 exceeds d_c 4"):
         generate_synthetic_corpus(1, 1, segment_count=8, d_c=4)
     assert generate_synthetic_corpus(1, 1, segment_count=4, d_c=4)[0].segment_count == 4
-    assert main(["gen-data", "--n", "1", "--segment-count", "65", "--out", str(tmp_path)]) == 1
-    assert not (tmp_path / "corpus.jsonl").exists()
+    for segments in ("65", "1"):
+        assert main(["gen-data", "--n", "1", "--segment-count", segments, "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "corpus.jsonl").exists()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -280,6 +283,11 @@ def test_coverage_mask_fractions():
     with pytest.raises(CorpusError):
         coverage_mask(2, 0.5, 8)
     assert coverage_mask(1, 0.0, 8) == set()
+    assert coverage_mask(1, 1.0, 2) == {1}
+    for side in (0, 1):
+        for segments in (1, 0):
+            with pytest.raises(CorpusError, match="at least two segments"):
+                coverage_mask(side, 1.0, segments)
     for fraction in (-0.5, -1e-12, 1.0 + 1e-12, 1.5, float("nan"), float("inf")):
         with pytest.raises(CorpusError, match="outside \\[0, 1\\]"):
             coverage_mask(0, fraction, 8)

@@ -160,22 +160,24 @@ def test_indexed_engine_matches_scan_oracle():
 def test_a_run_ends_at_the_confidence_value(values):
     """From the last line start a run takes the confidence section up to
     its value and no further: a lone value is decided, taken and ends the
-    run; two are a choice, where the run stops.  Only the value's EOL and
-    EOS follow, as one run."""
+    run; two are a choice, where the run stops and ends with ``None``.
+    Only the value's EOL and EOS follow, as one run."""
     full = MemoryGraph((Node("N1", "amber"),), ())
     vocab = vocab_with_confidence(full, values)
     engine = ConstraintEngine(full, vocab)
-    engine.take_run()
-    assert engine.at_choice and engine.phase == "node-line-start"
+    assert engine.take_run()[-1] is None and engine.phase == "node-line-start"
+    assert engine.take_run() == [None]  # still at the choice
     engine.advance(TOK_EDGES)
     section = [TOK_EOL, TOK_CONFIDENCE, TOK_EOL]
     if len(values) == 1:
         assert engine.take_run() == [*section, vocab.id_of("0.5")]
-        assert not engine.at_choice and engine.confidence == 0.5
+        assert engine.confidence == 0.5
     else:
-        assert engine.take_run() == section
-        assert engine.at_choice and engine.confidence is None
-        engine.advance(vocab.id_of("0.9"))
+        assert engine.take_run() == [*section, None]
+        assert engine.confidence is None
+        logits = np.zeros(len(vocab))
+        logits[vocab.id_of("0.9")] = 1.0
+        assert engine.choose(logits) == vocab.id_of("0.9")
         assert engine.confidence == 0.9
     assert not engine.done
     assert engine.take_run() == [TOK_EOL, EOS]
@@ -192,7 +194,7 @@ def test_a_vocabulary_without_confidence_values_is_a_dead_end():
     engine.take_run()
     engine.advance(TOK_EDGES)
     assert engine.take_run() == [TOK_EOL, TOK_CONFIDENCE, TOK_EOL]
-    assert not engine.at_choice and engine.phase == "confidence-value"
+    assert engine.phase == "confidence-value"
     with pytest.raises(DecodeError, match="dead end in phase 'confidence-value'"):
         engine.take_run()
     with pytest.raises(DecodeError, match="dead end in phase 'confidence-value'"):
@@ -256,16 +258,17 @@ def test_decode_lists_the_legal_set_only_at_choices_inside_a_line(monkeypatch):
 
 def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
     """A lone decode runs one one-row transition per token after BOS up to
-    the confidence value, and advances its engine only at choices and
-    through runs, fewer times than it takes tokens; it calls neither
-    ``cell`` nor ``allowed_tokens()`` outside a choice inside a line.  A
-    run tells whether it stopped at a choice, so no ``take_run`` call comes
-    back empty."""
+    the confidence value, and takes each choice with one ``choose`` call:
+    it never calls ``advance``, steps its engine fewer times than it takes
+    tokens, and calls neither ``cell`` nor ``allowed_tokens()`` outside a
+    choice inside a line.  A run ends with ``None`` exactly where a choice
+    follows it, so no ``take_run`` call comes back empty."""
     rng = np.random.default_rng(7)
     full = with_duplicate_edges(random_graph(rng, min_nodes=5, max_extra_edges=10))
     vocab = vocab_with_confidence(full)
     model = init_retriever(len(vocab), 8, 4, 3, seed=2)
-    calls = {"transition": 0, "advance": 0, "cell": 0, "allowed_tokens": 0}
+    calls = {"transition": 0, "cell": 0, "advance": 0, "choose": 0, "_step": 0,
+             "allowed_tokens": 0}
 
     def counting(cls, name):
         original = getattr(cls, name)
@@ -277,7 +280,8 @@ def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
 
     for cls, name in ((RetrieverModel, "transition"), (RetrieverModel, "cell"),
-                      (ConstraintEngine, "advance"), (ConstraintEngine, "allowed_tokens")):
+                      (ConstraintEngine, "advance"), (ConstraintEngine, "choose"),
+                      (ConstraintEngine, "_step"), (ConstraintEngine, "allowed_tokens")):
         counting(cls, name)
     runs = []
     take_run = ConstraintEngine.take_run
@@ -292,19 +296,26 @@ def test_a_lone_decode_takes_each_run_in_one_engine_call(monkeypatch):
     monkeypatch.undo()
     tokens = list(linearize_evidence(sub, vocab))[1:-2]  # up to the confidence value
     engine = ConstraintEngine(full, vocab)
-    choices = line_choices = 0
+    is_choice = []
+    line_choices = 0
     for token in tokens:
         allowed = engine.allowed_tokens()
-        choices += len(allowed) > 1
+        is_choice.append(len(allowed) > 1)
         line_choices += len(allowed) > 1 and engine.phase in ("edge-line", "confidence-value")
         engine.advance(token)
     assert calls["transition"] == len(tokens)
-    assert 0 < calls["advance"] < len(tokens)
+    assert calls["advance"] == 0
+    assert calls["choose"] == sum(is_choice) > 0
+    assert 0 < calls["_step"] < len(tokens)
     assert calls["cell"] == 0
     assert calls["allowed_tokens"] == line_choices
-    # Each token came from one non-empty run or was chosen.
+    # Each token came from one non-empty run, or was chosen where a run
+    # ended with None.
     assert all(runs)
-    assert sum(map(len, runs)) + choices == len(tokens)
+    assert all(None not in run[:-1] for run in runs)
+    queued = [token for run in runs for token in run]
+    assert [token is None for token in queued] == is_choice
+    assert all(t == token for t, token in zip(queued, tokens) if t is not None)
 
 
 def test_ids_outside_the_vocabulary_are_rejected_in_every_phase():

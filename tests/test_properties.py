@@ -276,13 +276,15 @@ def assert_pending_is_the_mask(engine: ConstraintEngine) -> None:
 @settings(max_examples=300, deadline=None)
 def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
     """At every step of a random legal walk: the legal set matches the scan
-    oracle, ``choose(logits)`` is the subset argmax, and ``take_run()``
-    takes the tokens that advancing the one legal token of
-    ``allowed_tokens()``, one at a time, takes until a choice, the
-    confidence value, EOS or a dead end, and leaves the state that leaves;
-    its ``at_choice`` says whether the oracle has a choice where it
-    stopped.  ``pending`` holds exactly the mask's line-start tokens, so a
-    run stops at a line start only when a line is pending."""
+    oracle; ``take_run()`` takes the tokens that advancing the one legal
+    token of ``allowed_tokens()``, one at a time, takes until a choice, the
+    confidence value, EOS or a dead end, leaves the state that leaves, and
+    ends with ``None`` exactly where the oracle then has a choice;
+    ``choose(logits)`` takes the subset argmax, leaving the state that
+    advancing it leaves; and ``advance`` refuses an id, in or out of the
+    vocabulary, exactly when it is not in ``allowed_tokens()``, leaving the
+    state unchanged.  ``pending`` holds exactly the mask's line-start
+    tokens, so a run stops at a line start only when a line is pending."""
     full, vocab = case
     rng = np.random.default_rng(seed)
     engine = ConstraintEngine(full, vocab)
@@ -297,6 +299,7 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
             return
         runner, stepper = engine_copy(engine), engine_copy(engine)
         run = runner.take_run()
+        decided = run[:-1] if run and run[-1] is None else run
         steps: list[int] = []
         while not stepper.done and len(stepper.allowed_tokens()) == 1:
             valued = stepper.phase == "confidence-value"
@@ -304,18 +307,30 @@ def test_engine_step_answers_agree_with_the_legal_set(case, seed, data):
             stepper.advance(steps[-1])
             if valued:
                 break
-        assert run == steps
+        assert decided == steps
         assert engine_state(runner) == engine_state(stepper)
         assert_pending_is_the_mask(runner)
         if runner.phase in ("node-line-start", "edge-line-start"):
             assert runner.pending
         ahead = copy.deepcopy(oracle)
-        for token in run:
+        for token in decided:
             assert ahead.allowed() == {token}
             ahead.advance(token)
-        assert runner.at_choice == (len(ahead.allowed()) > 1)
+        assert (run[-1:] == [None]) == (len(ahead.allowed()) > 1)
         logits = rng.choice(LOGIT_VALUES, size=len(vocab))
-        assert engine.choose(logits) == allowed[logits[allowed].argmax()]
+        chooser, advancer = engine_copy(engine), engine_copy(engine)
+        best = allowed[logits[allowed].argmax()]
+        assert chooser.choose(logits) == best
+        advancer.advance(best)
+        assert engine_state(chooser) == engine_state(advancer)
+        before = engine_state(engine)
+        for token in range(-2, len(vocab) + 2):
+            if token in allowed:
+                engine_copy(engine).advance(token)
+            else:
+                with pytest.raises(DecodeError, match="not legal"):
+                    engine.advance(token)
+                assert engine_state(engine) == before
         token = data.draw(st.sampled_from(allowed))
         engine.advance(token)
         oracle.advance(token)

@@ -125,9 +125,16 @@ def test_distill_loss_zero_kl_when_student_equals_teacher():
 
 def test_distill_loss_validates_teacher_mass():
     config = DistillConfig()
-    bad = np.full((2, 4), 0.3)
-    with pytest.raises(RetrieverError):
-        distill_loss(bad, np.zeros((2, 4)), config)
+    for row in (
+        [0.3, 0.3, 0.3, 0.3],  # mass 1.2
+        [np.nan, 0.5, 0.5, 0.0],  # NaN passes a mass check written as |s - 1| > tol
+        [1.5, -0.5, 0.0, 0.0],  # mass 1, but not a distribution
+        [np.inf, 0.5, 0.5, 0.0],
+        [-np.inf, 0.5, 0.5, 0.0],
+    ):
+        bad = np.array([[0.25] * 4, row])
+        with pytest.raises(RetrieverError, match="non-negative and sum to 1"):
+            distill_loss(bad, np.zeros((2, 4)), config)
 
 
 def test_distill_loss_gradient_matches_finite_differences():
