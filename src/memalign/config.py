@@ -4,6 +4,7 @@ defaults below are the engine's normative defaults."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,7 +118,10 @@ def _apply_section(section, keymap, target) -> None:
             raise ConfigError(f"unknown configuration key {key!r}")
         attr, cast = keymap[key]
         try:
-            setattr(target, attr, cast(raw))
+            value = cast(raw)
+            if cast is float and not math.isfinite(value):
+                raise ValueError(raw)
+            setattr(target, attr, value)
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key!r}: {raw!r}") from exc
 

@@ -223,10 +223,9 @@ def train_alignment(
     if train_n < config.batch_size:
         raise ContrastiveError("training pool smaller than batch size")
     module = target_init.copy()
-    params = module.parameters()
     batches_per_epoch = (train_n + config.batch_size - 1) // config.batch_size
     optimizer = AdamW(
-        params,
+        module.flat,
         lr=config.learning_rate,
         weight_decay=config.weight_decay,
         total_steps=config.epochs * batches_per_epoch,
@@ -234,6 +233,7 @@ def train_alignment(
     )
     rng = component_rng(config.seed, "align-train")
     anchor_units = unit_rows(anchor_vecs)
+    grad = np.empty_like(module.flat)
 
     epoch_losses: list[float] = []
     for _epoch in range(config.epochs):
@@ -258,8 +258,8 @@ def train_alignment(
                 diff = h_t - anchor_vecs[batch]
                 losses += config.mse_weight * np.mean(diff * diff, axis=1)
                 d_ht += config.mse_weight * 2.0 * diff / diff.shape[1]
-            grads = hidden_gradients(module, x, hidden, d_ht / len(batch))
-            optimizer.step(grads)
+            hidden_gradients(module, x, hidden, d_ht / len(batch), out=grad)
+            optimizer.step(grad)
             epoch_loss += float(losses.sum())
         epoch_losses.append(epoch_loss / train_n)
 

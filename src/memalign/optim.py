@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,8 +34,43 @@ def check_schedule(stage: str, lr: float, weight_decay: float, warmup_ratio: flo
         raise ValueError(f"{stage} needs learning rate > 0, weight decay >= 0, warmup in [0, 1]")
 
 
+class FlatParameters:
+    """Base of a dataclass whose fields are all parameter arrays.
+
+    Construction copies the given arrays, in field order, into one float64
+    buffer ``flat`` and leaves each field a C-order view of its slice, so
+    ``AdamW`` updates every parameter through ``flat``, and a gradient
+    buffer laid out by ``views`` matches it element for element.  A
+    subclass is a frozen dataclass, so no field can be rebound away from
+    ``flat``, and its ``__post_init__`` calls this one first.
+    """
+
+    flat: np.ndarray
+
+    def __post_init__(self):
+        flat = np.empty(sum(np.size(p) for p in self.parameters().values()))
+        for name, view in self.views(flat).items():
+            view[...] = getattr(self, name)
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "flat", flat)
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """``buffer`` laid out as ``flat`` is: one view per field, by name."""
+        views, start = {}, 0
+        for name, param in self.parameters().items():
+            views[name] = buffer[start : start + np.size(param)].reshape(np.shape(param))
+            start += np.size(param)
+        return views
+
+    def copy(self):
+        return type(self)(**self.parameters())
+
+
 class AdamW:
-    """Decoupled weight decay Adam over a dict of named numpy parameters.
+    """Decoupled weight decay Adam over one 1-D buffer of parameters.
 
     ``m`` and ``v`` are the textbook first and second moments.  As in
     ``torch.optim.AdamW``, the decay scales the parameter by
@@ -43,21 +79,23 @@ class AdamW:
         (m / bc1) / (sqrt(v / bc2) + eps)
             = (sqrt(bc2) / bc1) * m / (sqrt(v) + eps sqrt(bc2))
 
-    so a step takes one divide per element.  Parameters are updated in
+    so a step takes one divide per element.  The parameters are updated in
     place, ``UPDATE_CHUNK`` elements at a time through two fixed buffer
-    rows; iteration order is the sorted parameter name, so updates are
-    deterministic.  A gradient must have its parameter's shape.  The betas
-    and eps are the ``torch.optim.AdamW`` defaults.
+    rows.  A gradient must have the parameters' shape.  The betas and eps
+    are the ``torch.optim.AdamW`` defaults.
     """
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
         lr: float = 1e-3,
         weight_decay: float = 0.0,
         total_steps: int = 0,
         warmup_ratio: float = 0.0,
     ):
+        # A slice of a 1-D array is a view, so every update writes through.
+        if params.ndim != 1:
+            raise ValueError(f"parameters must be one 1-D buffer, not of shape {params.shape}")
         self.params = params
         self.base_lr = lr
         self.beta1, self.beta2 = 0.9, 0.999
@@ -66,23 +104,19 @@ class AdamW:
         self.total_steps = total_steps
         self.warmup_ratio = warmup_ratio
         self.t = 0
-        for name, p in params.items():
-            if not p.flags.c_contiguous:
-                raise ValueError(f"parameter {name!r} is not C-contiguous")
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self._buffers = np.empty((2, UPDATE_CHUNK))
 
     def current_lr(self) -> float:
         return lr_at_step(self.t, self.total_steps, self.base_lr, self.warmup_ratio)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            if grads[name].shape != p.shape:
-                raise ValueError(
-                    f"gradient of {name!r} has shape {grads[name].shape} but "
-                    f"the parameter has shape {p.shape}"
-                )
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.params.shape:
+            raise ValueError(
+                f"gradient has shape {grad.shape} but the parameters have "
+                f"shape {self.params.shape}"
+            )
         lr = self.current_lr()
         self.t += 1
         sqrt_bc2 = math.sqrt(1.0 - self.beta2**self.t)
@@ -90,29 +124,22 @@ class AdamW:
         eps = self.eps * sqrt_bc2
         decay = 1.0 - lr * self.weight_decay
         b1, b2 = self.beta1, self.beta2
-        for name in sorted(self.params):
-            # Flat views: the updates below write through to the parameter
-            # and its moments, which are C-contiguous.
-            flat_p = self.params[name].reshape(-1)
-            flat_g = grads[name].reshape(-1)
-            flat_m = self.m[name].reshape(-1)
-            flat_v = self.v[name].reshape(-1)
-            for start in range(0, flat_p.size, UPDATE_CHUNK):
-                chunk = slice(start, start + UPDATE_CHUNK)
-                p, g, m, v = flat_p[chunk], flat_g[chunk], flat_m[chunk], flat_v[chunk]
-                update, tmp = self._buffers[:, : p.size]
-                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-                m *= b1
-                np.multiply(1.0 - b1, g, out=tmp)
-                m += tmp
-                v *= b2
-                np.square(g, out=tmp)
-                tmp *= 1.0 - b2
-                v += tmp
-                # p = (1 - lr wd) p - step_size m / (sqrt(v) + eps)
-                p *= decay
-                np.sqrt(v, out=tmp)
-                tmp += eps
-                np.divide(m, tmp, out=update)
-                update *= step_size
-                p -= update
+        for start in range(0, self.params.size, UPDATE_CHUNK):
+            chunk = slice(start, start + UPDATE_CHUNK)
+            p, g, m, v = self.params[chunk], grad[chunk], self.m[chunk], self.v[chunk]
+            update, tmp = self._buffers[:, : p.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            m *= b1
+            np.multiply(1.0 - b1, g, out=tmp)
+            m += tmp
+            v *= b2
+            np.square(g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            # p = (1 - lr wd) p - step_size m / (sqrt(v) + eps)
+            p *= decay
+            np.sqrt(v, out=tmp)
+            tmp += eps
+            np.divide(m, tmp, out=update)
+            update *= step_size
+            p -= update

@@ -364,7 +364,7 @@ def module_from_sections(sections: dict[str, np.ndarray], prefix: str) -> Alignm
     try:
         return AlignmentModule(
             *(
-                np.asarray(sections[f"{prefix}/{name}"], dtype=np.float64)
+                sections[f"{prefix}/{name}"]
                 for name in ("layer1_weight", "layer1_bias", "layer2_weight", "layer2_bias")
             )
         )

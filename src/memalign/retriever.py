@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import EvidenceSubgraph, MemoryGraph, verify_subset
-from .optim import AdamW, check_schedule
+from .optim import AdamW, FlatParameters, check_schedule
 from .seeding import component_rng, fnv1a64
 from .tokenization import linearize_evidence
 from .vocab import BOS, Vocabulary
@@ -67,8 +67,8 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
-@dataclass
-class RetrieverModel:
+@dataclass(frozen=True)
+class RetrieverModel(FlatParameters):
     """Single-layer gated recurrence decoder over the graph vocabulary.
 
     The conditioning vector concat(q, h) is projected (tanh) into the
@@ -100,9 +100,7 @@ class RetrieverModel:
     out_bias: np.ndarray
 
     def __post_init__(self):
-        # C order, so that AdamW can update every parameter in place.
-        for name, value in self.parameters().items():
-            setattr(self, name, np.ascontiguousarray(value, dtype=np.float64))
+        super().__post_init__()
         v, d_m = self.emb.shape
         if self.out_weight.shape != (v, d_m) or self.out_bias.shape != (v,):
             raise RetrieverError("inconsistent output head shapes")
@@ -113,10 +111,8 @@ class RetrieverModel:
             raise RetrieverError("inconsistent bias shapes")
         if self.cond_weight.shape[0] != d_m:
             raise RetrieverError("inconsistent conditioning projection shape")
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        self.drop_projections()
+        if not np.all(np.isfinite(self.flat)):
+            raise RetrieverError("non-finite retriever parameters")
 
     @property
     def vocab_size(self) -> int:
@@ -130,23 +126,8 @@ class RetrieverModel:
     def d_cond(self) -> int:
         return self.cond_weight.shape[1]
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "emb": self.emb,
-            "cond_weight": self.cond_weight,
-            "cond_bias": self.cond_bias,
-            "w_in": self.w_in,
-            "u_rec": self.u_rec,
-            "b_in": self.b_in,
-            "out_weight": self.out_weight,
-            "out_bias": self.out_bias,
-        }
-
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
-    def copy(self) -> "RetrieverModel":
-        return RetrieverModel(**{k: v.copy() for k, v in self.parameters().items()})
+        return self.flat.size
 
     # -- the cell, run by training and decoding: each call is one gemm over
     # a batch of rows (NumPy hands a one-row batch to gemv).
@@ -164,9 +145,10 @@ class RetrieverModel:
         return np.tanh(conds @ self.cond_weight.T + self.cond_bias)
 
     # The projection table and the recurrence weight are kept across
-    # decodes.  Assigning any attribute drops them, as does sequence_logits,
-    # and so must a caller that changes emb, w_in, b_in or u_rec in place
-    # before it decodes (train_retriever does once, after training).
+    # decodes.  The parameters are views of ``flat`` that cannot be rebound,
+    # so they change only in place: sequence_logits drops both, and so must
+    # a caller that changes emb, w_in, b_in or u_rec before it decodes
+    # (train_retriever does once, after training).
     # copy() and checkpoint loading start without them; they are never
     # serialized.  Both are gate-major, the update gate first, and its half
     # is scaled by 1/2 where they are built, so the cell takes the gate's
@@ -333,13 +315,15 @@ def sequence_logits(
 
 
 def sequence_backward(
-    model: RetrieverModel, cache: _ForwardCache, d_logits: np.ndarray
+    model: RetrieverModel, cache: _ForwardCache, d_logits: np.ndarray, out=None
 ) -> dict[str, np.ndarray]:
     """Backpropagation through time given the gradient of every logit row.
 
-    The gradients are summed over the batch's sequences.  The loop runs
-    only the sequential state recurrence; the weight gradients are
-    matmuls over all steps afterwards.  Padded steps get zero gradient.
+    The gradients, summed over the batch's sequences, are written into the
+    views ``model.views(out)`` (of a new buffer without ``out``) it returns.
+    The loop runs only the sequential state recurrence; the weight
+    gradients are matmuls over all steps afterwards.  Padded steps get zero
+    gradient.
     The gate pre-activation gradients are first summed per distinct input
     token, so the gradients of ``w_in`` and ``emb`` are gemms over those U
     tokens rather than over the T B steps or the V vocabulary rows.
@@ -348,10 +332,10 @@ def sequence_backward(
         raise RetrieverError("logit gradient shape mismatch")
     steps, batch = cache.inputs.shape
     d_m = model.d_m
-    grads = {}
+    grads = model.views(np.empty_like(model.flat) if out is None else out)
     hidden = cache.states[1:].swapaxes(0, 1)[cache.mask]
-    grads["out_weight"] = d_logits.T @ hidden
-    grads["out_bias"] = d_logits.sum(axis=0)
+    np.matmul(d_logits.T, hidden, out=grads["out_weight"])
+    d_logits.sum(axis=0, out=grads["out_bias"])
     d_hidden = np.zeros((steps, batch, d_m))
     d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
 
@@ -380,8 +364,8 @@ def sequence_backward(
         d_state = d_s_new * carry[t] + d_pre[t].reshape(batch, 2 * d_m) @ u_rec
 
     flat_pre = d_pre.reshape(steps * batch, 2 * d_m)
-    grads["u_rec"] = flat_pre.T @ cache.states[:-1].reshape(steps * batch, d_m)
-    grads["b_in"] = flat_pre.sum(axis=0)
+    np.matmul(flat_pre.T, cache.states[:-1].reshape(steps * batch, d_m), out=grads["u_rec"])
+    flat_pre.sum(axis=0, out=grads["b_in"])
     # Each step's pre-activation gradient summed into its input token's
     # row, step by step in np.add.at's order, by one bincount over
     # (token, column) bins; the input x of every step of a token is its
@@ -391,13 +375,13 @@ def sequence_backward(
     d_pre_tokens = np.bincount(
         bins, weights=d_pre.reshape(-1), minlength=tokens.shape[0] * 2 * d_m
     ).reshape(tokens.shape[0], 2 * d_m)
-    grads["w_in"] = d_pre_tokens.T @ model.emb[tokens]
-    grads["emb"] = np.zeros_like(model.emb)
+    np.matmul(d_pre_tokens.T, model.emb[tokens], out=grads["w_in"])
+    grads["emb"].fill(0.0)
     grads["emb"][tokens] = d_pre_tokens @ model.w_in
     d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
-    grads["cond_weight"] = d_s0_pre.T @ cache.cond
-    grads["cond_bias"] = d_s0_pre.sum(axis=0)
-    return {name: grads[name] for name in model.parameters()}
+    np.matmul(d_s0_pre.T, cache.cond, out=grads["cond_weight"])
+    d_s0_pre.sum(axis=0, out=grads["cond_bias"])
+    return grads
 
 
 # -- distillation objective ---------------------------------------------
@@ -575,11 +559,10 @@ def train_retriever(
     conds = np.stack([np.asarray(example.h, float) for example in corpus])
 
     model = model_init.copy()
-    params = model.parameters()
     n = len(corpus)
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     optimizer = AdamW(
-        params,
+        model.flat,
         lr=config.learning_rate,
         weight_decay=config.weight_decay,
         total_steps=config.epochs * batches_per_epoch,
@@ -587,6 +570,7 @@ def train_retriever(
     )
     rng = component_rng(config.seed, "retriever-train")
     report = RetrieverTrainReport(parameter_count=model.parameter_count())
+    grad = np.empty_like(model.flat)
 
     for _epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -602,10 +586,9 @@ def train_retriever(
             batch_loss, d_logits = distill_loss(
                 teacher, cache.logits, config, gold_tokens=targets, lengths=cache.lengths
             )
-            grads = sequence_backward(model, cache, d_logits)
-            for k in grads:
-                grads[k] /= len(batch)
-            optimizer.step(grads)
+            sequence_backward(model, cache, d_logits, out=grad)
+            grad /= len(batch)
+            optimizer.step(grad)
             epoch_loss += batch_loss
         report.epoch_losses.append(epoch_loss / n)
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optim import FlatParameters
+
 
 class UnifiedSpaceError(ValueError):
     pass
@@ -138,10 +140,10 @@ class ParadigmRegistry:
         return np.tanh(states, out=states)[:, :, 0]
 
 
-@dataclass
-class AlignmentModule:
+@dataclass(frozen=True)
+class AlignmentModule(FlatParameters):
     """Two-layer feed-forward map from a paradigm state space into the
-    unified memory space."""
+    unified memory space; the fields are views of the one buffer ``flat``."""
 
     layer1_weight: np.ndarray  # d_hidden x d_in
     layer1_bias: np.ndarray
@@ -149,19 +151,15 @@ class AlignmentModule:
     layer2_bias: np.ndarray
 
     def __post_init__(self):
-        self.layer1_weight = np.asarray(self.layer1_weight, dtype=np.float64)
-        self.layer1_bias = np.asarray(self.layer1_bias, dtype=np.float64)
-        self.layer2_weight = np.asarray(self.layer2_weight, dtype=np.float64)
-        self.layer2_bias = np.asarray(self.layer2_bias, dtype=np.float64)
+        super().__post_init__()
         d_h, d_in = self.layer1_weight.shape
         d_out, d_h2 = self.layer2_weight.shape
         if self.layer1_bias.shape != (d_h,) or d_h2 != d_h:
             raise UnifiedSpaceError("inconsistent alignment module shapes")
         if self.layer2_bias.shape != (d_out,):
             raise UnifiedSpaceError("inconsistent alignment module shapes")
-        for arr in (self.layer1_weight, self.layer1_bias, self.layer2_weight, self.layer2_bias):
-            if not np.all(np.isfinite(arr)):
-                raise UnifiedSpaceError("non-finite alignment parameters")
+        if not np.all(np.isfinite(self.flat)):
+            raise UnifiedSpaceError("non-finite alignment parameters")
 
     @property
     def d_in(self) -> int:
@@ -171,28 +169,12 @@ class AlignmentModule:
     def d_out(self) -> int:
         return self.layer2_weight.shape[0]
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "layer1_weight": self.layer1_weight,
-            "layer1_bias": self.layer1_bias,
-            "layer2_weight": self.layer2_weight,
-            "layer2_bias": self.layer2_bias,
-        }
-
     def digest(self) -> str:
         h = hashlib.sha256()
         for name, value in self.parameters().items():
             h.update(name.encode())
-            h.update(np.ascontiguousarray(value).tobytes())
+            h.update(value.tobytes())
         return h.hexdigest()
-
-    def copy(self) -> "AlignmentModule":
-        return AlignmentModule(
-            self.layer1_weight.copy(),
-            self.layer1_bias.copy(),
-            self.layer2_weight.copy(),
-            self.layer2_bias.copy(),
-        )
 
 
 def init_alignment_module(d_in: int, d_hidden: int, d_out: int, seed: int) -> AlignmentModule:
@@ -236,20 +218,21 @@ def align_forward(module: AlignmentModule, state) -> np.ndarray:
 
 
 def hidden_gradients(
-    module: AlignmentModule, x: np.ndarray, hidden: np.ndarray, up: np.ndarray
+    module: AlignmentModule, x: np.ndarray, hidden: np.ndarray, up: np.ndarray, out=None
 ) -> dict[str, np.ndarray]:
     """Parameter gradients on input rows ``x`` (B, d_in) whose hidden
     activations ``align_hidden`` gave, given d(loss)/d(output) = ``up``
-    (B, d_out), summed over the rows."""
+    (B, d_out), summed over the rows, written into the views
+    ``module.views(out)`` (of a new buffer without ``out``) it returns."""
+    grads = module.views(np.empty_like(module.flat) if out is None else out)
     d_pre1 = up @ module.layer2_weight
     # tanh' at the pre-activation is 1 - tanh^2, from the activations.
     d_pre1 *= 1.0 - hidden * hidden
-    return {
-        "layer1_weight": d_pre1.T @ x,
-        "layer1_bias": d_pre1.sum(axis=0),
-        "layer2_weight": up.T @ hidden,
-        "layer2_bias": up.sum(axis=0),
-    }
+    np.matmul(d_pre1.T, x, out=grads["layer1_weight"])
+    d_pre1.sum(axis=0, out=grads["layer1_bias"])
+    np.matmul(up.T, hidden, out=grads["layer2_weight"])
+    up.sum(axis=0, out=grads["layer2_bias"])
+    return grads
 
 
 def align_gradients(module: AlignmentModule, state, upstream: np.ndarray) -> dict[str, np.ndarray]:

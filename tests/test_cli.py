@@ -3,8 +3,10 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from memalign.checkpoint import load_checkpoint, save_checkpoint
 from memalign.cli import main
 from memalign.corpus import generate_synthetic_corpus, load_corpus, save_corpus
 from memalign.graphs import emit, emit_evidence, parse_evidence, parse_full_graph, verify_subset
@@ -134,6 +136,8 @@ def test_end_to_end_pipeline(tmp_path, capsys):
         ("train-retriever", "[distillation]\nPer-device batch size = 0\n"),
         ("train-retriever", "[distillation]\nLearning rate = 0\n"),
         ("train-retriever", "[distillation]\nKL weight = -1\n"),
+        ("train-retriever", "[distillation]\nKL temperature = inf\n"),
+        ("train-retriever", "[distillation]\nKL weight = inf\n"),
         # Settings that the six-instance corpus accepts, but for the epochs.
         (
             "train-align",
@@ -143,6 +147,18 @@ def test_end_to_end_pipeline(tmp_path, capsys):
             "train-align",
             "[alignment]\nWarmup ratio = 2\nBatch size = 2\nNegative sample size = 2\n"
             "Holdout = 0\n",
+        ),
+        *(
+            (
+                "train-align",
+                f"[alignment]\n{setting}\nBatch size = 2\nNegative sample size = 2\n"
+                "Holdout = 0\n",
+            )
+            for setting in (
+                "Contrastive (InfoNCE) temperature = nan",
+                "MSE loss (optional) = nan",
+                "Learning rate = inf",
+            )
         ),
     ],
 )
@@ -315,6 +331,21 @@ def test_malformed_checkpoint_is_a_validation_error(served, tmp_path, capsys):
     capsys.readouterr()
     assert main(["retrieve", *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "retrieved.jsonl").exists()
+
+
+def test_non_finite_retriever_checkpoint_is_a_validation_error(served, tmp_path, capsys):
+    checkpoints = Path(served[served.index("--checkpoints") + 1])
+    for name in ("vocab.jsonl", "align_explicit-sim.ckpt", "align_latent-sim.ckpt"):
+        shutil.copy(checkpoints / name, tmp_path / name)
+    sections = load_checkpoint(checkpoints / "retriever.ckpt")
+    sections["retriever/uz"][0, 0] = np.nan
+    save_checkpoint(sections, tmp_path / "retriever.ckpt")  # with a valid checksum
+    argv = [*served, "--out", str(tmp_path)]
+    argv[argv.index("--checkpoints") + 1] = str(tmp_path)
+    capsys.readouterr()
+    assert main(["retrieve", *argv]) == 1
+    assert capsys.readouterr().err == "error: non-finite retriever parameters\n"
     assert not (tmp_path / "retrieved.jsonl").exists()
 
 

@@ -92,7 +92,10 @@ def test_paradigm_section(tmp_path):
         ("[distillation]\nPer-device batch size = 0\n", "distillation epochs and batch size"),
         ("[alignment]\nEpochs = 0\n", "alignment epochs"),
         ("[alignment]\nLearning rate = 0\n", "alignment needs learning rate > 0"),
-        ("[alignment]\nLearning rate = nan\n", "alignment needs learning rate > 0"),
+        ("[alignment]\nLearning rate = nan\n", "invalid value for 'Learning rate'"),
+        ("[alignment]\nLearning rate = inf\n", "invalid value for 'Learning rate'"),
+        ("[alignment]\nContrastive (InfoNCE) temperature = nan\n", "invalid value"),
+        ("[alignment]\nMSE loss (optional) = nan\n", "invalid value"),
         ("[alignment]\nWeight decay = -0.01\n", "alignment needs learning rate > 0"),
         ("[alignment]\nWarmup ratio = 2.0\n", "alignment needs learning rate > 0"),
         ("[alignment]\nWarmup ratio = -0.5\n", "alignment needs learning rate > 0"),
@@ -102,7 +105,9 @@ def test_paradigm_section(tmp_path):
         ("[distillation]\nWarmup = -0.1\n", "distillation needs learning rate > 0"),
         ("[distillation]\nKL weight = -0.5\n", "KL and CE weights >= 0"),
         ("[distillation]\nCE weight = -1\n", "KL and CE weights >= 0"),
-        ("[distillation]\nKL temperature = nan\n", "KL temperature > 0"),
+        ("[distillation]\nKL temperature = nan\n", "invalid value for 'KL temperature'"),
+        ("[distillation]\nKL temperature = inf\n", "invalid value for 'KL temperature'"),
+        ("[distillation]\nKL weight = inf\n", "invalid value for 'KL weight'"),
     ],
 )
 def test_bad_configs_rejected(tmp_path, body, match):

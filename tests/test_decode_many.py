@@ -1,4 +1,5 @@
 """Lock-step batched decoding against one-request decodes."""
+import dataclasses
 import gc
 import hashlib
 import weakref
@@ -374,7 +375,7 @@ def test_input_projections_are_computed_once_per_model():
         assert np.array_equal(states, cache.states[t + 1])
 
 
-def test_assigning_a_parameter_drops_the_projection_table():
+def test_parameters_change_in_place_and_reach_the_decode_once_dropped():
     rng = np.random.default_rng(19)
     graphs, vocab = mixed_batch(rng, count=12)
     model = init_retriever(len(vocab), 8, 4, 3, seed=10)
@@ -382,7 +383,10 @@ def test_assigning_a_parameter_drops_the_projection_table():
     before = decode_many(model, vocab, requests)  # fills the table
     for name in ("emb", "w_in", "u_rec", "out_weight"):
         value = getattr(model, name)
-        setattr(model, name, value + rng.standard_normal(value.shape))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value + 1.0)
+        value += rng.standard_normal(value.shape)
+        model.drop_projections()
         after = decode_many(model, vocab, requests)
         assert after != before, name  # the new value changes what decodes
         assert after == decode_many(model.copy(), vocab, requests), name

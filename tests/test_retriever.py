@@ -53,6 +53,14 @@ def test_model_shape_validation():
         RetrieverModel(**{**model.parameters(), "out_bias": np.zeros(3)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_refuses_non_finite_parameters(bad):
+    params = small_model().parameters()
+    params["u_rec"][1, 2] = bad
+    with pytest.raises(RetrieverError, match="non-finite"):
+        RetrieverModel(**params)
+
+
 def test_sequence_logits_requires_bos():
     model = small_model()
     q = np.zeros(3)
@@ -172,7 +180,7 @@ def test_sequence_backward_matches_finite_differences():
     for name in grads:
         def loss_at(value, name=name):
             probe = model.copy()
-            setattr(probe, name, value)
+            getattr(probe, name)[...] = value
             c = sequence_logits(probe, tokens, q, h)
             return float(np.sum(c.logits * d_logits))
 
@@ -216,11 +224,28 @@ def test_sequence_backward_on_padded_batch_matches_finite_differences():
     for name in grads:
         def loss_at(value, name=name):
             probe = model.copy()
-            setattr(probe, name, value)
+            getattr(probe, name)[...] = value
             return float(np.sum(sequence_logits(probe, seqs, q, h).logits * d_logits))
 
         numeric = central_difference(loss_at, getattr(model, name).copy())
         assert relative_error(grads[name], numeric) < 1e-6, name
+
+
+def test_backward_into_a_used_buffer_returns_the_bytes_of_a_fresh_call():
+    """``out`` pre-filled with NaN: every view is written, the rows of
+    ``emb`` whose tokens are never an input included."""
+    model = small_model()
+    rng = np.random.default_rng(24)
+    seqs, q, h = _padded_batch(rng, 5, 3, 2)  # ids below 5 of 14
+    cache = sequence_logits(model, seqs, q, h)
+    d_logits = rng.standard_normal(cache.logits.shape)
+    fresh = sequence_backward(model, cache, d_logits)
+    out = np.full_like(model.flat, np.nan)
+    grads = sequence_backward(model, cache, d_logits, out=out)
+    assert list(grads) == list(fresh) == list(model.parameters())
+    for name, value in fresh.items():
+        assert np.shares_memory(grads[name], out), name
+        assert grads[name].tobytes() == value.tobytes(), name
 
 
 def test_batched_gradients_equal_sum_of_single_sequence_gradients():
@@ -434,9 +459,11 @@ def test_gate_through_the_cell_matches_the_sigmoid_on_special_values():
     ])
     d_m = gate_bias.shape[0]
     model = init_retriever(3, d_m, 2, 2, seed=0)
-    model.w_in = np.zeros_like(model.w_in)
-    model.u_rec = np.zeros_like(model.u_rec)
-    model.b_in = np.concatenate([gate_bias, np.ones(d_m)])  # c = tanh(1)
+    # Written in place: a model is refused non-finite parameters when built.
+    model.w_in[...] = 0.0
+    model.u_rec[...] = 0.0
+    model.b_in[...] = np.concatenate([gate_bias, np.ones(d_m)])  # c = tanh(1)
+    model.drop_projections()
     expected = where_sigmoid(gate_bias)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -98,7 +98,7 @@ def test_module_digest_tracks_parameters():
     module = init_alignment_module(4, 3, 2, seed=0)
     before = module.digest()
     assert module.copy().digest() == before
-    module.layer2_bias = module.layer2_bias + 1e-9
+    module.layer2_bias[...] += 1e-9
     assert module.digest() != before
 
 
@@ -113,13 +113,28 @@ def test_align_gradients_match_finite_differences():
         for name in grads:
             def loss_at(value, name=name):
                 probe = module.copy()
-                setattr(probe, name, value)
+                getattr(probe, name)[...] = value
                 return float(w @ align_forward(probe, x))
 
             numeric = central_difference(
                 loss_at, getattr(module, name).copy()
             )
             assert relative_error(grads[name], numeric) < 1e-7
+
+
+def test_hidden_gradients_into_a_used_buffer_return_the_bytes_of_a_fresh_call():
+    module = init_alignment_module(6, 5, 3, seed=4)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 6))
+    up = rng.standard_normal((7, 3))
+    hidden = align_hidden(module, x)
+    fresh = hidden_gradients(module, x, hidden, up)
+    out = np.full_like(module.flat, np.nan)
+    grads = hidden_gradients(module, x, hidden, up, out=out)
+    assert list(grads) == list(fresh) == list(module.parameters())
+    for name, value in fresh.items():
+        assert np.shares_memory(grads[name], out), name
+        assert grads[name].tobytes() == value.tobytes(), name
 
 
 def test_align_gradients_batch_sums():
