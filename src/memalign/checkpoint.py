@@ -45,14 +45,20 @@ def _unpack(fmt: str, buffer, pos: int, what: str) -> tuple:
 
 
 def save_checkpoint(sections: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write named tensors; payloads are stored as float32."""
+    """Write named tensors, stored as float32, creating the file's
+    directory.  A finite value that float32 cannot hold is refused before
+    anything is written."""
     names = list(sections)
     if len(set(names)) != len(names):
         raise CheckpointError("duplicate section names")
     blobs: list[bytes] = []
     for name in names:
         # note: asarray keeps 0-d shapes; ascontiguousarray would promote to 1-d
-        arr = np.asarray(sections[name], dtype="<f4", order="C")
+        try:
+            with np.errstate(over="raise"):
+                arr = np.asarray(sections[name], dtype="<f4", order="C")
+        except FloatingPointError:
+            raise CheckpointError(f"section {name!r} holds a value beyond float32") from None
         header = struct.pack("<Q", arr.ndim) + struct.pack(
             f"<{arr.ndim}Q", *arr.shape
         )
@@ -69,6 +75,7 @@ def save_checkpoint(sections: dict[str, np.ndarray], path: str | Path) -> None:
         offset += len(blob)
 
     body = MAGIC + struct.pack("<II", VERSION, len(names)) + bytes(table) + b"".join(blobs)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(body + _checksum(body))
 
 

@@ -196,7 +196,7 @@ def _cmd_train_retriever(args) -> int:
     model, vocab, report = train_retriever_pipeline(
         runtime, instances, coverage_levels=args.coverage
     )
-    args.out.mkdir(parents=True, exist_ok=True)
+    # The checkpoint is written first: it creates the directory, or is refused.
     save_checkpoint(retriever_sections(model), args.out / "retriever.ckpt")
     vocab.save(args.out / "vocab.jsonl")
     _write_json(
@@ -220,15 +220,15 @@ def _cmd_train_align(args) -> int:
         raise UsageError("the anchored paradigm is frozen and never trained")
     instances = load_corpus(args.corpus, d_c=cfg.d_c)
     n_demos = len(instances) * (1 + 2 * len(args.coverage))
+    # The holdout leaves at least one batch to train on, and is 0 rather
+    # than a single instance, which has no other instance to compare with.
+    spare = n_demos - cfg.align.batch_size
     align_config = dataclasses.replace(
-        cfg.align,
-        n_demos=n_demos,
-        holdout=min(cfg.align.holdout, max(n_demos - cfg.align.batch_size, 0)),
+        cfg.align, n_demos=n_demos, holdout=min(cfg.align.holdout, spare if spare >= 2 else 0)
     )
     module, report = train_alignment_pipeline(
         runtime, args.paradigm, instances, align_config, args.coverage
     )
-    args.out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         module_sections(module, "align"), args.out / f"align_{args.paradigm}.ckpt"
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import AdamW, check_schedule
+from .optim import Minibatches, check_schedule
 from .seeding import component_rng
 from .unified import (
     AlignmentModule,
@@ -41,17 +41,17 @@ class AlignConfig:
     def __post_init__(self):
         if self.tau <= 0:
             raise ContrastiveError("temperature must be positive")
-        if self.epochs < 1:
-            raise ContrastiveError("alignment epochs must be at least 1")
-        if not 1 <= self.negatives <= self.n_demos - 1:
-            raise ContrastiveError("need 1 <= negatives <= n_demos - 1")
-        if not 1 <= self.batch_size <= self.n_demos:
-            raise ContrastiveError("need 1 <= batch_size <= n_demos")
         if self.mse_weight < 0:
             raise ContrastiveError("mse_weight must be non-negative")
-        if not 0 <= self.holdout < self.n_demos:
-            raise ContrastiveError("holdout must leave a nonempty training pool")
-        check_schedule("alignment", self.learning_rate, self.weight_decay, self.warmup_ratio)
+        # A holdout of one instance has no pair of different instances.
+        if not (self.holdout == 0 or 2 <= self.holdout < self.n_demos):
+            raise ContrastiveError(
+                "holdout must be 0 or at least 2 and leave a nonempty training pool"
+            )
+        # Negatives are drawn from the training pool, the holdout excluded.
+        if not 1 <= self.negatives <= self.n_demos - self.holdout - 1:
+            raise ContrastiveError("need 1 <= negatives <= n_demos - holdout - 1")
+        check_schedule("alignment", self)
 
 
 @dataclass
@@ -223,45 +223,26 @@ def train_alignment(
     if train_n < config.batch_size:
         raise ContrastiveError("training pool smaller than batch size")
     module = target_init.copy()
-    batches_per_epoch = (train_n + config.batch_size - 1) // config.batch_size
-    optimizer = AdamW(
-        module.flat,
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-        total_steps=config.epochs * batches_per_epoch,
-        warmup_ratio=config.warmup_ratio,
-    )
     rng = component_rng(config.seed, "align-train")
     anchor_units = unit_rows(anchor_vecs)
-    grad = np.empty_like(module.flat)
-
-    epoch_losses: list[float] = []
-    for _epoch in range(config.epochs):
-        perm = rng.permutation(train_n)
-        epoch_loss = 0.0
-        for start in range(0, train_n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            x = target_raw[batch]
-            # Layer 1 runs once; the gradient step reuses its activations.
-            hidden = align_hidden(module, x)
-            h_t = align_output(module, hidden)
-            neg_idx = np.stack(
-                [
-                    sample_negatives(train_n, int(j), config.negatives, rng)
-                    for j in batch
-                ]
-            )
-            losses, d_ht = infonce_batch(
-                anchor_units[batch], h_t, anchor_units[neg_idx], config.tau
-            )
-            if config.mse_weight > 0:
-                diff = h_t - anchor_vecs[batch]
-                losses += config.mse_weight * np.mean(diff * diff, axis=1)
-                d_ht += config.mse_weight * 2.0 * diff / diff.shape[1]
-            hidden_gradients(module, x, hidden, d_ht / len(batch), out=grad)
-            optimizer.step(grad)
-            epoch_loss += float(losses.sum())
-        epoch_losses.append(epoch_loss / train_n)
+    run = Minibatches(module.flat, train_n, config, rng)
+    for batch in run:
+        x = target_raw[batch]
+        # Layer 1 runs once; the gradient step reuses its activations.
+        hidden = align_hidden(module, x)
+        h_t = align_output(module, hidden)
+        neg_idx = np.stack(
+            [sample_negatives(train_n, int(j), config.negatives, rng) for j in batch]
+        )
+        losses, d_ht = infonce_batch(
+            anchor_units[batch], h_t, anchor_units[neg_idx], config.tau
+        )
+        if config.mse_weight > 0:
+            diff = h_t - anchor_vecs[batch]
+            losses += config.mse_weight * np.mean(diff * diff, axis=1)
+            d_ht += config.mse_weight * 2.0 * diff / diff.shape[1]
+        hidden_gradients(module, x, hidden, d_ht / len(batch), out=run.grad)
+        run.loss += float(losses.sum())
 
     if config.holdout > 0:
         eval_idx = np.arange(train_n, config.n_demos)
@@ -273,7 +254,7 @@ def train_alignment(
     gap = cosine_alignment_gap(eval_anchor, eval_target)
 
     report = AlignTrainReport(
-        epoch_losses=epoch_losses,
+        epoch_losses=run.epoch_losses,
         holdout_accuracy=accuracy,
         wall_seconds=time.perf_counter() - started,
         anchor_digest_before=digest_before,

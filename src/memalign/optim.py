@@ -28,9 +28,13 @@ def lr_at_step(
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def check_schedule(stage: str, lr: float, weight_decay: float, warmup_ratio: float) -> None:
-    """Refuse ``stage``'s optimizer settings that cannot train, NaN included."""
-    if not (lr > 0 and weight_decay >= 0 and 0 <= warmup_ratio <= 1):
+def check_schedule(stage: str, config) -> None:
+    """Refuse ``stage``'s settings that cannot train, NaN included: the
+    fields of ``config`` that :class:`Minibatches` reads."""
+    if config.epochs < 1 or config.batch_size < 1:
+        raise ValueError(f"{stage} epochs and batch size need to be at least 1")
+    lr, decay, warmup = config.learning_rate, config.weight_decay, config.warmup_ratio
+    if not (lr > 0 and decay >= 0 and 0 <= warmup <= 1):
         raise ValueError(f"{stage} needs learning rate > 0, weight decay >= 0, warmup in [0, 1]")
 
 
@@ -143,3 +147,38 @@ class AdamW:
             np.divide(m, tmp, out=update)
             update *= step_size
             p -= update
+
+
+class Minibatches:
+    """The minibatch AdamW loop of both training stages.
+
+    Each of ``config.epochs`` epochs yields a fresh ``rng.permutation(n)``
+    in ``config.batch_size`` slices, the last one partial.  The loop body
+    stays in the caller's frame, so its temporaries outlive the step: it
+    writes the batch's gradient into ``grad`` and adds its summed loss to
+    ``loss``, and the next request steps AdamW over ``params``.  Each epoch
+    appends ``loss / n`` to ``epoch_losses``, then raises ``ValueError`` if
+    the loss or a parameter is not finite.
+    """
+
+    def __init__(self, params: np.ndarray, n: int, config, rng: np.random.Generator):
+        self.n, self.config, self.rng = n, config, rng
+        steps = config.epochs * -(-n // config.batch_size)
+        self.optimizer = AdamW(
+            params, config.learning_rate, config.weight_decay, steps, config.warmup_ratio
+        )
+        self.grad = np.empty_like(params)
+        self.loss = 0.0
+        self.epoch_losses: list[float] = []
+
+    def __iter__(self):
+        size, params = self.config.batch_size, self.optimizer.params
+        for epoch in range(1, self.config.epochs + 1):
+            perm = self.rng.permutation(self.n)
+            self.loss = 0.0
+            for start in range(0, self.n, size):
+                yield perm[start : start + size]
+                self.optimizer.step(self.grad)
+            self.epoch_losses.append(self.loss / self.n)
+            if not (math.isfinite(self.loss) and np.isfinite(params).all()):
+                raise ValueError(f"training diverged in epoch {epoch}: loss or parameters not finite")

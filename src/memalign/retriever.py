@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import EvidenceSubgraph, MemoryGraph, verify_subset
-from .optim import AdamW, FlatParameters, check_schedule
+from .optim import FlatParameters, Minibatches, check_schedule
 from .seeding import component_rng, fnv1a64
 from .tokenization import linearize_evidence
 from .vocab import BOS, Vocabulary
@@ -424,13 +424,11 @@ class DistillConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise RetrieverError("distillation epochs and batch size must be at least 1")
         if not (self.kl_temperature > 0 and self.kl_weight >= 0 and self.ce_weight >= 0):
             raise RetrieverError("need KL temperature > 0 and KL and CE weights >= 0")
         if not 0.0 <= self.teacher_epsilon < 1.0:
             raise RetrieverError("teacher epsilon must be in [0, 1)")
-        check_schedule("distillation", self.learning_rate, self.weight_decay, self.warmup_ratio)
+        check_schedule("distillation", self)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -559,40 +557,22 @@ def train_retriever(
     conds = np.stack([np.asarray(example.h, float) for example in corpus])
 
     model = model_init.copy()
-    n = len(corpus)
-    batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    optimizer = AdamW(
-        model.flat,
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-        total_steps=config.epochs * batches_per_epoch,
-        warmup_ratio=config.warmup_ratio,
+    run = Minibatches(
+        model.flat, len(corpus), config, component_rng(config.seed, "retriever-train")
     )
-    rng = component_rng(config.seed, "retriever-train")
-    report = RetrieverTrainReport(parameter_count=model.parameter_count())
-    grad = np.empty_like(model.flat)
-
-    for _epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            batch_tokens = [sequences[i] for i in batch]
-            cache = sequence_logits(model, batch_tokens, queries[batch], conds[batch])
-            targets = np.concatenate([tokens[1:] for tokens in batch_tokens])
-            teacher = teacher_distributions(
-                targets, config.teacher_epsilon, model.vocab_size
-            )
-            batch_loss, d_logits = distill_loss(
-                teacher, cache.logits, config, gold_tokens=targets, lengths=cache.lengths
-            )
-            sequence_backward(model, cache, d_logits, out=grad)
-            grad /= len(batch)
-            optimizer.step(grad)
-            epoch_loss += batch_loss
-        report.epoch_losses.append(epoch_loss / n)
+    for batch in run:
+        batch_tokens = [sequences[i] for i in batch]
+        cache = sequence_logits(model, batch_tokens, queries[batch], conds[batch])
+        targets = np.concatenate([tokens[1:] for tokens in batch_tokens])
+        teacher = teacher_distributions(targets, config.teacher_epsilon, model.vocab_size)
+        batch_loss, d_logits = distill_loss(
+            teacher, cache.logits, config, gold_tokens=targets, lengths=cache.lengths
+        )
+        sequence_backward(model, cache, d_logits, out=run.grad)
+        run.grad /= len(batch)
+        run.loss += batch_loss
 
     # The optimizer updated the parameters in place after the last pass.
     model.drop_projections()
-    report.wall_seconds = time.perf_counter() - started
-    return model, report
+    wall_seconds = time.perf_counter() - started
+    return model, RetrieverTrainReport(run.epoch_losses, wall_seconds, model.parameter_count())

@@ -52,6 +52,20 @@ def test_float64_inputs_stored_as_float32(tmp_path):
     np.testing.assert_array_equal(loaded, arr.astype(np.float32))
 
 
+def test_a_finite_value_beyond_float32_is_refused_before_any_write(tmp_path):
+    """Stored as float32, 1e39 would load as inf; non-finite inputs are
+    stored as given, and the file's directory is created."""
+    sections = {"w": np.array([1.0, 1e39])}
+    path = tmp_path / "run" / "m.ckpt"
+    with pytest.raises(CheckpointError, match="section 'w' holds a value beyond float32"):
+        save_checkpoint(sections, path)
+    assert not path.parent.exists()
+    save_checkpoint({"w": np.array([np.nan, -np.inf, 3e38])}, path)
+    np.testing.assert_array_equal(
+        load_checkpoint(path)["w"], np.array([np.nan, -np.inf, 3e38], dtype=np.float32)
+    )
+
+
 def test_every_single_byte_corruption_detected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint({"w": np.arange(4, dtype=np.float32)}, path)

@@ -1,4 +1,6 @@
 """Command-line surface: exit codes, artifacts, and a small end-to-end run."""
+import contextlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -162,18 +164,68 @@ def test_end_to_end_pipeline(tmp_path, capsys):
         ),
     ],
 )
-def test_settings_that_cannot_train_are_refused_before_any_write(tmp_path, capsys, stage, body):
-    corpus = tmp_path / "c.jsonl"
-    save_corpus(generate_synthetic_corpus(6, 1), corpus)
-    config = tmp_path / "engine.cfg"
+def test_settings_that_cannot_train_are_refused_before_any_write(tmp_path, stage, body):
+    assert_refused_before_any_write(*run_training(tmp_path, stage, body))
+
+
+# Finite settings whose training overflows.  Each used to exit 0, write a
+# non-finite checkpoint and a report holding bare NaN, which is not JSON.
+DIVERGING = [
+    ("train-align", "Learning rate = 1e200"),
+    ("train-align", "Contrastive (InfoNCE) temperature = 1e-320"),
+    ("train-align", "MSE loss (optional) = 1e308"),
+    ("train-retriever", "KL weight = 1e308"),
+    ("train-retriever", "Learning rate = 1e200"),
+    ("train-retriever", "KL temperature = 1e-320"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stage, setting", DIVERGING)
+def test_diverged_training_is_refused_before_any_write(tmp_path, stage, setting):
+    if stage == "train-align":
+        body = (
+            f"[alignment]\n{setting}\nNegative sample size = 8\nBatch size = 8\n"
+            "Epochs = 2\nHoldout = 8\n"
+        )
+    else:
+        body = f"[distillation]\n{setting}\n"
+    code, err, out = run_training(tmp_path, stage, body, n_instances=40)
+    assert_refused_before_any_write(code, err, out)
+    assert err.startswith("error: training diverged in epoch 1")
+
+
+def test_a_one_instance_holdout_becomes_none(tmp_path):
+    """Five demonstrations and a batch of four leave one spare instance,
+    which has no other to compare with: the holdout is 0, so accuracy and
+    gap are measured over the whole pool of five."""
+    body = "[alignment]\nBatch size = 4\nNegative sample size = 2\n"
+    code, err, out = run_training(tmp_path, "train-align", body, n_instances=5)
+    assert code == 0, err
+    report = json.loads((out / "align_explicit-sim_report.json").read_text())
+    assert report["holdout_size"] == 5
+    assert np.isfinite(report["cosine_gap"])
+
+
+def run_training(directory: Path, stage: str, body: str, n_instances: int = 6):
+    """``stage`` on a seeded corpus of ``n_instances`` under config
+    ``body``: its exit code, its stderr and its ``--out`` directory."""
+    corpus = directory / "c.jsonl"
+    save_corpus(generate_synthetic_corpus(n_instances, 1), corpus)
+    config = directory / "engine.cfg"
     config.write_text(body)
-    out = tmp_path / "out"
+    out = directory / "out"
     argv = [stage, "--corpus", str(corpus), "--config", str(config), "--out", str(out)]
     if stage == "train-align":
         argv += ["--paradigm", "explicit-sim"]
-    capsys.readouterr()
-    assert main(argv) == 1
-    err = capsys.readouterr().err
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), out
+
+
+def assert_refused_before_any_write(code: int, err: str, out: Path) -> None:
+    assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 

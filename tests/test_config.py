@@ -91,6 +91,7 @@ def test_paradigm_section(tmp_path):
         ("[distillation]\nEpochs = 0\n", "distillation epochs"),
         ("[distillation]\nPer-device batch size = 0\n", "distillation epochs and batch size"),
         ("[alignment]\nEpochs = 0\n", "alignment epochs"),
+        ("[alignment]\nHoldout = 1\n", "holdout must be 0 or at least 2"),
         ("[alignment]\nLearning rate = 0\n", "alignment needs learning rate > 0"),
         ("[alignment]\nLearning rate = nan\n", "invalid value for 'Learning rate'"),
         ("[alignment]\nLearning rate = inf\n", "invalid value for 'Learning rate'"),

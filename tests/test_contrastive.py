@@ -206,6 +206,11 @@ def test_train_alignment_validates_lengths():
         train_alignment(anchor, init, a_states[:10], t_states, cfg)
     with pytest.raises(ContrastiveError):
         train_alignment(anchor, init, a_states[:10], t_states[:10], cfg)
+    # The configs leave batch sizes to the loop; the 48 training
+    # demonstrations cannot fill a batch of 49.
+    wide = AlignConfig(n_demos=64, negatives=8, batch_size=49, holdout=16)
+    with pytest.raises(ContrastiveError, match="training pool smaller than batch size"):
+        train_alignment(anchor, init, a_states, t_states, wide)
 
 
 def test_align_config_validation():
@@ -217,6 +222,9 @@ def test_align_config_validation():
         AlignConfig(n_demos=10, negatives=2, batch_size=11)
     with pytest.raises(ContrastiveError):
         AlignConfig(n_demos=10, negatives=2, batch_size=2, holdout=10)
+    # Negatives come from the 32 training demonstrations, not all 40.
+    with pytest.raises(ContrastiveError, match="n_demos - holdout - 1"):
+        AlignConfig(n_demos=40, holdout=8, negatives=35, batch_size=8)
 
 
 def test_train_alignment_is_deterministic():

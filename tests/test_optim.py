@@ -1,12 +1,13 @@
-"""Learning-rate schedule, AdamW reference behavior and the flat parameter
-store that AdamW updates."""
+"""Learning-rate schedule, AdamW reference behavior, the flat parameter
+store that AdamW updates and the minibatch loop that drives it."""
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from memalign.optim import UPDATE_CHUNK, AdamW, lr_at_step
+from memalign.optim import UPDATE_CHUNK, AdamW, Minibatches, lr_at_step
 from memalign.retriever import init_retriever
 from memalign.unified import init_alignment_module
 
@@ -224,3 +225,89 @@ def test_rebinding_a_field_is_refused(make):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, value.copy())
         assert getattr(model, name) is value
+
+
+# Seven items in batches of three: two full batches and one of one.
+N = 7
+BATCHES_PER_EPOCH = 3
+SCHEDULE = SimpleNamespace(
+    epochs=3, batch_size=3, learning_rate=0.05, weight_decay=0.01, warmup_ratio=0.2
+)
+
+
+def _drive(run: Minibatches, body) -> list[np.ndarray]:
+    """Every batch ``run`` yields, each after ``body(epoch, index, batch)``
+    has written its gradient and loss."""
+    batches = []
+    for step, batch in enumerate(run):
+        body(*divmod(step, BATCHES_PER_EPOCH), batch)
+        batches.append(batch.copy())
+    return batches
+
+
+def _minibatches() -> Minibatches:
+    model = MODELS["alignment"]()
+    return Minibatches(model.flat, N, SCHEDULE, np.random.default_rng(4))
+
+
+def test_minibatches_partition_each_epoch_in_permutation_order():
+    run = _minibatches()
+    batches = _drive(run, lambda epoch, index, batch: run.grad.fill(0.0))
+    twin, expected = np.random.default_rng(4), []
+    for _ in range(SCHEDULE.epochs):
+        perm = twin.permutation(N)
+        expected += [perm[0:3], perm[3:6], perm[6:7]]
+    assert len(batches) == len(expected)
+    for batch, want in zip(batches, expected):
+        np.testing.assert_array_equal(batch, want)
+
+
+def test_minibatches_step_as_a_hand_driven_adamw():
+    run, twin = _minibatches(), MODELS["alignment"]().flat
+    steps = SCHEDULE.epochs * BATCHES_PER_EPOCH
+    grads = np.random.default_rng(2).standard_normal((steps, twin.size))
+
+    def body(epoch, index, batch):
+        run.grad[...] = grads[epoch * BATCHES_PER_EPOCH + index]
+
+    _drive(run, body)
+    assert run.optimizer.t == run.optimizer.total_steps == steps
+    hand = AdamW(twin, lr=0.05, weight_decay=0.01, total_steps=steps, warmup_ratio=0.2)
+    for grad in grads:
+        hand.step(grad)
+    assert np.array_equal(run.optimizer.params, twin)
+
+
+def test_minibatches_average_the_summed_loss_over_the_epoch():
+    run = _minibatches()
+    values = np.random.default_rng(5).standard_normal(N)
+    sums = [0.0] * SCHEDULE.epochs
+
+    def body(epoch, index, batch):
+        run.grad.fill(0.0)
+        run.loss += float(values[batch].sum())
+        sums[epoch] += float(values[batch].sum())
+
+    _drive(run, body)
+    assert run.epoch_losses == [total / N for total in sums]
+
+
+@pytest.mark.parametrize("spoiled", ["loss", "grad"])
+def test_minibatches_refuse_a_diverged_epoch(spoiled):
+    """A NaN loss in the second epoch, or a NaN gradient entry on the
+    first epoch's last batch while the loss stays finite, raises at the
+    end of that epoch and names it."""
+    run = _minibatches()
+
+    def body(epoch, index, batch):
+        run.grad.fill(0.5)
+        run.loss += 1.0
+        if spoiled == "loss" and (epoch, index) == (1, 0):
+            run.loss = math.nan
+        if spoiled == "grad" and (epoch, index) == (0, 2):
+            run.grad[-1] = math.nan
+
+    epoch = 2 if spoiled == "loss" else 1
+    with pytest.raises(ValueError, match=f"training diverged in epoch {epoch}:"):
+        _drive(run, body)
+    assert run.epoch_losses[: epoch - 1] == [3.0 / N] * (epoch - 1)

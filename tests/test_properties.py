@@ -1,12 +1,17 @@
-"""Property-based tests over random graphs, mutations, and decodes."""
+"""Property-based tests over random graphs, mutations, decodes and
+training settings."""
 import copy
+import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from memalign.checkpoint import load_checkpoint
 from memalign.contrastive import infonce_batch, unit_rows
 
 from memalign.graphs import (
@@ -36,6 +41,7 @@ from memalign.tokenization import (
     linearize_evidence,
 )
 from memalign.vocab import TOK_CONFIDENCE, TOK_EDGES, TOK_EOL, build_vocabulary
+from test_cli import assert_refused_before_any_write, run_training
 from util import (
     WORDS,
     RELATION_WORDS,
@@ -603,3 +609,62 @@ def test_infonce_losses_are_invariant_to_the_scale_of_the_rows(case, a, t, n):
     )
     np.testing.assert_allclose(scaled_losses, losses, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(scaled_grads * t, grads, rtol=1e-12, atol=1e-12)
+
+
+# The float settings of each training stage, and the integer settings that
+# keep a run on a six-instance corpus short.
+TRAINING_FLOATS = {
+    "train-align": (
+        "[alignment]\nNegative sample size = 2\nBatch size = 2\nEpochs = 2\nHoldout = 2\n",
+        ("Learning rate", "Weight decay", "Warmup ratio",
+         "Contrastive (InfoNCE) temperature", "MSE loss (optional)"),
+    ),
+    "train-retriever": (
+        "[distillation]\nEpochs = 2\nPer-device batch size = 4\n",
+        ("Learning rate", "Weight decay", "Warmup", "KL weight", "KL temperature",
+         "CE weight", "Teacher smoothing"),
+    ),
+}
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1e-8, 0.5, 1.0, 2.0, 1e10, 1e200, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+training_settings = st.one_of(
+    *(
+        st.tuples(st.just(stage), st.dictionaries(st.sampled_from(keys), EXTREME_FLOATS, min_size=1))
+        for stage, (_, keys) in TRAINING_FLOATS.items()
+    )
+)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"report holds {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(training_settings)
+@example(("train-align", {"Learning rate": 1e200}))
+@example(("train-align", {"Contrastive (InfoNCE) temperature": 1e-320}))
+@example(("train-align", {"MSE loss (optional)": 1e308}))
+@example(("train-retriever", {"KL weight": 1e308}))
+@example(("train-retriever", {"Learning rate": 1e200}))
+@example(("train-retriever", {"KL temperature": 1e-320}))
+@settings(max_examples=150, deadline=None)
+def test_float_settings_train_to_finite_artifacts_or_are_refused(case):
+    """Any finite float setting either trains to a finite checkpoint and a
+    report of finite JSON numbers, or exits 1 with one error line before
+    anything is written."""
+    stage, chosen = case
+    base, _ = TRAINING_FLOATS[stage]
+    body = "[engine]\nd_m = 16\nd_h = 32\n\n" + base
+    body += "".join(f"{key} = {value!r}\n" for key, value in chosen.items())
+    with tempfile.TemporaryDirectory() as directory:
+        code, err, out = run_training(Path(directory), stage, body)
+        if code == 1:
+            assert_refused_before_any_write(code, err, out)
+            return
+        assert code == 0, err
+        (checkpoint,), (report,) = out.glob("*.ckpt"), out.glob("*_report.json")
+        for name, array in load_checkpoint(checkpoint).items():
+            assert np.isfinite(array).all(), name
+        json.loads(report.read_text(), parse_constant=_refuse_constant)
