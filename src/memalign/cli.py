@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import EngineConfig, default_config_text, load_config
 from .corpus import generate_synthetic_corpus, load_corpus, save_corpus
@@ -322,7 +324,11 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        # The divergence guard and the non-finite refusals report what an
+        # overflow leads to, in one error line; NumPy's floating-point
+        # warnings would only precede it, a few lines for each operation.
+        with np.errstate(all="ignore"):
+            return run(sys.argv[1:] if argv is None else argv)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

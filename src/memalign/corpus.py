@@ -12,11 +12,19 @@ retrieval learnable.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
+import itertools
 import json
 import math
+import os
+import struct
+import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -134,6 +142,22 @@ STRING_FIELDS = REQUIRED_FIELDS[:-2]
 JSON_NUMBERS = frozenset((int, float))
 
 
+class Record(NamedTuple):
+    """One corpus record as decoded, before validation: its line in the file,
+    the text fields (strings), the content vector as a tuple of floats (or
+    as the JSON gave it, when that is not a list of numbers that float64
+    can hold) and the segment count as the JSON gave it."""
+
+    line: int
+    id: str
+    query: str
+    gold_answer: str
+    full_graph_text: str
+    gold_subgraph_text: str
+    content_vector: object
+    segment_count: object
+
+
 def corpus_to_jsonl(instances: list[CorpusInstance]) -> str:
     return "\n".join(inst.to_json() for inst in instances) + "\n"
 
@@ -150,10 +174,52 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     a content entry of its own), and graph texts that scan and pass subset
     verification; no invalid instance ever reaches training.  Validation
     builds no graph objects: each instance parses its graphs on first use.
+
+    A corpus that validates leaves its decoded records in a sidecar
+    (``corpus.jsonl.decoded`` beside ``corpus.jsonl``).  A later load of
+    the same bytes reads its records from there instead of parsing the
+    JSON again, and validates them all the same.  A missing, stale or
+    damaged sidecar, or records the validator refuses, leave the verdict
+    to the JSONL.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    instances: list[CorpusInstance] = []
-    seen_ids: set[str] = set()
+    path = Path(path)
+    raw = path.read_bytes()
+    digest = hashlib.blake2b(raw, digest_size=16).digest()
+    sidecar = path.with_name(path.name + SIDECAR_SUFFIX)
+    records = _read_sidecar(sidecar, digest)
+    if records is not None:
+        try:
+            return validate_records(records, d_c)
+        except CorpusError:
+            pass  # the JSONL gives the verdict, naming its line
+    # The validator takes each record as it is decoded, so the first bad
+    # line gives the verdict, whichever of the two refuses it.
+    decoded, fed = itertools.tee(decode_corpus(_corpus_text(raw)))
+    instances = validate_records(fed, d_c)
+    _write_sidecar(sidecar, digest, list(decoded))
+    return instances
+
+
+def _corpus_text(raw: bytes) -> str:
+    """The corpus bytes as ``Path.read_text(encoding="utf-8")`` reads them:
+    UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = _universal_newlines(raw[: exc.start].decode("utf-8")).count("\n") + 1
+        raise CorpusError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def decode_corpus(text: str) -> Iterator[Record]:
+    """The records of a corpus text, in line order: each line that is not
+    blank must be a JSON object holding every required field, the text
+    fields strings.  A content vector that is a list of numbers becomes a
+    tuple of floats, unless float64 cannot hold one of them."""
     # JSON strings may hold U+2028, U+2029 and U+0085 raw, and
     # str.splitlines() would break lines at them.
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -171,31 +237,54 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
         for fieldname in STRING_FIELDS:
             if not isinstance(record[fieldname], str):
                 raise CorpusError(f"line {lineno}: {fieldname} is not a string")
-        instance_id = record["id"]
+        content = record["content_vector"]
+        if _is_number_list(content):
+            # An integer beyond float64 leaves the list for the validator to
+            # refuse, after the checks that come first.
+            with contextlib.suppress(OverflowError):
+                content = tuple(map(float, content))
+        yield Record(lineno, *map(record.__getitem__, STRING_FIELDS), content, record["segment_count"])
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= JSON_NUMBERS
+
+
+def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance]:
+    """The instances of decoded records, each checked in turn: a unique id,
+    ``d_c`` finite numbers of content, a segment count from one to ``d_c``,
+    graph texts that scan and a gold subgraph that passes subset
+    verification.  The first record that fails is a :class:`CorpusError`
+    naming its line or instance id."""
+    instances: list[CorpusInstance] = []
+    seen_ids: set[str] = set()
+    for record in records:
+        lineno, instance_id = record.line, record.id
         if instance_id in seen_ids:
             raise CorpusError(f"line {lineno}: duplicate id {instance_id!r}")
         seen_ids.add(instance_id)
-        content = record["content_vector"]
-        if not isinstance(content, list) or not set(map(type, content)) <= JSON_NUMBERS:
-            raise CorpusError(f"line {lineno}: content_vector is not a list of numbers")
-        content = tuple(map(float, content))
+        content = record.content_vector
+        if type(content) is not tuple:  # not decoded to floats
+            if not _is_number_list(content):
+                raise CorpusError(f"line {lineno}: content_vector is not a list of numbers")
+            raise CorpusError(f"line {lineno}: content_vector has an entry beyond float64")
         if len(content) != d_c:
             raise CorpusError(
                 f"line {lineno}: content_vector has {len(content)} entries, expected {d_c}"
             )
         if not all(map(math.isfinite, content)):
             raise CorpusError(f"line {lineno}: content_vector has a non-finite entry")
-        segments = record["segment_count"]
+        segments = record.segment_count
         if type(segments) is not int or segments < 1:  # a JSON true is no count
             raise CorpusError(f"line {lineno}: segment_count {segments!r} is not a positive integer")
         if segments > d_c:
             raise CorpusError(f"line {lineno}: segment_count {segments} exceeds d_c {d_c}")
         instance = CorpusInstance(
             id=instance_id,
-            query=record["query"],
-            gold_answer=record["gold_answer"],
-            full_graph_text=record["full_graph_text"],
-            gold_subgraph_text=record["gold_subgraph_text"],
+            query=record.query,
+            gold_answer=record.gold_answer,
+            full_graph_text=record.full_graph_text,
+            gold_subgraph_text=record.gold_subgraph_text,
             content_vector=content,
             segment_count=segments,
         )
@@ -215,6 +304,98 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
             )
         instances.append(instance)
     return instances
+
+
+# -- the decoded sidecar -------------------------------------------------
+#
+# Layout (integers little-endian):
+#
+#     tag       SIDECAR_TAG
+#     digest    16 bytes  BLAKE2b (digest size 16) of the corpus file's bytes
+#     checksum  uint32    CRC-32 of the body
+#     body      records n uint64, content width w uint64;
+#               one UTF-8 JSON array of n rows [line, segment_count, id,
+#               query, gold_answer, full_graph_text, gold_subgraph_text];
+#               n * w float64 content entries, row-major
+#
+# Like __pycache__, the sidecar is trusted to hold what this module wrote:
+# damage is detected and deleting it is always safe.
+
+SIDECAR_SUFFIX = ".decoded"
+SIDECAR_TAG = b"memalign decoded corpus 1\n"
+_HEAD = len(SIDECAR_TAG) + 16 + 4
+_SIZES = struct.Struct("<QQ")
+
+
+def _checksum(body) -> bytes:
+    return struct.pack("<I", zlib.crc32(body))
+
+
+def _is_row(row) -> bool:
+    return (
+        type(row) is list
+        and len(row) == 7
+        and type(row[0]) is int
+        and type(row[1]) is int
+        and all(type(text) is str for text in row[2:])
+    )
+
+
+def _read_sidecar(path: Path, digest: bytes) -> list[Record] | None:
+    """The records a sidecar holds for the corpus bytes of ``digest``, or
+    None when it is missing, unreadable, written for other bytes or damaged."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    if (
+        len(data) < _HEAD + _SIZES.size
+        or not data.startswith(SIDECAR_TAG)
+        or data[len(SIDECAR_TAG) : len(SIDECAR_TAG) + 16] != digest
+    ):
+        return None
+    body = memoryview(data)[_HEAD:]
+    if data[_HEAD - 4 : _HEAD] != _checksum(body):
+        return None
+    n, width = _SIZES.unpack_from(body)
+    rows_end = len(body) - 8 * n * width
+    if rows_end < _SIZES.size:
+        return None
+    try:
+        rows = json.loads(bytes(body[_SIZES.size : rows_end]))
+    except ValueError:
+        return None
+    if type(rows) is not list or len(rows) != n or not all(map(_is_row, rows)):
+        return None
+    content = np.frombuffer(body[rows_end:], dtype="<f8").reshape(n, width).tolist()
+    return [
+        Record(line, *texts, tuple(vector), segments)
+        for (line, segments, *texts), vector in zip(rows, content)
+    ]
+
+
+def _write_sidecar(path: Path, digest: bytes, records: list[Record]) -> None:
+    """Write the sidecar of validated ``records`` through a temporary file;
+    a failed write leaves nothing and raises nothing, as the sidecar only
+    spares work."""
+    rows = [
+        [r.line, r.segment_count, r.id, r.query, r.gold_answer,
+         r.full_graph_text, r.gold_subgraph_text]
+        for r in records
+    ]
+    width = len(records[0].content_vector) if records else 0
+    content = np.array([r.content_vector for r in records], dtype="<f8")
+    body = _SIZES.pack(len(rows), width) + json.dumps(rows).encode() + content.tobytes()
+    temp = None
+    try:
+        handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        with os.fdopen(handle, "wb") as out:
+            out.write(SIDECAR_TAG + digest + _checksum(body) + body)
+        os.replace(temp, path)
+    except OSError:
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 # -- segment geometry ----------------------------------------------------

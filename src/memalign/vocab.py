@@ -125,7 +125,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        raw = Path(path).read_bytes()
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # The line the bad byte starts: the lines of the text before it,
+            # counting a last one whether or not the text ends a line.
+            number = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+            raise VocabularyError(f"line {number}: not UTF-8 text ({exc.reason})") from None
         if not lines:
             raise VocabularyError("empty vocabulary file")
         head = _record(lines[0], 1)

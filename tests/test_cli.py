@@ -2,12 +2,16 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memalign
 from memalign.checkpoint import load_checkpoint, save_checkpoint
 from memalign.cli import main
 from memalign.corpus import generate_synthetic_corpus, load_corpus, save_corpus
@@ -180,7 +184,6 @@ DIVERGING = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("stage, setting", DIVERGING)
 def test_diverged_training_is_refused_before_any_write(tmp_path, stage, setting):
     if stage == "train-align":
@@ -193,6 +196,28 @@ def test_diverged_training_is_refused_before_any_write(tmp_path, stage, setting)
     code, err, out = run_training(tmp_path, stage, body, n_instances=40)
     assert_refused_before_any_write(code, err, out)
     assert err.startswith("error: training diverged in epoch 1")
+
+
+def test_a_diverged_run_prints_only_its_error_line_with_every_warning_shown(tmp_path):
+    """The command line, in its own interpreter with every warning shown:
+    NumPy's floating-point warnings are off while a command runs, so the
+    divergence is reported by its one error line alone."""
+    corpus = tmp_path / "c.jsonl"
+    save_corpus(generate_synthetic_corpus(40, 1), corpus)
+    config = tmp_path / "engine.cfg"
+    config.write_text(
+        "[alignment]\nLearning rate = 1e200\nNegative sample size = 8\nBatch size = 8\n"
+        "Epochs = 2\nHoldout = 8\n"
+    )
+    src = Path(memalign.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "memalign.cli", "train-align",
+         "--paradigm", "explicit-sim", "--corpus", str(corpus), "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert_refused_before_any_write(result.returncode, result.stderr, tmp_path / "out")
+    assert result.stderr.startswith("error: training diverged in epoch 1")
 
 
 def test_a_one_instance_holdout_becomes_none(tmp_path):

@@ -1,10 +1,14 @@
-"""Synthetic corpus generation and JSONL ingestion."""
+"""Synthetic corpus generation, JSONL ingestion and the decoded sidecar."""
 import dataclasses
 import json
+import os
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from memalign import corpus
 from memalign.cli import main
@@ -134,6 +138,9 @@ def test_load_reads_crlf_files(tmp_path):
         load_corpus(path)
 
 
+GOOD_LINE = generate_synthetic_corpus(1, 1)[0].to_json().encode()
+
+
 def test_load_rejects_duplicate_ids(tmp_path):
     inst = generate_synthetic_corpus(1, 1)[0]
     path = tmp_path / "c.jsonl"
@@ -165,6 +172,7 @@ MISSING = object()
         ("content_vector", [0.5] * 63, "content_vector has 63 entries, expected 64"),
         ("content_vector", [0.5] * 63 + [float("nan")], "content_vector has a non-finite entry"),
         ("content_vector", [float("inf")] + [0.5] * 63, "content_vector has a non-finite entry"),
+        ("content_vector", [0.5] * 63 + [10**400], "content_vector has an entry beyond float64"),
         ("segment_count", 0, "segment_count 0 is not a positive integer"),
         ("segment_count", None, "segment_count None is not a positive integer"),
         ("segment_count", 2.5, r"segment_count 2\.5 is not a positive integer"),
@@ -200,6 +208,23 @@ def test_load_rejects_unusable_records(tmp_path, field, value, message):
     path.write_text(good + "\n" + json.dumps(record) + "\n")
     with pytest.raises(CorpusError, match=f"line 2: {message}"):
         load_corpus(path, d_c=64)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        pytest.param(b"\xff" + GOOD_LINE, 1, id="first-byte"),
+        pytest.param(GOOD_LINE + b"\n\xff\n", 2, id="own-line"),
+        pytest.param(GOOD_LINE + b"\r\n" + GOOD_LINE[:9] + b"\xff", 2, id="after-crlf"),
+        # A lone carriage return ends a line, as in Path.read_text.
+        pytest.param(GOOD_LINE + b"\r\r\n\xc3", 3, id="after-lone-cr"),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_a_corpus_error_naming_the_line(tmp_path, data, line):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(CorpusError, match=f"^line {line}: not UTF-8 text "):
+        load_corpus(path)
 
 
 def test_wrongly_typed_corpus_is_a_validation_error(tmp_path):
@@ -373,3 +398,196 @@ def test_graph_objects_are_built_once_on_first_use(tmp_path, monkeypatch):
         "--out", str(tmp_path / "run"),
     ]) == 0
     assert Counter(built) == expected
+
+
+# -- the decoded sidecar -------------------------------------------------
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".decoded")
+
+
+def count_decodes(monkeypatch) -> list:
+    """Patch the JSONL decoder to record each call; returns the record."""
+    calls = []
+    decode = corpus.decode_corpus
+
+    def counting(text):
+        calls.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(corpus, "decode_corpus", counting)
+    return calls
+
+
+def test_a_sidecar_hit_reads_no_json_and_validates_equal_instances(tmp_path, monkeypatch):
+    instances = generate_synthetic_corpus(5, 2)
+    path = tmp_path / "c.jsonl"
+    save_corpus(instances, path)
+    decode = corpus.decode_corpus
+    decodes = count_decodes(monkeypatch)
+    validated = []
+    validate = corpus.validate_records
+    monkeypatch.setattr(
+        corpus, "validate_records", lambda records, d_c: validated.append(d_c) or validate(records, d_c)
+    )
+    miss = load_corpus(path)
+    assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "c.jsonl.decoded"]
+    hit = load_corpus(path)
+    assert hit == miss == instances
+    assert len(decodes) == 1 and validated == [64, 64]
+    # The sidecar holds the decoder's records, line numbers included.
+    digest = corpus.hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
+    assert corpus._read_sidecar(sidecar_of(path), digest) == list(decode(decodes[0]))
+
+
+def test_editing_the_corpus_decodes_it_again_and_rewrites_the_sidecar(tmp_path, monkeypatch):
+    instances = generate_synthetic_corpus(4, 3)
+    path = tmp_path / "c.jsonl"
+    save_corpus(instances, path)
+    load_corpus(path)
+    before = sidecar_of(path).read_bytes()
+    decodes = count_decodes(monkeypatch)
+    # The same bytes in another order: same size, other content.
+    swapped = instances[1:] + instances[:1]
+    save_corpus(swapped, path)
+    assert load_corpus(path) == swapped and len(decodes) == 1
+    after = sidecar_of(path).read_bytes()
+    assert after != before
+    assert load_corpus(path) == swapped and len(decodes) == 1
+    save_corpus(instances, path)
+    assert load_corpus(path) == instances and len(decodes) == 2
+    assert sidecar_of(path).read_bytes() == before
+
+
+def _flip(index):
+    def damage(data):
+        data = bytearray(data)
+        data[index] ^= 0x10
+        return bytes(data)
+
+    return damage
+
+
+TAG = len(corpus.SIDECAR_TAG)
+SIDECAR_DAMAGE = {
+    "empty": lambda data: b"",
+    "tag only": lambda data: data[:TAG],
+    "header only": lambda data: data[: TAG + 36],
+    "half": lambda data: data[: len(data) // 2],
+    "last byte cut": lambda data: data[:-1],
+    "extra byte": lambda data: data + b"\0",
+    "tag": _flip(3),
+    "corpus digest": _flip(TAG + 5),
+    "checksum": _flip(TAG + 18),
+    "record count": _flip(TAG + 20),
+    "content width": _flip(TAG + 28),
+    "rows": _flip(TAG + 60),
+    "content": _flip(-3),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+def test_a_damaged_sidecar_is_ignored_and_rewritten(tmp_path, monkeypatch, damage):
+    instances = generate_synthetic_corpus(3, 5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(instances, path)
+    load_corpus(path)
+    good = sidecar_of(path).read_bytes()
+    sidecar_of(path).write_bytes(SIDECAR_DAMAGE[damage](good))
+    decodes = count_decodes(monkeypatch)
+    assert load_corpus(path) == instances and len(decodes) == 1
+    assert sidecar_of(path).read_bytes() == good
+
+
+def test_records_the_validator_refuses_leave_the_verdict_to_the_jsonl(tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(generate_synthetic_corpus(2, 6), path)
+    load_corpus(path, d_c=64)
+    message = "^line 1: content_vector has 64 entries, expected 32$"
+    with pytest.raises(CorpusError, match=message):
+        load_corpus(path, d_c=32)
+    sidecar_of(path).unlink()
+    with pytest.raises(CorpusError, match=message):
+        load_corpus(path, d_c=32)
+    assert not sidecar_of(path).exists()
+
+
+def test_a_failed_sidecar_write_leaves_the_load_working_and_no_temp_file(tmp_path, monkeypatch):
+    instances = generate_synthetic_corpus(3, 4)
+    path = tmp_path / "c.jsonl"
+    save_corpus(instances, path)
+    sidecar_of(path).mkdir()
+    assert load_corpus(path) == instances == load_corpus(path)
+    assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "c.jsonl.decoded"]
+    assert not any(sidecar_of(path).iterdir())
+    sidecar_of(path).rmdir()
+
+    def refuse(source, target):
+        raise PermissionError(f"cannot replace {target}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert load_corpus(path) == instances
+    assert os.listdir(tmp_path) == ["c.jsonl"]
+
+
+# A small corpus whose bytes the property below mutates: short content
+# vectors, so that most mutations land in the text fields and the structure.
+SMALL_D_C = 8
+SMALL_CORPUS = corpus_to_jsonl(generate_synthetic_corpus(2, 3, segment_count=4, d_c=SMALL_D_C)).encode()
+
+
+@st.composite
+def mutated_corpora(draw):
+    """SMALL_CORPUS with one to three bytes replaced, inserted or deleted."""
+    data = bytearray(SMALL_CORPUS)
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "replace":
+            data[index] = byte
+        elif kind == "insert":
+            data.insert(index, byte)
+        else:
+            del data[index]
+    return bytes(data)
+
+
+def _load_outcome(path):
+    """The instances a corpus loads to, or the type and message of its
+    refusal.  Any other exception propagates."""
+    try:
+        return load_corpus(path, d_c=SMALL_D_C)
+    except CorpusError as exc:
+        return type(exc), str(exc)
+
+
+@given(mutated_corpora())
+@example(SMALL_CORPUS.replace(b"inst", b"\xffnst", 1))
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_corpus_loads_or_is_refused_with_a_corpus_error(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "c.jsonl")
+        path.write_bytes(data)
+        _load_outcome(path)
+
+
+@given(mutated_corpora())
+@example(SMALL_CORPUS.replace(b"\n", b"\r", 1))
+@example(SMALL_CORPUS)
+@settings(max_examples=200, deadline=None)
+def test_a_stale_sidecar_leaves_the_outcome_of_a_mutated_corpus_as_it_is(data):
+    """Beside a sidecar written from the unmutated bytes, a mutated corpus
+    loads to the same instances, or is refused with the same message, as
+    with no sidecar."""
+    with tempfile.TemporaryDirectory() as directory:
+        bare, beside = Path(directory, "bare"), Path(directory, "beside")
+        bare.mkdir()
+        beside.mkdir()
+        (beside / "c.jsonl").write_bytes(SMALL_CORPUS)
+        load_corpus(beside / "c.jsonl", d_c=SMALL_D_C)
+        assert sidecar_of(beside / "c.jsonl").exists()
+        for root in (bare, beside):
+            (root / "c.jsonl").write_bytes(data)
+        assert _load_outcome(beside / "c.jsonl") == _load_outcome(bare / "c.jsonl")

@@ -138,6 +138,19 @@ def test_load_names_the_line_of_a_malformed_record(tmp_path, case):
         Vocabulary.load(path)
 
 
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_names_the_line_of_bytes_that_are_not_utf8(tmp_path, newline):
+    path = tmp_path / "vocab.jsonl"
+    build_vocabulary(["harbor", "mill"]).save(path)
+    lines = path.read_bytes().splitlines()
+    assert lines[11] == b'{"token": "harbor", "id": 10}'
+    lines[11] = lines[11].replace(b"harbor", b"harb\xffr")
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(VocabularyError, match=r"^line 12: not UTF-8 text \(invalid start byte\)$"):
+        Vocabulary.load(path)
+
+
 def test_confidence_ids_are_the_unit_interval_numbers():
     vocab = build_vocabulary(["N1", "0.5", "amber", "1.0", "1.5", "-0.1", "nan", "inf", "0"])
     assert vocab.confidence_ids == tuple(vocab.id_of(w) for w in ("0.5", "1.0", "0"))
