@@ -245,10 +245,13 @@ def _cmd_train_align(args) -> int:
             "anchor_digest_after": report.anchor_digest_after,
         },
     )
-    print(
-        f"aligned {args.paradigm}: holdout accuracy "
-        f"{report.holdout_accuracy:.3f}, cosine gap {report.cosine_gap:.3f}"
-    )
+    if report.holdout_size:
+        print(
+            f"aligned {args.paradigm}: holdout accuracy "
+            f"{report.holdout_accuracy:.3f}, cosine gap {report.cosine_gap:.3f}"
+        )
+    else:
+        print(f"aligned {args.paradigm}: no holdout, so no accuracy or cosine gap")
     return 0
 
 

@@ -3,7 +3,7 @@ against a frozen anchored module (InfoNCE over anchored negatives)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,12 @@ class AlignConfig:
 @dataclass
 class AlignTrainReport:
     epoch_losses: list[float]
-    holdout_accuracy: float
+    holdout_accuracy: float | None  # None without a holdout, as is cosine_gap
     wall_seconds: float
     anchor_digest_before: str
     anchor_digest_after: str
     holdout_size: int = 0
-    cosine_gap: float = field(default=float("nan"))
+    cosine_gap: float | None = None
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -202,7 +202,9 @@ def train_alignment(
     ``anchor_raw[i]`` and ``target_raw[i]`` are the anchored and target
     paradigm states of the same instance, one row each.  The anchor
     module is never written; its digest is recorded before and after
-    training.
+    training.  The last ``config.holdout`` rows are held out and scored
+    after training; with no holdout, the report's accuracy and cosine gap
+    are None.
     """
     if len(anchor_raw) != len(target_raw):
         raise ContrastiveError(
@@ -244,14 +246,13 @@ def train_alignment(
         hidden_gradients(module, x, hidden, d_ht / len(batch), out=run.grad)
         run.loss += float(losses.sum())
 
+    accuracy = gap = None
     if config.holdout > 0:
         eval_idx = np.arange(train_n, config.n_demos)
-    else:
-        eval_idx = np.arange(config.n_demos)
-    eval_anchor = anchor_vecs[eval_idx]
-    eval_target = align_forward(module, target_raw[eval_idx])
-    accuracy = topk_match_accuracy(eval_anchor, eval_target)
-    gap = cosine_alignment_gap(eval_anchor, eval_target)
+        eval_anchor = anchor_vecs[eval_idx]
+        eval_target = align_forward(module, target_raw[eval_idx])
+        accuracy = topk_match_accuracy(eval_anchor, eval_target)
+        gap = cosine_alignment_gap(eval_anchor, eval_target)
 
     report = AlignTrainReport(
         epoch_losses=run.epoch_losses,
@@ -259,7 +260,7 @@ def train_alignment(
         wall_seconds=time.perf_counter() - started,
         anchor_digest_before=digest_before,
         anchor_digest_after=anchor.digest(),
-        holdout_size=int(eval_idx.shape[0]),
+        holdout_size=config.holdout,
         cosine_gap=gap,
     )
     return module, report

@@ -259,6 +259,7 @@ class _ForwardCache:
     cond: np.ndarray  # (B, d_q + d_s)
     states: np.ndarray  # (T + 1, B, d_m) with states[0] = initial states
     acts: np.ndarray  # (T, 2, B, d_m): each step's g = tanh(a_z / 2) and c
+    hidden: np.ndarray  # (sum(lengths), d_m): the real steps' new states
     logits: np.ndarray  # (sum(lengths), V): real steps, sequence by sequence
 
 
@@ -310,8 +311,8 @@ def sequence_logits(
     states[0] = model.init_states(cond)
     for t in range(steps):
         model.transition(pre_in[:, t], states[t], acts[t], out=states[t + 1])
-    logits = model.logits(states[1:].swapaxes(0, 1)[mask])
-    return _ForwardCache(inputs, mask, lengths, cond, states, acts, logits)
+    hidden = states[1:].swapaxes(0, 1)[mask]
+    return _ForwardCache(inputs, mask, lengths, cond, states, acts, hidden, model.logits(hidden))
 
 
 def sequence_backward(
@@ -321,9 +322,10 @@ def sequence_backward(
 
     The gradients, summed over the batch's sequences, are written into the
     views ``model.views(out)`` (of a new buffer without ``out``) it returns.
-    The loop runs only the sequential state recurrence; the weight
-    gradients are matmuls over all steps afterwards.  Padded steps get zero
-    gradient.
+    The loop runs only the sequential state recurrence, six NumPy calls a
+    step; the local derivatives of every step are formed before it, and the
+    weight gradients are matmuls over all steps after it.  Padded steps get
+    zero gradient.
     The gate pre-activation gradients are first summed per distinct input
     token, so the gradients of ``w_in`` and ``emb`` are gemms over those U
     tokens rather than over the T B steps or the V vocabulary rows.
@@ -331,37 +333,44 @@ def sequence_backward(
     if d_logits.shape != cache.logits.shape:
         raise RetrieverError("logit gradient shape mismatch")
     steps, batch = cache.inputs.shape
-    d_m = model.d_m
+    rows, d_m = cache.hidden.shape
     grads = model.views(np.empty_like(model.flat) if out is None else out)
-    hidden = cache.states[1:].swapaxes(0, 1)[cache.mask]
-    np.matmul(d_logits.T, hidden, out=grads["out_weight"])
+    np.matmul(d_logits.T, cache.hidden, out=grads["out_weight"])
     d_logits.sum(axis=0, out=grads["out_bias"])
-    d_hidden = np.zeros((steps, batch, d_m))
-    d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
+    # The hidden-state gradient of each logit row and, last, a zero row:
+    # step t of sequence b reads row row_of[t, b], the zero row when padded.
+    d_hidden = np.empty((rows + 1, d_m))
+    np.matmul(d_logits, model.out_weight, out=d_hidden[:rows])
+    d_hidden[rows] = 0.0
+    row_of = np.full((steps, batch), rows)
+    row_of.T[cache.mask] = np.arange(rows)
 
     # Local derivatives of s' = (1 - z) s + z c wrt the z and c
-    # pre-activations, for every step at once: (T, B, 2, d_m), written in
-    # place into one buffer, so the peak memory is acts, z, carry and it.
+    # pre-activations, z (1 - c c) and (c - s) z (1 - z), for every step at
+    # once, written into d_pre; the loop scales each step's in place by its
+    # state gradient.  One (T, B, d_m) buffer holds z, then 1 - z.
     g, c, s = cache.acts[:, 0], cache.acts[:, 1], cache.states[:-1]
-    z = g + 1.0
+    d_pre = np.empty((steps, batch, 2, d_m))
+    d_z, d_c = d_pre[:, :, 0], d_pre[:, :, 1]
+    z = np.add(g, 1.0)
     z *= 0.5  # sigmoid(a_z) = (1 + tanh(a_z / 2)) / 2
-    carry = 1.0 - z
-    local = np.empty((steps, batch, 2, d_m))
-    d_z, d_c = local[:, :, 0], local[:, :, 1]
-    np.subtract(c, s, out=d_z)
-    d_z *= z
-    d_z *= carry  # (c - s) z (1 - z)
     np.multiply(c, c, out=d_c)
     np.subtract(1.0, d_c, out=d_c)
-    d_c *= z  # z (1 - c c)
-    del z
+    d_c *= z
+    np.subtract(c, s, out=d_z)
+    d_z *= z
+    carry = np.subtract(1.0, z, out=z)
+    d_z *= carry
     u_rec = model.u_rec
-    d_pre = np.empty((steps, batch, 2, d_m))
     d_state = np.zeros((batch, d_m))
+    d_s_new, d_rec = np.empty((2, batch, d_m))
     for t in range(steps - 1, -1, -1):
-        d_s_new = d_hidden[t] + d_state
-        np.multiply(d_s_new[:, None, :], local[t], out=d_pre[t])
-        d_state = d_s_new * carry[t] + d_pre[t].reshape(batch, 2 * d_m) @ u_rec
+        np.take(d_hidden, row_of[t], axis=0, out=d_s_new, mode="clip")
+        d_s_new += d_state
+        d_pre[t] *= d_s_new[:, None, :]
+        np.matmul(d_pre[t].reshape(batch, 2 * d_m), u_rec, out=d_rec)
+        np.multiply(d_s_new, carry[t], out=d_state)
+        d_state += d_rec
 
     flat_pre = d_pre.reshape(steps * batch, 2 * d_m)
     np.matmul(flat_pre.T, cache.states[:-1].reshape(steps * batch, d_m), out=grads["u_rec"])
@@ -436,6 +445,13 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def _plogp_sums(dists: np.ndarray) -> np.ndarray:
+    """Σ p log p of each row of a (steps, V) array, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(dists > 0, dists * np.log(dists), 0.0)
+    return plogp.sum(axis=1)
+
+
 def distill_loss(
     teacher_dists: np.ndarray,
     student_logits: np.ndarray,
@@ -475,6 +491,19 @@ def distill_loss(
     lengths = np.array([steps]) if lengths is None else np.asarray(lengths)
     if np.any(lengths < 1) or lengths.sum() != steps:
         raise RetrieverError("sequence lengths must be positive and cover every step")
+
+    def teacher_terms(log_q_t, q_t):
+        kl_per_step = _plogp_sums(teacher_dists) - (teacher_dists * log_q_t).sum(axis=1)
+        return kl_per_step, q_t - teacher_dists
+
+    return _distill(student_logits, config, gold_tokens, lengths, teacher_terms)
+
+
+def _distill(student_logits, config, gold_tokens, lengths, teacher_terms):
+    """The student side of ``distill_loss`` on checked arguments.  The
+    teacher enters through ``teacher_terms(log_q_t, q_t)``, which returns
+    each row's KL(p_teacher || q_t) and the array q_t - p_teacher (it may
+    write that into q_t)."""
     starts = np.cumsum(lengths) - lengths
 
     def sequence_means(per_step: np.ndarray) -> np.ndarray:
@@ -482,24 +511,69 @@ def distill_loss(
 
     temp = config.kl_temperature
     log_q_t = log_softmax(student_logits / temp, axis=1)
-    q_t = np.exp(log_q_t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(teacher_dists > 0, teacher_dists * np.log(teacher_dists), 0.0)
-    kl_per_step = plogp.sum(axis=1) - (teacher_dists * log_q_t).sum(axis=1)
+    kl_per_step, d_logits = teacher_terms(log_q_t, np.exp(log_q_t))
     kl_terms = sequence_means(kl_per_step) * temp * temp
 
     log_probs = log_softmax(student_logits, axis=1)
-    gold_idx = (np.arange(steps), np.asarray(gold_tokens))
+    gold_idx = (np.arange(student_logits.shape[0]), np.asarray(gold_tokens))
     ce_terms = sequence_means(-log_probs[gold_idx])
 
     loss = float(np.sum(config.kl_weight * kl_terms + config.ce_weight * ce_terms))
 
     row_lengths = np.repeat(lengths, lengths)[:, None]
-    d_logits = (config.kl_weight * temp / row_lengths) * (q_t - teacher_dists)
+    d_logits *= config.kl_weight * temp / row_lengths
     d_ce = np.exp(log_probs)
     d_ce[gold_idx] -= 1.0
-    d_logits += (config.ce_weight / row_lengths) * d_ce
+    d_ce *= config.ce_weight / row_lengths
+    d_logits += d_ce
     return loss, d_logits
+
+
+class SmoothedTeacher:
+    """The label-smoothed teacher of ``teacher_distributions`` in closed
+    form, for the training loop: ``distill`` returns what ``distill_loss``
+    returns on its rows, bit for bit, without building them.
+
+    A teacher row holds ε/V off its target and ε/V + (1 - ε) at it, the
+    doubles ``teacher_distributions`` stores.  Each row's Σ p log p is read
+    from a per-target table, reduced once from those same rows.
+    """
+
+    # Teacher entries built at a time while the table is reduced.
+    TABLE_CHUNK = 2**16
+
+    def __init__(self, epsilon: float, vocab_size: int):
+        rows = max(1, self.TABLE_CHUNK // vocab_size)
+        self.plogp_sums = np.concatenate([
+            _plogp_sums(teacher_distributions(
+                np.arange(lo, min(lo + rows, vocab_size)), epsilon, vocab_size
+            ))
+            for lo in range(0, vocab_size, rows)
+        ])
+        self.off = epsilon / vocab_size
+        self.on = self.off + (1.0 - epsilon)
+
+    def distill(
+        self,
+        student_logits: np.ndarray,
+        config: DistillConfig,
+        targets: np.ndarray,
+        lengths: np.ndarray,
+    ) -> tuple[float, np.ndarray]:
+        """``distill_loss(teacher_distributions(targets, ε, V), student_logits,
+        config, targets, lengths)`` for in-range targets and lengths that
+        cover the rows."""
+        gold = (np.arange(targets.shape[0]), targets)
+
+        def teacher_terms(log_q_t, q_t):
+            cross = log_q_t * self.off
+            cross[gold] = log_q_t[gold] * self.on
+            q_gold = q_t[gold]
+            q_t -= self.off
+            q_t[gold] = q_gold - self.on
+            return self.plogp_sums[targets] - cross.sum(axis=1), q_t
+
+        return _distill(student_logits, config, targets, lengths, teacher_terms)
 
 
 # -- training ------------------------------------------------------------
@@ -557,6 +631,7 @@ def train_retriever(
     conds = np.stack([np.asarray(example.h, float) for example in corpus])
 
     model = model_init.copy()
+    teacher = SmoothedTeacher(config.teacher_epsilon, model.vocab_size)
     run = Minibatches(
         model.flat, len(corpus), config, component_rng(config.seed, "retriever-train")
     )
@@ -564,10 +639,7 @@ def train_retriever(
         batch_tokens = [sequences[i] for i in batch]
         cache = sequence_logits(model, batch_tokens, queries[batch], conds[batch])
         targets = np.concatenate([tokens[1:] for tokens in batch_tokens])
-        teacher = teacher_distributions(targets, config.teacher_epsilon, model.vocab_size)
-        batch_loss, d_logits = distill_loss(
-            teacher, cache.logits, config, gold_tokens=targets, lengths=cache.lengths
-        )
+        batch_loss, d_logits = teacher.distill(cache.logits, config, targets, cache.lengths)
         sequence_backward(model, cache, d_logits, out=run.grad)
         run.grad /= len(batch)
         run.loss += batch_loss

@@ -220,16 +220,19 @@ def test_a_diverged_run_prints_only_its_error_line_with_every_warning_shown(tmp_
     assert result.stderr.startswith("error: training diverged in epoch 1")
 
 
-def test_a_one_instance_holdout_becomes_none(tmp_path):
+def test_a_one_instance_holdout_becomes_none(tmp_path, capsys):
     """Five demonstrations and a batch of four leave one spare instance,
-    which has no other to compare with: the holdout is 0, so accuracy and
-    gap are measured over the whole pool of five."""
+    which has no other to compare with: the holdout is 0, and the report
+    and the progress line say that nothing was held out to score."""
     body = "[alignment]\nBatch size = 4\nNegative sample size = 2\n"
     code, err, out = run_training(tmp_path, "train-align", body, n_instances=5)
     assert code == 0, err
     report = json.loads((out / "align_explicit-sim_report.json").read_text())
-    assert report["holdout_size"] == 5
-    assert np.isfinite(report["cosine_gap"])
+    assert report["holdout_size"] == 0
+    assert report["holdout_accuracy"] is None and report["cosine_gap"] is None
+    assert capsys.readouterr().out == (
+        "aligned explicit-sim: no holdout, so no accuracy or cosine gap\n"
+    )
 
 
 def run_training(directory: Path, stage: str, body: str, n_instances: int = 6):
@@ -244,7 +247,7 @@ def run_training(directory: Path, stage: str, body: str, n_instances: int = 6):
     if stage == "train-align":
         argv += ["--paradigm", "explicit-sim"]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue(), out
 

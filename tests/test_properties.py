@@ -31,7 +31,13 @@ from memalign.graphs import (
     subset_violations,
     verify_subset,
 )
-from memalign.retriever import DistillConfig, distill_loss, init_retriever, teacher_distributions
+from memalign.retriever import (
+    DistillConfig,
+    SmoothedTeacher,
+    distill_loss,
+    init_retriever,
+    teacher_distributions,
+)
 from memalign.decoding import ConstraintEngine, DecodeError, decode_many, generate_subgraph
 from memalign.tokenization import (
     LinearizationError,
@@ -548,6 +554,22 @@ def test_distill_loss_and_gradient_are_finite_for_finite_logits(case, epsilon):
     loss, grad = distill_loss(teacher, logits, DistillConfig(), gold_tokens=targets)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
+
+
+@given(distill_cases(), st.floats(0.0, 0.5))
+@settings(max_examples=400, deadline=None)
+def test_the_closed_form_teacher_gives_the_bytes_of_distill_loss_for_any_finite_logits(
+    case, epsilon
+):
+    logits, targets = case
+    teacher = teacher_distributions(targets, epsilon, logits.shape[1])
+    config = DistillConfig()
+    want_loss, want_grad = distill_loss(teacher, logits, config, gold_tokens=targets)
+    loss, grad = SmoothedTeacher(epsilon, logits.shape[1]).distill(
+        logits, config, np.asarray(targets), np.array([len(targets)])
+    )
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 @st.composite

@@ -13,6 +13,7 @@ from memalign.retriever import (
     RetrieverError,
     RetrieverExample,
     RetrieverModel,
+    SmoothedTeacher,
     distill_loss,
     init_retriever,
     sequence_backward,
@@ -24,7 +25,13 @@ from memalign.retriever import (
 )
 from memalign.seeding import fnv1a64
 from memalign.vocab import BOS, EOS, build_vocabulary
-from util import central_difference, gate_parameters, relative_error, where_sigmoid
+from util import (
+    central_difference,
+    gate_parameters,
+    reference_sequence_backward,
+    relative_error,
+    where_sigmoid,
+)
 
 
 def small_model(vocab_size=14, d_m=6, d_q=3, d_s=2, seed=0):
@@ -263,6 +270,47 @@ def test_batched_gradients_equal_sum_of_single_sequence_gradients():
             summed[k] += g
     for k in summed:
         np.testing.assert_allclose(grads[k], summed[k], rtol=1e-12, atol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("d_m", [5, 13, 128])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_sequence_backward_gives_the_gradient_bytes_of_the_whole_batch_reference(d_m, batch):
+    """Ragged batches, with input tokens repeated within and across
+    sequences: the step-buffered backward and the whole-batch reference of
+    ``tests/util.py`` write the same bytes."""
+    rng = np.random.default_rng(100 * d_m + batch)
+    model = init_retriever(20, d_m, 4, 3, seed=d_m + batch)
+    for _ in range(3):
+        lengths = rng.integers(1, 12, size=batch)
+        seqs, q, h = _padded_batch(rng, 20, 4, 3, lengths=lengths)
+        cache = sequence_logits(model, seqs, q, h)
+        d_logits = rng.standard_normal(cache.logits.shape)
+        grads = sequence_backward(model, cache, d_logits)
+        reference = reference_sequence_backward(model, cache, d_logits)
+        for name, value in reference.items():
+            assert grads[name].tobytes() == value.tobytes(), (name, lengths)
+
+
+@pytest.mark.parametrize("vocab", [3, 104, 700])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("weights", [{}, {"kl_weight": 0.0}, {"ce_weight": 0.0}])
+def test_the_closed_form_teacher_gives_the_bytes_of_distill_loss(vocab, epsilon, weights):
+    """The training loop's loss and logit gradient equal those of
+    ``distill_loss`` on the ``teacher_distributions`` rows, byte for byte,
+    over sequences whose targets include every token of the vocabulary."""
+    rng = np.random.default_rng(vocab)
+    config = DistillConfig(teacher_epsilon=epsilon, **weights)
+    targets = rng.permutation(np.concatenate([np.arange(vocab), rng.integers(0, vocab, 40)]))
+    cuts = np.sort(rng.choice(np.arange(1, targets.shape[0]), size=5, replace=False))
+    lengths = np.diff(np.concatenate([[0], cuts, [targets.shape[0]]]))
+    logits = 4.0 * rng.standard_normal((targets.shape[0], vocab))
+    loss, grad = SmoothedTeacher(epsilon, vocab).distill(logits, config, targets, lengths)
+    want_loss, want_grad = distill_loss(
+        teacher_distributions(targets, epsilon, vocab), logits, config,
+        gold_tokens=targets, lengths=lengths,
+    )
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_teacher_distributions_stack_single_rows():

@@ -1,7 +1,7 @@
 """Shared test helpers: random graph generation, a scan-based reference
 constraint engine, a one-request reference decoder, finite differences,
-the reference graph parser and subset check, and the reference token-stream
-parser."""
+the reference graph parser and subset check, the reference token-stream
+parser, and the whole-batch reference of the retriever's backward pass."""
 from __future__ import annotations
 
 import math
@@ -661,3 +661,59 @@ def reference_delinearize(seq, vocab: Vocabulary) -> EvidenceSubgraph:
         return EvidenceSubgraph(graph, confidence)
     except GraphFormatError as exc:
         raise LinearizationError(f"invalid graph in token stream: {exc}") from exc
+
+
+# -- reference backward pass -------------------------------------------------
+
+
+def reference_sequence_backward(model: RetrieverModel, cache, d_logits: np.ndarray) -> dict:
+    """``sequence_backward`` as it was before its step loop wrote into fixed
+    buffers: the hidden rows are gathered again, the hidden-state gradient
+    is a zero-filled (T, B, d_m) array filled through the step mask, the
+    local derivatives of every step sit in an array of their own, and each
+    step allocates its new state gradient.  The float operations are the
+    same, in the same order, so the two must give the same gradient bytes."""
+    steps, batch = cache.inputs.shape
+    d_m = model.d_m
+    grads = model.views(np.empty_like(model.flat))
+    hidden = cache.states[1:].swapaxes(0, 1)[cache.mask]
+    np.matmul(d_logits.T, hidden, out=grads["out_weight"])
+    d_logits.sum(axis=0, out=grads["out_bias"])
+    d_hidden = np.zeros((steps, batch, d_m))
+    d_hidden.swapaxes(0, 1)[cache.mask] = d_logits @ model.out_weight
+
+    g, c, s = cache.acts[:, 0], cache.acts[:, 1], cache.states[:-1]
+    z = g + 1.0
+    z *= 0.5
+    carry = 1.0 - z
+    local = np.empty((steps, batch, 2, d_m))
+    d_z, d_c = local[:, :, 0], local[:, :, 1]
+    np.subtract(c, s, out=d_z)
+    d_z *= z
+    d_z *= carry
+    np.multiply(c, c, out=d_c)
+    np.subtract(1.0, d_c, out=d_c)
+    d_c *= z
+    u_rec = model.u_rec
+    d_pre = np.empty((steps, batch, 2, d_m))
+    d_state = np.zeros((batch, d_m))
+    for t in range(steps - 1, -1, -1):
+        d_s_new = d_hidden[t] + d_state
+        np.multiply(d_s_new[:, None, :], local[t], out=d_pre[t])
+        d_state = d_s_new * carry[t] + d_pre[t].reshape(batch, 2 * d_m) @ u_rec
+
+    flat_pre = d_pre.reshape(steps * batch, 2 * d_m)
+    np.matmul(flat_pre.T, cache.states[:-1].reshape(steps * batch, d_m), out=grads["u_rec"])
+    flat_pre.sum(axis=0, out=grads["b_in"])
+    tokens, token_rows = np.unique(cache.inputs.reshape(-1), return_inverse=True)
+    bins = (token_rows[:, None] * (2 * d_m) + np.arange(2 * d_m)).reshape(-1)
+    d_pre_tokens = np.bincount(
+        bins, weights=d_pre.reshape(-1), minlength=tokens.shape[0] * 2 * d_m
+    ).reshape(tokens.shape[0], 2 * d_m)
+    np.matmul(d_pre_tokens.T, model.emb[tokens], out=grads["w_in"])
+    grads["emb"].fill(0.0)
+    grads["emb"][tokens] = d_pre_tokens @ model.w_in
+    d_s0_pre = d_state * (1.0 - cache.states[0] ** 2)
+    np.matmul(d_s0_pre.T, cache.cond, out=grads["cond_weight"])
+    d_s0_pre.sum(axis=0, out=grads["cond_bias"])
+    return grads
