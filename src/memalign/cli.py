@@ -8,7 +8,6 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -206,8 +205,7 @@ def _cmd_train_retriever(args) -> int:
         {
             "epoch_losses": report.epoch_losses,
             "parameter_count": report.parameter_count,
-            # One example per instance for the full view and each coverage level.
-            "n_examples": len(instances) * (1 + len(args.coverage)),
+            "n_examples": report.n_examples,
         },
     )
     print(f"trained retriever ({report.parameter_count} parameters); "
@@ -221,15 +219,8 @@ def _cmd_train_align(args) -> int:
     if args.paradigm == ANCHOR_PARADIGM:
         raise UsageError("the anchored paradigm is frozen and never trained")
     instances = load_corpus(args.corpus, d_c=cfg.d_c)
-    n_demos = len(instances) * (1 + 2 * len(args.coverage))
-    # The holdout leaves at least one batch to train on, and is 0 rather
-    # than a single instance, which has no other instance to compare with.
-    spare = n_demos - cfg.align.batch_size
-    align_config = dataclasses.replace(
-        cfg.align, n_demos=n_demos, holdout=min(cfg.align.holdout, spare if spare >= 2 else 0)
-    )
     module, report = train_alignment_pipeline(
-        runtime, args.paradigm, instances, align_config, args.coverage
+        runtime, args.paradigm, instances, coverage_levels=args.coverage
     )
     save_checkpoint(
         module_sections(module, "align"), args.out / f"align_{args.paradigm}.ckpt"

@@ -53,7 +53,6 @@ def default_paradigms(seed: int) -> list[ParadigmSpec]:
 
 
 _ALIGN_KEYS = {
-    "Demonstrations": ("n_demos", int),
     "Negative sample size": ("negatives", int),
     "Batch size": ("batch_size", int),
     "Epochs": ("epochs", int),

@@ -3,7 +3,7 @@ against a frozen anchored module (InfoNCE over anchored negatives)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,20 +38,34 @@ class AlignConfig:
     holdout: int = 500  # tail of the pool reserved for report accuracy
     seed: int = 42
 
-    def __post_init__(self):
+    def __post_init__(self):  # the checks that need the pool are size_alignment's
         if self.tau <= 0:
             raise ContrastiveError("temperature must be positive")
         if self.mse_weight < 0:
             raise ContrastiveError("mse_weight must be non-negative")
         # A holdout of one instance has no pair of different instances.
-        if not (self.holdout == 0 or 2 <= self.holdout < self.n_demos):
-            raise ContrastiveError(
-                "holdout must be 0 or at least 2 and leave a nonempty training pool"
-            )
-        # Negatives are drawn from the training pool, the holdout excluded.
-        if not 1 <= self.negatives <= self.n_demos - self.holdout - 1:
-            raise ContrastiveError("need 1 <= negatives <= n_demos - holdout - 1")
+        if not (self.holdout == 0 or self.holdout >= 2):
+            raise ContrastiveError("holdout must be 0 or at least 2")
+        if self.negatives < 1:
+            raise ContrastiveError("negative sample size must be at least 1")
         check_schedule("alignment", self)
+
+
+def size_alignment(config: AlignConfig, instances: int, views: int) -> AlignConfig:
+    """``config`` sized for a pool of ``instances`` times ``views``
+    demonstrations: ``n_demos`` is the pool, and the holdout is capped so
+    that the rows left fill a batch and give each row ``negatives`` others
+    to draw (0 if the cap is below 2).  A smaller pool is refused."""
+    pool = instances * views
+    rows = max(config.batch_size, config.negatives + 1)
+    spare = pool - rows
+    if spare < 0:
+        setting = "batch size" if config.batch_size > config.negatives else "negative sample size"
+        raise ContrastiveError(
+            f"a pool of {pool} demonstrations (instances x views: {instances} x {views}) "
+            f"is below the {rows} rows that the {setting} needs: lower it"
+        )
+    return replace(config, n_demos=pool, holdout=min(config.holdout, spare if spare >= 2 else 0))
 
 
 @dataclass

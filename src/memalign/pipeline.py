@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .config import EngineConfig
-from .contrastive import AlignConfig, train_alignment
+from .contrastive import AlignConfig, size_alignment, train_alignment
 from .corpus import (
     CorpusInstance,
     corpus_vocabulary,
@@ -245,8 +245,8 @@ def train_alignment_pipeline(
     Coverage levels add segment-masked views of each instance to the
     demonstration pool so that partial-context states are also aligned.
     """
-    config = align_config or runtime.config.align
     masks = [(None, 1.0)] + [(side, level) for level in coverage_levels for side in (0, 1)]
+    config = size_alignment(align_config or runtime.config.align, len(instances), len(masks))
     anchor_raw, target_raw = (
         np.concatenate([encode(runtime, instances, View(p, *mask)) for mask in masks])
         for p in (ANCHOR_PARADIGM, paradigm)
@@ -310,7 +310,7 @@ def evaluate_retrieval(
     rouge_scores = []
     exact_graph = 0
     for instance, sub in zip(instances, subgraphs):
-        text = emit_evidence(sub) if sub.confidence is not None else ""
+        text = emit_evidence(sub)
         records.append(MemoryRecord(text, instance.gold_answer, True))
         pair = AnswerPair(text, (instance.gold_answer,))
         em_scores.append(exact_match(pair))

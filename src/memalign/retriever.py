@@ -61,12 +61,6 @@ class QueryEmbedder:
 _HALF = np.array(0.5)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
-
-
 @dataclass(frozen=True)
 class RetrieverModel(FlatParameters):
     """Single-layer gated recurrence decoder over the graph vocabulary.
@@ -595,6 +589,7 @@ class RetrieverTrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
     parameter_count: int = 0
+    n_examples: int = 0  # supervision pairs trained on
 
 
 def train_retriever(
@@ -646,5 +641,6 @@ def train_retriever(
 
     # The optimizer updated the parameters in place after the last pass.
     model.drop_projections()
-    wall_seconds = time.perf_counter() - started
-    return model, RetrieverTrainReport(run.epoch_losses, wall_seconds, model.parameter_count())
+    return model, RetrieverTrainReport(
+        run.epoch_losses, time.perf_counter() - started, model.parameter_count(), len(corpus)
+    )

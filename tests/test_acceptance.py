@@ -47,7 +47,6 @@ from memalign.retriever import (
     init_retriever,
     sequence_backward,
     sequence_logits,
-    softmax,
 )
 from memalign.tokenization import delinearize, graph_surface_words, linearize_evidence
 from memalign.unified import align_forward, align_gradients, init_alignment_module
@@ -58,6 +57,7 @@ from util import (
     random_graph,
     random_subgraph,
     relative_error,
+    softmax,
 )
 
 

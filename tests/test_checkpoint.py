@@ -2,9 +2,12 @@
 import hashlib
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memalign.checkpoint import (
     CheckpointError,
@@ -13,6 +16,15 @@ from memalign.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from memalign.pipeline import (
+    module_from_sections,
+    module_sections,
+    retriever_from_sections,
+    retriever_sections,
+)
+from memalign.retriever import RetrieverError, init_retriever
+from memalign.unified import UnifiedSpaceError, init_alignment_module
+from util import mutated_bytes
 
 
 def random_sections(seed=0):
@@ -219,3 +231,49 @@ def test_loaded_arrays_own_their_memory(tmp_path):
         for name, arr in load_checkpoint(path).items():
             assert arr.flags.owndata and arr.base is None, (path.name, name)
             assert arr.flags.writeable and arr.flags.c_contiguous, (path.name, name)
+
+
+def _saved(sections: dict) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "m.ckpt")
+        save_checkpoint(sections, path)
+        return path.read_bytes()
+
+
+# Small models, so that most mutations land in the section table and the
+# section shapes: (file bytes, builder of the model, the model's own error).
+MODEL_CHECKPOINTS = {
+    "retriever": (
+        _saved(retriever_sections(init_retriever(6, 2, 2, 2, 0))),
+        retriever_from_sections,
+        RetrieverError,
+    ),
+    "align": (
+        _saved(module_sections(init_alignment_module(3, 4, 2, 0), "align")),
+        lambda sections: module_from_sections(sections, "align"),
+        UnifiedSpaceError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_CHECKPOINTS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_model_checkpoint_loads_or_is_refused(kind, data):
+    """A checkpoint with one to three bytes mutated and its checksum
+    recomputed is refused with a CheckpointError, or loads; a loaded one
+    builds its model or is refused with a CheckpointError or the model's
+    own error.  Any other exception propagates and fails the test.
+
+    NumPy's floating-point warnings are off, as ``cli.main`` runs: a
+    mutated payload can hold a signalling NaN, whose cast to float64
+    warns before the model refuses it as non-finite."""
+    ckpt, build, model_error = MODEL_CHECKPOINTS[kind]
+    body = data.draw(mutated_bytes(ckpt[:-8]))
+    with tempfile.TemporaryDirectory() as directory, np.errstate(all="ignore"):
+        path = Path(directory, "m.ckpt")
+        path.write_bytes(sealed(body))
+        try:
+            build(load_checkpoint(path))
+        except (CheckpointError, model_error):
+            pass

@@ -84,7 +84,7 @@ def test_end_to_end_pipeline(tmp_path, capsys):
     cfg.write_text(
         "[engine]\nd_h = 256\n\n"
         "[alignment]\n"
-        "Demonstrations = 40\nNegative sample size = 8\nBatch size = 8\n"
+        "Negative sample size = 8\nBatch size = 8\n"
         "Epochs = 4\nHoldout = 8\n\n"
         "[distillation]\n"
         "Epochs = 6\nLearning rate = 0.005\nPer-device batch size = 8\n"
@@ -232,6 +232,26 @@ def test_a_one_instance_holdout_becomes_none(tmp_path, capsys):
     assert report["holdout_accuracy"] is None and report["cosine_gap"] is None
     assert capsys.readouterr().out == (
         "aligned explicit-sim: no holdout, so no accuracy or cosine gap\n"
+    )
+
+
+def test_train_align_sizes_the_default_run_from_the_corpus(tmp_path, capsys):
+    """At the default settings, 500 instances without coverage levels make
+    a pool of 500: the holdout is capped at 371, which leaves the 129 rows
+    that 128 negatives need."""
+    code, err, out = run_training(tmp_path, "train-align", "", n_instances=500)
+    assert code == 0, err
+    report = json.loads((out / "align_explicit-sim_report.json").read_text())
+    assert report["holdout_size"] == 371
+    assert capsys.readouterr().out.startswith("aligned explicit-sim: holdout accuracy ")
+
+
+def test_a_pool_too_small_to_train_is_refused_naming_its_size(tmp_path):
+    code, err, out = run_training(tmp_path, "train-align", "", n_instances=100)
+    assert_refused_before_any_write(code, err, out)
+    assert err == (
+        "error: a pool of 100 demonstrations (instances x views: 100 x 1) is below "
+        "the 129 rows that the negative sample size needs: lower it\n"
     )
 
 

@@ -83,6 +83,7 @@ def test_paradigm_section(tmp_path):
     [
         ("[engine]\nbogus = 1\n", "unknown configuration key"),
         ("[distillation]\nMax input length = 4096\n", "unknown configuration key"),
+        ("[alignment]\nDemonstrations = 2500\n", "unknown configuration key 'Demonstrations'"),
         ("[mystery]\nx = 1\n", "unknown configuration section"),
         ("[engine]\nseed = seven\n", "invalid value"),
         ("[paradigms]\np = 16\n", "expects"),
@@ -92,6 +93,7 @@ def test_paradigm_section(tmp_path):
         ("[distillation]\nPer-device batch size = 0\n", "distillation epochs and batch size"),
         ("[alignment]\nEpochs = 0\n", "alignment epochs"),
         ("[alignment]\nHoldout = 1\n", "holdout must be 0 or at least 2"),
+        ("[alignment]\nNegative sample size = 0\n", "negative sample size must be at least 1"),
         ("[alignment]\nLearning rate = 0\n", "alignment needs learning rate > 0"),
         ("[alignment]\nLearning rate = nan\n", "invalid value for 'Learning rate'"),
         ("[alignment]\nLearning rate = inf\n", "invalid value for 'Learning rate'"),
@@ -121,3 +123,14 @@ def test_bad_configs_rejected(tmp_path, body, match):
 def test_dimension_validation():
     with pytest.raises(ConfigError):
         EngineConfig(d_s=0)
+
+
+def test_settings_the_pool_decides_are_left_to_the_run(tmp_path):
+    """A file is checked only on what it decides by itself: whether a
+    holdout or a negative sample size fits depends on the pool of the
+    run, which ``size_alignment`` checks."""
+    path = tmp_path / "engine.cfg"
+    path.write_text("[alignment]\nNegative sample size = 5000\nHoldout = 10000\n")
+    cfg = load_config(path)
+    assert (cfg.align.negatives, cfg.align.holdout) == (5000, 10000)
+    assert "Demonstrations" not in default_config_text()

@@ -1,4 +1,7 @@
-"""InfoNCE closed forms, gradients, and the alignment training loop."""
+"""InfoNCE closed forms, gradients, the alignment training loop and its
+sizing."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from memalign.contrastive import (
     infonce_batch,
     infonce_loss,
     sample_negatives,
+    size_alignment,
     topk_match_accuracy,
     train_alignment,
     unit_rows,
@@ -214,17 +218,62 @@ def test_train_alignment_validates_lengths():
 
 
 def test_align_config_validation():
+    """A config refuses what no pool can train; what needs the pool is
+    checked by ``size_alignment`` and ``train_alignment`` (below)."""
     with pytest.raises(ContrastiveError):
         AlignConfig(tau=0.0)
-    with pytest.raises(ContrastiveError):
-        AlignConfig(n_demos=10, negatives=10)
-    with pytest.raises(ContrastiveError):
-        AlignConfig(n_demos=10, negatives=2, batch_size=11)
-    with pytest.raises(ContrastiveError):
-        AlignConfig(n_demos=10, negatives=2, batch_size=2, holdout=10)
+    with pytest.raises(ContrastiveError, match="holdout must be 0 or at least 2"):
+        AlignConfig(holdout=1)
+    with pytest.raises(ContrastiveError, match="negative sample size must be at least 1"):
+        AlignConfig(negatives=0)
+    # A pool size alone refuses nothing: the run replaces it by its pool.
+    assert AlignConfig(n_demos=10, negatives=10).negatives == 10
+
+
+def test_size_alignment_sets_the_pool_and_caps_the_holdout():
+    """The rows left after the holdout fill a batch and give each row its
+    negatives; a cap below 2 is 0, and every other setting carries over."""
+    config = AlignConfig(negatives=8, batch_size=4, holdout=100)
+    assert size_alignment(config, 10, 3) == dataclasses.replace(config, n_demos=30, holdout=21)
+    assert size_alignment(config, 10, 1).holdout == 0  # one spare row
+    assert size_alignment(config, 11, 1).holdout == 2
+    assert size_alignment(config, 9, 1).holdout == 0
+    wide = dataclasses.replace(config, batch_size=16)
+    assert size_alignment(wide, 20, 1).holdout == 4
+    # The defaults: 500 instances leave 129 rows for 128 negatives.
+    assert size_alignment(AlignConfig(), 500, 1).holdout == 371
+    assert size_alignment(AlignConfig(), 500, 5) == AlignConfig()
+
+
+@pytest.mark.parametrize(
+    "instances, views, negatives, batch, message",
+    [
+        (10, 1, 10, 2, r"10 x 1\) is below the 11 rows that the negative sample size needs"),
+        (10, 1, 2, 11, r"10 x 1\) is below the 11 rows that the batch size needs"),
+        (100, 1, 128, 32, r"^a pool of 100 demonstrations \(instances x views: 100 x 1\)"),
+        (2, 5, 128, 200, r"^a pool of 10 .* 200 rows that the batch size needs: lower it$"),
+    ],
+)
+def test_size_alignment_refuses_a_pool_that_cannot_train(
+    instances, views, negatives, batch, message
+):
+    config = AlignConfig(negatives=negatives, batch_size=batch)
+    with pytest.raises(ContrastiveError, match=message):
+        size_alignment(config, instances, views)
+
+
+def test_train_alignment_refuses_a_holdout_that_leaves_too_few_rows():
+    """A config passed to ``train_alignment`` directly names its pool: the
+    rows its holdout leaves must fill a batch and give each its negatives."""
+    anchor, a_states, t_states = _toy_problem(n=40)
+    init = init_alignment_module(6, 4, 4, seed=9)
     # Negatives come from the 32 training demonstrations, not all 40.
-    with pytest.raises(ContrastiveError, match="n_demos - holdout - 1"):
-        AlignConfig(n_demos=40, holdout=8, negatives=35, batch_size=8)
+    for cfg in (
+        AlignConfig(n_demos=40, holdout=8, negatives=35, batch_size=8),
+        AlignConfig(n_demos=40, holdout=40, negatives=2, batch_size=2),
+    ):
+        with pytest.raises(ContrastiveError, match="smaller than batch size|cannot draw"):
+            train_alignment(anchor, init, a_states, t_states, cfg)
 
 
 def test_train_alignment_is_deterministic():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from memalign import corpus
 from memalign.cli import main
@@ -28,7 +28,12 @@ from memalign.corpus import (
 from memalign.graphs import GraphFormatError, MemoryGraph, verify_subset
 from memalign.pipeline import build_runtime, prepare_retriever_examples
 from memalign.vocab import VocabularyError
-from util import reference_parse_evidence, reference_parse_full_graph, reference_verify_subset
+from util import (
+    mutated_bytes,
+    reference_parse_evidence,
+    reference_parse_full_graph,
+    reference_verify_subset,
+)
 
 
 def test_generation_is_deterministic():
@@ -537,23 +542,6 @@ SMALL_D_C = 8
 SMALL_CORPUS = corpus_to_jsonl(generate_synthetic_corpus(2, 3, segment_count=4, d_c=SMALL_D_C)).encode()
 
 
-@st.composite
-def mutated_corpora(draw):
-    """SMALL_CORPUS with one to three bytes replaced, inserted or deleted."""
-    data = bytearray(SMALL_CORPUS)
-    for _ in range(draw(st.integers(1, 3))):
-        index = draw(st.integers(0, len(data) - 1))
-        byte = draw(st.integers(0, 255))
-        kind = draw(st.sampled_from(("replace", "insert", "delete")))
-        if kind == "replace":
-            data[index] = byte
-        elif kind == "insert":
-            data.insert(index, byte)
-        else:
-            del data[index]
-    return bytes(data)
-
-
 def _load_outcome(path):
     """The instances a corpus loads to, or the type and message of its
     refusal.  Any other exception propagates."""
@@ -563,7 +551,7 @@ def _load_outcome(path):
         return type(exc), str(exc)
 
 
-@given(mutated_corpora())
+@given(mutated_bytes(SMALL_CORPUS))
 @example(SMALL_CORPUS.replace(b"inst", b"\xffnst", 1))
 @settings(max_examples=300, deadline=None)
 def test_a_mutated_corpus_loads_or_is_refused_with_a_corpus_error(data):
@@ -573,7 +561,7 @@ def test_a_mutated_corpus_loads_or_is_refused_with_a_corpus_error(data):
         _load_outcome(path)
 
 
-@given(mutated_corpora())
+@given(mutated_bytes(SMALL_CORPUS))
 @example(SMALL_CORPUS.replace(b"\n", b"\r", 1))
 @example(SMALL_CORPUS)
 @settings(max_examples=200, deadline=None)

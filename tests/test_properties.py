@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from memalign.checkpoint import load_checkpoint
-from memalign.contrastive import infonce_batch, unit_rows
+from memalign.contrastive import AlignConfig, infonce_batch, size_alignment, unit_rows
 
 from memalign.graphs import (
     EVIDENCE_HEADER,
@@ -690,3 +690,22 @@ def test_float_settings_train_to_finite_artifacts_or_are_refused(case):
         for name, array in load_checkpoint(checkpoint).items():
             assert np.isfinite(array).all(), name
         json.loads(report.read_text(), parse_constant=_refuse_constant)
+
+
+@given(
+    st.integers(1, 400), st.integers(1, 64), st.integers(1, 200), st.integers(0, 600)
+)
+@settings(max_examples=500, deadline=None)
+def test_sizing_keeps_the_holdout_of_every_run_the_one_batch_cap_accepted(
+    pool, batch, negatives, holdout
+):
+    """The CLI used to cap the holdout so that one batch was left, and the
+    config then refused a training pool with fewer than ``negatives + 1``
+    rows.  Every run that accepted gets the same holdout from
+    ``size_alignment``, whose cap also leaves the negatives their rows."""
+    assume(holdout != 1)
+    spare = pool - batch
+    old = min(holdout, spare if spare >= 2 else 0)
+    assume(pool - old >= max(batch, negatives + 1))
+    config = AlignConfig(negatives=negatives, batch_size=batch, holdout=holdout)
+    assert size_alignment(config, pool, 1).holdout == old

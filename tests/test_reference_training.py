@@ -1,8 +1,8 @@
 """Float64 training results against a committed reference.
 
 ``data/reference_training.npz`` holds the float64 parameters of two
-training runs, recorded before the retriever summed its input gradients
-per token and before AdamW folded its bias corrections into scalars:
+training runs, recorded after the retriever's step-buffered backward pass
+and before the alignment run was sized from its pool:
 
 - ``retriever/<name>``: the retriever that
   :func:`test_reference_checkpoint.reference_recipe` trains, before its
@@ -11,8 +11,9 @@ per token and before AdamW folded its bias corrections into scalars:
   ``explicit-sim`` whose holdout accuracy (30 of 40) is far above chance
   (1 in 40), so a broken aligner shows.
 
-A change to the training arithmetic may move a parameter by no more than
-``ATOL``; the holdout accuracy must stay exactly the same.
+Every parameter and the holdout accuracy must match bit for bit
+(``ATOL`` is 0): a change that reorders the training arithmetic records
+the file again and says why.
 
 Record the file again, after a change that is meant to move it, with
 ``PYTHONPATH=src python tests/test_reference_training.py``.
@@ -35,7 +36,7 @@ pytestmark = pytest.mark.reference
 
 REFERENCE = Path(__file__).parent / "data" / "reference_training.npz"
 # Largest absolute difference allowed in any parameter entry.
-ATOL = 1e-12
+ATOL = 0.0
 ALIGN_CONFIG = AlignConfig(
     n_demos=200,
     negatives=32,

@@ -18,7 +18,6 @@ from memalign.retriever import (
     init_retriever,
     sequence_backward,
     sequence_logits,
-    softmax,
     teacher_distribution,
     teacher_distributions,
     train_retriever,
@@ -30,6 +29,7 @@ from util import (
     gate_parameters,
     reference_sequence_backward,
     relative_error,
+    softmax,
     where_sigmoid,
 )
 

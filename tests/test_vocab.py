@@ -1,7 +1,10 @@
 """Vocabulary table and reserved token ids."""
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from memalign.vocab import (
     BOS,
@@ -19,6 +22,7 @@ from memalign.vocab import (
     VocabularyError,
     build_vocabulary,
 )
+from util import mutated_bytes
 
 
 def test_reserved_ids_are_stable():
@@ -155,3 +159,27 @@ def test_confidence_ids_are_the_unit_interval_numbers():
     vocab = build_vocabulary(["N1", "0.5", "amber", "1.0", "1.5", "-0.1", "nan", "inf", "0"])
     assert vocab.confidence_ids == tuple(vocab.id_of(w) for w in ("0.5", "1.0", "0"))
     assert vocab.confidence_ids is vocab.confidence_ids  # computed once
+
+
+def _saved(vocab: Vocabulary) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "vocab.jsonl")
+        vocab.save(path)
+        return path.read_bytes()
+
+
+# A small vocabulary file whose bytes the property below mutates.
+SMALL_VOCAB = _saved(build_vocabulary(["harbor", ":", "mill", "0.9", "->"]))
+
+
+@given(mutated_bytes(SMALL_VOCAB))
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_vocabulary_loads_or_is_refused_with_a_vocabulary_error(data):
+    """Any other exception propagates and fails the test."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "vocab.jsonl")
+        path.write_bytes(data)
+        try:
+            Vocabulary.load(path)
+        except VocabularyError:
+            pass

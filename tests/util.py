@@ -1,13 +1,15 @@
-"""Shared test helpers: random graph generation, a scan-based reference
-constraint engine, a one-request reference decoder, finite differences,
-the reference graph parser and subset check, the reference token-stream
-parser, and the whole-batch reference of the retriever's backward pass."""
+"""Shared test helpers: random graph generation, byte mutations of a file,
+a scan-based reference constraint engine, a one-request reference
+decoder, finite differences, the reference graph parser and subset
+check, the reference token-stream parser, a softmax, and the whole-batch
+reference of the retriever's backward pass."""
 from __future__ import annotations
 
 import math
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
 from memalign.decoding import ConstraintEngine, DecodeError, GraphIndex
@@ -48,6 +50,23 @@ WORDS = (
 )
 
 RELATION_WORDS = ("binds", "carries", "drives", "joins", "links", "marks")
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes) -> bytes:
+    """``data`` with one to three bytes replaced, inserted or deleted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "replace":
+            data[index] = byte
+        elif kind == "insert":
+            data.insert(index, byte)
+        else:
+            del data[index]
+    return bytes(data)
 
 
 def random_graph(
@@ -287,6 +306,13 @@ def where_sigmoid(x: np.ndarray) -> np.ndarray:
     for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Probabilities along ``axis``, shifted by the maximum so no exp overflows."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=axis, keepdims=True)
 
 
 def gate_parameters(model: RetrieverModel) -> tuple[np.ndarray, ...]:
