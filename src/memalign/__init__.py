@@ -62,6 +62,7 @@ from .pipeline import (
     build_runtime,
     evaluate_retrieval,
     prepare_retriever_examples,
+    score_retrieval,
     train_alignment_pipeline,
     train_retriever_pipeline,
 )

@@ -36,10 +36,9 @@ from .graphs import (
     GraphFormatError,
     MemoryGraph,
     Node,
+    build_graph,
     emit,
     emit_evidence,
-    parse_evidence,
-    parse_full_graph,
     scan,
     subset_violations,
 )
@@ -87,6 +86,13 @@ class CorpusError(ValueError):
     pass
 
 
+# The instance attributes under which validate_records keeps the scan of
+# each graph text until the graph is built; they are not fields, so they
+# take no part in equality.
+_FULL_SCAN = "_full_scan"
+_GOLD_SCAN = "_gold_scan"
+
+
 @dataclass(frozen=True)
 class CorpusInstance:
     id: str
@@ -97,7 +103,9 @@ class CorpusInstance:
     content_vector: tuple[float, ...]
     segment_count: int
 
-    # Each graph text is parsed on first use and kept with the instance.
+    # Each graph is built on first use and kept with the instance.  It is
+    # built from the scan that validate_records kept, which the build then
+    # drops, or else from a scan of its text.
 
     def full_graph(self) -> MemoryGraph:
         return self._full_graph
@@ -107,11 +115,18 @@ class CorpusInstance:
 
     @functools.cached_property
     def _full_graph(self) -> MemoryGraph:
-        return parse_full_graph(self.full_graph_text)
+        nodes, edges, _ = self._scan(_FULL_SCAN, self.full_graph_text, FULL_HEADER)
+        return build_graph(nodes, edges)
 
     @functools.cached_property
     def _gold_subgraph(self) -> EvidenceSubgraph:
-        return parse_evidence(self.gold_subgraph_text)
+        nodes, edges, confidence = self._scan(
+            _GOLD_SCAN, self.gold_subgraph_text, EVIDENCE_HEADER
+        )
+        return EvidenceSubgraph(build_graph(nodes, edges), confidence)
+
+    def _scan(self, key: str, text: str, header: str) -> tuple:
+        return self.__dict__.pop(key, None) or scan(text, header)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -173,7 +188,9 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     content vector of ``d_c`` entries, one to ``d_c`` segments (each needs
     a content entry of its own), and graph texts that scan and pass subset
     verification; no invalid instance ever reaches training.  Validation
-    builds no graph objects: each instance parses its graphs on first use.
+    builds no graph objects: each instance keeps the scans of its graph
+    texts and builds its graphs from them on first use, so a load scans
+    each graph text once.
 
     A corpus that validates leaves its decoded records in a sidecar
     (``corpus.jsonl.decoded`` beside ``corpus.jsonl``).  A later load of
@@ -255,7 +272,9 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
     ``d_c`` finite numbers of content, a segment count from one to ``d_c``,
     graph texts that scan and a gold subgraph that passes subset
     verification.  The first record that fails is a :class:`CorpusError`
-    naming its line or instance id."""
+    naming its line or instance id.  Each instance keeps the two scans,
+    from which its first :meth:`~CorpusInstance.full_graph` and
+    :meth:`~CorpusInstance.gold_subgraph` build the graphs."""
     instances: list[CorpusInstance] = []
     seen_ids: set[str] = set()
     for record in records:
@@ -289,19 +308,20 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
             segment_count=segments,
         )
         try:
-            full_nodes, full_edges, _ = scan(instance.full_graph_text, FULL_HEADER)
-            sub_nodes, sub_edges, _ = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
+            full = scan(instance.full_graph_text, FULL_HEADER)
+            gold = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
         except GraphFormatError as exc:
             raise CorpusError(
                 f"instance {instance_id!r}: invalid graph text ({exc})"
             ) from exc
-        violations = subset_violations(sub_nodes.items(), sub_edges, full_nodes, full_edges)
+        violations = subset_violations(gold[0].items(), gold[1], full[0], full[1])
         if violations:
             kinds = ", ".join(v.kind for v in violations)
             raise CorpusError(
                 f"instance {instance_id!r}: gold subgraph fails subset "
                 f"verification ({kinds})"
             )
+        vars(instance).update({_FULL_SCAN: full, _GOLD_SCAN: gold})
         instances.append(instance)
     return instances
 

@@ -67,33 +67,50 @@ class GraphIndex:
     vocabulary, built once and shared by back-to-back decodes of that
     graph: the vocabulary keeps the last index an engine was given.
 
-    ``token_lines`` holds the graph's node lines, then its edge lines, in
-    graph order and without their trailing EOL, which the engine handles
-    by position; a line is known by its index there, not by its tokens, so
-    node ids that share a token (unseen ids, all UNK) stay apart.  Words
-    the vocabulary lacks read as UNK.
+    The graph's node lines, then its edge lines, in graph order, are known
+    by their index in that order, not by their tokens, so node ids that
+    share a token (unseen ids, all UNK) stay apart.  Words the vocabulary
+    lacks read as UNK.  ``first_tokens`` holds each line's first token,
+    all that a line start reads.  ``token_lines`` holds a line's tokens,
+    without the trailing EOL, which the engine handles by position, once
+    :meth:`tokenize` has been asked for it, and None before: a decode
+    tokenizes only the lines it makes candidates.
     ``node_groups`` maps each first token of a node line to the indices of
     the node lines it starts, in graph order.  ``start_mask`` is the legal
     set at the first node-line start as a read-only boolean vocabulary
     mask, those first tokens and ``<EDGES>``; each engine starts from a
     copy.  ``graph`` is the graph the index was built from.
-    Nothing in an index changes after it is built.
+    An index only fills in ``token_lines``, each line at most once; nothing
+    else in it changes after it is built.
     """
 
     def __init__(self, full_graph: MemoryGraph, vocab: Vocabulary):
-        word_id = vocab.input_id
-        lines = [node_line_tokens(node, word_id) for node in full_graph.nodes]
-        lines += [edge_line_tokens(edge, word_id) for edge in full_graph.edges]
-        self.token_lines = tuple(tuple(line[:-1]) for line in lines)
+        word_id = self._word_id = vocab.input_id
+        self.first_tokens = tuple(
+            [word_id(node.id) for node in full_graph.nodes]
+            + [word_id(edge.source) for edge in full_graph.edges]
+        )
+        self.token_lines: list[tuple[int, ...] | None] = [None] * len(self.first_tokens)
         groups: dict[int, list[int]] = {}
-        for i in range(len(full_graph.nodes)):
-            groups.setdefault(lines[i][0], []).append(i)
+        for i, first in enumerate(self.first_tokens[: len(full_graph.nodes)]):
+            groups.setdefault(first, []).append(i)
         self.node_groups = {first: tuple(group) for first, group in groups.items()}
         mask = np.zeros(len(vocab), dtype=bool)
         mask[[*groups, TOK_EDGES]] = True
         mask.flags.writeable = False
         self.start_mask = mask
         self.graph = full_graph
+
+    def tokenize(self, lines: Iterable[int]) -> None:
+        """Fill in ``token_lines`` for each of ``lines`` not yet tokenized."""
+        token_lines, nodes = self.token_lines, self.graph.nodes
+        for i in lines:
+            if token_lines[i] is None:
+                if i < len(nodes):
+                    tokens = node_line_tokens(nodes[i], self._word_id)
+                else:
+                    tokens = edge_line_tokens(self.graph.edges[i - len(nodes)], self._word_id)
+                token_lines[i] = tuple(tokens[:-1])
 
 
 class ConstraintEngine:
@@ -111,13 +128,15 @@ class ConstraintEngine:
     groups and the mask a copy of its start mask.  The completed node set
     is final once ``<EDGES>`` is taken, so the open edges (both endpoint
     nodes completed, compared by node id) are grouped by first token
-    then, and the mask becomes those tokens and ``[CONFIDENCE]``.  Inside
-    a line, ``candidates`` holds the pending lines that share the tokens
-    taken so far; the EOL completes the first of them of the current
-    length.  A completed line leaves its group, and the last one to leave
-    takes the group out of ``pending`` and its first token out of the
-    mask.  Every step other than a line start costs time in the
-    candidates, not in the size of the graph.
+    then, and the mask becomes those tokens and ``[CONFIDENCE]``.  The
+    lines a line start's token begins become the ``candidates``, which the
+    index tokenizes if no decode has before.  Inside a line,
+    ``candidates`` holds the pending lines that share the tokens taken so
+    far; the EOL completes the first of them of the current length.  A
+    completed line leaves its group, and the last one to leave takes the
+    group out of ``pending`` and its first token out of the mask.  Every
+    step other than a line start costs time in the candidates, not in the
+    size of the graph.
 
     The legal set of every phase is written once, in :meth:`_legal`, and
     every step is taken by :meth:`_step`, which checks nothing.  A decode
@@ -269,6 +288,7 @@ class ConstraintEngine:
             else:
                 self.pos = 1
                 self.candidates = self.pending[token]
+                self.index.tokenize(self.candidates)
                 self.phase = line_phase
         else:  # the confidence value
             self.confidence = float(self.vocab.token(token))
@@ -276,7 +296,7 @@ class ConstraintEngine:
 
     def _complete(self, i: int) -> None:
         """Record line ``i`` as completed and return to the line start."""
-        first = self.index.token_lines[i][0]
+        first = self.index.first_tokens[i]
         unused = self.pending[first]
         if len(unused) == 1:
             del self.pending[first]
@@ -291,12 +311,12 @@ class ConstraintEngine:
         """Group the edges whose endpoint nodes were both completed by first
         token, and turn the mask into those tokens and ``[CONFIDENCE]``."""
         graph = self.index.graph
-        lines = self.index.token_lines
+        first_tokens = self.index.first_tokens
         done = {graph.nodes[i].id for i in self.completed}
         pending: dict[int, list[int]] = {}
         for i, edge in enumerate(graph.edges, len(graph.nodes)):
             if edge.source in done and edge.target in done:
-                pending.setdefault(lines[i][0], []).append(i)
+                pending.setdefault(first_tokens[i], []).append(i)
         self.pending = pending
         self.mask[:] = False
         self.mask[[*pending, TOK_CONFIDENCE]] = True

@@ -19,8 +19,8 @@ is a fixed marker or value, or matches one of two patterns in full:
 An id holds no ``:``, space or ``->``, so a description or relation is
 everything after the first ``: `` that follows the id (or the target) and
 may itself contain ``: `` or `` -> ``.  ``scan`` reads a document with these
-patterns without building graph objects; the parsers build them from its
-result.
+patterns without building graph objects; :func:`build_graph` builds them
+from its result, for the parsers and for any caller that kept a scan.
 """
 from __future__ import annotations
 
@@ -249,20 +249,21 @@ def scan(
     return nodes, edges, confidence
 
 
-def _build(nodes: dict[str, str], edges: list[tuple[str, str, str]]) -> MemoryGraph:
+def build_graph(nodes: dict[str, str], edges: list[tuple[str, str, str]]) -> MemoryGraph:
+    """The graph of the nodes and edges that :func:`scan` returned."""
     return MemoryGraph(tuple(map(Node, nodes, nodes.values())), tuple(starmap(Edge, edges)))
 
 
 def parse_full_graph(text: str) -> MemoryGraph:
     """Parse a [FULL_GRAPH] document."""
     nodes, edges, _ = scan(text, FULL_HEADER)
-    return _build(nodes, edges)
+    return build_graph(nodes, edges)
 
 
 def parse_evidence(text: str) -> EvidenceSubgraph:
     """Parse an [EVIDENCE_SUBGRAPH] document, including its [CONFIDENCE] section."""
     nodes, edges, confidence = scan(text, EVIDENCE_HEADER)
-    return EvidenceSubgraph(_build(nodes, edges), confidence)
+    return EvidenceSubgraph(build_graph(nodes, edges), confidence)
 
 
 def format_confidence(confidence: float) -> str:

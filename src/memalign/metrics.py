@@ -78,6 +78,19 @@ def token_f1(pair: AnswerPair) -> float:
     return max(_overlap_f1(pred_tokens, _tokens(g)) for g in pair.gold)
 
 
+def answer_scores(prediction: str, gold: str) -> tuple[int, float, bool]:
+    """The exact match, the token F1 and the containment of one prediction
+    against one gold answer, each text normalized once: what
+    :func:`exact_match` and :func:`token_f1` give for the pair, and whether
+    :func:`memory_utilization` counts the prediction as utilized."""
+    pred_tokens, gold_tokens = _tokens(prediction), _tokens(gold)
+    return (
+        int(pred_tokens == gold_tokens),
+        _overlap_f1(pred_tokens, gold_tokens),
+        _contains_subsequence(pred_tokens, gold_tokens),
+    )
+
+
 def rouge1(pair: AnswerPair) -> float:
     """Unigram recall-precision F-measure with clipped multiset overlap,
     which on normalized tokens is exactly :func:`token_f1`."""

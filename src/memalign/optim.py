@@ -46,16 +46,20 @@ class FlatParameters:
     ``AdamW`` updates every parameter through ``flat``, and a gradient
     buffer laid out by ``views`` matches it element for element.  A
     subclass is a frozen dataclass, so no field can be rebound away from
-    ``flat``, and its ``__post_init__`` calls this one first.
+    ``flat``, and its ``__post_init__`` calls this one first.  The copy
+    raises no floating-point warning: a signalling NaN (one a checkpoint
+    can hold) becomes a quiet one, for the subclass to refuse with its own
+    error whatever the warnings filter.
     """
 
     flat: np.ndarray
 
     def __post_init__(self):
         flat = np.empty(sum(np.size(p) for p in self.parameters().values()))
-        for name, view in self.views(flat).items():
-            view[...] = getattr(self, name)
-            object.__setattr__(self, name, view)
+        with np.errstate(invalid="ignore"):
+            for name, view in self.views(flat).items():
+                view[...] = getattr(self, name)
+                object.__setattr__(self, name, view)
         object.__setattr__(self, "flat", flat)
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -19,17 +19,7 @@ from .corpus import (
 )
 from .decoding import DECODE_WINDOW, decode_many
 from .graphs import EvidenceSubgraph, emit_evidence
-from .metrics import (
-    AnswerPair,
-    MemoryRecord,
-    MetricsError,
-    exact_match,
-    mem_length,
-    memory_utilization,
-    rouge1,
-    token_f1,
-    unique_ratio,
-)
+from .metrics import MemoryRecord, MetricsError, answer_scores, mem_length, unique_ratio
 from .retriever import (
     DistillConfig,
     QueryEmbedder,
@@ -293,37 +283,53 @@ def evaluate_retrieval(
     instances: list[CorpusInstance],
     views: Sequence[View] = (View(ANCHOR_PARADIGM),),
 ) -> dict:
-    """Decode every instance conditioned on ``views`` and report QA +
-    memory-efficiency metrics.
+    """Decode every instance conditioned on ``views`` and report the
+    metrics :func:`score_retrieval` gives the decodes.  The default view is
+    the full-context anchored one.  Raises :class:`MetricsError` for no
+    instances."""
+    return score_retrieval(instances, decode_instances(runtime, model, vocab, instances, views))
 
-    The retrieved evidence text is scored directly against the gold
-    answer (the containment oracle stands in for an agent model).  The
-    default view is the full-context anchored one.  Raises
-    :class:`MetricsError` for no instances.
+
+def score_retrieval(
+    instances: list[CorpusInstance], subgraphs: Sequence[EvidenceSubgraph]
+) -> dict:
+    """QA and memory-efficiency metrics of each instance's retrieved
+    evidence subgraph, in the order of ``instances``.
+
+    The evidence text a subgraph emits is scored directly against the gold
+    answer (the containment oracle stands in for an agent model).  Each
+    text and gold answer is normalized once, for exact match, token F1 and
+    utilization alike; ROUGE-1 on normalized tokens is token F1, and is
+    reported as that.  Raises :class:`MetricsError` for no instances, or
+    for a subgraph count that is not the instance count.
     """
     if not instances:
         raise MetricsError("evaluation requires at least one instance")
-    subgraphs = decode_instances(runtime, model, vocab, instances, views)
+    if len(subgraphs) != len(instances):
+        raise MetricsError(
+            f"{len(subgraphs)} retrieved subgraphs for {len(instances)} instances"
+        )
     records = []
     em_scores = []
     f1_scores = []
-    rouge_scores = []
+    utilized = 0
     exact_graph = 0
     for instance, sub in zip(instances, subgraphs):
         text = emit_evidence(sub)
         records.append(MemoryRecord(text, instance.gold_answer, True))
-        pair = AnswerPair(text, (instance.gold_answer,))
-        em_scores.append(exact_match(pair))
-        f1_scores.append(token_f1(pair))
-        rouge_scores.append(rouge1(pair))
+        em, f1, contained = answer_scores(text, instance.gold_answer)
+        em_scores.append(em)
+        f1_scores.append(f1)
+        utilized += contained
         exact_graph += int(sub == instance.gold_subgraph())
+    f1 = float(np.mean(f1_scores))
     return {
         "em": float(np.mean(em_scores)),
-        "f1": float(np.mean(f1_scores)),
-        "rouge1": float(np.mean(rouge_scores)),
+        "f1": f1,
+        "rouge1": f1,
         "mem_length": mem_length(records),
         "unique_ratio": unique_ratio(records),
-        "utilization": memory_utilization(records),
+        "utilization": utilized / len(instances),
         "subgraph_exact_match": exact_graph / len(instances),
         "n": len(instances),
     }

@@ -263,17 +263,32 @@ def test_a_mutated_model_checkpoint_loads_or_is_refused(kind, data):
     """A checkpoint with one to three bytes mutated and its checksum
     recomputed is refused with a CheckpointError, or loads; a loaded one
     builds its model or is refused with a CheckpointError or the model's
-    own error.  Any other exception propagates and fails the test.
-
-    NumPy's floating-point warnings are off, as ``cli.main`` runs: a
-    mutated payload can hold a signalling NaN, whose cast to float64
-    warns before the model refuses it as non-finite."""
+    own error.  Any other exception, a RuntimeWarning included, propagates
+    and fails the test."""
     ckpt, build, model_error = MODEL_CHECKPOINTS[kind]
     body = data.draw(mutated_bytes(ckpt[:-8]))
-    with tempfile.TemporaryDirectory() as directory, np.errstate(all="ignore"):
+    with tempfile.TemporaryDirectory() as directory:
         path = Path(directory, "m.ckpt")
         path.write_bytes(sealed(body))
         try:
             build(load_checkpoint(path))
         except (CheckpointError, model_error):
             pass
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_CHECKPOINTS))
+def test_a_signalling_nan_is_refused_with_the_model_error(tmp_path, kind):
+    """A checkpoint whose payload holds a signalling NaN loads with its
+    bits, and building its model raises the model's own error, not the
+    RuntimeWarning of a float32 -> float64 cast."""
+    ckpt, build, model_error = MODEL_CHECKPOINTS[kind]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(ckpt)
+    sections = load_checkpoint(path)
+    name = sorted(sections)[-1]
+    sections[name].view("<u4").reshape(-1)[0] = 0x7F800001
+    path.write_bytes(layout_bytes(sections))
+    loaded = load_checkpoint(path)
+    assert loaded[name].view("<u4").reshape(-1)[0] == 0x7F800001
+    with pytest.raises(model_error, match="non-finite"):
+        build(loaded)

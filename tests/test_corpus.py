@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from memalign import corpus
+from memalign import corpus, graphs
 from memalign.cli import main
 from memalign.config import EngineConfig
 from memalign.corpus import (
@@ -25,7 +25,7 @@ from memalign.corpus import (
     save_corpus,
     visible_gold,
 )
-from memalign.graphs import GraphFormatError, MemoryGraph, verify_subset
+from memalign.graphs import GraphFormatError, MemoryGraph, scan, verify_subset
 from memalign.pipeline import build_runtime, prepare_retriever_examples
 from memalign.vocab import VocabularyError
 from util import (
@@ -353,32 +353,41 @@ def test_corpus_vocabulary_closed_and_covers_gold():
     assert "0.9" in vocab
 
 
-def test_training_preparation_parses_each_graph_once(tmp_path, monkeypatch):
+def test_training_preparation_scans_each_graph_text_once(tmp_path, monkeypatch):
+    """Across load_corpus, corpus_vocabulary and prepare_retriever_examples
+    every graph text is scanned exactly once, whether the load decodes the
+    JSONL or reads its sidecar: the graphs are built from the validator's
+    scans, which the builds then drop."""
     path = tmp_path / "corpus.jsonl"
     save_corpus(generate_synthetic_corpus(6, 8), path)
-    instances = load_corpus(path)
-    # Loading validates every graph but keeps no parse.
-    assert not any("_full_graph" in vars(i) or "_gold_subgraph" in vars(i) for i in instances)
-    parsed = Counter()
+    scanned = Counter()
 
-    def counting(parse):
-        def wrapper(text):
-            parsed[text] += 1
-            return parse(text)
+    def counting(text, header):
+        scanned[text] += 1
+        return scan(text, header)
 
-        return wrapper
-
-    monkeypatch.setattr(corpus, "parse_full_graph", counting(corpus.parse_full_graph))
-    monkeypatch.setattr(corpus, "parse_evidence", counting(corpus.parse_evidence))
-    corpus_vocabulary(instances)
-    examples = prepare_retriever_examples(
-        build_runtime(EngineConfig()), instances, coverage_levels=(0.5, 1.0)
-    )
-    texts = [t for i in instances for t in (i.full_graph_text, i.gold_subgraph_text)]
-    assert parsed == Counter(texts) and max(parsed.values()) == 1
-    # Every example of an instance holds the instance's one parse.
-    by_id = {i.id: i for i in instances}
-    assert all(e.full_graph is by_id[e.id.split("#")[0]].full_graph() for e in examples)
+    monkeypatch.setattr(graphs, "scan", counting)
+    monkeypatch.setattr(corpus, "scan", counting)
+    runtime = build_runtime(EngineConfig())
+    for load in ("decoded", "from the sidecar"):
+        scanned.clear()
+        instances = load_corpus(path)
+        assert sidecar_of(path).exists(), load
+        # Loading keeps each scan and builds no graph.
+        assert all(
+            {"_full_scan", "_gold_scan"} <= vars(i).keys()
+            and not {"_full_graph", "_gold_subgraph"} & vars(i).keys()
+            for i in instances
+        ), load
+        corpus_vocabulary(instances)
+        examples = prepare_retriever_examples(runtime, instances, coverage_levels=(0.5, 1.0))
+        texts = [t for i in instances for t in (i.full_graph_text, i.gold_subgraph_text)]
+        assert scanned == Counter(texts) and max(scanned.values()) == 1, load
+        assert not any({"_full_scan", "_gold_scan"} & vars(i).keys() for i in instances), load
+        # Every example of an instance holds the instance's one graph.
+        by_id = {i.id: i for i in instances}
+        assert all(e.full_graph is by_id[e.id.split("#")[0]].full_graph() for e in examples), load
+        assert len(examples) == 3 * len(instances), load
 
 
 def test_graph_objects_are_built_once_on_first_use(tmp_path, monkeypatch):

@@ -31,10 +31,22 @@ from memalign.retriever import (
     sequence_logits,
     train_retriever,
 )
-from memalign.tokenization import graph_surface_words, linearize, linearize_evidence
+from memalign.tokenization import (
+    edge_line_tokens,
+    graph_surface_words,
+    linearize,
+    linearize_evidence,
+    node_line_tokens,
+)
 from memalign.vocab import BOS, build_vocabulary
 from test_reference_decode import REFERENCE, long_cases, small_cases
-from util import count_index_builds, random_graph, random_subgraph, sequential_decode
+from util import (
+    count_index_builds,
+    memory_graph,
+    random_graph,
+    random_subgraph,
+    sequential_decode,
+)
 
 CONFIDENCES = ("0.5", "0.9", "1.0")
 
@@ -515,3 +527,68 @@ def test_a_repeat_of_a_large_graph_reuses_its_index(monkeypatch):
     first = generate_subgraph(model, full, q, h, vocab)
     assert generate_subgraph(model, full, q, h, vocab) == first
     assert len(built) == 1 and vocab.graph_index is built[0]
+
+
+def long_memory_case(seed: int, nodes: int = 200):
+    """A long-memory-shaped graph of ``nodes`` nodes with a vocabulary and
+    a seeded untrained retriever."""
+    rng = np.random.default_rng(seed)
+    full = memory_graph(rng, nodes, 2 * nodes)
+    vocab = build_vocabulary([*graph_surface_words(full), *CONFIDENCES])
+    model = init_retriever(len(vocab), 16, 4, 3, seed=seed)
+    return full, vocab, model, rng
+
+
+def test_a_decode_tokenizes_only_the_lines_that_became_candidates(monkeypatch):
+    full, vocab, model, rng = long_memory_case(31)
+    tokenized = []
+
+    def counting(tokens_of):
+        def wrapper(element, word_id):
+            tokenized.append(element)
+            return tokens_of(element, word_id)
+
+        return wrapper
+
+    monkeypatch.setattr(decoding, "node_line_tokens", counting(decoding.node_line_tokens))
+    monkeypatch.setattr(decoding, "edge_line_tokens", counting(decoding.edge_line_tokens))
+    # The lines each line start's token makes candidates, read from the
+    # engine's pending groups as the step is taken.
+    candidates = []
+    step = decoding.ConstraintEngine._step
+
+    def recording(engine, token):
+        if engine.phase.endswith("-line-start") and token in engine.pending:
+            candidates.extend(engine.pending[token])
+        step(engine, token)
+
+    monkeypatch.setattr(decoding.ConstraintEngine, "_step", recording)
+    lines = [*full.nodes, *full.edges]
+    for _ in range(3):
+        q, h = rng.standard_normal(4), rng.standard_normal(3)
+        sub = generate_subgraph(model, full, q, h, vocab)
+        assert verify_subset(sub, full).accepted
+    index = vocab.graph_index
+    # Each candidate line was tokenized once, into the shared index, and
+    # no other line was.
+    assert [id(e) for e in tokenized] == [id(lines[i]) for i in dict.fromkeys(candidates)]
+    assert {i for i, line in enumerate(index.token_lines) if line is not None} == set(candidates)
+    assert sub.graph.nodes and sub.graph.edges
+    assert len(set(candidates)) < len(lines) // 2
+    for i in set(candidates):
+        tokens_of = node_line_tokens if i < len(full.nodes) else edge_line_tokens
+        assert index.token_lines[i] == tuple(tokens_of(lines[i], vocab.input_id)[:-1])
+
+
+def test_decodes_sharing_an_index_match_decodes_with_fresh_ones():
+    full, vocab, model, rng = long_memory_case(32, nodes=120)
+    requests = [(full, rng.standard_normal(4), rng.standard_normal(3)) for _ in range(8)]
+    fresh = [
+        generate_subgraph(model, *request, build_vocabulary(vocab.words)) for request in requests
+    ]
+    assert len({emit_evidence(sub) for sub in fresh}) > 1
+    # One index for all: lone decodes back to back, then one batch.
+    assert [generate_subgraph(model, *request, vocab) for request in requests] == fresh
+    index = vocab.graph_index
+    assert decode_many(model, vocab, requests) == fresh
+    assert vocab.graph_index is index
