@@ -17,9 +17,11 @@ import functools
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import os
 import struct
+import sys
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -29,8 +31,11 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .graphs import (
+    CONFIDENCE_MARKER,
+    EDGES_MARKER,
     EVIDENCE_HEADER,
     FULL_HEADER,
+    NODES_MARKER,
     Edge,
     EvidenceSubgraph,
     GraphFormatError,
@@ -159,18 +164,18 @@ JSON_NUMBERS = frozenset((int, float))
 
 class Record(NamedTuple):
     """One corpus record as decoded, before validation: its line in the file,
-    the text fields (strings), the content vector as a tuple of floats (or
-    as the JSON gave it, when that is not a list of numbers that float64
-    can hold) and the segment count as the JSON gave it."""
+    the segment count as the JSON gave it, the text fields (strings) and the
+    content vector as a tuple of floats (or as the JSON gave it, when that
+    is not a list of numbers that float64 can hold)."""
 
     line: int
+    segment_count: object
     id: str
     query: str
     gold_answer: str
     full_graph_text: str
     gold_subgraph_text: str
     content_vector: object
-    segment_count: object
 
 
 def corpus_to_jsonl(instances: list[CorpusInstance]) -> str:
@@ -189,8 +194,9 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     a content entry of its own), and graph texts that scan and pass subset
     verification; no invalid instance ever reaches training.  Validation
     builds no graph objects: each instance keeps the scans of its graph
-    texts and builds its graphs from them on first use, so a load scans
-    each graph text once.
+    texts and builds its graphs from them on first use.  A load scans each
+    full graph text once, and proves a gold text from that scan instead of
+    scanning it, unless the proof cannot place one of its lines.
 
     A corpus that validates leaves its decoded records in a sidecar
     (``corpus.jsonl.decoded`` beside ``corpus.jsonl``).  A later load of
@@ -201,7 +207,7 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
     """
     path = Path(path)
     raw = path.read_bytes()
-    digest = hashlib.blake2b(raw, digest_size=16).digest()
+    digest = hashlib.sha256(raw).digest()
     sidecar = path.with_name(path.name + SIDECAR_SUFFIX)
     records = _read_sidecar(sidecar, digest)
     if records is not None:
@@ -260,7 +266,7 @@ def decode_corpus(text: str) -> Iterator[Record]:
             # refuse, after the checks that come first.
             with contextlib.suppress(OverflowError):
                 content = tuple(map(float, content))
-        yield Record(lineno, *map(record.__getitem__, STRING_FIELDS), content, record["segment_count"])
+        yield Record(lineno, record["segment_count"], *map(record.__getitem__, STRING_FIELDS), content)
 
 
 def _is_number_list(value) -> bool:
@@ -272,8 +278,11 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
     ``d_c`` finite numbers of content, a segment count from one to ``d_c``,
     graph texts that scan and a gold subgraph that passes subset
     verification.  The first record that fails is a :class:`CorpusError`
-    naming its line or instance id.  Each instance keeps the two scans,
-    from which its first :meth:`~CorpusInstance.full_graph` and
+    naming its line or instance id.  A gold text is proven from its full
+    graph's scan by :func:`_prove_gold`, and scanned and checked only when
+    the proof cannot place a line, so every refusal is the scan's or the
+    subset check's.  Each instance keeps the two scans, from which its
+    first :meth:`~CorpusInstance.full_graph` and
     :meth:`~CorpusInstance.gold_subgraph` build the graphs."""
     instances: list[CorpusInstance] = []
     seen_ids: set[str] = set()
@@ -309,103 +318,143 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
         )
         try:
             full = scan(instance.full_graph_text, FULL_HEADER)
-            gold = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
+            gold = _prove_gold(instance.gold_subgraph_text, full) or _scan_gold(instance, full)
         except GraphFormatError as exc:
             raise CorpusError(
                 f"instance {instance_id!r}: invalid graph text ({exc})"
             ) from exc
-        violations = subset_violations(gold[0].items(), gold[1], full[0], full[1])
-        if violations:
-            kinds = ", ".join(v.kind for v in violations)
-            raise CorpusError(
-                f"instance {instance_id!r}: gold subgraph fails subset "
-                f"verification ({kinds})"
-            )
         vars(instance).update({_FULL_SCAN: full, _GOLD_SCAN: gold})
         instances.append(instance)
     return instances
 
 
+_GOLD_HEAD = [EVIDENCE_HEADER, NODES_MARKER]
+
+
+def _prove_gold(text: str, full: tuple) -> tuple | None:
+    """What ``scan(text, EVIDENCE_HEADER)`` returns for a gold subgraph that
+    passes subset verification against the full graph's scan ``full``, read
+    from the full scan: its description strings and edge tuples.  None when
+    some line is not a line of an exact subgraph as ``emit`` writes one (a
+    padded or blank line, say), which leaves the verdict to a scan.
+
+    A node line is ``f"{id}: {description}"`` and an edge line
+    ``f"{source} -> {target}: {relation}"``; ids hold no ``: `` or space and
+    the full scan's descriptions and relations are non-empty and end in no
+    whitespace.  So a line whose split names a full node and its
+    description, or a full edge between two nodes declared before it, is
+    one that the scan's patterns match and the subset check passes."""
+    full_nodes, full_edges, _ = full
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 5 or lines[:2] != _GOLD_HEAD or lines[-2] != CONFIDENCE_MARKER:
+        return None
+    try:
+        edges_at = lines.index(EDGES_MARKER, 2)
+    except ValueError:
+        return None
+    nodes: dict[str, str] = {}
+    for line in lines[2:edges_at]:
+        node_id, _, description = line.partition(": ")
+        known = full_nodes.get(node_id)
+        if known != description or node_id in nodes:
+            return None
+        nodes[node_id] = known
+    edges = []
+    edge_lines = lines[edges_at + 1 : -2]
+    if edge_lines:
+        known_edges = dict(zip(full_edges, full_edges))
+        for line in edge_lines:
+            source, _, rest = line.partition(" -> ")
+            target, _, relation = rest.partition(": ")
+            edge = known_edges.get((source, target, relation))
+            if edge is None or source not in nodes or target not in nodes:
+                return None
+            edges.append(edge)
+    try:
+        confidence = float(lines[-1])
+    except ValueError:
+        return None
+    if not 0.0 <= confidence <= 1.0:
+        return None
+    return nodes, edges, confidence
+
+
+def _scan_gold(instance: CorpusInstance, full: tuple) -> tuple:
+    """The scan of a gold subgraph text that :func:`_prove_gold` could not
+    place: it raises the scan's error, or the subset check's."""
+    gold = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
+    violations = subset_violations(gold[0].items(), gold[1], full[0], full[1])
+    if violations:
+        kinds = ", ".join(v.kind for v in violations)
+        raise CorpusError(
+            f"instance {instance.id!r}: gold subgraph fails subset "
+            f"verification ({kinds})"
+        )
+    return gold
+
+
 # -- the decoded sidecar -------------------------------------------------
 #
-# Layout (integers little-endian):
+# Layout:
 #
-#     tag       SIDECAR_TAG
-#     digest    16 bytes  BLAKE2b (digest size 16) of the corpus file's bytes
-#     checksum  uint32    CRC-32 of the body
-#     body      records n uint64, content width w uint64;
-#               one UTF-8 JSON array of n rows [line, segment_count, id,
-#               query, gold_answer, full_graph_text, gold_subgraph_text];
-#               n * w float64 content entries, row-major
+#     tag       SIDECAR_TAG, naming the format, the marshal version and the
+#               interpreter's cache tag
+#     digest    32 bytes  SHA-256 of the corpus file's bytes
+#     checksum  uint32    CRC-32 of the body, little-endian
+#     body      marshal.dumps of a list of one tuple per record, the fields
+#               of Record in order: (line, segment_count, id, query,
+#               gold_answer, full_graph_text, gold_subgraph_text, content)
 #
-# Like __pycache__, the sidecar is trusted to hold what this module wrote:
-# damage is detected and deleting it is always safe.
+# Like __pycache__, whose .pyc files are marshal data, the sidecar is
+# trusted to hold what this module wrote: damage is detected, a sidecar of
+# another interpreter is not read, and deleting it is always safe.
 
 SIDECAR_SUFFIX = ".decoded"
-SIDECAR_TAG = b"memalign decoded corpus 1\n"
-_HEAD = len(SIDECAR_TAG) + 16 + 4
-_SIZES = struct.Struct("<QQ")
+SIDECAR_TAG = (
+    f"memalign decoded corpus 2 marshal {marshal.version} "
+    f"{sys.implementation.cache_tag}\n"
+).encode()
+_DIGEST = 32
+_HEAD = len(SIDECAR_TAG) + _DIGEST + 4
+# The field types of a row this module writes: the fields of a validated record.
+_ROW_TYPES = (int, int, str, str, str, str, str, tuple)
 
 
 def _checksum(body) -> bytes:
     return struct.pack("<I", zlib.crc32(body))
 
 
-def _is_row(row) -> bool:
-    return (
-        type(row) is list
-        and len(row) == 7
-        and type(row[0]) is int
-        and type(row[1]) is int
-        and all(type(text) is str for text in row[2:])
-    )
-
-
 def _read_sidecar(path: Path, digest: bytes) -> list[Record] | None:
     """The records a sidecar holds for the corpus bytes of ``digest``, or
-    None when it is missing, unreadable, written for other bytes or damaged."""
+    None when it is missing, unreadable, written for other bytes or by
+    another interpreter, or damaged."""
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    if (
-        len(data) < _HEAD + _SIZES.size
-        or not data.startswith(SIDECAR_TAG)
-        or data[len(SIDECAR_TAG) : len(SIDECAR_TAG) + 16] != digest
-    ):
+    if not data.startswith(SIDECAR_TAG) or data[len(SIDECAR_TAG) : _HEAD - 4] != digest:
         return None
     body = memoryview(data)[_HEAD:]
     if data[_HEAD - 4 : _HEAD] != _checksum(body):
         return None
-    n, width = _SIZES.unpack_from(body)
-    rows_end = len(body) - 8 * n * width
-    if rows_end < _SIZES.size:
-        return None
     try:
-        rows = json.loads(bytes(body[_SIZES.size : rows_end]))
-    except ValueError:
+        rows = marshal.loads(body)
+    except (EOFError, ValueError, TypeError):
         return None
-    if type(rows) is not list or len(rows) != n or not all(map(_is_row, rows)):
+    if type(rows) is not list or not all(
+        type(row) is tuple and tuple(map(type, row)) == _ROW_TYPES for row in rows
+    ):
         return None
-    content = np.frombuffer(body[rows_end:], dtype="<f8").reshape(n, width).tolist()
-    return [
-        Record(line, *texts, tuple(vector), segments)
-        for (line, segments, *texts), vector in zip(rows, content)
-    ]
+    return list(map(Record._make, rows))
 
 
 def _write_sidecar(path: Path, digest: bytes, records: list[Record]) -> None:
     """Write the sidecar of validated ``records`` through a temporary file;
     a failed write leaves nothing and raises nothing, as the sidecar only
     spares work."""
-    rows = [
-        [r.line, r.segment_count, r.id, r.query, r.gold_answer,
-         r.full_graph_text, r.gold_subgraph_text]
-        for r in records
-    ]
-    width = len(records[0].content_vector) if records else 0
-    content = np.array([r.content_vector for r in records], dtype="<f8")
-    body = _SIZES.pack(len(rows), width) + json.dumps(rows).encode() + content.tobytes()
+    body = marshal.dumps(list(map(tuple, records)))
     temp = None
     try:
         handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")

@@ -1,14 +1,18 @@
 """Synthetic corpus generation, JSONL ingestion and the decoded sidecar."""
 import dataclasses
+import hashlib
 import json
+import marshal
 import os
+import struct
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from memalign import corpus, graphs
 from memalign.cli import main
@@ -32,6 +36,7 @@ from util import (
     mutated_bytes,
     reference_parse_evidence,
     reference_parse_full_graph,
+    reference_validate_records,
     reference_verify_subset,
 )
 
@@ -257,6 +262,10 @@ def _reference_graph_error(record: dict) -> str | None:
 
 # Seed 1, index 14: a chain of three nodes and two extra edges.
 GOOD = generate_synthetic_corpus(15, 1)[14]
+# A line of GOOD's full graph that its gold lacks: an edge between two
+# distractor nodes, declared only in the full graph.
+DISTRACTOR_EDGE = GOOD.full_graph_text.splitlines()[-1]
+TRICKY = "misty forge: N2 -> N3: feeds"
 
 
 @pytest.mark.parametrize(
@@ -280,11 +289,29 @@ GOOD = generate_synthetic_corpus(15, 1)[14]
         ("gold_subgraph_text", lambda t: t.replace(
             "<EDGES>", "N99: ghost\n<EDGES>\nN1 -> N99: feeds\nN3 -> N1: feeds")),
         ("gold_subgraph_text", lambda t: t.replace("\n", "\r\n")),
+        # Gold edits that the proof from the full graph cannot place, so
+        # that the gold text is scanned and checked as it was before.
+        ("gold_subgraph_text", lambda t: t.replace("<NODES>\n", "<NODES>\nN1: misty forge\n")),
+        ("gold_subgraph_text", lambda t: t.replace("[CONFIDENCE]", DISTRACTOR_EDGE + "\n[CONFIDENCE]")),
+        ("gold_subgraph_text", lambda t: t.replace("N1: misty forge\n", "")),
+        ("gold_subgraph_text", lambda t: t.replace("N3: misty viaduct\n", "")),
+        ("gold_subgraph_text", lambda t: t.replace("<EDGES>", "[CONFIDENCE]\n<EDGES>")),
+        ("gold_subgraph_text", lambda t: t.replace("misty forge", TRICKY)),
+        ("gold_subgraph_text", lambda t: t.replace("\n", " \n  ")),
+        ("gold_subgraph_text", lambda t: t.replace("\n", "\t\n\t")),
+        ("gold_subgraph_text", lambda t: t.replace("\n", " \r\n")),
+        ("gold_subgraph_text", lambda t: t.replace("0.9", "0.9\n[CONFIDENCE]\n0.9")),
+        ("gold_subgraph_text", lambda t: t.replace("0.9", "-0.1")),
+        ("gold_subgraph_text", lambda t: t.replace("0.9", "nan")),
+        # A description holding ": " and " -> " in both texts: the proof
+        # splits each line where the scan's patterns do.
+        (("full_graph_text", "gold_subgraph_text"), lambda t: t.replace("misty forge", TRICKY)),
     ],
 )
 def test_load_reports_graph_errors_like_the_reference_parser(tmp_path, field, edit):
     record = json.loads(GOOD.to_json())
-    record[field] = edit(record[field])
+    for name in (field,) if isinstance(field, str) else field:
+        record[name] = edit(record[name])
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record) + "\n")
     expected = _reference_graph_error(record)
@@ -294,6 +321,142 @@ def test_load_reports_graph_errors_like_the_reference_parser(tmp_path, field, ed
     with pytest.raises(CorpusError) as err:
         load_corpus(path)
     assert str(err.value) == expected
+
+
+# Words of descriptions and relations: some hold ": " or " -> " once
+# joined, or look like a node id or a marker.
+GRAPH_WORDS = ("amber", "keep", "feeds", "x:", "->", "N1:", "N2", "<EDGES>")
+PADDING = (" ", "\t", "\r", " \t ", "\u3000")
+CONFIDENCE_LINES = (
+    "0.9", "0", "1", "1.0", "1.5", "-0.1", "nan", "inf", "0.9 ", "0_5", "0.5 0.5", "abc", "",
+)
+GOLD_EDITS = ("reorder", "repeat", "move", "other-section", "full-line", "pad", "blank",
+              "delete", "confidence", "extra-confidence", "marker")
+
+
+@st.composite
+def gold_records(draw, edits=True):
+    """A corpus record whose full graph is random and whose gold text is an
+    exact subgraph of it after a few line edits: lines reordered, repeated,
+    moved between sections, taken from the full graph's other section or
+    from lines the gold left out, padded with whitespace, deleted (markers
+    and values too), markers inserted, and confidence values replaced or
+    followed by more."""
+    words = st.lists(st.sampled_from(GRAPH_WORDS), min_size=1, max_size=3).map(" ".join)
+    n = draw(st.integers(1, 5))
+    node_lines = [f"N{i}: {draw(words)}" for i in range(1, n + 1)]
+    edge_lines = [
+        f"N{a} -> N{b}: {draw(words)}"
+        for a, b in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=5))
+        if a != b
+    ]
+    kept = st.integers(0, 3).map(bool)  # three in four
+    keep = {i for i in range(1, n + 1) if draw(kept)}
+    gold_nodes = [line for i, line in enumerate(node_lines, start=1) if i in keep]
+    gold_edges = [
+        line for line in edge_lines
+        if {int(end[1:]) for end in line.split(": ")[0].split(" -> ")} <= keep and draw(kept)
+    ]
+    sections = [gold_nodes, gold_edges]
+    tail = ["[CONFIDENCE]", str(draw(st.integers(0, 10)) / 10)]
+    for _ in range(draw(st.integers(0, 3)) if edits else 0):
+        edit = draw(st.sampled_from(GOLD_EDITS))
+        section = draw(st.sampled_from(sections))
+        where = draw(st.integers(0, len(section)))
+        if edit == "reorder":
+            section[:] = draw(st.permutations(section))
+        elif edit == "repeat" and section:
+            section.insert(where, section[draw(st.integers(0, len(section) - 1))])
+        elif edit == "move" and section:
+            other = sections[1] if section is sections[0] else sections[0]
+            other.insert(draw(st.integers(0, len(other))), section.pop(where % len(section)))
+        elif edit == "other-section" and (node_lines if section is sections[1] else edge_lines):
+            pool = node_lines if section is sections[1] else edge_lines
+            section.insert(where, draw(st.sampled_from(pool)))
+        elif edit == "full-line":
+            section.insert(where, draw(st.sampled_from(node_lines + edge_lines)))
+        elif edit == "pad" and section:
+            i = where % len(section)
+            section[i] = draw(st.sampled_from(PADDING)) * draw(st.integers(0, 1)) + section[i] + draw(
+                st.sampled_from(PADDING)
+            )
+        elif edit == "delete":
+            block = draw(st.sampled_from((section, tail)))
+            if block:
+                del block[where % len(block)]
+        elif edit == "blank":
+            section.insert(where, draw(st.sampled_from(("",) + PADDING)))
+        elif edit == "confidence":
+            tail[-1] = draw(st.sampled_from(CONFIDENCE_LINES))
+        elif edit == "extra-confidence":
+            tail += draw(st.lists(st.sampled_from(CONFIDENCE_LINES + ("[CONFIDENCE]",)), min_size=1, max_size=2))
+        elif edit == "marker":
+            section.insert(where, draw(st.sampled_from(
+                ("[EVIDENCE_SUBGRAPH]", "<NODES>", "<EDGES>", "[CONFIDENCE]", "[FULL_GRAPH]")
+            )))
+    lines = ["[EVIDENCE_SUBGRAPH]", "<NODES>", *gold_nodes, "<EDGES>", *gold_edges, *tail]
+    gold = "\n".join(lines) + "\n"
+    full = "\n".join(["[FULL_GRAPH]", "<NODES>", *node_lines, "<EDGES>", *edge_lines]) + "\n"
+    ending = draw(st.sampled_from(("\n",) * 8 + ("\r\n", ""))) if edits else "\n"
+    gold = gold.replace("\n", ending) if ending else gold[:-1]
+    return {
+        "id": "inst", "query": "q", "gold_answer": "a", "full_graph_text": full,
+        "gold_subgraph_text": gold, "content_vector": [0.5] * SMALL_D_C, "segment_count": 2,
+    }
+
+
+def _oracle_outcome(text):
+    """What the reference validator makes of the records of a corpus text:
+    its instances with their kept scans, or the message of its refusal."""
+    try:
+        instances = reference_validate_records(corpus.decode_corpus(text), SMALL_D_C)
+    except CorpusError as exc:
+        return str(exc)
+    return [(i, vars(i)["_full_scan"], vars(i)["_gold_scan"]) for i in instances]
+
+
+@given(gold_records())
+@example({**json.loads(GOOD.to_json()), "content_vector": [0.5] * 8, "segment_count": 2})
+@settings(max_examples=400, deadline=None)
+def test_the_validator_accepts_and_refuses_gold_texts_as_the_reference_does(record):
+    text = json.dumps(record) + "\n"
+    expected = _oracle_outcome(text)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "c.jsonl")
+        path.write_text(text, encoding="utf-8")
+        for load in ("decoded", "from the sidecar"):
+            try:
+                instances = load_corpus(path, d_c=SMALL_D_C)
+            except CorpusError as exc:
+                assert str(exc) == expected, load
+                continue
+            kept = [(i, vars(i)["_full_scan"], vars(i)["_gold_scan"]) for i in instances]
+            assert kept == expected, load
+            assert sidecar_of(path).exists()
+
+
+@given(gold_records(edits=False))
+@settings(max_examples=200, deadline=None)
+def test_every_exact_subgraph_is_proven_from_its_full_scan(record):
+    """A gold text that emit writes for a subgraph of the full graph is
+    placed line by line, never scanned, even where its descriptions and
+    relations hold ": " and " -> "."""
+    full = scan(record["full_graph_text"], graphs.FULL_HEADER)
+    gold = record["gold_subgraph_text"]
+    assert corpus._prove_gold(gold, full) == scan(gold, graphs.EVIDENCE_HEADER)
+
+
+def test_a_proven_gold_scan_shares_the_full_scans_strings_and_tuples(tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(generate_synthetic_corpus(20, 3), path)
+    for load in ("decoded", "from the sidecar"):
+        for instance in load_corpus(path):
+            full_nodes, full_edges, _ = vars(instance)["_full_scan"]
+            gold = vars(instance)["_gold_scan"]
+            assert gold == scan(instance.gold_subgraph_text, graphs.EVIDENCE_HEADER), load
+            gold_nodes, gold_edges, _ = gold
+            assert all(d is full_nodes[i] for i, d in gold_nodes.items()), load
+            assert all(any(e is f for f in full_edges) for e in gold_edges), load
 
 
 # -- segment geometry ----------------------------------------------------
@@ -355,9 +518,10 @@ def test_corpus_vocabulary_closed_and_covers_gold():
 
 def test_training_preparation_scans_each_graph_text_once(tmp_path, monkeypatch):
     """Across load_corpus, corpus_vocabulary and prepare_retriever_examples
-    every graph text is scanned exactly once, whether the load decodes the
-    JSONL or reads its sidecar: the graphs are built from the validator's
-    scans, which the builds then drop."""
+    every full graph text is scanned exactly once and no valid gold text is
+    scanned, whether the load decodes the JSONL or reads its sidecar: the
+    validator proves each gold from its full graph's scan, and the graphs
+    are built from the validator's results, which the builds then drop."""
     path = tmp_path / "corpus.jsonl"
     save_corpus(generate_synthetic_corpus(6, 8), path)
     scanned = Counter()
@@ -381,8 +545,8 @@ def test_training_preparation_scans_each_graph_text_once(tmp_path, monkeypatch):
         ), load
         corpus_vocabulary(instances)
         examples = prepare_retriever_examples(runtime, instances, coverage_levels=(0.5, 1.0))
-        texts = [t for i in instances for t in (i.full_graph_text, i.gold_subgraph_text)]
-        assert scanned == Counter(texts) and max(scanned.values()) == 1, load
+        assert scanned == Counter(i.full_graph_text for i in instances), load
+        assert max(scanned.values()) == 1, load
         assert not any({"_full_scan", "_gold_scan"} & vars(i).keys() for i in instances), load
         # Every example of an instance holds the instance's one graph.
         by_id = {i.id: i for i in instances}
@@ -451,7 +615,7 @@ def test_a_sidecar_hit_reads_no_json_and_validates_equal_instances(tmp_path, mon
     assert hit == miss == instances
     assert len(decodes) == 1 and validated == [64, 64]
     # The sidecar holds the decoder's records, line numbers included.
-    digest = corpus.hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
+    digest = hashlib.sha256(path.read_bytes()).digest()
     assert corpus._read_sidecar(sidecar_of(path), digest) == list(decode(decodes[0]))
 
 
@@ -474,29 +638,41 @@ def test_editing_the_corpus_decodes_it_again_and_rewrites_the_sidecar(tmp_path, 
     assert sidecar_of(path).read_bytes() == before
 
 
-def _flip(index):
+def _flip(where):
+    """Damage that flips one bit of the byte at ``where``: an index, or a
+    function of the data that gives one."""
+
     def damage(data):
         data = bytearray(data)
-        data[index] ^= 0x10
+        data[where(data) if callable(where) else where] ^= 0x10
         return bytes(data)
 
     return damage
 
 
+def _first_content_width(data):
+    """The index of the width byte of the first record's content tuple: the
+    tuple's short-tuple code and width come just before its first float's
+    type code and eight bytes."""
+    first = generate_synthetic_corpus(3, 5)[0].content_vector[0]
+    return data.index(struct.pack("<d", first)) - 2
+
+
 TAG = len(corpus.SIDECAR_TAG)
+HEAD = TAG + 32 + 4
 SIDECAR_DAMAGE = {
     "empty": lambda data: b"",
     "tag only": lambda data: data[:TAG],
-    "header only": lambda data: data[: TAG + 36],
+    "header only": lambda data: data[:HEAD],
     "half": lambda data: data[: len(data) // 2],
     "last byte cut": lambda data: data[:-1],
     "extra byte": lambda data: data + b"\0",
     "tag": _flip(3),
     "corpus digest": _flip(TAG + 5),
-    "checksum": _flip(TAG + 18),
-    "record count": _flip(TAG + 20),
-    "content width": _flip(TAG + 28),
-    "rows": _flip(TAG + 60),
+    "checksum": _flip(TAG + 34),
+    "record count": _flip(HEAD + 1),
+    "content width": _flip(_first_content_width),
+    "rows": _flip(HEAD + 60),
     "content": _flip(-3),
 }
 
@@ -512,6 +688,70 @@ def test_a_damaged_sidecar_is_ignored_and_rewritten(tmp_path, monkeypatch, damag
     decodes = count_decodes(monkeypatch)
     assert load_corpus(path) == instances and len(decodes) == 1
     assert sidecar_of(path).read_bytes() == good
+
+
+def _rewrite_body(data: bytes, rows) -> bytes:
+    """A sidecar holding ``rows`` under the header of ``data``, its checksum
+    recomputed, as damage that the checksum cannot catch."""
+    body = marshal.dumps(rows)
+    return data[: HEAD - 4] + corpus._checksum(body) + body
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda rows: tuple(rows), id="rows-a-tuple"),
+        pytest.param(lambda rows: [list(rows[0])] + rows[1:], id="row-a-list"),
+        pytest.param(lambda rows: [rows[0][:7]] + rows[1:], id="row-short"),
+        pytest.param(lambda rows: [rows[0] + (0,)] + rows[1:], id="row-long"),
+        pytest.param(lambda rows: [(1.0,) + rows[0][1:]] + rows[1:], id="line-a-float"),
+        pytest.param(lambda rows: [rows[0][:2] + (5,) + rows[0][3:]] + rows[1:], id="id-an-int"),
+        pytest.param(lambda rows: [rows[0][:7] + (list(rows[0][7]),)] + rows[1:], id="content-a-list"),
+        pytest.param(lambda rows: {"rows": rows}, id="not-a-list"),
+    ],
+)
+def test_a_sidecar_of_malformed_rows_is_ignored_and_rewritten(tmp_path, monkeypatch, edit):
+    instances = generate_synthetic_corpus(3, 5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(instances, path)
+    load_corpus(path)
+    good = sidecar_of(path).read_bytes()
+    rows = marshal.loads(good[HEAD:])
+    sidecar_of(path).write_bytes(_rewrite_body(good, edit(rows)))
+    decodes = count_decodes(monkeypatch)
+    assert load_corpus(path) == instances and len(decodes) == 1
+    assert sidecar_of(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("tag", [
+    pytest.param(
+        corpus.SIDECAR_TAG.replace(f" {sys.implementation.cache_tag}".encode(), b" other-interpreter"),
+        id="cache-tag",
+    ),
+    pytest.param(
+        corpus.SIDECAR_TAG.replace(f" marshal {marshal.version} ".encode(), b" marshal 3 "),
+        id="marshal-version",
+    ),
+    pytest.param(b"memalign decoded corpus 1\n", id="format"),
+])
+def test_a_sidecar_of_another_interpreter_or_format_is_a_miss_and_rewritten(tmp_path, monkeypatch, tag):
+    instances = generate_synthetic_corpus(3, 5)
+    path = tmp_path / "c.jsonl"
+    save_corpus(instances, path)
+    load_corpus(path)
+    good = sidecar_of(path).read_bytes()
+    assert tag != corpus.SIDECAR_TAG
+    sidecar_of(path).write_bytes(tag + good[TAG:])
+    decodes = count_decodes(monkeypatch)
+    assert load_corpus(path) == instances and len(decodes) == 1
+    assert sidecar_of(path).read_bytes() == good
+
+
+def test_the_sidecar_tag_names_the_marshal_version_and_the_interpreter():
+    tag = corpus.SIDECAR_TAG.decode()
+    assert tag.endswith("\n")
+    assert f" marshal {marshal.version} " in tag
+    assert tag.rstrip("\n").endswith(f" {sys.implementation.cache_tag}")
 
 
 def test_records_the_validator_refuses_leave_the_verdict_to_the_jsonl(tmp_path):

@@ -1,8 +1,9 @@
 """Shared test helpers: random graph generation, byte mutations of a file,
 a scan-based reference constraint engine, a one-request reference
 decoder, finite differences, the reference graph parser and subset
-check, the reference token-stream parser, a softmax, and the whole-batch
-reference of the retriever's backward pass."""
+check, the reference token-stream parser, a softmax, the whole-batch
+reference of the retriever's backward pass, and the reference corpus
+record validator."""
 from __future__ import annotations
 
 import math
@@ -11,7 +12,7 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS
+from memalign.corpus import ADJECTIVES, NOUNS, RELATIONS, CorpusError, CorpusInstance
 from memalign.decoding import ConstraintEngine, DecodeError, GraphIndex
 from memalign.graphs import (
     CONFIDENCE_MARKER,
@@ -27,6 +28,8 @@ from memalign.graphs import (
     VerificationReport,
     Violation,
     is_node_id,
+    scan,
+    subset_violations,
 )
 from memalign.retriever import RetrieverModel
 from memalign.tokenization import LinearizationError, edge_line_tokens, node_line_tokens
@@ -743,3 +746,67 @@ def reference_sequence_backward(model: RetrieverModel, cache, d_logits: np.ndarr
     np.matmul(d_s0_pre.T, cache.cond, out=grads["cond_weight"])
     d_s0_pre.sum(axis=0, out=grads["cond_bias"])
     return grads
+
+
+# -- reference corpus record validator ---------------------------------------
+
+
+def _reference_is_number_list(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {int, float}
+
+
+def reference_validate_records(records, d_c: int) -> list[CorpusInstance]:
+    """``corpus.validate_records`` as it was before it proved each gold
+    subgraph from its full graph's scan: every gold text is scanned and then
+    passes the subset check against the full scan.  It keeps the two scans
+    on each instance under the same names, so a validator must accept or
+    refuse the same records, with the same message, and keep equal scans."""
+    instances: list[CorpusInstance] = []
+    seen_ids: set[str] = set()
+    for record in records:
+        lineno, instance_id = record.line, record.id
+        if instance_id in seen_ids:
+            raise CorpusError(f"line {lineno}: duplicate id {instance_id!r}")
+        seen_ids.add(instance_id)
+        content = record.content_vector
+        if type(content) is not tuple:  # not decoded to floats
+            if not _reference_is_number_list(content):
+                raise CorpusError(f"line {lineno}: content_vector is not a list of numbers")
+            raise CorpusError(f"line {lineno}: content_vector has an entry beyond float64")
+        if len(content) != d_c:
+            raise CorpusError(
+                f"line {lineno}: content_vector has {len(content)} entries, expected {d_c}"
+            )
+        if not all(map(math.isfinite, content)):
+            raise CorpusError(f"line {lineno}: content_vector has a non-finite entry")
+        segments = record.segment_count
+        if type(segments) is not int or segments < 1:  # a JSON true is no count
+            raise CorpusError(f"line {lineno}: segment_count {segments!r} is not a positive integer")
+        if segments > d_c:
+            raise CorpusError(f"line {lineno}: segment_count {segments} exceeds d_c {d_c}")
+        instance = CorpusInstance(
+            id=instance_id,
+            query=record.query,
+            gold_answer=record.gold_answer,
+            full_graph_text=record.full_graph_text,
+            gold_subgraph_text=record.gold_subgraph_text,
+            content_vector=content,
+            segment_count=segments,
+        )
+        try:
+            full = scan(instance.full_graph_text, FULL_HEADER)
+            gold = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
+        except GraphFormatError as exc:
+            raise CorpusError(
+                f"instance {instance_id!r}: invalid graph text ({exc})"
+            ) from exc
+        violations = subset_violations(gold[0].items(), gold[1], full[0], full[1])
+        if violations:
+            kinds = ", ".join(v.kind for v in violations)
+            raise CorpusError(
+                f"instance {instance_id!r}: gold subgraph fails subset "
+                f"verification ({kinds})"
+            )
+        vars(instance).update({"_full_scan": full, "_gold_scan": gold})
+        instances.append(instance)
+    return instances
