@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .contrastive import AlignConfig
 from .retriever import DistillConfig
+from .vocab import decode_text
 
 
 class ConfigError(ValueError):
@@ -128,9 +129,9 @@ def _apply_section(section, keymap, target) -> None:
 def load_config(path: str | Path) -> EngineConfig:
     parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     parser.optionxform = str  # keys are case- and space-sensitive
+    text = decode_text(Path(path).read_bytes(), ConfigError)
     try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
 

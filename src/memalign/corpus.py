@@ -31,11 +31,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .graphs import (
-    CONFIDENCE_MARKER,
-    EDGES_MARKER,
     EVIDENCE_HEADER,
     FULL_HEADER,
-    NODES_MARKER,
     Edge,
     EvidenceSubgraph,
     GraphFormatError,
@@ -45,11 +42,11 @@ from .graphs import (
     emit,
     emit_evidence,
     scan,
-    subset_violations,
+    scan_subgraph,
 )
 from .seeding import component_rng
 from .tokenization import graph_surface_words
-from .vocab import Vocabulary, build_vocabulary
+from .vocab import Vocabulary, build_vocabulary, decode_text, json_lines
 from .unified import InstanceContent, segment_blocks
 
 ADJECTIVES = (
@@ -217,25 +214,10 @@ def load_corpus(path: str | Path, d_c: int = 64) -> list[CorpusInstance]:
             pass  # the JSONL gives the verdict, naming its line
     # The validator takes each record as it is decoded, so the first bad
     # line gives the verdict, whichever of the two refuses it.
-    decoded, fed = itertools.tee(decode_corpus(_corpus_text(raw)))
+    decoded, fed = itertools.tee(decode_corpus(decode_text(raw, CorpusError)))
     instances = validate_records(fed, d_c)
     _write_sidecar(sidecar, digest, list(decoded))
     return instances
-
-
-def _corpus_text(raw: bytes) -> str:
-    """The corpus bytes as ``Path.read_text(encoding="utf-8")`` reads them:
-    UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = _universal_newlines(raw[: exc.start].decode("utf-8")).count("\n") + 1
-        raise CorpusError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
-    return _universal_newlines(text)
-
-
-def _universal_newlines(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def decode_corpus(text: str) -> Iterator[Record]:
@@ -243,15 +225,7 @@ def decode_corpus(text: str) -> Iterator[Record]:
     blank must be a JSON object holding every required field, the text
     fields strings.  A content vector that is a list of numbers becomes a
     tuple of floats, unless float64 cannot hold one of them."""
-    # JSON strings may hold U+2028, U+2029 and U+0085 raw, and
-    # str.splitlines() would break lines at them.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+    for lineno, record in json_lines(text, CorpusError):
         if not isinstance(record, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
         for fieldname in REQUIRED_FIELDS:
@@ -279,10 +253,10 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
     graph texts that scan and a gold subgraph that passes subset
     verification.  The first record that fails is a :class:`CorpusError`
     naming its line or instance id.  A gold text is proven from its full
-    graph's scan by :func:`_prove_gold`, and scanned and checked only when
-    the proof cannot place a line, so every refusal is the scan's or the
-    subset check's.  Each instance keeps the two scans, from which its
-    first :meth:`~CorpusInstance.full_graph` and
+    graph's scan by :func:`~memalign.graphs.scan_subgraph`, which scans and
+    checks it only when the proof cannot place a line, so every refusal is
+    the scan's or the subset check's.  Each instance keeps the two scans,
+    from which its first :meth:`~CorpusInstance.full_graph` and
     :meth:`~CorpusInstance.gold_subgraph` build the graphs."""
     instances: list[CorpusInstance] = []
     seen_ids: set[str] = set()
@@ -300,7 +274,11 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
             raise CorpusError(
                 f"line {lineno}: content_vector has {len(content)} entries, expected {d_c}"
             )
-        if not all(map(math.isfinite, content)):
+        try:
+            finite = all(map(math.isfinite, content))
+        except (TypeError, OverflowError):  # only a sidecar's entries are not floats
+            raise CorpusError(f"line {lineno}: content_vector is not a list of numbers") from None
+        if not finite:
             raise CorpusError(f"line {lineno}: content_vector has a non-finite entry")
         segments = record.segment_count
         if type(segments) is not int or segments < 1:  # a JSON true is no count
@@ -318,81 +296,20 @@ def validate_records(records: Iterable[Record], d_c: int) -> list[CorpusInstance
         )
         try:
             full = scan(instance.full_graph_text, FULL_HEADER)
-            gold = _prove_gold(instance.gold_subgraph_text, full) or _scan_gold(instance, full)
+            gold, violations = scan_subgraph(instance.gold_subgraph_text, full)
         except GraphFormatError as exc:
             raise CorpusError(
                 f"instance {instance_id!r}: invalid graph text ({exc})"
             ) from exc
+        if violations:
+            kinds = ", ".join(v.kind for v in violations)
+            raise CorpusError(
+                f"instance {instance_id!r}: gold subgraph fails subset "
+                f"verification ({kinds})"
+            )
         vars(instance).update({_FULL_SCAN: full, _GOLD_SCAN: gold})
         instances.append(instance)
     return instances
-
-
-_GOLD_HEAD = [EVIDENCE_HEADER, NODES_MARKER]
-
-
-def _prove_gold(text: str, full: tuple) -> tuple | None:
-    """What ``scan(text, EVIDENCE_HEADER)`` returns for a gold subgraph that
-    passes subset verification against the full graph's scan ``full``, read
-    from the full scan: its description strings and edge tuples.  None when
-    some line is not a line of an exact subgraph as ``emit`` writes one (a
-    padded or blank line, say), which leaves the verdict to a scan.
-
-    A node line is ``f"{id}: {description}"`` and an edge line
-    ``f"{source} -> {target}: {relation}"``; ids hold no ``: `` or space and
-    the full scan's descriptions and relations are non-empty and end in no
-    whitespace.  So a line whose split names a full node and its
-    description, or a full edge between two nodes declared before it, is
-    one that the scan's patterns match and the subset check passes."""
-    full_nodes, full_edges, _ = full
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 5 or lines[:2] != _GOLD_HEAD or lines[-2] != CONFIDENCE_MARKER:
-        return None
-    try:
-        edges_at = lines.index(EDGES_MARKER, 2)
-    except ValueError:
-        return None
-    nodes: dict[str, str] = {}
-    for line in lines[2:edges_at]:
-        node_id, _, description = line.partition(": ")
-        known = full_nodes.get(node_id)
-        if known != description or node_id in nodes:
-            return None
-        nodes[node_id] = known
-    edges = []
-    edge_lines = lines[edges_at + 1 : -2]
-    if edge_lines:
-        known_edges = dict(zip(full_edges, full_edges))
-        for line in edge_lines:
-            source, _, rest = line.partition(" -> ")
-            target, _, relation = rest.partition(": ")
-            edge = known_edges.get((source, target, relation))
-            if edge is None or source not in nodes or target not in nodes:
-                return None
-            edges.append(edge)
-    try:
-        confidence = float(lines[-1])
-    except ValueError:
-        return None
-    if not 0.0 <= confidence <= 1.0:
-        return None
-    return nodes, edges, confidence
-
-
-def _scan_gold(instance: CorpusInstance, full: tuple) -> tuple:
-    """The scan of a gold subgraph text that :func:`_prove_gold` could not
-    place: it raises the scan's error, or the subset check's."""
-    gold = scan(instance.gold_subgraph_text, EVIDENCE_HEADER)
-    violations = subset_violations(gold[0].items(), gold[1], full[0], full[1])
-    if violations:
-        kinds = ", ".join(v.kind for v in violations)
-        raise CorpusError(
-            f"instance {instance.id!r}: gold subgraph fails subset "
-            f"verification ({kinds})"
-        )
-    return gold
 
 
 # -- the decoded sidecar -------------------------------------------------

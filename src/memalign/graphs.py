@@ -341,6 +341,61 @@ def subset_violations(
     return violations
 
 
+def scan_subgraph(text: str, full: tuple) -> tuple[tuple, list[Violation]]:
+    """``scan(text, EVIDENCE_HEADER)`` of an evidence document and its
+    :func:`subset_violations` against the scan ``full`` of a full graph.
+
+    A document that ``emit`` wrote for an exact subgraph is read from the
+    full scan line by line, and its scan shares the full scan's description
+    strings and edge tuples.  A node line is ``f"{id}: {description}"`` and
+    an edge line ``f"{source} -> {target}: {relation}"``; ids hold no ``: ``
+    or space and the full scan's descriptions and relations are non-empty
+    and end in no whitespace.  So a line whose split names a full node and
+    its description, or a full edge between two nodes declared before it,
+    is one that the scan's patterns match and the subset check passes.  A
+    document with a line placed no such way (a padded or blank line, say)
+    is scanned and checked, so its errors and violations are the scan's
+    and the subset check's."""
+    full_nodes, full_edges, _ = full
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    nodes: dict[str, str] = {}
+    edges: list[tuple[str, str, str]] = []
+    placed = lines[:2] == [EVIDENCE_HEADER, NODES_MARKER] and lines[-2:-1] == [CONFIDENCE_MARKER]
+    body = iter(lines[2:-2] if placed else ())
+    for line in body:
+        if line == EDGES_MARKER:
+            break
+        node_id, _, description = line.partition(": ")
+        known = full_nodes.get(node_id)
+        if known != description or node_id in nodes:
+            placed = False
+            break
+        nodes[node_id] = known
+    else:
+        placed = False  # no edge section
+    if placed:
+        known_edges = dict(zip(full_edges, full_edges))
+        for line in body:
+            source, _, rest = line.partition(" -> ")
+            target, _, relation = rest.partition(": ")
+            edge = known_edges.get((source, target, relation))
+            if edge is None or source not in nodes or target not in nodes:
+                placed = False
+                break
+            edges.append(edge)
+    if placed:
+        try:
+            confidence = float(lines[-1])
+        except ValueError:
+            confidence = math.nan  # no confidence: left to the scan
+        if 0.0 <= confidence <= 1.0:
+            return (nodes, edges, confidence), []
+    sub = scan(text, EVIDENCE_HEADER)
+    return sub, subset_violations(sub[0].items(), sub[1], full_nodes, full_edges)
+
+
 def verify_subset(sub: EvidenceSubgraph, full: MemoryGraph) -> VerificationReport:
     """Check that ``sub`` is an exact node/edge subset of ``full``.
 

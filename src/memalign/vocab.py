@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 BOS = 0
 EOS = 1
@@ -51,12 +51,30 @@ def _is_confidence(word: str) -> bool:
     return math.isfinite(value) and 0.0 <= value <= 1.0
 
 
-def _record(line: str, number: int):
-    """One JSON line of a saved vocabulary, its errors named by file line."""
+def decode_text(raw: bytes, error: type[ValueError]) -> str:
+    """``raw`` as ``Path.read_text(encoding="utf-8")`` reads it: UTF-8, with
+    ``\\r\\n`` and a lone ``\\r`` read as ``\\n``.  A byte that is not UTF-8 is
+    an ``error`` naming its line.  Corpus, vocabulary and config files are
+    all read this way."""
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise VocabularyError(f"line {number}: not JSON ({exc.msg}, column {exc.colno})") from None
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        number = decode_text(raw[: exc.start], error).count("\n") + 1
+        raise error(f"line {number}: not UTF-8 text ({exc.reason})") from None
+
+
+def json_lines(text: str, error: type[ValueError]) -> Iterator[tuple[int, object]]:
+    """The line number and JSON value of each line of ``text`` that is not
+    blank, for JSON-lines files such as corpora and vocabularies.  Lines end
+    at ``\\n`` only: JSON strings may hold U+2028, U+2029 and U+0085 raw, and
+    ``str.splitlines()`` would break lines at them."""
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"line {number}: malformed JSON ({exc.msg})") from None
+            yield number, value
 
 
 @dataclass
@@ -125,26 +143,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        raw = Path(path).read_bytes()
-        try:
-            lines = raw.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            # The line the bad byte starts: the lines of the text before it,
-            # counting a last one whether or not the text ends a line.
-            number = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-            raise VocabularyError(f"line {number}: not UTF-8 text ({exc.reason})") from None
-        if not lines:
+        records = json_lines(decode_text(Path(path).read_bytes(), VocabularyError), VocabularyError)
+        number, head = next(records, (0, None))
+        if not number:
             raise VocabularyError("empty vocabulary file")
-        head = _record(lines[0], 1)
         if not isinstance(head, dict) or head.get("token") != "<mode>":
-            raise VocabularyError("line 1: missing vocabulary mode record")
+            raise VocabularyError(f"line {number}: missing vocabulary mode record")
         if head.get("id") != "closed":
-            raise VocabularyError(f"line 1: unknown vocabulary mode {head.get('id')!r}")
+            raise VocabularyError(f"line {number}: unknown vocabulary mode {head.get('id')!r}")
         entries = []
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            entry = _record(line, number)
+        for number, entry in records:
             valid = isinstance(entry, dict) and isinstance(entry.get("token"), str)
             # An id is an int: not a bool, nor a float such as 12.0.
             if not (valid and type(entry.get("id")) is int):

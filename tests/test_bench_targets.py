@@ -1,5 +1,6 @@
 """The functions the benchmark's tracer wraps, and the names its workloads
-import from memalign, exist in memalign.
+import from memalign, exist in memalign; the package root binds no name
+that the benchmark does not import from it.
 
 ``bench/run.py`` is read with ``ast`` rather than imported: importing it pins
 the BLAS thread count of the importing process.  ``bench/workloads.py`` is
@@ -8,6 +9,7 @@ modules.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,25 @@ def test_workload_reference_resolves(dotted):
 def test_the_workloads_import_from_memalign():
     assert "memalign.unified.align_forward" in REFERENCES
     assert "memalign.cli.main" in REFERENCES
+
+
+def _root_imports() -> set[str]:
+    """The names that the benchmark's modules import or read from the
+    package root: ``from memalign import x`` and ``memalign.x``."""
+    names = set()
+    for path in RUN.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "memalign" and not node.level:
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute) and _memalign_path(node.value) == "memalign":
+                names.add(node.attr)
+    return names
+
+
+def test_the_package_root_binds_only_what_the_benchmark_imports_from_it():
+    memalign = importlib.import_module("memalign")
+    public = {
+        name for name, value in vars(memalign).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public and public <= _root_imports()

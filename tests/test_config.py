@@ -134,3 +134,25 @@ def test_settings_the_pool_decides_are_left_to_the_run(tmp_path):
     cfg = load_config(path)
     assert (cfg.align.negatives, cfg.align.holdout) == (5000, 10000)
     assert "Demonstrations" not in default_config_text()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_config_files_are_read_like_corpus_and_vocabulary_files(tmp_path, newline):
+    """Through the shared line reader: any of the three line ends, and a
+    byte that is not UTF-8 named by its line."""
+    path = tmp_path / "engine.cfg"
+    lines = default_config_text().encode().split(b"\n")
+    path.write_bytes(newline.join(lines))
+    assert load_config(path) == EngineConfig()
+    assert lines[3] == b"d_q = 64"
+    lines[3] = b"d_q = 6\xff4"
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(ConfigError, match=r"^line 4: not UTF-8 text \(invalid start byte\)$"):
+        load_config(path)
+
+
+def test_a_malformed_config_file_is_named_in_the_error(tmp_path):
+    path = tmp_path / "engine.cfg"
+    path.write_text("[engine]\nd_s 64\n")
+    with pytest.raises(ConfigError, match=f"^malformed config file: .*{path.name}"):
+        load_config(path)

@@ -1,4 +1,5 @@
 """Vocabulary table and reserved token ids."""
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from memalign.corpus import CorpusError, generate_synthetic_corpus, load_corpus
 from memalign.vocab import (
     BOS,
     EOS,
@@ -153,6 +155,82 @@ def test_load_names_the_line_of_bytes_that_are_not_utf8(tmp_path, newline):
     path.write_bytes(newline.join(lines) + newline)
     with pytest.raises(VocabularyError, match=r"^line 12: not UTF-8 text \(invalid start byte\)$"):
         Vocabulary.load(path)
+
+
+# -- the line reader that corpus and vocabulary files share --------------
+
+
+def _json_lines_files(separator: str):
+    """The JSON lines of a 14-instance corpus and of a 14-line vocabulary,
+    written with ``ensure_ascii=False``: line 12 of each holds
+    ``separator`` raw inside a string.  Also the instances and the words."""
+    words = (f"har{separator}bor", "mill", "0.9")
+    vocab_lines = _saved(build_vocabulary(words)).decode().splitlines()
+    instances = generate_synthetic_corpus(14, 8)
+    instances[11] = dataclasses.replace(instances[11], query=f"where{separator}is the harbor")
+    lines = {
+        "corpus": [inst.to_json() for inst in instances],
+        "vocabulary": vocab_lines,
+    }
+    raw = {
+        name: [json.dumps(json.loads(line), ensure_ascii=False).encode() for line in text]
+        for name, text in lines.items()
+    }
+    assert all(len(text) == 14 and separator.encode() in text[11] for text in raw.values())
+    return raw, instances, words
+
+
+def _bad_byte(lines):
+    lines[12] = lines[12][:2] + b"\xff" + lines[12][2:]
+    return lines
+
+
+def _cut_json(lines):
+    lines[12] = lines[12][:-1]
+    return lines
+
+
+def _blank_lines_then_cut_json(lines):
+    lines = _cut_json(lines)
+    return lines[:3] + [b"", b" \t"] + lines[3:]
+
+
+# Each case: the line end, an edit of the lines, and the line and the start
+# of the message of the refusal (None for a file that loads).
+LINE_CASES = {
+    "lf": (b"\n", list, None),
+    "crlf": (b"\r\n", list, None),
+    "lone cr": (b"\r", list, None),
+    "bad byte, lf": (b"\n", _bad_byte, "line 13: not UTF-8 text "),
+    "bad byte, crlf": (b"\r\n", _bad_byte, "line 13: not UTF-8 text "),
+    "bad byte, lone cr": (b"\r", _bad_byte, "line 13: not UTF-8 text "),
+    "malformed json, lf": (b"\n", _cut_json, "line 13: malformed JSON "),
+    "malformed json, crlf": (b"\r\n", _cut_json, "line 13: malformed JSON "),
+    "malformed json, lone cr": (b"\r", _cut_json, "line 13: malformed JSON "),
+    "blank lines count": (b"\n", _blank_lines_then_cut_json, "line 15: malformed JSON "),
+}
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085"], ids=["U+2028", "U+0085"])
+@pytest.mark.parametrize("case", sorted(LINE_CASES))
+def test_corpus_and_vocabulary_files_number_their_lines_alike(tmp_path, case, separator):
+    """The same bytes-level cases give both JSON-lines readers the same
+    verdict, naming the same line: a raw separator inside a JSON string
+    ends no line, and every line end is one."""
+    newline, edit, refusal = LINE_CASES[case]
+    raw, instances, words = _json_lines_files(separator)
+    loads = {
+        "corpus": (load_corpus, CorpusError, instances),
+        "vocabulary": (lambda path: Vocabulary.load(path).words, VocabularyError, words),
+    }
+    for name, (load, error, expected) in loads.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(newline.join(edit(raw[name])) + newline)
+        if refusal is None:
+            assert load(path) == expected, name
+        else:
+            with pytest.raises(error, match=f"^{refusal}"):
+                load(path)
 
 
 def test_confidence_ids_are_the_unit_interval_numbers():
